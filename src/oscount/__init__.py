@@ -29,6 +29,7 @@ from .counting import (
     CatalogEntry,
     CountReport,
     NamikawaWeylData,
+    analyze_arrangement,
     catalog,
     count_resolutions,
     namikawa_weyl_from_group,

@@ -18,23 +18,13 @@ import os
 import sys
 import time
 
-from . import arrangement as arr_mod
-from . import matroid as matroid_mod
-from .arrangement import (
-    characteristic_polynomial,
-    cone,
-    intersection_lattice,
-    poincare_polynomial,
-    region_count,
-    essential_rank,
-)
+from .arrangement import DEFAULT_FLAT_CAP, cone, deletion_restriction
 from .counting import (
-    CountReport,
+    analyze_arrangement,
     catalog,
     count_resolutions,
     namikawa_weyl_from_group,
     wreath_count_closed_form,
-    wreath_count_direct,
 )
 from .errors import (
     InvalidInputError,
@@ -54,66 +44,52 @@ from .groups import (
     symplectic_reflections,
     verify_zeta_bijection,
 )
-from .matroid import finite_field_count, find_good_primes, nbc_betti
+from .matroid import (
+    DEFAULT_FF_CAP,
+    DEFAULT_SUBSET_CAP,
+    finite_field_count,
+    find_good_primes,
+    nbc_betti,
+)
 from .polynomial import IntegerPolynomial
 from .rootdata import CatalanSpec, affine_catalan, catalan_arrangement, parse_type_label, weyl_data
 
 __all__ = ["main"]
 
-
-def _env_cap(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    if value is None:
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        raise InvalidInputError(f"environment variable {name} must be an integer") from None
+# flag, environment variable, default, help text
+_CAPS = (
+    ("--flat-cap", "OSCOUNT_FLAT_CAP", DEFAULT_FLAT_CAP, "intersection-lattice flat cap"),
+    ("--subset-cap", "OSCOUNT_SUBSET_CAP", DEFAULT_SUBSET_CAP, "matroid subset-enumeration cap"),
+    ("--group-cap", "OSCOUNT_GROUP_CAP", DEFAULT_GROUP_CAP, "group enumeration cap"),
+    ("--ff-cap", "OSCOUNT_FF_CAP", DEFAULT_FF_CAP, "finite-field enumeration cap on q^l"),
+)
 
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument(
-        "--flat-cap",
-        type=int,
-        default=None,
-        help="intersection-lattice flat cap (default %d)" % arr_mod.DEFAULT_FLAT_CAP,
-    )
-    parser.add_argument(
-        "--subset-cap",
-        type=int,
-        default=None,
-        help="matroid subset-enumeration cap (default %d)" % matroid_mod.DEFAULT_SUBSET_CAP,
-    )
-    parser.add_argument(
-        "--group-cap",
-        type=int,
-        default=None,
-        help="group enumeration cap (default %d)" % DEFAULT_GROUP_CAP,
-    )
-    parser.add_argument(
-        "--ff-cap",
-        type=int,
-        default=None,
-        help="finite-field enumeration cap on q^l (default %d)" % matroid_mod.DEFAULT_FF_CAP,
-    )
+    for flag, _, default, text in _CAPS:
+        parser.add_argument(flag, type=int, default=None, help=f"{text} (default {default})")
 
 
 def _caps(args) -> dict:
-    return {
-        "flat_cap": args.flat_cap
-        if args.flat_cap is not None
-        else _env_cap("OSCOUNT_FLAT_CAP", arr_mod.DEFAULT_FLAT_CAP),
-        "subset_cap": args.subset_cap
-        if args.subset_cap is not None
-        else _env_cap("OSCOUNT_SUBSET_CAP", matroid_mod.DEFAULT_SUBSET_CAP),
-        "group_cap": args.group_cap
-        if args.group_cap is not None
-        else _env_cap("OSCOUNT_GROUP_CAP", DEFAULT_GROUP_CAP),
-        "ff_cap": args.ff_cap
-        if args.ff_cap is not None
-        else _env_cap("OSCOUNT_FF_CAP", matroid_mod.DEFAULT_FF_CAP),
-    }
+    """Each cap from its flag, else its environment variable, else its
+    default; a cap below 1 is invalid input."""
+    caps = {}
+    for flag, env, default, _ in _CAPS:
+        name = flag[2:].replace("-", "_")
+        value, source = getattr(args, name), flag
+        if value is None and env in os.environ:
+            source = f"environment variable {env}"
+            try:
+                value = int(os.environ[env])
+            except ValueError:
+                raise InvalidInputError(f"{source} must be an integer") from None
+        if value is None:
+            value = default
+        if value < 1:
+            raise InvalidInputError(f"{source} must be >= 1, got {value}")
+        caps[name] = value
+    return caps
 
 
 def _poly_doc(p: IntegerPolynomial) -> dict:
@@ -124,6 +100,16 @@ def _field_doc(field) -> dict:
     return {"kind": field.kind, "conductor": field.conductor, "degree": field.degree}
 
 
+def _arrangement_head(command: str, arrangement) -> dict:
+    return {
+        "command": command,
+        "field": _field_doc(arrangement.field),
+        "ambient_dim": arrangement.ambient_dim,
+        "central": arrangement.central,
+        "num_hyperplanes": len(arrangement.hyperplanes),
+    }
+
+
 def _emit(doc: dict, as_json: bool, human_lines):
     if as_json:
         print(json.dumps(doc, indent=2))
@@ -132,12 +118,12 @@ def _emit(doc: dict, as_json: bool, human_lines):
             print(line)
 
 
-def _run_oracles(arrangement, pi, chi, which: str, caps) -> dict:
+def _run_oracles(arrangement, report, which: str, caps) -> dict:
     """Cross-check the lattice route; disagreement raises (exit 3)."""
     results: dict = {"oracle": which}
     if which == "nbc":
         betti = nbc_betti(arrangement, caps["subset_cap"])
-        expected = list(pi.coefficients)
+        expected = list(report.poincare_poly.coefficients)
         results["nbc_betti"] = betti
         results["agrees"] = betti == expected
         if not results["agrees"]:
@@ -145,6 +131,7 @@ def _run_oracles(arrangement, pi, chi, which: str, caps) -> dict:
                 f"nbc oracle {betti} != Poincare coefficients {expected}"
             )
     elif which == "ff":
+        chi = report.char_poly
         primes = find_good_primes(arrangement, 2, caps["ff_cap"])
         checks = []
         for q in primes:
@@ -159,32 +146,26 @@ def _run_oracles(arrangement, pi, chi, which: str, caps) -> dict:
     return results
 
 
-def _analyze_doc(arrangement, caps, oracle: str | None, command: str) -> dict:
-    t0 = time.perf_counter()
-    lattice = intersection_lattice(arrangement, caps["flat_cap"])
-    chi = characteristic_polynomial(lattice)
-    pi = poincare_polynomial(lattice)
+def _report_doc(head: dict, arrangement, report, oracle: str, caps, t0: float) -> dict:
+    """The JSON document of `count` and `analyze`: the command's own head
+    fields, the report, the oracle results, the caps and the timing."""
     doc = {
-        "command": command,
-        "field": _field_doc(arrangement.field),
-        "ambient_dim": arrangement.ambient_dim,
-        "central": arrangement.central,
-        "num_hyperplanes": len(arrangement.hyperplanes),
-        # broken-circuit data downstream depends on this order
-        "hyperplanes": [h.key() for h in arrangement.hyperplanes],
-        "rank": essential_rank(arrangement),
-        "char_poly": _poly_doc(chi),
-        "poincare_poly": _poly_doc(pi),
-        "os_dimension": pi(1),
-        "flats_per_level": lattice.flats_per_level(),
-        "moebius_checksum": lattice.whitney_numbers(),
+        **head,
+        "rank": report.rank,
+        "char_poly": _poly_doc(report.char_poly),
+        "poincare_poly": _poly_doc(report.poincare_poly),
+        "os_dimension": report.os_dimension,
     }
-    if all(h.is_real() for h in arrangement.hyperplanes):
-        regions, bounded = region_count(arrangement, lattice)
-        doc["regions"] = regions
-        doc["bounded_regions"] = bounded
-    if oracle and oracle != "none":
-        doc["oracle_results"] = _run_oracles(arrangement, pi, chi, oracle, caps)
+    if report.resolution_count is not None:
+        doc["weyl_order"] = report.weyl_order
+        doc["resolution_count"] = report.resolution_count
+    doc["flats_per_level"] = report.flats_per_level
+    doc["moebius_checksum"] = report.moebius_checksum
+    if report.regions is not None:
+        doc["regions"] = report.regions
+        doc["bounded_regions"] = report.bounded_regions
+    if oracle != "none":
+        doc["oracle_results"] = _run_oracles(arrangement, report, oracle, caps)
     doc["caps"] = caps
     doc["timing_seconds"] = round(time.perf_counter() - t0, 6)
     return doc
@@ -193,7 +174,12 @@ def _analyze_doc(arrangement, caps, oracle: str | None, command: str) -> dict:
 def _cmd_analyze(args) -> int:
     caps = _caps(args)
     arrangement = parse_arrangement_file(args.file)
-    doc = _analyze_doc(arrangement, caps, args.oracle, "analyze")
+    t0 = time.perf_counter()
+    head = _arrangement_head("analyze", arrangement)
+    # broken-circuit data downstream depends on this order
+    head["hyperplanes"] = [h.key() for h in arrangement.hyperplanes]
+    report = analyze_arrangement(arrangement, caps["flat_cap"])
+    doc = _report_doc(head, arrangement, report, args.oracle, caps, t0)
     lines = [
         f"arrangement: {args.file}",
         f"field: {doc['field']['kind']} (conductor {doc['field']['conductor']})",
@@ -215,14 +201,8 @@ def _cmd_analyze(args) -> int:
 
 def _emit_arrangement(arrangement, args, command: str, extra: dict | None = None) -> int:
     text = serialize_arrangement(arrangement)
-    doc = {
-        "command": command,
-        "field": _field_doc(arrangement.field),
-        "ambient_dim": arrangement.ambient_dim,
-        "central": arrangement.central,
-        "num_hyperplanes": len(arrangement.hyperplanes),
-        "arrangement_text": text,
-    }
+    doc = _arrangement_head(command, arrangement)
+    doc["arrangement_text"] = text
     if extra:
         doc.update(extra)
     if args.out:
@@ -271,16 +251,6 @@ def _count_lines(doc: dict) -> list[str]:
     return lines
 
 
-def _report_doc(report: CountReport, command: str, caps) -> dict:
-    doc = {"command": command}
-    raw = report.to_dict()
-    doc.update(raw)
-    doc["char_poly"] = _poly_doc(report.char_poly)
-    doc["poincare_poly"] = _poly_doc(report.poincare_poly)
-    doc["caps"] = caps
-    return doc
-
-
 def _cmd_count(args) -> int:
     caps = _caps(args)
     t0 = time.perf_counter()
@@ -303,12 +273,12 @@ def _cmd_count(args) -> int:
         report = count_resolutions(arrangement, args.weyl_order, caps["flat_cap"])
     else:
         raise InvalidInputError("count needs --catalog NAME or --arrangement FILE")
-    if args.oracle and args.oracle != "none":
-        report.oracle_results = _run_oracles(
-            arrangement, report.poincare_poly, report.char_poly, args.oracle, caps
-        )
-    doc = _report_doc(report, "count", caps)
-    doc["timing_seconds"] = round(time.perf_counter() - t0, 6)
+    head = {
+        "command": "count",
+        "num_hyperplanes": report.num_hyperplanes,
+        "ambient_dim": report.ambient_dim,
+    }
+    doc = _report_doc(head, arrangement, report, args.oracle, caps, t0)
     _emit(doc, args.json, _count_lines(doc))
     return 0
 
@@ -331,10 +301,10 @@ def _cmd_wreath_formula(args) -> int:
     return 0
 
 
-def _cmd_group_analyze(args) -> int:
-    caps = _caps(args)
-    t0 = time.perf_counter()
-    group = parse_group_file(args.file)
+def _group_doc(group, caps) -> tuple[dict, bool]:
+    """Enumerate the group, then its reflection classes, minimal parabolics,
+    zeta bijection and Namikawa Weyl order; returns the report and whether
+    the bijection holds."""
     group.enumerate_elements(caps["group_cap"])
     reflections = symplectic_reflections(group)
     parabolics = minimal_parabolics(group)
@@ -370,6 +340,13 @@ def _cmd_group_analyze(args) -> int:
         doc["namikawa_weyl"] = None
         doc["namikawa_weyl_note"] = str(exc)
     doc["caps"] = caps
+    return doc, ok
+
+
+def _cmd_group_analyze(args) -> int:
+    caps = _caps(args)
+    t0 = time.perf_counter()
+    doc, ok = _group_doc(parse_group_file(args.file), caps)
     doc["timing_seconds"] = round(time.perf_counter() - t0, 6)
     if not ok:
         _emit(doc, args.json, [])
@@ -405,110 +382,63 @@ def _cmd_group_analyze(args) -> int:
 
 
 def _selftest_checks(caps, skip: set[str]):
-    """Yield (name, status, detail) rows; status in PASS/FAIL/SKIP."""
+    """Yield (name, status, detail) rows; status in PASS/FAIL/SKIP.  Every
+    expected number comes from the catalog entry under test."""
 
-    def check(name, fn):
+    def check(name, fn, *args):
         try:
-            detail = fn()
-            return (name, "PASS", detail if isinstance(detail, str) else "")
-        except OscountError as exc:
-            return (name, "FAIL", str(exc))
-        except AssertionError as exc:
+            return (name, "PASS", fn(*args))
+        except (OscountError, AssertionError) as exc:
             return (name, "FAIL", str(exc))
 
-    q8 = catalog("q8d8")
-    g4 = catalog("g4")
-
-    def q8d8_arrangement_check():
-        report = count_resolutions(q8.arrangement, q8.weyl_data, caps["flat_cap"])
-        assert report.poincare_poly.coefficients == q8.expected["poincare"], (
-            f"Poincare {report.poincare_poly.coefficients} != {q8.expected['poincare']}"
+    def count_check(entry):
+        e = entry.expected
+        report = count_resolutions(entry.arrangement, entry.weyl_data, caps["flat_cap"])
+        if "poincare" in e:
+            assert report.poincare_poly.coefficients == e["poincare"], (
+                f"Poincare {report.poincare_poly.coefficients} != {e['poincare']}"
+            )
+        assert report.os_dimension == e["os_dimension"], (
+            f"pi(1) = {report.os_dimension} != {e['os_dimension']}"
         )
-        assert report.os_dimension == q8.expected["os_dimension"]
-        assert report.resolution_count == q8.expected["count"]
-        assert report.regions == q8.expected["os_dimension"]
+        assert report.resolution_count == e["count"], f"count {report.resolution_count}"
+        if "regions" in e:
+            assert report.regions == e["regions"], f"regions {report.regions}"
         return f"count {report.resolution_count}, OS dim {report.os_dimension}"
 
-    yield check("q8d8 arrangement + count 81", q8d8_arrangement_check)
+    def nbc_check(entry):
+        betti = nbc_betti(entry.arrangement, caps["subset_cap"])
+        assert tuple(betti) == entry.expected["poincare"], f"nbc {betti}"
+        return f"betti {betti}"
 
-    if "nbc" in skip:
-        yield ("q8d8 nbc oracle", "SKIP", "--skip nbc")
-    else:
+    def group_check(entry):
+        e = entry.expected
+        doc, bijective = _group_doc(entry.group, caps)
+        assert doc["order"] == e["group_order"], f"order {doc['order']}"
+        r = doc["num_reflection_classes"]
+        assert r == e["reflection_classes"], f"r = {r}"
+        labels = tuple(p["kleinian_label"] for p in doc["parabolic_classes"])
+        assert labels == e["parabolic_labels"], f"labels {labels}"
+        assert all(p["xi_class_action_trivial"] for p in doc["parabolic_classes"])
+        assert bijective, "zeta bijection failed"
+        weyl = doc["namikawa_weyl"]
+        assert weyl is not None, doc.get("namikawa_weyl_note")
+        assert weyl["total_order"] == e["weyl_order"], f"|W| = {weyl['total_order']}"
+        return f"order {doc['order']}, r={r}, |W| = {weyl['total_order']}"
 
-        def q8d8_nbc():
-            betti = nbc_betti(q8.arrangement, caps["subset_cap"])
-            assert tuple(betti) == q8.expected["poincare"], f"nbc {betti}"
-            return f"betti {betti}"
+    for name in ("q8d8", "g4"):
+        entry = catalog(name)
+        yield check(f"{name} arrangement + count {entry.expected['count']}", count_check, entry)
+        if "nbc" in skip:
+            yield (f"{name} nbc oracle", "SKIP", "--skip nbc")
+        else:
+            yield check(f"{name} nbc oracle", nbc_check, entry)
+        yield check(f"{name} group pipeline", group_check, entry)
 
-        yield check("q8d8 nbc oracle", q8d8_nbc)
-
-    def q8d8_group_check():
-        group = q8.group
-        group.enumerate_elements(caps["group_cap"])
-        assert group.order == q8.expected["group_order"], f"order {group.order}"
-        refl = symplectic_reflections(group)
-        assert len(refl) == q8.expected["reflection_classes"], f"r = {len(refl)}"
-        paras = minimal_parabolics(group)
-        labels = tuple(p.kleinian_label for p in paras)
-        assert labels == q8.expected["parabolic_labels"], f"labels {labels}"
-        assert all(p.class_action_trivial for p in paras)
-        ok, _ = verify_zeta_bijection(group)
-        assert ok, "zeta bijection failed"
-        weyl = namikawa_weyl_from_group(paras)
-        assert weyl.total_order == q8.expected["weyl_order"], f"|W| = {weyl.total_order}"
-        return f"order 32, r=5, |W| = {weyl.total_order}"
-
-    yield check("q8d8 group pipeline", q8d8_group_check)
-
-    def g4_arrangement_check():
-        report = count_resolutions(g4.arrangement, g4.weyl_data, caps["flat_cap"])
-        assert report.poincare_poly.coefficients == g4.expected["poincare"]
-        assert report.os_dimension == g4.expected["os_dimension"]
-        assert report.resolution_count == g4.expected["count"]
-        return f"count {report.resolution_count}, OS dim {report.os_dimension}"
-
-    yield check("g4 arrangement + count 2", g4_arrangement_check)
-
-    if "nbc" in skip:
-        yield ("g4 nbc oracle", "SKIP", "--skip nbc")
-    else:
-
-        def g4_nbc():
-            betti = nbc_betti(g4.arrangement, caps["subset_cap"])
-            assert tuple(betti) == g4.expected["nbc"], f"nbc {betti}"
-            return f"betti {betti}"
-
-        yield check("g4 nbc oracle", g4_nbc)
-
-    def g4_group_check():
-        group = g4.group
-        group.enumerate_elements(caps["group_cap"])
-        assert group.order == g4.expected["group_order"], f"order {group.order}"
-        refl = symplectic_reflections(group)
-        assert len(refl) == g4.expected["reflection_classes"], f"r = {len(refl)}"
-        paras = minimal_parabolics(group)
-        assert tuple(p.kleinian_label for p in paras) == g4.expected["parabolic_labels"]
-        ok, _ = verify_zeta_bijection(group)
-        assert ok, "zeta bijection failed"
-        weyl = namikawa_weyl_from_group(paras)
-        assert weyl.total_order == g4.expected["weyl_order"], f"|W| = {weyl.total_order}"
-        return f"order 24, r=2, |W| = {weyl.total_order} (override)"
-
-    yield check("g4 group pipeline", g4_group_check)
-
-    wreath_cases = [("A1", 2, 8), ("A1", 3, 12), ("A2", 2, 60), ("A3", 2, 672)]
-    for label, n, pi1 in wreath_cases:
-
-        def wreath_check(label=label, n=n, pi1=pi1):
-            letter, rank = parse_type_label(label)
-            wdata = weyl_data(letter, rank)
-            closed = wreath_count_closed_form(wdata, n)
-            report = wreath_count_direct(wdata, n, caps["flat_cap"])
-            assert report.os_dimension == pi1, f"pi(1) = {report.os_dimension} != {pi1}"
-            assert report.resolution_count == closed
-            return f"count {closed}, pi(1) {report.os_dimension}"
-
-        yield check(f"wreath two-route ({label}, n={n})", wreath_check)
+    # a wreath entry's expected count is the closed form: the second route
+    for label, n in (("A1", 2), ("A1", 3), ("A2", 2), ("A3", 2)):
+        entry = catalog(f"wreath:{label}:{n}")
+        yield check(f"wreath two-route ({label}, n={n})", count_check, entry)
 
     def n1_check():
         for label in ("A1", "A2", "A3", "D4", "D5", "E6", "E7", "E8"):
@@ -518,55 +448,41 @@ def _selftest_checks(caps, skip: set[str]):
 
     yield check("n=1 degeneracy (closed form)", n1_check)
 
+    def ff_check(entry):
+        report = analyze_arrangement(entry.arrangement, caps["flat_cap"])
+        results = _run_oracles(entry.arrangement, report, "ff", caps)
+        return f"q={[c['q'] for c in results['finite_field']]} agree with chi"
+
     if "ff" in skip:
         yield ("finite-field oracle", "SKIP", "--skip ff")
     else:
-        ff_cases = ["q8d8", "wreath:a1:2", "wreath:a1:3", "wreath:a2:2"]
-        for name in ff_cases:
-
-            def ff_check(name=name):
-                entry = catalog(name)
-                lattice = intersection_lattice(entry.arrangement, caps["flat_cap"])
-                chi = characteristic_polynomial(lattice)
-                primes = find_good_primes(entry.arrangement, 2, caps["ff_cap"])
-                for q in primes:
-                    n = finite_field_count(entry.arrangement, q, caps["ff_cap"])
-                    assert n == chi(q), f"q={q}: {n} != chi(q)={chi(q)}"
-                return f"q={primes} agree with chi"
-
-            yield check(f"finite-field oracle ({name})", ff_check)
+        for name in ("q8d8", "wreath:a1:2", "wreath:a1:3", "wreath:a2:2"):
+            yield check(f"finite-field oracle ({name})", ff_check, catalog(name))
 
     def cone_check():
-        from .polynomial import IntegerPolynomial as P
-
         for label, n in (("A1", 2), ("A2", 2)):
             letter, rank = parse_type_label(label)
             spec = CatalanSpec(weyl_data(letter, rank), n)
             aff = affine_catalan(spec)
-            pi_aff = poincare_polynomial(intersection_lattice(aff, caps["flat_cap"]))
+            pi_aff = analyze_arrangement(aff, caps["flat_cap"]).poincare_poly
             coned = cone(aff)
             assert coned.same_hyperplanes(catalan_arrangement(spec))
-            pi_cone = poincare_polynomial(intersection_lattice(coned, caps["flat_cap"]))
-            assert pi_cone == P((1, 1)) * pi_aff, f"cone identity fails for {label} n={n}"
+            pi_cone = analyze_arrangement(coned, caps["flat_cap"]).poincare_poly
+            assert pi_cone == IntegerPolynomial((1, 1)) * pi_aff, (
+                f"cone identity fails for {label} n={n}"
+            )
         return "pi(cA, t) = (1+t) pi(A, t)"
 
     yield check("cone identity on affine families", cone_check)
 
     def delres_check():
-        from .arrangement import deletion_restriction
-
-        cases = [g4.arrangement, catalog("wreath:a1:2").arrangement]
-        for arrangement in cases:
-            lattice = intersection_lattice(arrangement, caps["flat_cap"])
-            chi = characteristic_polynomial(lattice)
+        for name in ("g4", "wreath:a1:2"):
+            arrangement = catalog(name).arrangement
+            chi = analyze_arrangement(arrangement, caps["flat_cap"]).char_poly
             for h in range(len(arrangement.hyperplanes)):
                 deleted, restricted = deletion_restriction(arrangement, h)
-                chi_d = characteristic_polynomial(
-                    intersection_lattice(deleted, caps["flat_cap"])
-                )
-                chi_r = characteristic_polynomial(
-                    intersection_lattice(restricted, caps["flat_cap"])
-                )
+                chi_d = analyze_arrangement(deleted, caps["flat_cap"]).char_poly
+                chi_r = analyze_arrangement(restricted, caps["flat_cap"]).char_poly
                 assert chi == chi_d - chi_r, f"deletion-restriction fails at h={h}"
         return "chi(A) = chi(A') - chi(A'') for every h"
 

@@ -38,6 +38,7 @@ from .rootdata import CatalanSpec, WeylTypeData, catalan_arrangement, parse_type
 __all__ = [
     "NamikawaWeylData",
     "CountReport",
+    "analyze_arrangement",
     "CatalogEntry",
     "count_resolutions",
     "wreath_count_closed_form",
@@ -45,7 +46,6 @@ __all__ = [
     "namikawa_weyl_from_group",
     "diagram_automorphism_order",
     "catalog",
-    "catalog_names",
     "FOLDING_OVERRIDES",
     "q8d8_arrangement",
     "g4_arrangement",
@@ -76,7 +76,8 @@ class NamikawaWeylData:
 
 @dataclass
 class CountReport:
-    """Arrangement invariants plus the resolution count."""
+    """Arrangement invariants; `count_resolutions` adds the Weyl order and
+    the resolution count."""
 
     num_hyperplanes: int
     ambient_dim: int
@@ -84,33 +85,35 @@ class CountReport:
     char_poly: IntegerPolynomial
     poincare_poly: IntegerPolynomial
     os_dimension: int
-    weyl_order: int
-    resolution_count: int
     flats_per_level: list[int]
     moebius_checksum: list[int]
     regions: int | None = None
     bounded_regions: int | None = None
-    oracle_results: dict | None = None
+    weyl_order: int | None = None
+    resolution_count: int | None = None
 
-    def to_dict(self) -> dict:
-        doc = {
-            "num_hyperplanes": self.num_hyperplanes,
-            "ambient_dim": self.ambient_dim,
-            "rank": self.rank,
-            "char_poly": list(self.char_poly.coefficients),
-            "poincare_poly": list(self.poincare_poly.coefficients),
-            "os_dimension": self.os_dimension,
-            "weyl_order": self.weyl_order,
-            "resolution_count": self.resolution_count,
-            "flats_per_level": self.flats_per_level,
-            "moebius_checksum": self.moebius_checksum,
-        }
-        if self.regions is not None:
-            doc["regions"] = self.regions
-            doc["bounded_regions"] = self.bounded_regions
-        if self.oracle_results is not None:
-            doc["oracle_results"] = self.oracle_results
-        return doc
+
+def analyze_arrangement(
+    arrangement: Arrangement, flat_cap: int = DEFAULT_FLAT_CAP
+) -> CountReport:
+    """Build the intersection lattice once and read every invariant off it;
+    real arrangements also get Zaslavsky's region counts."""
+    lattice = intersection_lattice(arrangement, flat_cap)
+    chi = characteristic_polynomial(lattice)
+    pi = poincare_polynomial(lattice)
+    report = CountReport(
+        num_hyperplanes=len(arrangement.hyperplanes),
+        ambient_dim=arrangement.ambient_dim,
+        rank=essential_rank(arrangement),
+        char_poly=chi,
+        poincare_poly=pi,
+        os_dimension=pi(1),
+        flats_per_level=lattice.flats_per_level(),
+        moebius_checksum=lattice.whitney_numbers(),
+    )
+    if all(h.is_real() for h in arrangement.hyperplanes):
+        report.regions, report.bounded_regions = region_count(arrangement, lattice)
+    return report
 
 
 def count_resolutions(
@@ -130,36 +133,20 @@ def count_resolutions(
         if weyl < 1:
             raise InvalidInputError("Weyl order must be >= 1")
         weyl = NamikawaWeylData.from_factors([("user", weyl)])
-    lattice = intersection_lattice(arrangement, flat_cap)
-    chi = characteristic_polynomial(lattice)
-    pi = poincare_polynomial(lattice)
-    os_dim = pi(1)
+    report = analyze_arrangement(arrangement, flat_cap)
+    os_dim = report.os_dimension
     k = weyl.total_order
     if os_dim % k != 0:
         raise MathematicalInconsistencyError(
             f"OS dimension {os_dim} is not divisible by |W| = {k}; "
             "wrong Weyl order or wrong arrangement"
         )
-    report = CountReport(
-        num_hyperplanes=len(arrangement.hyperplanes),
-        ambient_dim=arrangement.ambient_dim,
-        rank=essential_rank(arrangement),
-        char_poly=chi,
-        poincare_poly=pi,
-        os_dimension=os_dim,
-        weyl_order=k,
-        resolution_count=os_dim // k,
-        flats_per_level=lattice.flats_per_level(),
-        moebius_checksum=lattice.whitney_numbers(),
-    )
-    if all(h.is_real() for h in arrangement.hyperplanes):
-        regions, bounded = region_count(arrangement, lattice)
-        if regions != os_dim:
-            raise MathematicalInconsistencyError(
-                f"Zaslavsky regions {regions} != OS dimension {os_dim}"
-            )
-        report.regions = regions
-        report.bounded_regions = bounded
+    if report.regions is not None and report.regions != os_dim:
+        raise MathematicalInconsistencyError(
+            f"Zaslavsky regions {report.regions} != OS dimension {os_dim}"
+        )
+    report.weyl_order = k
+    report.resolution_count = os_dim // k
     return report
 
 
@@ -357,10 +344,6 @@ class CatalogEntry:
     expected: dict
 
 
-def catalog_names() -> list[str]:
-    return ["q8d8", "g4", "wreath:<type>:<n>"]
-
-
 def catalog(name: str) -> CatalogEntry:
     name = name.strip().lower()
     if name == "q8d8":
@@ -372,6 +355,7 @@ def catalog(name: str) -> CatalogEntry:
             expected={
                 "poincare": (1, 21, 170, 650, 1125, 625),
                 "os_dimension": 2592,
+                "regions": 2592,
                 "count": 81,
                 "group_order": 32,
                 "reflection_classes": 5,
@@ -388,7 +372,6 @@ def catalog(name: str) -> CatalogEntry:
             group=g4_group(),
             expected={
                 "poincare": (1, 3, 2),
-                "nbc": (1, 3, 2),
                 "os_dimension": 6,
                 "count": 2,
                 "group_order": 24,

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, lcm
 
-import numpy as np
-
 from .arrangement import Arrangement
 from .errors import ComputationCapError, InvalidInputError
 from .linalg import Row, reduce_row, rank_of_rows
@@ -259,6 +257,9 @@ def finite_field_count(
         )
     if not rows:
         return npoints
+    # Lazy: numpy dominates the package's import time and only this oracle uses it.
+    import numpy as np
+
     normals = np.array([r[:-1] for r in rows], dtype=np.int64) % q
     offsets = np.array([r[-1] for r in rows], dtype=np.int64) % q
     powers = q ** np.arange(ell, dtype=np.int64)

@@ -71,29 +71,6 @@ class IntegerPolynomial:
 
     __rmul__ = __mul__
 
-    def divide_exact(self, other: "IntegerPolynomial") -> "IntegerPolynomial":
-        """Exact polynomial division; raises if a remainder is left."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coefficients)
-        d = other.coefficients
-        quot = [0] * max(len(rem) - len(d) + 1, 0)
-        while len(rem) >= len(d) and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) < len(d):
-                break
-            q, r = divmod(rem[-1], d[-1])
-            if r:
-                raise ValueError(f"{self} is not divisible by {other}")
-            shift = len(rem) - len(d)
-            quot[shift] = q
-            for i, dc in enumerate(d):
-                rem[shift + i] -= q * dc
-        if any(rem):
-            raise ValueError(f"{self} is not divisible by {other}")
-        return IntegerPolynomial(quot)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IntegerPolynomial)

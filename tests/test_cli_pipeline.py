@@ -1,0 +1,159 @@
+"""The CLI's shared analysis pipeline: pinned JSON documents, one lattice
+build per command, cap validation and the import cost of the CLI."""
+
+import json
+import os
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+import oscount
+from oscount import arrangement, cli, counting
+
+CAPS = {"flat_cap": 2000000, "subset_cap": 2000000, "group_cap": 200000, "ff_cap": 100000000}
+
+BRAID3 = "field rational\ndim 3\nhyperplane 1 -1 0\nhyperplane 1 0 -1\nhyperplane 0 1 -1\n"
+
+COUNT_G4_NBC = {
+    "command": "count",
+    "num_hyperplanes": 3,
+    "ambient_dim": 2,
+    "rank": 2,
+    "char_poly": {"coefficients": [2, -3, 1], "text": "t^2 - 3*t + 2"},
+    "poincare_poly": {"coefficients": [1, 3, 2], "text": "2*t^2 + 3*t + 1"},
+    "os_dimension": 6,
+    "weyl_order": 3,
+    "resolution_count": 2,
+    "flats_per_level": [1, 3, 1],
+    "moebius_checksum": [1, -3, 2],
+    "oracle_results": {"oracle": "nbc", "nbc_betti": [1, 3, 2], "agrees": True},
+    "caps": CAPS,
+}
+
+ANALYZE_BRAID3_FF = {
+    "command": "analyze",
+    "field": {"kind": "rational", "conductor": 1, "degree": 1},
+    "ambient_dim": 3,
+    "central": True,
+    "num_hyperplanes": 3,
+    "hyperplanes": ["1 -1 0 0", "1 0 -1 0", "0 1 -1 0"],
+    "rank": 2,
+    "char_poly": {"coefficients": [0, 2, -3, 1], "text": "t^3 - 3*t^2 + 2*t"},
+    "poincare_poly": {"coefficients": [1, 3, 2], "text": "2*t^2 + 3*t + 1"},
+    "os_dimension": 6,
+    "flats_per_level": [1, 3, 1],
+    "moebius_checksum": [1, -3, 2],
+    "regions": 6,
+    "bounded_regions": 0,
+    "oracle_results": {
+        "oracle": "ff",
+        "finite_field": [
+            {"q": 2, "count": 0, "chi": 0, "agrees": True},
+            {"q": 3, "count": 6, "chi": 6, "agrees": True},
+        ],
+        "agrees": True,
+    },
+    "caps": CAPS,
+}
+
+GROUP_G4 = {
+    "command": "group analyze",
+    "field": {"kind": "cyclotomic", "conductor": 3, "degree": 2},
+    "dim": 4,
+    "order": 24,
+    "num_reflection_classes": 2,
+    "reflection_class_sizes": [4, 4],
+    "parabolic_classes": [
+        {
+            "subgroup_order": 3,
+            "kleinian_label": "A2",
+            "num_conjugates": 4,
+            "normalizer_order": 6,
+            "xi_order": 2,
+            "xi_class_action_trivial": True,
+            "orbit_count": 2,
+        }
+    ],
+    "zeta_bijection": {
+        "num_reflection_classes": 2,
+        "num_parabolic_orbits": 2,
+        "matching": [
+            {"parabolic": 0, "orbit": 0, "reflection_class": 0},
+            {"parabolic": 0, "orbit": 1, "reflection_class": 1},
+        ],
+        "bijective": True,
+    },
+    "namikawa_weyl": {"factors": [["A2", 3]], "total_order": 3},
+    "caps": CAPS,
+}
+
+
+@pytest.fixture
+def braid3_file(tmp_path):
+    path = tmp_path / "braid3.arr"
+    path.write_text(BRAID3)
+    return str(path)
+
+
+def _json_doc(capsys, argv) -> dict:
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert isinstance(doc.pop("timing_seconds"), float)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["count", "--catalog", "g4", "--oracle", "nbc", "--json"], COUNT_G4_NBC),
+        (["analyze", "BRAID3", "--oracle", "ff", "--json"], ANALYZE_BRAID3_FF),
+        (
+            ["group", "analyze", str(resources.files("oscount.data") / "g4.grp"), "--json"],
+            GROUP_G4,
+        ),
+    ],
+    ids=["count", "analyze", "group"],
+)
+def test_json_document_is_pinned(capsys, braid3_file, argv, expected):
+    argv = [braid3_file if a == "BRAID3" else a for a in argv]
+    # json.dumps keeps insertion order, so this also pins the key order
+    assert json.dumps(_json_doc(capsys, argv)) == json.dumps(expected)
+
+
+def test_count_and_analyze_build_the_lattice_once(capsys, braid3_file, monkeypatch):
+    calls = []
+    real = arrangement.intersection_lattice
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "intersection_lattice", counted)
+    monkeypatch.setattr(arrangement, "intersection_lattice", counted)
+    # both inputs are real, so the region count runs too
+    for argv in (["count", "--catalog", "wreath:A1:2"], ["analyze", braid3_file]):
+        calls.clear()
+        assert cli.main(argv) == 0
+        assert len(calls) == 1, argv
+
+
+@pytest.mark.parametrize("flag", ["--flat-cap", "--subset-cap", "--group-cap", "--ff-cap"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_cap_below_one_is_invalid_input(capsys, monkeypatch, flag, source):
+    argv = ["count", "--catalog", "g4"]
+    if source == "flag":
+        argv += [flag, "0"]
+    else:
+        monkeypatch.setenv("OSCOUNT_" + flag[2:].replace("-", "_").upper(), "-3")
+    assert cli.main(argv) == 1
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    src = str(Path(oscount.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, oscount.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
