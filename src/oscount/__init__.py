@@ -65,9 +65,6 @@ from .groups import (
 )
 from .linalg import ExactMatrix
 from .matroid import (
-    CircuitSet,
-    LinearMatroid,
-    circuits,
     find_good_primes,
     finite_field_count,
     nbc_betti,

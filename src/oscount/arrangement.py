@@ -4,11 +4,27 @@ Canonical hyperplanes, the intersection lattice of flats with its Moebius
 function, characteristic and Poincare polynomials, Zaslavsky region counts,
 coning, and deletion/restriction.
 
-A flat is stored as the canonical rref of its defining affine system
-[A | b] (offset in the last column), so the serialized rref is a true
-dedup key.  `contains` sets are maximal, which makes the lattice the poset
-of closed sets of the underlying matroid and keeps the Moebius recursion
-well founded.
+A flat X is identified by `contains(X)`, the maximal set of hyperplanes
+through it, and carries the canonical rref of its affine system [A | b]
+(offset in the last column).  The lattice is built one codimension at a
+time by partitioning covers: each hyperplane h not in contains(X) is
+reduced once against X's rref.  A leading entry in the offset column means
+h misses X; otherwise X meets h in a flat one codimension lower.  Two
+hyperplanes give the same such flat exactly when their normalized reduced
+rows are equal, so each group G of equal rows is one cover Y of X, with
+the maximal set contains(Y) = contains(X) | G.  That frozenset is the
+dedup key, and Y's rref is built only when Y is new.
+
+Moebius values come from the same cover edges by Weisner's theorem
+(Weisner 1935; Stanley, EC1 Cor. 3.9.3).  Ordered by inclusion of
+`contains`, the flats below Y form the lattice of flats of the central
+arrangement through Y, a geometric lattice even when the input is affine.
+For the atom a = min(contains(Y)), Weisner gives sum mu(x) = 0 over the x
+below Y with x v a = Y; by semimodularity those x are Y itself and the
+flats X that Y covers with a not in contains(X).  So mu(Y) = -sum mu(X)
+over those X, an identity of integers, hence exact.  They lie one level
+lower and are final before Y's level is built, and each edge is found
+exactly once, so no edge list is kept.
 """
 
 from __future__ import annotations
@@ -18,7 +34,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import ComputationCapError, InvalidInputError, MathematicalInconsistencyError
 from .fields import FieldDescriptor, Scalar
-from .linalg import Row, rank_of_rows, reduce_row
+from .linalg import Row, rank_of_rows, reduce_row, rref_rows
 from .polynomial import IntegerPolynomial
 
 __all__ = [
@@ -143,32 +159,6 @@ class Flat:
     pivots: tuple[int, ...]
     codim: int
     contains: frozenset[int]
-    key: str
-
-
-def _flat_key(rows: tuple[Row, ...]) -> str:
-    return ";".join(" ".join(str(x) for x in row) for row in rows)
-
-
-def _insert_row(rows: tuple[Row, ...], pivots: tuple[int, ...], reduced: Row):
-    """Add one already-reduced, nonzero row and restore canonical rref."""
-    lead = next(i for i, x in enumerate(reduced) if not x.is_zero())
-    head = reduced[lead]
-    if not head.is_one():
-        inv = head.inverse()
-        reduced = tuple(inv * x for x in reduced)
-    new_rows = []
-    for row in rows:
-        c = row[lead]
-        if not c.is_zero():
-            row = tuple(a - c * b for a, b in zip(row, reduced))
-        new_rows.append(row)
-    pos = 0
-    while pos < len(pivots) and pivots[pos] < lead:
-        pos += 1
-    new_rows.insert(pos, reduced)
-    new_pivots = pivots[:pos] + (lead,) + pivots[pos:]
-    return tuple(new_rows), new_pivots
 
 
 @dataclass
@@ -202,73 +192,53 @@ class IntersectionLattice:
 def intersection_lattice(
     arrangement: Arrangement, flat_cap: int = DEFAULT_FLAT_CAP
 ) -> IntersectionLattice:
-    """All nonempty intersections, computed levelwise with canonical dedup."""
-    ell = arrangement.ambient_dim
-    offset_col = ell
+    """All nonempty intersections with their Moebius values, level by level.
+
+    Each flat's covers come from one partition of the hyperplanes not
+    containing it, and mu is accumulated over the cover edges (Weisner).
+    """
+    offset_col = arrangement.ambient_dim
     rows_of = [h.row() for h in arrangement.hyperplanes]
-    ambient = Flat(rows=(), pivots=(), codim=0, contains=frozenset(), key="")
-    levels: list[list[Flat]] = [[ambient]]
+    levels: list[list[Flat]] = [[Flat(rows=(), pivots=(), codim=0, contains=frozenset())]]
+    moebius: list[list[int]] = [[1]]
     total = 1
-    while levels[-1]:
-        found: dict[str, Flat] = {}
-        seen_unions: set[frozenset[int]] = set()
-        for flat in levels[-1]:
-            for h in range(len(rows_of)):
+    while True:
+        found: dict[frozenset[int], Flat] = {}
+        mus: dict[frozenset[int], int] = {}
+        for flat, mu in zip(levels[-1], moebius[-1]):
+            covers: dict[Row, list[int]] = {}
+            for h, row in enumerate(rows_of):
                 if h in flat.contains:
                     continue
-                union = flat.contains | {h}
-                if union in seen_unions:
-                    continue
-                seen_unions.add(union)
-                reduced = reduce_row(rows_of[h], flat.rows, flat.pivots)
-                lead = next((i for i, x in enumerate(reduced) if not x.is_zero()), None)
-                if lead is None or lead == offset_col:
-                    # lead None cannot happen (contains is maximal); offset pivot
-                    # means an empty affine intersection.
-                    continue
-                new_rows, new_pivots = _insert_row(flat.rows, flat.pivots, reduced)
-                key = _flat_key(new_rows)
-                if key in found:
-                    continue
-                contains = set(flat.contains)
-                contains.add(h)
-                for other in range(len(rows_of)):
-                    if other in contains:
-                        continue
-                    rr = reduce_row(rows_of[other], new_rows, new_pivots)
-                    if all(x.is_zero() for x in rr):
-                        contains.add(other)
-                found[key] = Flat(
-                    rows=new_rows,
-                    pivots=new_pivots,
-                    codim=len(new_pivots),
-                    contains=frozenset(contains),
-                    key=key,
-                )
-                total += 1
-                if total > flat_cap:
-                    raise ComputationCapError(
-                        f"flat cap {flat_cap} exceeded at codimension {len(levels)}",
-                        partial={"flats_per_level": [len(lv) for lv in levels]},
-                    )
-        levels.append([found[k] for k in sorted(found)])
-    levels.pop()
-
-    # mu(ambient) = 1; mu(X) = -sum of mu over strictly larger flats, which are
-    # exactly those whose `contains` set is strictly inside contains(X).
-    moebius: list[list[int]] = [[1]]
-    ordered: list[tuple[frozenset[int], int]] = [(frozenset(), 1)]
-    for level in levels[1:]:
-        mus = []
-        for flat in level:
-            acc = 0
-            for contains_y, mu_y in ordered:
-                if contains_y < flat.contains:
-                    acc += mu_y
-            mus.append(-acc)
-        moebius.append(mus)
-        ordered.extend((f.contains, m) for f, m in zip(level, mus))
-    return IntersectionLattice(arrangement, levels, moebius)
+                reduced = reduce_row(row, flat.rows, flat.pivots)
+                # nonzero because `contains` is maximal
+                lead = next(i for i, x in enumerate(reduced) if not x.is_zero())
+                if lead == offset_col:
+                    continue  # parallel to the flat: empty affine intersection
+                inv = reduced[lead].inverse()
+                covers.setdefault(tuple(inv * x for x in reduced), []).append(h)
+            first = min(flat.contains, default=len(rows_of))
+            for group in covers.values():
+                contains = flat.contains.union(group)
+                if contains not in found:
+                    total += 1
+                    if total > flat_cap:
+                        raise ComputationCapError(
+                            f"flat cap {flat_cap} exceeded at codimension {len(levels)}",
+                            partial={"flats_per_level": [len(lv) for lv in levels]},
+                        )
+                    rows, pivots = rref_rows(flat.rows + (rows_of[group[0]],))
+                    found[contains] = Flat(rows, pivots, len(pivots), contains)
+                    mus[contains] = 0
+                # Weisner with the atom a = min(contains): mu(Y) is minus the
+                # sum of mu(X) over the flats X covered by Y with a not in X.
+                if group[0] < first:
+                    mus[contains] -= mu
+        if not found:
+            return IntersectionLattice(arrangement, levels, moebius)
+        order = sorted(found, key=sorted)
+        levels.append([found[c] for c in order])
+        moebius.append([mus[c] for c in order])
 
 
 def characteristic_polynomial(lattice: IntersectionLattice) -> IntegerPolynomial:

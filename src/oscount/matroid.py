@@ -7,7 +7,6 @@ the intersection-lattice route: no flat or Moebius code is shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, lcm
 
@@ -17,9 +16,6 @@ from .linalg import Row, reduce_row, rank_of_rows
 from .polynomial import IntegerPolynomial
 
 __all__ = [
-    "LinearMatroid",
-    "CircuitSet",
-    "circuits",
     "nbc_betti",
     "finite_field_count",
     "find_good_primes",
@@ -30,83 +26,6 @@ __all__ = [
 
 DEFAULT_SUBSET_CAP = 2_000_000
 DEFAULT_FF_CAP = 10**8
-
-
-class LinearMatroid:
-    """Rank oracle for subsets of the hyperplane normals, in arrangement order."""
-
-    def __init__(self, arrangement: Arrangement):
-        self.arrangement = arrangement
-        self.vectors: list[Row] = [h.normal for h in arrangement.hyperplanes]
-        self.ground = range(len(self.vectors))
-        self._rank_cache: dict[frozenset[int], int] = {}
-
-    def rank(self, subset) -> int:
-        key = frozenset(subset)
-        hit = self._rank_cache.get(key)
-        if hit is None:
-            hit = rank_of_rows([self.vectors[i] for i in key])
-            self._rank_cache[key] = hit
-        return hit
-
-    def full_rank(self) -> int:
-        return self.rank(self.ground)
-
-    def is_independent(self, subset) -> bool:
-        subset = frozenset(subset)
-        return self.rank(subset) == len(subset)
-
-
-@dataclass(frozen=True)
-class CircuitSet:
-    """All minimal dependent subsets, sorted by size then lexicographically."""
-
-    circuits: tuple[tuple[int, ...], ...]
-
-    def as_frozensets(self) -> list[frozenset[int]]:
-        return [frozenset(c) for c in self.circuits]
-
-
-def circuits(arrangement: Arrangement, subset_cap: int = DEFAULT_SUBSET_CAP) -> CircuitSet:
-    """Minimal dependent subsets, enumerated bottom-up over independent sets.
-
-    A k-set whose (k-1)-subsets are all independent is either independent or
-    a circuit; supersets of circuits are never examined.  Every circuit has
-    size at most rank + 1.
-    """
-    matroid = LinearMatroid(arrangement)
-    n = len(matroid.vectors)
-    r = matroid.full_rank()
-    independent: set[frozenset[int]] = {frozenset()}
-    frontier: list[tuple[int, ...]] = [()]
-    found: list[tuple[int, ...]] = []
-    examined = 0
-    for size in range(1, r + 2):
-        next_frontier: list[tuple[int, ...]] = []
-        for base in frontier:
-            start = base[-1] + 1 if base else 0
-            for e in range(start, n):
-                cand = base + (e,)
-                examined += 1
-                if examined > subset_cap:
-                    raise ComputationCapError(
-                        f"subset cap {subset_cap} exceeded while enumerating circuits"
-                    )
-                # All (size-1)-subsets must be independent, otherwise cand
-                # strictly contains a dependent set and cannot be a circuit.
-                key = frozenset(cand)
-                if size > 1 and any(
-                    key - {i} not in independent for i in cand
-                ):
-                    continue
-                if matroid.rank(key) == size:
-                    independent.add(key)
-                    next_frontier.append(cand)
-                else:
-                    found.append(cand)
-        frontier = next_frontier
-    found.sort(key=lambda c: (len(c), c))
-    return CircuitSet(tuple(found))
 
 
 def nbc_betti(arrangement: Arrangement, subset_cap: int = DEFAULT_SUBSET_CAP) -> list[int]:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from oscount.arrangement import Arrangement, build_arrangement
 from oscount.fields import rational_field
+from oscount.linalg import rank_of_rows
 
 
 def rational_arrangement(dim: int, rows, offsets=None) -> Arrangement:
@@ -15,6 +18,31 @@ def rational_arrangement(dim: int, rows, offsets=None) -> Arrangement:
         offset = f.from_rational(offsets[i]) if offsets else f.zero()
         raw.append((normal, offset))
     return build_arrangement(f, dim, raw)
+
+
+def brute_force_flats(arrangement: Arrangement) -> set:
+    """{(contains, codim)} of every nonempty intersection, from subset ranks only.
+
+    A subset S meets in a nonempty flat exactly when its normals and its
+    augmented rows [normal | offset] have equal rank; that rank is the
+    codimension, and the flat lies on h exactly when adding h's row keeps
+    the rank.  Independent of the lattice code by construction.
+    """
+    rows = [h.row() for h in arrangement.hyperplanes]
+    normals = [h.normal for h in arrangement.hyperplanes]
+    n = len(rows)
+    flats = set()
+    for size in range(n + 1):
+        for subset in combinations(range(n), size):
+            rows_s = [rows[i] for i in subset]
+            rank = rank_of_rows(rows_s)
+            if rank_of_rows([normals[i] for i in subset]) != rank:
+                continue
+            closure = frozenset(
+                h for h in range(n) if rank_of_rows(rows_s + [rows[h]]) == rank
+            )
+            flats.add((closure, rank))
+    return flats
 
 
 @pytest.fixture

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import rational_arrangement
+from conftest import brute_force_flats, rational_arrangement
 
 from oscount.arrangement import (
     build_arrangement,
@@ -200,20 +200,39 @@ def test_poincare_sign_pattern():
         assert pi.coefficients[k] >= 0
 
 
+def test_flat_family_matches_subset_ranks():
+    # g4 is cyclotomic; the affine lines include a parallel pair (x = 0, x = 1)
+    affine = rational_arrangement(
+        2, [[1, 0], [0, 1], [1, 1], [1, -1], [1, 0]], offsets=[0, 0, 1, 2, 1]
+    )
+    for arrangement in (g4_arrangement(), affine):
+        lat = intersection_lattice(arrangement)
+        flats = {(f.contains, f.codim) for f, _ in lat.all_flats()}
+        assert flats == brute_force_flats(arrangement)
+
+
 def test_flat_cap_errors():
-    with pytest.raises(ComputationCapError):
-        intersection_lattice(q8d8_arrangement(), flat_cap=10)
+    a = q8d8_arrangement()
+    assert intersection_lattice(a, flat_cap=568).num_flats() == 568
+    with pytest.raises(ComputationCapError, match="exceeded at codimension 5") as err:
+        intersection_lattice(a, flat_cap=567)
+    assert err.value.partial == {"flats_per_level": [1, 21, 130, 270, 145]}
+    with pytest.raises(ComputationCapError, match="exceeded at codimension 1") as err:
+        intersection_lattice(a, flat_cap=10)
+    assert err.value.partial == {"flats_per_level": [1]}
 
 
 def test_lattice_determinism():
     a = q8d8_arrangement()
     l1 = intersection_lattice(a)
     l2 = intersection_lattice(a)
-    assert [[f.key for f in level] for level in l1.levels] == [
-        [f.key for f in level] for level in l2.levels
-    ]
+
+    def keys(level):
+        return [tuple(sorted(f.contains)) for f in level]
+
+    assert [keys(level) for level in l1.levels] == [keys(level) for level in l2.levels]
     for level in l1.levels:
-        assert [f.key for f in level] == sorted(f.key for f in level)
+        assert keys(level) == sorted(keys(level))
 
 
 def test_essential_rank():

@@ -1,5 +1,4 @@
 import random
-from itertools import combinations
 
 import pytest
 
@@ -9,49 +8,11 @@ from oscount.arrangement import characteristic_polynomial, intersection_lattice,
 from oscount.counting import g4_arrangement, q8d8_arrangement
 from oscount.errors import ComputationCapError, InvalidInputError
 from oscount.matroid import (
-    LinearMatroid,
-    circuits,
     find_good_primes,
     finite_field_count,
     nbc_betti,
     whitney_characteristic,
 )
-
-
-def test_g4_has_one_circuit():
-    assert circuits(g4_arrangement()).circuits == ((0, 1, 2),)
-
-
-def test_boolean_has_no_circuits(boolean3):
-    assert circuits(boolean3).circuits == ()
-
-
-def test_four_concurrent_lines_circuits():
-    a = rational_arrangement(2, [[0, 1], [1, 0], [1, 1], [1, -1]])
-    assert circuits(a).circuits == tuple(combinations(range(4), 3))
-
-
-def test_circuits_match_brute_force_on_random_configurations():
-    rng = random.Random(20240817)
-    for _ in range(30):
-        n = rng.randint(2, 6)
-        dim = rng.randint(1, 3)
-        rows = []
-        while len(rows) < n:
-            row = [rng.randint(-2, 2) for _ in range(dim)]
-            if any(row):
-                rows.append(row)
-        a = rational_arrangement(dim, rows)
-        n_eff = len(a.hyperplanes)  # duplicates merge
-        matroid = LinearMatroid(a)
-        brute = []
-        for size in range(1, n_eff + 1):
-            for sub in combinations(range(n_eff), size):
-                if matroid.rank(sub) < len(sub) and all(
-                    matroid.rank(set(sub) - {e}) == len(sub) - 1 for e in sub
-                ):
-                    brute.append(sub)
-        assert circuits(a).circuits == tuple(sorted(brute, key=lambda c: (len(c), c)))
 
 
 def test_nbc_g4():
@@ -138,19 +99,3 @@ def test_whitney_oracle_matches_lattice(braid3):
     assert whitney_characteristic(braid3) == characteristic_polynomial(
         intersection_lattice(braid3)
     )
-
-
-def test_rank_oracle_properties():
-    matroid = LinearMatroid(q8d8_arrangement())
-    rng = random.Random(5)
-    ground = list(matroid.ground)
-    assert matroid.rank(()) == 0
-    for _ in range(40):
-        a = frozenset(rng.sample(ground, rng.randint(0, 8)))
-        b = frozenset(rng.sample(ground, rng.randint(0, 8)))
-        ra, rb = matroid.rank(a), matroid.rank(b)
-        # monotone and submodular
-        assert matroid.rank(a | b) >= max(ra, rb)
-        assert matroid.rank(a | b) + matroid.rank(a & b) <= ra + rb
-    for e in ground:
-        assert matroid.rank({e}) <= 1

@@ -3,12 +3,13 @@
 A fixed, recorded seed drives every case, so failures are reproducible.
 Covers: Whitney-oracle equality with the lattice route, the
 deletion-restriction identity, the cone identity, Moebius row sums, the
-Moebius sign pattern, and Zaslavsky's region count.
+Moebius sign pattern, Zaslavsky's region count, and (for up to 6
+hyperplanes) the flat family against brute-force subset ranks.
 """
 
 import random
 
-from conftest import rational_arrangement
+from conftest import brute_force_flats, rational_arrangement
 
 from oscount.arrangement import (
     characteristic_polynomial,
@@ -23,6 +24,7 @@ from oscount.polynomial import IntegerPolynomial
 
 SEED = 20250809
 NUM_CASES = 120
+MAX_BRUTE_FORCE = 6
 
 
 def random_arrangements():
@@ -82,3 +84,15 @@ def test_randomized_invariant_suite():
 
         checked += 1
     assert checked == NUM_CASES
+
+
+def test_flat_family_matches_subset_ranks():
+    checked = 0
+    for case, arr in random_arrangements():
+        if len(arr.hyperplanes) > MAX_BRUTE_FORCE:
+            continue
+        lattice = intersection_lattice(arr)
+        flats = {(f.contains, f.codim) for f, _ in lattice.all_flats()}
+        assert flats == brute_force_flats(arr), f"case {case}: flat family"
+        checked += 1
+    assert checked >= NUM_CASES // 2
