@@ -47,7 +47,6 @@ from .errors import (
 from .fields import (
     FieldDescriptor,
     Scalar,
-    conjugate,
     cyclotomic_field,
     cyclotomic_polynomial,
     cyclotomic_reduce,

@@ -99,10 +99,6 @@ class Arrangement:
     def __len__(self) -> int:
         return len(self.hyperplanes)
 
-    def key(self) -> str:
-        head = f"N={self.field.conductor} l={self.ambient_dim}"
-        return head + "|" + "|".join(h.key() for h in self.hyperplanes)
-
     def hyperplane_set(self) -> frozenset:
         return frozenset(h.row() for h in self.hyperplanes)
 
@@ -197,8 +193,16 @@ def intersection_lattice(
     Each flat's covers come from one partition of the hyperplanes not
     containing it, and mu is accumulated over the cover edges (Weisner).
     """
-    offset_col = arrangement.ambient_dim
-    rows_of = [h.row() for h in arrangement.hyperplanes]
+    rows = [h.row() for h in arrangement.hyperplanes]
+    levels, moebius = _levels(rows, arrangement.ambient_dim, flat_cap)
+    return IntersectionLattice(arrangement, levels, moebius)
+
+
+def _levels(
+    rows_of: Sequence[Row], offset_col: int, flat_cap: int
+) -> tuple[list[list[Flat]], list[list[int]]]:
+    """The flats and Moebius values of the hyperplanes `rows_of` over any
+    field whose elements `linalg` can reduce, level by level."""
     levels: list[list[Flat]] = [[Flat(rows=(), pivots=(), codim=0, contains=frozenset())]]
     moebius: list[list[int]] = [[1]]
     total = 1
@@ -235,7 +239,7 @@ def intersection_lattice(
                 if group[0] < first:
                     mus[contains] -= mu
         if not found:
-            return IntersectionLattice(arrangement, levels, moebius)
+            return levels, moebius
         order = sorted(found, key=sorted)
         levels.append([found[c] for c in order])
         moebius.append([mus[c] for c in order])

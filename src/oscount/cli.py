@@ -118,8 +118,9 @@ def _emit(doc: dict, as_json: bool, human_lines):
             print(line)
 
 
-def _run_oracles(arrangement, report, which: str, caps) -> dict:
+def _run_oracles(report, which: str, caps) -> dict:
     """Cross-check the lattice route; disagreement raises (exit 3)."""
+    arrangement = report.lattice.arrangement
     results: dict = {"oracle": which}
     if which == "nbc":
         betti = nbc_betti(arrangement, caps["subset_cap"])
@@ -132,7 +133,7 @@ def _run_oracles(arrangement, report, which: str, caps) -> dict:
             )
     elif which == "ff":
         chi = report.char_poly
-        primes = find_good_primes(arrangement, 2, caps["ff_cap"])
+        primes = find_good_primes(report.lattice, 2, caps["ff_cap"])
         checks = []
         for q in primes:
             n = finite_field_count(arrangement, q, caps["ff_cap"])
@@ -146,7 +147,7 @@ def _run_oracles(arrangement, report, which: str, caps) -> dict:
     return results
 
 
-def _report_doc(head: dict, arrangement, report, oracle: str, caps, t0: float) -> dict:
+def _report_doc(head: dict, report, oracle: str, caps, t0: float) -> dict:
     """The JSON document of `count` and `analyze`: the command's own head
     fields, the report, the oracle results, the caps and the timing."""
     doc = {
@@ -165,7 +166,7 @@ def _report_doc(head: dict, arrangement, report, oracle: str, caps, t0: float) -
         doc["regions"] = report.regions
         doc["bounded_regions"] = report.bounded_regions
     if oracle != "none":
-        doc["oracle_results"] = _run_oracles(arrangement, report, oracle, caps)
+        doc["oracle_results"] = _run_oracles(report, oracle, caps)
     doc["caps"] = caps
     doc["timing_seconds"] = round(time.perf_counter() - t0, 6)
     return doc
@@ -179,7 +180,7 @@ def _cmd_analyze(args) -> int:
     # broken-circuit data downstream depends on this order
     head["hyperplanes"] = [h.key() for h in arrangement.hyperplanes]
     report = analyze_arrangement(arrangement, caps["flat_cap"])
-    doc = _report_doc(head, arrangement, report, args.oracle, caps, t0)
+    doc = _report_doc(head, report, args.oracle, caps, t0)
     lines = [
         f"arrangement: {args.file}",
         f"field: {doc['field']['kind']} (conductor {doc['field']['conductor']})",
@@ -259,7 +260,6 @@ def _cmd_count(args) -> int:
     if args.catalog:
         entry = catalog(args.catalog)
         report = count_resolutions(entry.arrangement, entry.weyl_data, caps["flat_cap"])
-        arrangement = entry.arrangement
         expected = entry.expected.get("count")
         if expected is not None and report.resolution_count != expected:
             raise MathematicalInconsistencyError(
@@ -278,7 +278,7 @@ def _cmd_count(args) -> int:
         "num_hyperplanes": report.num_hyperplanes,
         "ambient_dim": report.ambient_dim,
     }
-    doc = _report_doc(head, arrangement, report, args.oracle, caps, t0)
+    doc = _report_doc(head, report, args.oracle, caps, t0)
     _emit(doc, args.json, _count_lines(doc))
     return 0
 
@@ -450,7 +450,7 @@ def _selftest_checks(caps, skip: set[str]):
 
     def ff_check(entry):
         report = analyze_arrangement(entry.arrangement, caps["flat_cap"])
-        results = _run_oracles(entry.arrangement, report, "ff", caps)
+        results = _run_oracles(report, "ff", caps)
         return f"q={[c['q'] for c in results['finite_field']]} agree with chi"
 
     if "ff" in skip:
@@ -581,12 +581,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    args = _build_parser().parse_args(argv)
     try:
-        args = parser.parse_args(argv)
         return args.func(args)
     except OscountError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        partial = getattr(exc, "partial", None)
+        if args.json and partial:
+            # how far a capped computation got, for callers that read stdout
+            print(json.dumps({"error": str(exc), "partial": partial}, indent=2))
         return exc.exit_code
 
 

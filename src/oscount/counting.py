@@ -17,6 +17,7 @@ from math import prod
 from .arrangement import (
     Arrangement,
     DEFAULT_FLAT_CAP,
+    IntersectionLattice,
     build_arrangement,
     characteristic_polynomial,
     essential_rank,
@@ -76,9 +77,10 @@ class NamikawaWeylData:
 
 @dataclass
 class CountReport:
-    """Arrangement invariants; `count_resolutions` adds the Weyl order and
-    the resolution count."""
+    """Arrangement invariants and the lattice they were read from;
+    `count_resolutions` adds the Weyl order and the resolution count."""
 
+    lattice: IntersectionLattice
     num_hyperplanes: int
     ambient_dim: int
     rank: int
@@ -102,6 +104,7 @@ def analyze_arrangement(
     chi = characteristic_polynomial(lattice)
     pi = poincare_polynomial(lattice)
     report = CountReport(
+        lattice=lattice,
         num_hyperplanes=len(arrangement.hyperplanes),
         ambient_dim=arrangement.ambient_dim,
         rank=essential_rank(arrangement),
@@ -124,7 +127,8 @@ def count_resolutions(
     """Total OS dimension of a central arrangement divided by |W|, as an
     exact integer; non-divisibility is reported as an inconsistency, never
     rounded.  For real arrangements the report also carries the region
-    count, which must equal |W| * resolution_count."""
+    count, which is |W| * resolution_count by Zaslavsky's theorem: both are
+    sums of mu(X) (-1)^{codim X} over the same lattice."""
     if not arrangement.central:
         raise InvalidInputError(
             "resolution counting requires a central arrangement (cone affine input first)"
@@ -140,10 +144,6 @@ def count_resolutions(
         raise MathematicalInconsistencyError(
             f"OS dimension {os_dim} is not divisible by |W| = {k}; "
             "wrong Weyl order or wrong arrangement"
-        )
-    if report.regions is not None and report.regions != os_dim:
-        raise MathematicalInconsistencyError(
-            f"Zaslavsky regions {report.regions} != OS dimension {os_dim}"
         )
     report.weyl_order = k
     report.resolution_count = os_dim // k

@@ -23,7 +23,6 @@ __all__ = [
     "cyclotomic_field",
     "cyclotomic_polynomial",
     "cyclotomic_reduce",
-    "conjugate",
     "promote",
     "euler_phi",
     "parse_scalar",
@@ -359,10 +358,6 @@ def cyclotomic_reduce(poly_coords: Sequence, field: FieldDescriptor) -> Scalar:
                     if ti:
                         out[i] += ck * ti
     return Scalar(field, tuple(out))
-
-
-def conjugate(x: Scalar) -> Scalar:
-    return x.conjugate()
 
 
 def promote(x: Scalar, field: FieldDescriptor) -> Scalar:

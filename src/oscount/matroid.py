@@ -1,18 +1,27 @@
-"""Independent verification of arrangement invariants via the underlying matroid.
+"""Independent checks of the invariants read off the intersection lattice.
 
-Everything here runs on the exact rank oracle of the stacked normal vectors
-(plus offsets where affine data matters) and is deliberately independent of
-the intersection-lattice route: no flat or Moebius code is shared.
+`nbc_betti` and `whitney_characteristic` walk subsets of the hyperplanes
+with `linalg.reduce_row` alone and share no flat or Moebius code with
+`arrangement`.
+
+`finite_field_count` counts the points of F_q^l off the hyperplanes mod q
+with numpy alone.  The count is chi(A, q) when reduction mod q keeps the
+intersection lattice (Athanasiadis, Adv. Math. 122, 1996).
+`find_good_primes` decides that with the lattice engine itself: equal
+`contains` families mod q and over the field, level by level, are the same
+lattice, so chi(A mod q) = chi(A).  Only the choice of q shares code with
+the route under test.  A fault common to both builds can misjudge q, but
+the count reads no lattice, so a bad q shows as a disagreement with chi(q)
+(exit 3), not as a confirmation of a wrong chi.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import gcd, lcm
 
-from .arrangement import Arrangement
+from .arrangement import Arrangement, IntersectionLattice, _levels
 from .errors import ComputationCapError, InvalidInputError
-from .linalg import Row, reduce_row, rank_of_rows
+from .linalg import reduce_row
 from .polynomial import IntegerPolynomial
 
 __all__ = [
@@ -79,64 +88,11 @@ def _integer_rows(arrangement: Arrangement) -> list[list[int]]:
     rows = []
     for h in arrangement.hyperplanes:
         fracs = [x.rational_value() for x in h.row()]
-        scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
+        scale = lcm(*(f.denominator for f in fracs))
         ints = [int(f * scale) for f in fracs]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        rows.append(ints)
+        g = gcd(*ints)
+        rows.append([v // g for v in ints])
     return rows
-
-
-def _bareiss_det(matrix: list[list[int]]) -> int:
-    """Fraction-free integer determinant."""
-    m = [row[:] for row in matrix]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
-_minor_cache: dict[str, frozenset[int]] = {}
-
-
-def _nonzero_minor_values(arrangement: Arrangement) -> frozenset[int]:
-    """Absolute values of all nonzero k x k minors of the integer
-    (normal | offset) matrix, k <= rank + 1."""
-    key = arrangement.key()
-    hit = _minor_cache.get(key)
-    if hit is not None:
-        return hit
-    rows = _integer_rows(arrangement)
-    values: set[int] = set()
-    if rows:
-        ncols = len(rows[0])
-        rank = rank_of_rows([h.normal for h in arrangement.hyperplanes])
-        # offsets can raise the stacked-matrix rank by one
-        kmax = min(rank + 1, len(rows), ncols)
-        for k in range(1, kmax + 1):
-            for rsel in combinations(range(len(rows)), k):
-                sub = [rows[i] for i in rsel]
-                for csel in combinations(range(ncols), k):
-                    det = _bareiss_det([[row[c] for c in csel] for row in sub])
-                    if det:
-                        values.add(abs(det))
-    result = frozenset(values)
-    _minor_cache[key] = result
-    return result
 
 
 def _is_prime(q: int) -> bool:
@@ -153,21 +109,14 @@ def _is_prime(q: int) -> bool:
 def finite_field_count(
     arrangement: Arrangement, q: int, ff_cap: int = DEFAULT_FF_CAP
 ) -> int:
-    """Number of points of F_q^l lying on no hyperplane.
+    """Number of points of F_q^l on none of the hyperplanes reduced mod q.
 
-    For a good prime this equals chi(A, q).  A prime is good when it divides
-    no nonzero k x k minor (k <= rank+1) of the stacked integer
-    (normal | offset) matrix; the check is sufficient, not minimal.
+    This is chi(A, q) when q is a good prime (`find_good_primes`); the count
+    itself reads no lattice code and does not check q.
     """
     if not _is_prime(q):
         raise InvalidInputError(f"{q} is not prime")
     rows = _integer_rows(arrangement)
-    bad = sorted(v for v in _nonzero_minor_values(arrangement) if v % q == 0)
-    if bad:
-        raise InvalidInputError(
-            f"prime {q} is not good for this arrangement: it divides the "
-            f"nonzero minor value {bad[0]}"
-        )
     ell = arrangement.ambient_dim
     npoints = q**ell
     if npoints > ff_cap:
@@ -193,27 +142,71 @@ def finite_field_count(
     return count
 
 
+class _Mod:
+    """An element of F_q with just the operations that `linalg.reduce_row`,
+    `linalg.rref_rows` and `arrangement._levels` use.  Each of the q
+    elements is made once, so equal elements are the same object (identity
+    serves as == and hash) and arithmetic allocates nothing."""
+
+    __slots__ = ("v", "elements")
+
+    def __init__(self, v: int, elements: list["_Mod"]):
+        self.v = v
+        self.elements = elements
+
+    def is_zero(self) -> bool:
+        return self.v == 0
+
+    def is_one(self) -> bool:
+        return self.v == 1
+
+    def inverse(self) -> "_Mod":
+        return self.elements[pow(self.v, -1, len(self.elements))]
+
+    def __mul__(self, other: "_Mod") -> "_Mod":
+        return self.elements[self.v * other.v % len(self.elements)]
+
+    def __sub__(self, other: "_Mod") -> "_Mod":
+        return self.elements[(self.v - other.v) % len(self.elements)]
+
+
 def find_good_primes(
-    arrangement: Arrangement,
-    how_many: int = 2,
-    ff_cap: int = DEFAULT_FF_CAP,
-    q_limit: int = 10_000,
+    lattice: IntersectionLattice, how_many: int = 2, ff_cap: int = DEFAULT_FF_CAP
 ) -> list[int]:
-    """Smallest good primes q with q^l within the enumeration cap."""
-    ell = arrangement.ambient_dim
-    minors = _nonzero_minor_values(arrangement)
+    """The `how_many` smallest good primes q, searched while q^l <= ff_cap."""
+    rows = _integer_rows(lattice.arrangement)
+    ell = lattice.arrangement.ambient_dim
+    exact = [[flat.contains for flat in level] for level in lattice.levels]
     good: list[int] = []
-    q = 2
-    while len(good) < how_many and q <= q_limit:
-        if _is_prime(q) and q**ell <= ff_cap and all(v % q for v in minors):
-            good.append(q)
+    q = 1
+    while len(good) < how_many:
         q += 1
-    if len(good) < how_many:
-        raise ComputationCapError(
-            f"found only {len(good)} good primes within q <= {q_limit} "
-            f"and cap {ff_cap}"
-        )
+        if not _is_prime(q):
+            continue
+        if q**ell > ff_cap:
+            raise ComputationCapError(
+                f"found only {len(good)} good primes with q^l <= cap {ff_cap}"
+            )
+        if _keeps_lattice(rows, ell, q, exact):
+            good.append(q)
     return good
+
+
+def _keeps_lattice(rows: list[list[int]], ell: int, q: int, exact: list[list]) -> bool:
+    """Whether q is good: no primitive integer row has a normal that vanishes
+    mod q, and the lattice of the rows mod q, built within the exact
+    lattice's flat count, has the `contains` sets `exact` at every
+    codimension.  Its flats are freed on return, before the next q."""
+    if any(all(x % q == 0 for x in row[:-1]) for row in rows):
+        return False
+    field: list[_Mod] = []
+    field.extend(_Mod(v, field) for v in range(q))
+    mod_q = [tuple(field[x % q] for x in row) for row in rows]
+    try:
+        levels, _ = _levels(mod_q, ell, sum(len(level) for level in exact))
+    except ComputationCapError:
+        return False  # more flats mod q than over the field
+    return [[flat.contains for flat in level] for level in levels] == exact
 
 
 def whitney_characteristic(

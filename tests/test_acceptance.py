@@ -114,7 +114,7 @@ def test_criterion_6_finite_field_oracle():
         for name in ("q8d8", "wreath:A1:2", "wreath:A1:3", "wreath:A2:2", "wreath:A3:2"):
             entry = catalog(name)
             chi = characteristic_polynomial(intersection_lattice(entry.arrangement))
-            primes = find_good_primes(entry.arrangement, 2)
+            primes = find_good_primes(intersection_lattice(entry.arrangement), 2)
             assert len(primes) == 2
             for q in primes:
                 assert finite_field_count(entry.arrangement, q) == chi(q), (name, q)

@@ -157,3 +157,38 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, oscount.cli; sys.exit('numpy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.parametrize("verb", ["count", "analyze"])
+def test_ff_oracle_reuses_the_exact_lattice(capsys, braid3_file, monkeypatch, verb):
+    calls = []
+    real = arrangement.intersection_lattice
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "intersection_lattice", counted)
+    monkeypatch.setattr(arrangement, "intersection_lattice", counted)
+    argv = ["count", "--catalog", "wreath:A1:2"] if verb == "count" else ["analyze", braid3_file]
+    assert cli.main(argv + ["--oracle", "ff"]) == 0
+    assert len(calls) == 1
+
+
+def test_cap_error_reports_partial_work_as_json(capsys):
+    q8d8 = str(resources.files("oscount.data") / "q8d8.arr")
+    argv = ["count", "--arrangement", q8d8, "--weyl-order", "32", "--flat-cap", "567"]
+    message = "flat cap 567 exceeded at codimension 5"
+    assert cli.main(argv + ["--json"]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {
+        "error": message,
+        "partial": {"flats_per_level": [1, 21, 130, 270, 145]},
+    }
+    assert err == f"error: {message}\n"
+    # without --json, and for a cap error with no partial work, stdout stays empty
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    ff_capped = ["count", "--catalog", "wreath:A1:2", "--oracle", "ff", "--ff-cap", "8"]
+    assert cli.main(ff_capped + ["--json"]) == 2
+    assert capsys.readouterr().out == ""

@@ -5,7 +5,7 @@ import pytest
 from conftest import rational_arrangement
 
 from oscount.arrangement import characteristic_polynomial, intersection_lattice, poincare_polynomial
-from oscount.counting import g4_arrangement, q8d8_arrangement
+from oscount.counting import catalog, g4_arrangement, q8d8_arrangement
 from oscount.errors import ComputationCapError, InvalidInputError
 from oscount.matroid import (
     find_good_primes,
@@ -72,10 +72,36 @@ def test_finite_field_affine_example():
 
 
 def test_finite_field_rejects_bad_prime():
-    # x = 0 and x = 2 collapse mod 2: the offset minor 2 disqualifies q = 2
+    # x = 0 and x = 2 collapse mod 2, so q = 2 is skipped: there the count
+    # is 1 but chi = t - 2 gives chi(2) = 0
     a = rational_arrangement(1, [[1], [1]], offsets=[0, 2])
-    with pytest.raises(InvalidInputError, match="minor"):
-        finite_field_count(a, 2)
+    lattice = intersection_lattice(a)
+    assert find_good_primes(lattice, 2) == [3, 5]
+    chi = characteristic_polynomial(lattice)
+    assert finite_field_count(a, 2) == 1 != chi(2) == 0
+
+
+def test_good_prime_that_divides_a_minor():
+    # the 1x1 minor 2 vanishes mod 2, yet reduction mod 2 keeps the lattice
+    # of {x = 0, x + y + 2z = 0}: chi = t(t-1)^2
+    a = rational_arrangement(3, [[1, 0, 0], [1, 1, 2]])
+    lattice = intersection_lattice(a)
+    chi = characteristic_polynomial(lattice)
+    assert chi(2) == 2
+    assert find_good_primes(lattice, 2) == [2, 3]
+    assert finite_field_count(a, 2) == chi(2)
+
+
+def test_normal_vanishing_mod_q_is_bad():
+    # 3x = 1 has no point mod 3, so q = 3 would drop the hyperplane
+    a = rational_arrangement(2, [[3, 0], [0, 1]], offsets=[1, 0])
+    assert find_good_primes(intersection_lattice(a), 2) == [2, 5]
+
+
+def test_good_prime_search_stops_at_the_cap(braid3):
+    # q^3 <= 30 leaves only q = 2 and q = 3
+    with pytest.raises(ComputationCapError, match="found only 2"):
+        find_good_primes(intersection_lattice(braid3), 3, ff_cap=30)
 
 
 def test_finite_field_rejects_nonrational():
@@ -91,8 +117,26 @@ def test_finite_field_cap():
 
 def test_finite_field_matches_chi_at_good_primes(braid3):
     chi = characteristic_polynomial(intersection_lattice(braid3))
-    for q in find_good_primes(braid3, 3):
+    for q in find_good_primes(intersection_lattice(braid3), 3):
         assert finite_field_count(braid3, q) == chi(q)
+
+
+@pytest.mark.parametrize(
+    "name, primes",
+    [
+        ("q8d8", [5, 7]),
+        ("wreath:A1:2", [3, 5]),
+        ("wreath:A1:3", [5, 7]),
+        ("wreath:A2:2", [5, 7]),
+        ("wreath:A3:2", [5, 7]),
+    ],
+)
+def test_good_primes_of_catalog_entries(name, primes):
+    assert find_good_primes(intersection_lattice(catalog(name).arrangement), 2) == primes
+
+
+def test_good_primes_of_braid(braid3):
+    assert find_good_primes(intersection_lattice(braid3), 2) == [2, 3]
 
 
 def test_whitney_oracle_matches_lattice(braid3):
