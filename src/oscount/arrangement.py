@@ -4,16 +4,18 @@ Canonical hyperplanes, the intersection lattice of flats with its Moebius
 function, characteristic and Poincare polynomials, Zaslavsky region counts,
 coning, and deletion/restriction.
 
-A flat X is identified by `contains(X)`, the maximal set of hyperplanes
-through it, and carries the canonical rref of its affine system [A | b]
-(offset in the last column).  The lattice is built one codimension at a
-time by partitioning covers: each hyperplane h not in contains(X) is
-reduced once against X's rref.  A leading entry in the offset column means
-h misses X; otherwise X meets h in a flat one codimension lower.  Two
-hyperplanes give the same such flat exactly when their normalized reduced
-rows are equal, so each group G of equal rows is one cover Y of X, with
-the maximal set contains(Y) = contains(X) | G.  That frozenset is the
-dedup key, and Y's rref is built only when Y is new.
+A flat X is its codimension, `contains(X)` (the maximal set of hyperplanes
+through it) and mu(X).  The lattice is built one codimension at a time by
+partitioning covers: each hyperplane h not in contains(X) is reduced once
+against the canonical rref of X's affine system [A | b] (offset in the
+last column).  A leading entry in the offset column means h misses X;
+otherwise X meets h in a flat one codimension lower.  Two hyperplanes give
+the same such flat exactly when their normalized reduced rows are equal,
+so each group G of equal rows is one cover Y of X, with the maximal set
+contains(Y) = contains(X) | G.  That frozenset is the dedup key, and Y's
+rref is built only when Y is new.  The rref rows are private to `_levels`,
+which keeps them only for the level being expanded and the level being
+found.
 
 Moebius values come from the same cover edges by Weisner's theorem
 (Weisner 1935; Stanley, EC1 Cor. 3.9.3).  Ordered by inclusion of
@@ -30,7 +32,7 @@ exactly once, so no edge list is kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ComputationCapError, InvalidInputError, MathematicalInconsistencyError
 from .fields import FieldDescriptor, Scalar
@@ -148,28 +150,25 @@ def build_arrangement(
 
 @dataclass(frozen=True)
 class Flat:
-    """A nonempty intersection of hyperplanes: canonical rref equations,
-    codimension, and the maximal set of hyperplane indices containing it."""
+    """A nonempty intersection of hyperplanes: its codimension, the maximal
+    set of hyperplane indices containing it, and mu(ambient, X)."""
 
-    rows: tuple[Row, ...]
-    pivots: tuple[int, ...]
     codim: int
     contains: frozenset[int]
+    mu: int
 
 
 @dataclass
 class IntersectionLattice:
-    """Flats grouped by codimension (level 0 is the ambient space) with
-    Moebius values mu(ambient, X)."""
+    """Flats grouped by codimension; level 0 is the ambient space."""
 
     arrangement: Arrangement
     levels: list[list[Flat]]
-    moebius: list[list[int]]
 
     def all_flats(self):
-        for level, flats in enumerate(self.levels):
-            for flat, mu in zip(flats, self.moebius[level]):
-                yield flat, mu
+        for level in self.levels:
+            for flat in level:
+                yield flat, flat.mu
 
     def flats_per_level(self) -> list[int]:
         return [len(level) for level in self.levels]
@@ -182,7 +181,7 @@ class IntersectionLattice:
 
     def whitney_numbers(self) -> list[int]:
         """Signed per-codimension Moebius sums (the chi coefficients)."""
-        return [sum(mus) for mus in self.moebius]
+        return [sum(flat.mu for flat in level) for level in self.levels]
 
 
 def intersection_lattice(
@@ -194,27 +193,37 @@ def intersection_lattice(
     containing it, and mu is accumulated over the cover edges (Weisner).
     """
     rows = [h.row() for h in arrangement.hyperplanes]
-    levels, moebius = _levels(rows, arrangement.ambient_dim, flat_cap)
-    return IntersectionLattice(arrangement, levels, moebius)
+    levels = _levels(rows, arrangement.ambient_dim, flat_cap)
+    return IntersectionLattice(arrangement, list(levels))
 
 
 def _levels(
     rows_of: Sequence[Row], offset_col: int, flat_cap: int
-) -> tuple[list[list[Flat]], list[list[int]]]:
-    """The flats and Moebius values of the hyperplanes `rows_of` over any
-    field whose elements `linalg` can reduce, level by level."""
-    levels: list[list[Flat]] = [[Flat(rows=(), pivots=(), codim=0, contains=frozenset())]]
-    moebius: list[list[int]] = [[1]]
+) -> Iterator[list[Flat]]:
+    """The flats of the hyperplanes `rows_of` over any field whose elements
+    `linalg` can reduce, one codimension at a time.
+
+    Each level is yielded, sorted by `sorted(contains)`, before the next one
+    is built, so a caller that stops early builds no more.  The rref rows
+    and pivots of a flat live only in this generator, keyed by `contains`,
+    and only for the level being expanded and the level being found.
+    """
+    level = [Flat(codim=0, contains=frozenset(), mu=1)]
+    rref = {frozenset(): ((), ())}  # contains -> (rows, pivots)
+    sizes: list[int] = []
     total = 1
-    while True:
-        found: dict[frozenset[int], Flat] = {}
+    while level:
+        yield level
+        sizes.append(len(level))
+        found: dict[frozenset[int], tuple] = {}  # the next level's rref
         mus: dict[frozenset[int], int] = {}
-        for flat, mu in zip(levels[-1], moebius[-1]):
+        for flat in level:
+            flat_rows, flat_pivots = rref[flat.contains]
             covers: dict[Row, list[int]] = {}
             for h, row in enumerate(rows_of):
                 if h in flat.contains:
                     continue
-                reduced = reduce_row(row, flat.rows, flat.pivots)
+                reduced = reduce_row(row, flat_rows, flat_pivots)
                 # nonzero because `contains` is maximal
                 lead = next(i for i, x in enumerate(reduced) if not x.is_zero())
                 if lead == offset_col:
@@ -228,21 +237,17 @@ def _levels(
                     total += 1
                     if total > flat_cap:
                         raise ComputationCapError(
-                            f"flat cap {flat_cap} exceeded at codimension {len(levels)}",
-                            partial={"flats_per_level": [len(lv) for lv in levels]},
+                            f"flat cap {flat_cap} exceeded at codimension {len(sizes)}",
+                            partial={"flats_per_level": sizes},
                         )
-                    rows, pivots = rref_rows(flat.rows + (rows_of[group[0]],))
-                    found[contains] = Flat(rows, pivots, len(pivots), contains)
+                    found[contains] = rref_rows(flat_rows + (rows_of[group[0]],))
                     mus[contains] = 0
                 # Weisner with the atom a = min(contains): mu(Y) is minus the
                 # sum of mu(X) over the flats X covered by Y with a not in X.
                 if group[0] < first:
-                    mus[contains] -= mu
-        if not found:
-            return levels, moebius
-        order = sorted(found, key=sorted)
-        levels.append([found[c] for c in order])
-        moebius.append([mus[c] for c in order])
+                    mus[contains] -= flat.mu
+        rref = found
+        level = [Flat(len(sizes), c, mus[c]) for c in sorted(found, key=sorted)]
 
 
 def characteristic_polynomial(lattice: IntersectionLattice) -> IntegerPolynomial:

@@ -160,8 +160,8 @@ def _report_doc(head: dict, report, oracle: str, caps, t0: float) -> dict:
     if report.resolution_count is not None:
         doc["weyl_order"] = report.weyl_order
         doc["resolution_count"] = report.resolution_count
-    doc["flats_per_level"] = report.flats_per_level
-    doc["moebius_checksum"] = report.moebius_checksum
+    doc["flats_per_level"] = report.lattice.flats_per_level()
+    doc["moebius_checksum"] = report.lattice.whitney_numbers()
     if report.regions is not None:
         doc["regions"] = report.regions
         doc["bounded_regions"] = report.bounded_regions
@@ -273,10 +273,11 @@ def _cmd_count(args) -> int:
         report = count_resolutions(arrangement, args.weyl_order, caps["flat_cap"])
     else:
         raise InvalidInputError("count needs --catalog NAME or --arrangement FILE")
+    arrangement = report.lattice.arrangement
     head = {
         "command": "count",
-        "num_hyperplanes": report.num_hyperplanes,
-        "ambient_dim": report.ambient_dim,
+        "num_hyperplanes": len(arrangement.hyperplanes),
+        "ambient_dim": arrangement.ambient_dim,
     }
     doc = _report_doc(head, report, args.oracle, caps, t0)
     _emit(doc, args.json, _count_lines(doc))
@@ -307,8 +308,8 @@ def _group_doc(group, caps) -> tuple[dict, bool]:
     the bijection holds."""
     group.enumerate_elements(caps["group_cap"])
     reflections = symplectic_reflections(group)
-    parabolics = minimal_parabolics(group)
-    ok, zeta_report = verify_zeta_bijection(group)
+    parabolics = minimal_parabolics(group, reflections)
+    ok, zeta_report = verify_zeta_bijection(reflections, parabolics)
     doc = {
         "command": "group analyze",
         "field": _field_doc(group.field),

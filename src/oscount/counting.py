@@ -81,14 +81,10 @@ class CountReport:
     `count_resolutions` adds the Weyl order and the resolution count."""
 
     lattice: IntersectionLattice
-    num_hyperplanes: int
-    ambient_dim: int
     rank: int
     char_poly: IntegerPolynomial
     poincare_poly: IntegerPolynomial
     os_dimension: int
-    flats_per_level: list[int]
-    moebius_checksum: list[int]
     regions: int | None = None
     bounded_regions: int | None = None
     weyl_order: int | None = None
@@ -105,14 +101,10 @@ def analyze_arrangement(
     pi = poincare_polynomial(lattice)
     report = CountReport(
         lattice=lattice,
-        num_hyperplanes=len(arrangement.hyperplanes),
-        ambient_dim=arrangement.ambient_dim,
         rank=essential_rank(arrangement),
         char_poly=chi,
         poincare_poly=pi,
         os_dimension=pi(1),
-        flats_per_level=lattice.flats_per_level(),
-        moebius_checksum=lattice.whitney_numbers(),
     )
     if all(h.is_real() for h in arrangement.hyperplanes):
         report.regions, report.bounded_regions = region_count(arrangement, lattice)

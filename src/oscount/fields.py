@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InvalidInputError
 
@@ -44,15 +44,6 @@ def euler_phi(n: int) -> int:
     if m > 1:
         result -= result // m
     return result
-
-
-def _poly_mul_int(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return tuple(out)
 
 
 def _poly_divmod_int(num: tuple[int, ...], den: tuple[int, ...]):
@@ -141,10 +132,6 @@ class FieldDescriptor:
     def from_rational(self, value) -> "Scalar":
         c = Fraction(value)
         return Scalar(self, (c,) + (Fraction(0),) * (self.degree - 1))
-
-    def scalar(self, coords: Iterable) -> "Scalar":
-        """Canonical scalar from power-basis coordinates (length <= N)."""
-        return cyclotomic_reduce(list(coords), self)
 
     def zeta(self) -> "Scalar":
         """A primitive N-th root of unity (the basis element z)."""

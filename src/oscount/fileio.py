@@ -45,9 +45,9 @@ def _logical_lines(text: str):
 
 
 def _parse_field_directive(tokens: list[str], lineno: int) -> FieldDescriptor:
-    if tokens[1] == "rational" and len(tokens) == 2:
+    if tokens[1:] == ["rational"]:
         return rational_field()
-    if tokens[1] == "cyclotomic" and len(tokens) == 3:
+    if len(tokens) == 3 and tokens[1] == "cyclotomic":
         try:
             n = int(tokens[2])
         except ValueError:

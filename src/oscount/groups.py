@@ -286,15 +286,17 @@ def _subgroup_classes_within(group: MatrixGroup, members: tuple[int, ...]):
     return classes
 
 
-def minimal_parabolics(group: MatrixGroup) -> list[ParabolicClass]:
-    """Pointwise stabilizers of the reflection fixed spaces, up to conjugacy.
+def minimal_parabolics(
+    group: MatrixGroup, reflections: list[ReflectionClass]
+) -> list[ParabolicClass]:
+    """Pointwise stabilizers of the fixed spaces of `reflections` (the
+    group's `symplectic_reflections`), up to conjugacy.
 
     For each class: the normalizer (by direct test), its quotient order,
     the permutation action on the subgroup's nontrivial conjugacy classes,
     and the normalizer-orbits on the nontrivial elements.
     """
     group._require_enumerated()
-    reflections = symplectic_reflections(group)
     identity = ExactMatrix.identity(group.field, group.dim)
 
     # Pointwise stabilizer of V^s:  g fixes V^s iff every row of (1 - g)
@@ -399,16 +401,17 @@ def minimal_parabolics(group: MatrixGroup) -> list[ParabolicClass]:
     return classes
 
 
-def verify_zeta_bijection(group: MatrixGroup):
+def verify_zeta_bijection(
+    reflections: list[ReflectionClass], parabolics: list[ParabolicClass]
+):
     """Check the natural map from normalizer-orbits in the minimal
     parabolics to reflection classes: well defined on reflections,
     injective across all parabolic classes, surjective onto the classes.
+    Both lists are of one group, from `symplectic_reflections` and
+    `minimal_parabolics`.
 
     Returns (ok, report) where report lists the matching.
     """
-    group._require_enumerated()
-    reflections = symplectic_reflections(group)
-    parabolics = minimal_parabolics(group)
     class_of: dict[int, int] = {}
     for k, cls in enumerate(reflections):
         for i in cls.members:

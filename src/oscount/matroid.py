@@ -17,6 +17,7 @@ the count reads no lattice, so a bad q shows as a disagreement with chi(q)
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from math import gcd, lcm
 
 from .arrangement import Arrangement, IntersectionLattice, _levels
@@ -51,15 +52,16 @@ def nbc_betti(arrangement: Arrangement, subset_cap: int = DEFAULT_SUBSET_CAP) ->
             "the nbc oracle is defined for central arrangements; cone the input first"
         )
     vectors = [h.normal for h in arrangement.hyperplanes]
-    n = len(vectors)
     counts: dict[int, int] = {}
     visited = 0
-
-    def walk(e: int, rows, pivots, size: int):
-        nonlocal visited
+    # (element, chosen rows, their pivots, chosen count); depth-first with
+    # an explicit stack, so the depth is not bounded by the recursion limit
+    stack = [(len(vectors) - 1, (), (), 0)]
+    while stack:
+        e, rows, pivots, size = stack.pop()
         if e < 0:
             counts[size] = counts.get(size, 0) + 1
-            return
+            continue
         visited += 1
         if visited > subset_cap:
             raise ComputationCapError(
@@ -68,13 +70,13 @@ def nbc_betti(arrangement: Arrangement, subset_cap: int = DEFAULT_SUBSET_CAP) ->
         reduced = reduce_row(vectors[e], rows, pivots)
         lead = next((i for i, x in enumerate(reduced) if not x.is_zero()), None)
         if lead is None:
-            return  # e is spanned by the chosen larger-indexed elements
-        walk(e - 1, rows, pivots, size)
+            continue  # e is spanned by the chosen larger-indexed elements
         inv = reduced[lead].inverse()
         normalized = tuple(inv * x for x in reduced)
-        walk(e - 1, rows + (normalized,), pivots + (lead,), size + 1)
+        # pushed last, popped first: the branch without e is walked first
+        stack.append((e - 1, rows + (normalized,), pivots + (lead,), size + 1))
+        stack.append((e - 1, rows, pivots, size))
 
-    walk(n - 1, (), (), 0)
     top = max(counts) if counts else 0
     return [counts.get(k, 0) for k in range(top + 1)]
 
@@ -196,17 +198,22 @@ def _keeps_lattice(rows: list[list[int]], ell: int, q: int, exact: list[list]) -
     """Whether q is good: no primitive integer row has a normal that vanishes
     mod q, and the lattice of the rows mod q, built within the exact
     lattice's flat count, has the `contains` sets `exact` at every
-    codimension.  Its flats are freed on return, before the next q."""
+    codimension.  Levels mod q are compared as `_levels` yields them, so
+    the build stops at the first level that differs."""
     if any(all(x % q == 0 for x in row[:-1]) for row in rows):
         return False
     field: list[_Mod] = []
     field.extend(_Mod(v, field) for v in range(q))
     mod_q = [tuple(field[x % q] for x in row) for row in rows]
     try:
-        levels, _ = _levels(mod_q, ell, sum(len(level) for level in exact))
+        for level, contains in zip_longest(
+            _levels(mod_q, ell, sum(len(level) for level in exact)), exact
+        ):
+            if level is None or [flat.contains for flat in level] != contains:
+                return False
     except ComputationCapError:
         return False  # more flats mod q than over the field
-    return [[flat.contains for flat in level] for level in levels] == exact
+    return True
 
 
 def whitney_characteristic(

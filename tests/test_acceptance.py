@@ -128,11 +128,11 @@ def test_criterion_7_group_pipeline():
         assert group.order == 32
         refl = symplectic_reflections(group)
         assert len(refl) == 5
-        paras = minimal_parabolics(group)
+        paras = minimal_parabolics(group, refl)
         assert len(paras) == 5
         assert all(p.kleinian_label == "A1" for p in paras)
         assert all(p.class_action_trivial for p in paras)
-        ok, _ = verify_zeta_bijection(group)
+        ok, _ = verify_zeta_bijection(refl, paras)
         assert ok
         assert namikawa_weyl_from_group(paras).total_order == 32
 
@@ -141,8 +141,8 @@ def test_criterion_7_group_pipeline():
         group.enumerate_elements()
         assert group.order == 24
         assert len(symplectic_reflections(group)) == 2
-        paras = minimal_parabolics(group)
-        ok, _ = verify_zeta_bijection(group)
+        paras = minimal_parabolics(group, symplectic_reflections(group))
+        ok, _ = verify_zeta_bijection(symplectic_reflections(group), paras)
         assert ok
         assert namikawa_weyl_from_group(paras).total_order == 3  # via override
 

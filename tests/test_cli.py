@@ -58,6 +58,8 @@ def test_malformed_line_reports_line_number():
         parse_arrangement_text("field rational\ndim 2\nhyperplane 1 junk\n")
     with pytest.raises(InvalidInputError, match="line 1"):
         parse_arrangement_text("frobnicate\n")
+    with pytest.raises(InvalidInputError, match="line 1"):
+        parse_arrangement_text("field\n")
 
 
 def test_wrong_coefficient_count_names_hyperplane():
@@ -83,6 +85,8 @@ def test_group_file_errors():
         parse_group_text(
             "field rational\ndim 2\nsymplectic_form\n0 1\n-1 0\ngenerator\n1 0\n"
         )
+    with pytest.raises(InvalidInputError, match="line 1"):
+        parse_group_text("field\n")
 
 
 def test_cli_count_catalog(capsys):

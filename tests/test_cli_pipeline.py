@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import oscount
-from oscount import arrangement, cli, counting
+from oscount import arrangement, cli, counting, groups
 
 CAPS = {"flat_cap": 2000000, "subset_cap": 2000000, "group_cap": 200000, "ff_cap": 100000000}
 
@@ -192,3 +192,19 @@ def test_cap_error_reports_partial_work_as_json(capsys):
     ff_capped = ["count", "--catalog", "wreath:A1:2", "--oracle", "ff", "--ff-cap", "8"]
     assert cli.main(ff_capped + ["--json"]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_group_analyze_computes_each_invariant_once(capsys, monkeypatch):
+    calls = []
+    for name in ("symplectic_reflections", "minimal_parabolics"):
+        real = getattr(groups, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(groups, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+    g4 = str(resources.files("oscount.data") / "g4.grp")
+    assert cli.main(["group", "analyze", g4, "--json"]) == 0
+    assert sorted(calls) == ["minimal_parabolics", "symplectic_reflections"]

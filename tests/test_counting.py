@@ -18,7 +18,7 @@ from oscount.errors import (
     MathematicalInconsistencyError,
     UnsupportedFoldingError,
 )
-from oscount.groups import minimal_parabolics
+from oscount.groups import minimal_parabolics, symplectic_reflections
 from oscount.rootdata import weyl_data
 
 
@@ -108,13 +108,13 @@ def test_diagram_automorphism_orders():
 def test_namikawa_weyl_from_groups():
     q8 = catalog("q8d8")
     q8.group.enumerate_elements()
-    w = namikawa_weyl_from_group(minimal_parabolics(q8.group))
+    w = namikawa_weyl_from_group(minimal_parabolics(q8.group, symplectic_reflections(q8.group)))
     assert w.total_order == 32
     assert w.factors == (("A1", 2),) * 5
 
     g4 = catalog("g4")
     g4.group.enumerate_elements()
-    paras = minimal_parabolics(g4.group)
+    paras = minimal_parabolics(g4.group, symplectic_reflections(g4.group))
     w = namikawa_weyl_from_group(paras)
     assert w.total_order == 3  # paper-sourced override for the folded case
     with pytest.raises(UnsupportedFoldingError):

@@ -109,25 +109,25 @@ def test_pm_identity_reflections_and_parabolics():
     g.enumerate_elements()
     refl = symplectic_reflections(g)
     assert len(refl) == 1 and refl[0].size == 1
-    paras = minimal_parabolics(g)
+    paras = minimal_parabolics(g, refl)
     assert len(paras) == 1
     p = paras[0]
     assert p.subgroup_order == 2 and p.kleinian_label == "A1" and p.xi_order == 1
-    ok, report = verify_zeta_bijection(g)
+    ok, report = verify_zeta_bijection(refl, paras)
     assert ok and report["num_parabolic_orbits"] == 1
 
 
 def test_q8d8_parabolics():
     g = q8d8_group()
     g.enumerate_elements()
-    paras = minimal_parabolics(g)
+    paras = minimal_parabolics(g, symplectic_reflections(g))
     assert len(paras) == 5
     for p in paras:
         assert p.subgroup_order == 2
         assert p.kleinian_label == "A1"
         assert p.class_action_trivial
         assert p.orbit_count == 1
-    ok, report = verify_zeta_bijection(g)
+    ok, report = verify_zeta_bijection(symplectic_reflections(g), paras)
     assert ok
     assert report["num_parabolic_orbits"] == 5 == report["num_reflection_classes"]
 
@@ -135,7 +135,7 @@ def test_q8d8_parabolics():
 def test_g4_parabolics():
     g = g4_group()
     g.enumerate_elements()
-    paras = minimal_parabolics(g)
+    paras = minimal_parabolics(g, symplectic_reflections(g))
     assert len(paras) == 1
     p = paras[0]
     assert p.subgroup_order == 3
@@ -143,7 +143,7 @@ def test_g4_parabolics():
     assert p.xi_order == 2  # the center and the subgroup itself normalize it
     assert p.class_action_trivial  # nothing conjugates s to s^2
     assert p.orbit_count == 2
-    ok, report = verify_zeta_bijection(g)
+    ok, report = verify_zeta_bijection(symplectic_reflections(g), paras)
     assert ok
     assert report["num_parabolic_orbits"] == 2 == report["num_reflection_classes"]
 

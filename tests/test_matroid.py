@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -6,6 +8,7 @@ from conftest import rational_arrangement
 
 from oscount.arrangement import characteristic_polynomial, intersection_lattice, poincare_polynomial
 from oscount.counting import catalog, g4_arrangement, q8d8_arrangement
+from oscount import matroid
 from oscount.errors import ComputationCapError, InvalidInputError
 from oscount.matroid import (
     find_good_primes,
@@ -25,6 +28,19 @@ def test_nbc_q8d8_reproduces_poincare_independently():
 
 def test_nbc_empty():
     assert nbc_betti(rational_arrangement(2, [])) == [1]
+
+
+def test_nbc_walk_is_not_bounded_by_the_recursion_limit():
+    # 300 lines through the origin of the plane: a recursive walk would nest
+    # one call per line
+    lines = rational_arrangement(2, [[1, k] for k in range(300)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        betti = nbc_betti(lines)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert betti == [1, 300, 299]
 
 
 def test_nbc_refuses_affine():
@@ -133,6 +149,24 @@ def test_finite_field_matches_chi_at_good_primes(braid3):
 )
 def test_good_primes_of_catalog_entries(name, primes):
     assert find_good_primes(intersection_lattice(catalog(name).arrangement), 2) == primes
+
+
+def test_good_prime_check_stops_at_the_first_level_that_differs(monkeypatch):
+    lattice = intersection_lattice(q8d8_arrangement())
+    yielded = []
+    real = matroid._levels
+
+    def counted(*args):
+        yielded.append(0)
+        for level in real(*args):
+            yielded[-1] += 1
+            yield level
+
+    monkeypatch.setattr(matroid, "_levels", counted)
+    assert find_good_primes(lattice, 2) == [5, 7]
+    # mod 2 the lattice first differs at codimension 1, mod 3 at codimension 4;
+    # q = 5 and q = 7 build all six levels
+    assert yielded == [2, 5, 6, 6]
 
 
 def test_good_primes_of_braid(braid3):
