@@ -67,7 +67,6 @@ from .matroid import (
     find_good_primes,
     finite_field_count,
     nbc_betti,
-    whitney_characteristic,
 )
 from .polynomial import IntegerPolynomial
 from .rootdata import (

@@ -7,15 +7,35 @@ coning, and deletion/restriction.
 A flat X is its codimension, `contains(X)` (the maximal set of hyperplanes
 through it) and mu(X).  The lattice is built one codimension at a time by
 partitioning covers: each hyperplane h not in contains(X) is reduced once
-against the canonical rref of X's affine system [A | b] (offset in the
-last column).  A leading entry in the offset column means h misses X;
+against an echelon basis of X's affine system [A | b] (offset in the last
+column).  A leading entry in the offset column means h misses X;
 otherwise X meets h in a flat one codimension lower.  Two hyperplanes give
 the same such flat exactly when their normalized reduced rows are equal,
 so each group G of equal rows is one cover Y of X, with the maximal set
 contains(Y) = contains(X) | G.  That frozenset is the dedup key, and Y's
-rref is built only when Y is new.  The rref rows are private to `_levels`,
-which keeps them only for the level being expanded and the level being
-found.
+basis is made only when Y is new.  The basis rows are private to
+`_levels`, which keeps them only for the level being expanded and the
+level being found.
+
+The build runs on Python ints modulo one prime p, and its lattice is the
+one over the field; this is a bound argument, not a probability.  Each
+row is scaled to integer power-basis coordinates with no common factor,
+so its entries lie in Z[zeta_N], and maps into F_p by zeta -> omega.
+Every fact the lattice records (whether an intersection is empty, the
+`contains` sets, the codimensions, the cover groups) is the rank of a set
+of rows of [A | b] or of A.  Rank mod p never exceeds rank over the field,
+and the two agree when no nonzero minor vanishes mod p.  Let an entry's
+size be the l1 norm of its coordinates, which bounds |sigma(entry)| for
+every embedding sigma, and let H be the product of the l + 1 largest row
+norms of those sizes, rounded up.  By Hadamard's inequality |sigma(minor)|
+<= H for every minor.  Over Q (N = 1) a nonzero integer minor has
+|minor| <= H < p, so it is nonzero mod p.  Over Q(zeta_N), p = 1 (mod N) and
+Phi_N(omega) = 0 (mod p), checked as the certificate, make zeta -> omega
+the reduction modulo a prime ideal of degree 1 over p; a nonzero minor
+alpha in that ideal gives p <= |N(alpha)| <= H^phi(N), so p > H^phi(N)
+suffices.  The prime is proven, never guessed: p = k 2^m + 1 with
+k < 2^m and N | k 2^m, and a base a with a^((p-1)/2) = -1 (mod p) proves
+it prime (Proth's theorem, found by `fields.is_prime`).
 
 Moebius values come from the same cover edges by Weisner's theorem
 (Weisner 1935; Stanley, EC1 Cor. 3.9.3).  Ordered by inclusion of
@@ -32,11 +52,12 @@ exactly once, so no edge list is kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ComputationCapError, InvalidInputError, MathematicalInconsistencyError
-from .fields import FieldDescriptor, Scalar
-from .linalg import Row, rank_of_rows, reduce_row, rref_rows
+from .fields import FieldDescriptor, Scalar, cyclotomic_polynomial, is_prime
+from .linalg import Row, rank_of_rows
 from .polynomial import IntegerPolynomial
 
 __all__ = [
@@ -191,47 +212,117 @@ def intersection_lattice(
 
     Each flat's covers come from one partition of the hyperplanes not
     containing it, and mu is accumulated over the cover edges (Weisner).
+    The rows are mapped into F_p for a prime p at which the lattice is the
+    one over the field (module docstring).
     """
-    rows = [h.row() for h in arrangement.hyperplanes]
-    levels = _levels(rows, arrangement.ambient_dim, flat_cap)
+    rows, p = _rows_mod_prime(arrangement)
+    levels = _levels(rows, arrangement.ambient_dim, p, flat_cap)
     return IntersectionLattice(arrangement, list(levels))
 
 
+def _integer_rows(arrangement: Arrangement) -> list[list[tuple[int, ...]]]:
+    """Each hyperplane's row [normal | offset], every entry as its integer
+    power-basis coordinates: scaled by the lcm of all the row's denominators,
+    then divided by the gcd of all its coordinates."""
+    rows = []
+    for h in arrangement.hyperplanes:
+        entries = [x.coords for x in h.row()]
+        scale = lcm(*(c.denominator for entry in entries for c in entry))
+        ints = [[int(c * scale) for c in entry] for entry in entries]
+        g = gcd(*(c for entry in ints for c in entry))
+        rows.append([tuple(c // g for c in entry) for entry in ints])
+    return rows
+
+
+def _hadamard_bound(rows: list[list[tuple[int, ...]]], ell: int) -> int:
+    """The product of the ell + 1 largest row norms, rounded up, where an
+    entry's size is the l1 norm of its coordinates: a bound on |sigma(minor)|
+    for every minor of [A | b] and every embedding sigma."""
+    squares = [sum(sum(map(abs, entry)) ** 2 for entry in row) for row in rows]
+    product = prod(sorted(squares, reverse=True)[: ell + 1])
+    return isqrt(product - 1) + 1
+
+
+def _lattice_prime(bound: int, conductor: int) -> tuple[int, int]:
+    """(p, omega): the first proven prime p = k 2^m + 1 > bound with k < 2^m
+    and conductor | p - 1, searched by increasing m and k, and an omega in
+    F_p certified as a root of Phi_N by Phi_N(omega) = 0 (mod p)."""
+    twos = (conductor & -conductor).bit_length() - 1
+    odd = conductor >> twos  # k is a multiple of the odd part of N
+    phi = cyclotomic_polynomial(conductor)
+    m = max(twos, 1, (bound.bit_length() + 1) // 2)
+    while True:
+        k = odd * max(1, -(-bound // (odd << m)))  # the first k with k 2^m >= bound
+        while k < 1 << m:
+            p = (k << m) + 1
+            if is_prime(p):
+                for a in range(2, p):
+                    omega = pow(a, (p - 1) // conductor, p)
+                    if _horner(phi, omega, p) == 0:
+                        return p, omega
+            k += odd
+        m += 1
+
+
+def _horner(coeffs: Sequence[int], x: int, p: int) -> int:
+    """The polynomial with ascending `coeffs` at x, mod p."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value * x + c) % p
+    return value
+
+
+def _rows_mod_prime(arrangement: Arrangement) -> tuple[list[tuple[int, ...]], int]:
+    """(rows, p): the hyperplanes' integer rows mapped into F_p by zeta ->
+    omega, for the prime p of `_lattice_prime` above H^phi(N)."""
+    field = arrangement.field
+    rows = _integer_rows(arrangement)
+    bound = _hadamard_bound(rows, arrangement.ambient_dim) ** field.degree
+    p, omega = _lattice_prime(bound, field.conductor)
+    return [tuple(_horner(entry, omega, p) for entry in row) for row in rows], p
+
+
 def _levels(
-    rows_of: Sequence[Row], offset_col: int, flat_cap: int
+    rows: Sequence[tuple[int, ...]], offset_col: int, p: int, flat_cap: int
 ) -> Iterator[list[Flat]]:
-    """The flats of the hyperplanes `rows_of` over any field whose elements
-    `linalg` can reduce, one codimension at a time.
+    """The flats of the hyperplanes `rows`, tuples of ints mod the prime p,
+    one codimension at a time.
 
     Each level is yielded, sorted by `sorted(contains)`, before the next one
-    is built, so a caller that stops early builds no more.  The rref rows
-    and pivots of a flat live only in this generator, keyed by `contains`,
-    and only for the level being expanded and the level being found.
+    is built, so a caller that stops early builds no more.  A flat's row
+    space lives only here, for the level being expanded and the one being
+    found: (pivot, row) pairs sorted by pivot, each row 1 at its pivot and 0
+    before it.  Reducing h against them in order leaves the one row of
+    h + span(X) that is 0 at every pivot, so a cover's basis is X's plus
+    the normalized reduction of its first hyperplane.
     """
     level = [Flat(codim=0, contains=frozenset(), mu=1)]
-    rref = {frozenset(): ((), ())}  # contains -> (rows, pivots)
+    bases = {frozenset(): ()}  # contains -> ((pivot, row), ...)
     sizes: list[int] = []
     total = 1
     while level:
         yield level
         sizes.append(len(level))
-        found: dict[frozenset[int], tuple] = {}  # the next level's rref
+        found: dict[frozenset[int], tuple] = {}  # the next level's bases
         mus: dict[frozenset[int], int] = {}
         for flat in level:
-            flat_rows, flat_pivots = rref[flat.contains]
-            covers: dict[Row, list[int]] = {}
-            for h, row in enumerate(rows_of):
+            basis = bases[flat.contains]
+            covers: dict[tuple[int, ...], list[int]] = {}
+            for h, row in enumerate(rows):
                 if h in flat.contains:
                     continue
-                reduced = reduce_row(row, flat_rows, flat_pivots)
+                for col, prow in basis:
+                    c = row[col]
+                    if c:
+                        row = [(a - c * b) % p for a, b in zip(row, prow)]
                 # nonzero because `contains` is maximal
-                lead = next(i for i, x in enumerate(reduced) if not x.is_zero())
+                lead = next(i for i, x in enumerate(row) if x)
                 if lead == offset_col:
                     continue  # parallel to the flat: empty affine intersection
-                inv = reduced[lead].inverse()
-                covers.setdefault(tuple(inv * x for x in reduced), []).append(h)
-            first = min(flat.contains, default=len(rows_of))
-            for group in covers.values():
+                inv = pow(row[lead], -1, p)
+                covers.setdefault(tuple(x * inv % p for x in row), []).append(h)
+            first = min(flat.contains, default=len(rows))
+            for key, group in covers.items():
                 contains = flat.contains.union(group)
                 if contains not in found:
                     total += 1
@@ -240,13 +331,14 @@ def _levels(
                             f"flat cap {flat_cap} exceeded at codimension {len(sizes)}",
                             partial={"flats_per_level": sizes},
                         )
-                    found[contains] = rref_rows(flat_rows + (rows_of[group[0]],))
+                    lead = next(i for i, x in enumerate(key) if x)
+                    found[contains] = tuple(sorted(basis + ((lead, key),)))
                     mus[contains] = 0
                 # Weisner with the atom a = min(contains): mu(Y) is minus the
                 # sum of mu(X) over the flats X covered by Y with a not in X.
                 if group[0] < first:
                     mus[contains] -= flat.mu
-        rref = found
+        bases = found
         level = [Flat(len(sizes), c, mus[c]) for c in sorted(found, key=sorted)]
 
 

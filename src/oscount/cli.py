@@ -7,7 +7,9 @@ a single document with stable key order (the timing field excepted from
 determinism guarantees).
 
 Caps may be set by flags or environment variables (OSCOUNT_FLAT_CAP,
-OSCOUNT_SUBSET_CAP, OSCOUNT_GROUP_CAP, OSCOUNT_FF_CAP).
+OSCOUNT_SUBSET_CAP, OSCOUNT_GROUP_CAP, OSCOUNT_FF_CAP).  Any other failure
+is one `error: internal error: ...` line and exit code 3; OSCOUNT_DEBUG=1
+adds its traceback.
 """
 
 from __future__ import annotations
@@ -592,6 +594,13 @@ def main(argv=None) -> int:
             # how far a capped computation got, for callers that read stdout
             print(json.dumps({"error": str(exc), "partial": partial}, indent=2))
         return exc.exit_code
+    except Exception as exc:  # noqa: BLE001 - the CLI boundary: no raw traceback
+        if os.environ.get("OSCOUNT_DEBUG") == "1":
+            import traceback  # imported here to keep it off the startup path
+
+            traceback.print_exc()
+        print(f"error: internal error: {exc!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

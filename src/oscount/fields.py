@@ -5,6 +5,10 @@ A scalar is a coordinate vector over Q in the power basis
 equality is literal coordinate equality and all arithmetic is exact.
 The rational field is the case N = 1.  Mixed-field arithmetic is an
 error; promotion Q -> Q(zeta_N) is the explicit operation `promote`.
+
+The conductor is at most MAX_CONDUCTOR, checked before any work: Phi_N
+comes from a recursion over the divisors of N, arithmetic costs grow with
+phi(N)^2 and the lattice prime exceeds H^phi(N) (see `arrangement`).
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .errors import InvalidInputError
@@ -25,8 +30,12 @@ __all__ = [
     "cyclotomic_reduce",
     "promote",
     "euler_phi",
+    "is_prime",
     "parse_scalar",
+    "MAX_CONDUCTOR",
 ]
+
+MAX_CONDUCTOR = 100
 
 
 def euler_phi(n: int) -> int:
@@ -44,6 +53,39 @@ def euler_phi(n: int) -> int:
     if m > 1:
         result -= result // m
     return result
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime, by a proof, never a probable-prime guess.
+
+    Pocklington's theorem (Crandall & Pomerance, Prime Numbers, Thm 4.1.3):
+    if F divides n - 1, F^2 > n, and each prime f dividing F has a base a
+    with a^(n-1) = 1 (mod n) and gcd(a^((n-1)/f) - 1, n) = 1, then n is
+    prime.  F is the part of n - 1 found by trial division, stopped as soon
+    as F^2 > n.  For a Proth number n = k 2^m + 1 with k < 2^m, F = 2^m and
+    the base has a^((n-1)/2) = -1 (mod n): Proth's theorem.
+    """
+    if n < 3 or n % 2 == 0:
+        return n == 2
+    factors, rest, f = [], n - 1, 2
+    while ((n - 1) // rest) ** 2 <= n:
+        if f * f > rest:
+            f = rest  # every smaller factor is gone, so rest is prime
+        if rest % f == 0:
+            factors.append(f)
+            while rest % f == 0:
+                rest //= f
+        f += 1
+    for f in factors:
+        for a in range(2, n):
+            if pow(a, n - 1, n) != 1:
+                return False  # Fermat: n is composite
+            g = gcd(pow(a, (n - 1) // f, n) - 1, n)
+            if g == 1:
+                break
+            if g != n:
+                return False  # a proper factor of n
+    return True
 
 
 def _poly_divmod_int(num: tuple[int, ...], den: tuple[int, ...]):
@@ -147,6 +189,10 @@ def rational_field() -> FieldDescriptor:
 
 
 def cyclotomic_field(conductor: int) -> FieldDescriptor:
+    if conductor > MAX_CONDUCTOR:
+        raise InvalidInputError(
+            f"conductor {conductor} exceeds the limit {MAX_CONDUCTOR}"
+        )
     if conductor == 1:
         return rational_field()
     return FieldDescriptor("cyclotomic", conductor, euler_phi(conductor))

@@ -16,6 +16,9 @@ Groups:
 Scalar tokens use the syntax of the exact-arithmetic layer: `p/q`, `p`,
 or `(a0,a1,...)`.  Round-trip is stable: serialize(parse(f)) parses to an
 equal object.
+
+Limits, checked before anything is allocated: `dim` is at most MAX_DIM,
+and the conductor N is at most `fields.MAX_CONDUCTOR`.
 """
 
 from __future__ import annotations
@@ -33,7 +36,10 @@ __all__ = [
     "parse_group_text",
     "parse_group_file",
     "serialize_group",
+    "MAX_DIM",
 ]
+
+MAX_DIM = 1000
 
 
 def _logical_lines(text: str):
@@ -52,10 +58,27 @@ def _parse_field_directive(tokens: list[str], lineno: int) -> FieldDescriptor:
             n = int(tokens[2])
         except ValueError:
             raise InvalidInputError(f"line {lineno}: bad conductor {tokens[2]!r}") from None
-        return cyclotomic_field(n)
+        try:
+            return cyclotomic_field(n)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"line {lineno}: {exc}") from None
     raise InvalidInputError(
         f"line {lineno}: expected `field rational` or `field cyclotomic N`"
     )
+
+
+def _parse_dim(tokens: list[str], lineno: int, form: str) -> int:
+    if len(tokens) != 2:
+        raise InvalidInputError(f"line {lineno}: expected `{form}`")
+    try:
+        dim = int(tokens[1])
+    except ValueError:
+        raise InvalidInputError(f"line {lineno}: bad dimension {tokens[1]!r}") from None
+    if dim > MAX_DIM:
+        raise InvalidInputError(
+            f"line {lineno}: dimension {dim} exceeds the limit {MAX_DIM}"
+        )
+    return dim
 
 
 def parse_arrangement_text(text: str) -> Arrangement:
@@ -68,12 +91,7 @@ def parse_arrangement_text(text: str) -> Arrangement:
         if head == "field":
             field = _parse_field_directive(tokens, lineno)
         elif head == "dim":
-            if len(tokens) != 2:
-                raise InvalidInputError(f"line {lineno}: expected `dim L`")
-            try:
-                dim = int(tokens[1])
-            except ValueError:
-                raise InvalidInputError(f"line {lineno}: bad dimension {tokens[1]!r}") from None
+            dim = _parse_dim(tokens, lineno, "dim L")
         elif head == "hyperplane":
             if field is None or dim is None:
                 raise InvalidInputError(
@@ -164,12 +182,7 @@ def parse_group_text(text: str) -> MatrixGroup:
         if head == "field":
             field = _parse_field_directive(tokens, lineno)
         elif head == "dim":
-            if len(tokens) != 2:
-                raise InvalidInputError(f"line {lineno}: expected `dim 2n`")
-            try:
-                dim = int(tokens[1])
-            except ValueError:
-                raise InvalidInputError(f"line {lineno}: bad dimension {tokens[1]!r}") from None
+            dim = _parse_dim(tokens, lineno, "dim 2n")
         elif head in ("symplectic_form", "generator"):
             finish_block(lineno)
             if field is None or dim is None:

@@ -1,8 +1,7 @@
 """Independent checks of the invariants read off the intersection lattice.
 
-`nbc_betti` and `whitney_characteristic` walk subsets of the hyperplanes
-with `linalg.reduce_row` alone and share no flat or Moebius code with
-`arrangement`.
+`nbc_betti` walks subsets of the hyperplanes with `linalg.reduce_row` on
+exact scalars alone and shares no flat or Moebius code with `arrangement`.
 
 `finite_field_count` counts the points of F_q^l off the hyperplanes mod q
 with numpy alone.  The count is chi(A, q) when reduction mod q keeps the
@@ -10,9 +9,11 @@ intersection lattice (Athanasiadis, Adv. Math. 122, 1996).
 `find_good_primes` decides that with the lattice engine itself: equal
 `contains` families mod q and over the field, level by level, are the same
 lattice, so chi(A mod q) = chi(A).  Only the choice of q shares code with
-the route under test.  A fault common to both builds can misjudge q, but
-the count reads no lattice, so a bad q shows as a disagreement with chi(q)
-(exit 3), not as a confirmation of a wrong chi.
+the route under test: `_levels`, and the primality proof `fields.is_prime`
+that also picks the prime the exact lattice is built modulo.  A fault
+common to both builds can misjudge q, but the count reads no lattice, so a
+bad q shows as a disagreement with chi(q) (exit 3), not as a confirmation
+of a wrong chi.
 """
 
 from __future__ import annotations
@@ -22,14 +23,13 @@ from math import gcd, lcm
 
 from .arrangement import Arrangement, IntersectionLattice, _levels
 from .errors import ComputationCapError, InvalidInputError
+from .fields import is_prime
 from .linalg import reduce_row
-from .polynomial import IntegerPolynomial
 
 __all__ = [
     "nbc_betti",
     "finite_field_count",
     "find_good_primes",
-    "whitney_characteristic",
     "DEFAULT_SUBSET_CAP",
     "DEFAULT_FF_CAP",
 ]
@@ -97,17 +97,6 @@ def _integer_rows(arrangement: Arrangement) -> list[list[int]]:
     return rows
 
 
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            return False
-        p += 1
-    return True
-
-
 def finite_field_count(
     arrangement: Arrangement, q: int, ff_cap: int = DEFAULT_FF_CAP
 ) -> int:
@@ -116,7 +105,7 @@ def finite_field_count(
     This is chi(A, q) when q is a good prime (`find_good_primes`); the count
     itself reads no lattice code and does not check q.
     """
-    if not _is_prime(q):
+    if not is_prime(q):
         raise InvalidInputError(f"{q} is not prime")
     rows = _integer_rows(arrangement)
     ell = arrangement.ambient_dim
@@ -144,34 +133,6 @@ def finite_field_count(
     return count
 
 
-class _Mod:
-    """An element of F_q with just the operations that `linalg.reduce_row`,
-    `linalg.rref_rows` and `arrangement._levels` use.  Each of the q
-    elements is made once, so equal elements are the same object (identity
-    serves as == and hash) and arithmetic allocates nothing."""
-
-    __slots__ = ("v", "elements")
-
-    def __init__(self, v: int, elements: list["_Mod"]):
-        self.v = v
-        self.elements = elements
-
-    def is_zero(self) -> bool:
-        return self.v == 0
-
-    def is_one(self) -> bool:
-        return self.v == 1
-
-    def inverse(self) -> "_Mod":
-        return self.elements[pow(self.v, -1, len(self.elements))]
-
-    def __mul__(self, other: "_Mod") -> "_Mod":
-        return self.elements[self.v * other.v % len(self.elements)]
-
-    def __sub__(self, other: "_Mod") -> "_Mod":
-        return self.elements[(self.v - other.v) % len(self.elements)]
-
-
 def find_good_primes(
     lattice: IntersectionLattice, how_many: int = 2, ff_cap: int = DEFAULT_FF_CAP
 ) -> list[int]:
@@ -183,7 +144,7 @@ def find_good_primes(
     q = 1
     while len(good) < how_many:
         q += 1
-        if not _is_prime(q):
+        if not is_prime(q):
             continue
         if q**ell > ff_cap:
             raise ComputationCapError(
@@ -195,58 +156,19 @@ def find_good_primes(
 
 
 def _keeps_lattice(rows: list[list[int]], ell: int, q: int, exact: list[list]) -> bool:
-    """Whether q is good: no primitive integer row has a normal that vanishes
-    mod q, and the lattice of the rows mod q, built within the exact
-    lattice's flat count, has the `contains` sets `exact` at every
-    codimension.  Levels mod q are compared as `_levels` yields them, so
-    the build stops at the first level that differs."""
-    if any(all(x % q == 0 for x in row[:-1]) for row in rows):
-        return False
-    field: list[_Mod] = []
-    field.extend(_Mod(v, field) for v in range(q))
-    mod_q = [tuple(field[x % q] for x in row) for row in rows]
+    """Whether q is good: the lattice of the rows mod q, built within the
+    exact lattice's flat count, has the `contains` sets `exact` at every
+    codimension.  (A row whose normal vanishes mod q misses every point, so
+    it is no atom and level 1 differs.)  Levels mod q are compared as
+    `_levels` yields them, so the build stops at the first level that
+    differs."""
+    mod_q = [tuple(x % q for x in row) for row in rows]
     try:
         for level, contains in zip_longest(
-            _levels(mod_q, ell, sum(len(level) for level in exact)), exact
+            _levels(mod_q, ell, q, sum(len(level) for level in exact)), exact
         ):
             if level is None or [flat.contains for flat in level] != contains:
                 return False
     except ComputationCapError:
         return False  # more flats mod q than over the field
     return True
-
-
-def whitney_characteristic(
-    arrangement: Arrangement, subset_cap: int = DEFAULT_SUBSET_CAP
-) -> IntegerPolynomial:
-    """Brute-force characteristic polynomial
-    chi(A, t) = sum over subsets with nonempty intersection of
-    (-1)^{|S|} t^{dim of the intersection}; the oracle for the lattice route."""
-    n = len(arrangement.hyperplanes)
-    if 2**n > subset_cap:
-        raise ComputationCapError(
-            f"2^{n} subsets exceed the subset cap {subset_cap}"
-        )
-    ell = arrangement.ambient_dim
-    offset_col = ell
-    rows_of = [h.row() for h in arrangement.hyperplanes]
-    coeffs = [0] * (ell + 1)
-
-    def walk(i: int, rows, pivots, size: int):
-        if i == n:
-            coeffs[ell - len(pivots)] += (-1) ** size
-            return
-        walk(i + 1, rows, pivots, size)
-        reduced = reduce_row(rows_of[i], rows, pivots)
-        lead = next((j for j, x in enumerate(reduced) if not x.is_zero()), None)
-        if lead == offset_col:
-            return  # empty intersection; all supersets are empty too
-        if lead is None:
-            walk(i + 1, rows, pivots, size + 1)
-        else:
-            inv = reduced[lead].inverse()
-            normalized = tuple(inv * x for x in reduced)
-            walk(i + 1, rows + (normalized,), pivots + (lead,), size + 1)
-
-    walk(0, (), (), 0)
-    return IntegerPolynomial(coeffs)

@@ -6,7 +6,8 @@ import pytest
 
 from oscount.arrangement import Arrangement, build_arrangement
 from oscount.fields import rational_field
-from oscount.linalg import rank_of_rows
+from oscount.linalg import rank_of_rows, reduce_row
+from oscount.polynomial import IntegerPolynomial
 
 
 def rational_arrangement(dim: int, rows, offsets=None) -> Arrangement:
@@ -43,6 +44,36 @@ def brute_force_flats(arrangement: Arrangement) -> set:
             )
             flats.add((closure, rank))
     return flats
+
+
+def whitney_characteristic(arrangement: Arrangement) -> IntegerPolynomial:
+    """Brute-force characteristic polynomial
+    chi(A, t) = sum over subsets with nonempty intersection of
+    (-1)^{|S|} t^{dim of the intersection}; the oracle for the lattice route."""
+    n = len(arrangement.hyperplanes)
+    ell = arrangement.ambient_dim
+    offset_col = ell
+    rows_of = [h.row() for h in arrangement.hyperplanes]
+    coeffs = [0] * (ell + 1)
+
+    def walk(i: int, rows, pivots, size: int):
+        if i == n:
+            coeffs[ell - len(pivots)] += (-1) ** size
+            return
+        walk(i + 1, rows, pivots, size)
+        reduced = reduce_row(rows_of[i], rows, pivots)
+        lead = next((j for j, x in enumerate(reduced) if not x.is_zero()), None)
+        if lead == offset_col:
+            return  # empty intersection; all supersets are empty too
+        if lead is None:
+            walk(i + 1, rows, pivots, size + 1)
+        else:
+            inv = reduced[lead].inverse()
+            normalized = tuple(inv * x for x in reduced)
+            walk(i + 1, rows + (normalized,), pivots + (lead,), size + 1)
+
+    walk(0, (), (), 0)
+    return IntegerPolynomial(coeffs)
 
 
 @pytest.fixture

@@ -3,6 +3,10 @@ import pytest
 from conftest import brute_force_flats, rational_arrangement
 
 from oscount.arrangement import (
+    _hadamard_bound,
+    _integer_rows,
+    _lattice_prime,
+    _rows_mod_prime,
     build_arrangement,
     characteristic_polynomial,
     cone,
@@ -15,6 +19,7 @@ from oscount.arrangement import (
 from oscount.counting import g4_arrangement, q8d8_arrangement
 from oscount.errors import ComputationCapError, InvalidInputError
 from oscount.fields import cyclotomic_field, rational_field
+from oscount.matroid import nbc_betti
 from oscount.polynomial import IntegerPolynomial
 
 QQ = rational_field()
@@ -233,6 +238,70 @@ def test_lattice_determinism():
     assert [keys(level) for level in l1.levels] == [keys(level) for level in l2.levels]
     for level in l1.levels:
         assert keys(level) == sorted(keys(level))
+
+
+def test_lattice_with_large_coefficients_matches_subset_ranks():
+    # P = 10^12 + 39 is prime and a 3x3 minor, and H > 2^61: the lattice mod P
+    # or mod a word-size prime would lose flats
+    P = 10**12 + 39
+    a = rational_arrangement(
+        3,
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, P], [P, 1, 1], [P, P + 1, 1]],
+        offsets=[0, 0, 0, 0, P, 1],
+    )
+    assert _hadamard_bound(_integer_rows(a), 3) > 2**61
+    flats = {(f.contains, f.codim) for f, _ in intersection_lattice(a).all_flats()}
+    assert flats == brute_force_flats(a)
+
+
+def test_q8d8_lattice_prime_is_above_the_bound_and_proven():
+    a = q8d8_arrangement()
+    _, p = _rows_mod_prime(a)
+    assert p == 193
+    # p exceeds H, the product of the six (l + 1) largest row norms, taken
+    # from the rows directly: the q8d8 rows are primitive integer rows
+    rows = [[x.rational_value() for x in h.row()] for h in a.hyperplanes]
+    assert all(x.denominator == 1 for row in rows for x in row)
+    squares = sorted((sum(x * x for x in row) for row in rows), reverse=True)
+    product = 1
+    for sq in squares[:6]:
+        product *= sq
+    assert p**2 > product
+    # Proth: p - 1 = k 2^m with k < 2^m, and a^((p-1)/2) = -1 (mod p)
+    m = ((p - 1) & (1 - p)).bit_length() - 1
+    assert (p - 1) >> m < 2**m
+    assert any(pow(b, (p - 1) // 2, p) == p - 1 for b in range(2, 10))
+
+
+def g414_arrangement():
+    """The reflection arrangement of G(4,1,4): x_i = 0 and x_i = zeta^k x_j."""
+    field = cyclotomic_field(4)
+    zero, one, zeta = field.zero(), field.one(), field.zeta()
+    raw = [(tuple(one if j == i else zero for j in range(4)), zero) for i in range(4)]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            power = one
+            for _ in range(4):
+                normal = [zero] * 4
+                normal[i], normal[j] = one, -power
+                raw.append((tuple(normal), zero))
+                power = power * zeta
+    return build_arrangement(field, 4, raw)
+
+
+def test_g414_lattice_prime_and_poincare():
+    a = g414_arrangement()
+    bound = _hadamard_bound(_integer_rows(a), 4) ** 2
+    p, omega = _lattice_prime(bound, 4)
+    assert p == _rows_mod_prime(a)[1] > bound
+    assert p % 4 == 1
+    assert (omega * omega + 1) % p == 0  # Phi_4(omega) = 0
+    pi = poincare_polynomial(intersection_lattice(a))
+    expected = IntegerPolynomial((1, 1))
+    for b in (5, 9, 13):
+        expected = expected * IntegerPolynomial((1, b))
+    assert pi == expected
+    assert tuple(nbc_betti(a)) == pi.coefficients
 
 
 def test_essential_rank():

@@ -1,4 +1,5 @@
 import json
+import time
 from importlib import resources
 
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from oscount import cli
 from oscount.counting import g4_arrangement, q8d8_arrangement
 from oscount.errors import InvalidInputError
+from oscount.fields import MAX_CONDUCTOR, cyclotomic_field
 from oscount.fileio import (
+    MAX_DIM,
     parse_arrangement_file,
     parse_arrangement_text,
     parse_group_text,
@@ -138,6 +141,46 @@ def test_cli_exit_code_invalid_input(capsys):
     assert cli.main(["count", "--catalog", "nope"]) == 1
     assert cli.main(["analyze", "/nonexistent/file.arr"]) == 1
     assert cli.main(["count", "--arrangement", "/nonexistent.arr"]) == 1
+
+
+def test_conductor_above_the_limit_is_refused_before_any_work(capsys, tmp_path):
+    # Phi_N for N = 99999999 would take a recursion over its divisors
+    path = tmp_path / "big.arr"
+    path.write_text("field cyclotomic 99999999\ndim 1\nhyperplane (1)\n")
+    start = time.perf_counter()
+    assert cli.main(["analyze", str(path)]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        f"error: line 1: conductor 99999999 exceeds the limit {MAX_CONDUCTOR}\n"
+    )
+    with pytest.raises(InvalidInputError, match="exceeds the limit"):
+        cyclotomic_field(MAX_CONDUCTOR + 1)
+
+
+def test_dimension_above_the_limit_is_invalid_input(capsys, tmp_path):
+    path = tmp_path / "big.arr"
+    path.write_text("field rational\ndim 99999999999\n")
+    assert cli.main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: line 2: dimension 99999999999 exceeds the limit {MAX_DIM}\n"
+    )
+    with pytest.raises(InvalidInputError, match="line 2: dimension"):
+        parse_group_text("field rational\ndim 99999999999\n")
+
+
+def test_unexpected_exception_is_one_line_and_exit_3(capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "count_resolutions", broken)
+    monkeypatch.delenv("OSCOUNT_DEBUG", raising=False)
+    assert cli.main(["count", "--catalog", "g4"]) == 3
+    assert capsys.readouterr().err == "error: internal error: RuntimeError('boom')\n"
+    monkeypatch.setenv("OSCOUNT_DEBUG", "1")
+    assert cli.main(["count", "--catalog", "g4"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and "in broken" in err
+    assert err.endswith("error: internal error: RuntimeError('boom')\n")
 
 
 def test_cli_exit_code_cap(capsys, tmp_path):

@@ -11,6 +11,7 @@ from oscount.fields import (
     cyclotomic_polynomial,
     cyclotomic_reduce,
     euler_phi,
+    is_prime,
     parse_scalar,
     promote,
     rational_field,
@@ -24,6 +25,17 @@ Q8 = cyclotomic_field(8)
 
 def test_euler_phi_small():
     assert [euler_phi(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+
+
+def test_is_prime_agrees_with_trial_division():
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert all(is_prime(n) == by_trial_division(n) for n in range(-3, 5000))
+    # Carmichael numbers pass the Fermat test to every coprime base
+    assert not any(is_prime(n) for n in (561, 1105, 1729, 2465, 2821, 6601, 8911))
+    assert is_prime(2**127 - 1) and is_prime(3 * 2**189 + 1)
+    assert not is_prime(3 * 2**188 + 1)
 
 
 def test_cyclotomic_polynomials():

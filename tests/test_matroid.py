@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from conftest import rational_arrangement
+from conftest import rational_arrangement, whitney_characteristic
 
 from oscount.arrangement import characteristic_polynomial, intersection_lattice, poincare_polynomial
 from oscount.counting import catalog, g4_arrangement, q8d8_arrangement
@@ -14,7 +14,6 @@ from oscount.matroid import (
     find_good_primes,
     finite_field_count,
     nbc_betti,
-    whitney_characteristic,
 )
 
 

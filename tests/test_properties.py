@@ -9,7 +9,7 @@ hyperplanes) the flat family against brute-force subset ranks.
 
 import random
 
-from conftest import brute_force_flats, rational_arrangement
+from conftest import brute_force_flats, rational_arrangement, whitney_characteristic
 
 from oscount.arrangement import (
     characteristic_polynomial,
@@ -19,7 +19,6 @@ from oscount.arrangement import (
     poincare_polynomial,
     region_count,
 )
-from oscount.matroid import whitney_characteristic
 from oscount.polynomial import IntegerPolynomial
 
 SEED = 20250809
