@@ -35,7 +35,10 @@ the reduction modulo a prime ideal of degree 1 over p; a nonzero minor
 alpha in that ideal gives p <= |N(alpha)| <= H^phi(N), so p > H^phi(N)
 suffices.  The prime is proven, never guessed: p = k 2^m + 1 with
 k < 2^m and N | k 2^m, and a base a with a^((p-1)/2) = -1 (mod p) proves
-it prime (Proth's theorem, found by `fields.is_prime`).
+it prime (Proth's theorem, found by `fields.is_prime`).  The search tries
+about as many candidates as H^phi(N) has bits, each a modular power of
+that size, so its time grows about as the cube of the bits: a bound above
+MAX_BOUND_BITS is a computation cap (exit 2), checked before the search.
 
 Moebius values come from the same cover edges by Weisner's theorem
 (Weisner 1935; Stanley, EC1 Cor. 3.9.3).  Ordered by inclusion of
@@ -74,9 +77,11 @@ __all__ = [
     "deletion_restriction",
     "essential_rank",
     "DEFAULT_FLAT_CAP",
+    "MAX_BOUND_BITS",
 ]
 
 DEFAULT_FLAT_CAP = 2_000_000
+MAX_BOUND_BITS = 1_536
 
 
 @dataclass(frozen=True)
@@ -278,6 +283,13 @@ def _rows_mod_prime(arrangement: Arrangement) -> tuple[list[tuple[int, ...]], in
     field = arrangement.field
     rows = _integer_rows(arrangement)
     bound = _hadamard_bound(rows, arrangement.ambient_dim) ** field.degree
+    bits = bound.bit_length()
+    if bits > MAX_BOUND_BITS:
+        raise ComputationCapError(
+            f"the lattice prime must exceed a {bits}-bit bound; the limit is "
+            f"{MAX_BOUND_BITS} bits",
+            partial={"bound_bits": bits},
+        )
     p, omega = _lattice_prime(bound, field.conductor)
     return [tuple(_horner(entry, omega, p) for entry in row) for row in rows], p
 

@@ -23,7 +23,6 @@ __all__ = [
     "minimal_parabolics",
     "kleinian_label",
     "verify_zeta_bijection",
-    "conjugacy_classes",
     "DEFAULT_GROUP_CAP",
 ]
 
@@ -134,24 +133,6 @@ class MatrixGroup:
                         nxt.append(y)
             frontier = nxt
         return frozenset(orbit)
-
-    def check_symplectic_all(self) -> bool:
-        self._require_enumerated()
-        omega = self.symplectic_form
-        return all(g.transpose() * omega * g == omega for g in self.elements)
-
-
-def conjugacy_classes(group: MatrixGroup) -> list[frozenset[int]]:
-    group._require_enumerated()
-    leftover = set(range(len(group.elements)))
-    classes = []
-    while leftover:
-        seed = min(leftover, key=lambda i: group.elements[i].key())
-        cls = group.conjugacy_class_of(seed)
-        classes.append(cls)
-        leftover -= cls
-    classes.sort(key=lambda c: min(group.elements[i].key() for i in c))
-    return classes
 
 
 @dataclass(frozen=True)

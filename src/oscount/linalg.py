@@ -1,7 +1,7 @@
 """Exact dense linear algebra over a FieldDescriptor.
 
 Row-level helpers operate on tuples of Scalars and are shared by the
-arrangement, matroid and group modules; ExactMatrix is the public type.
+arrangement and group modules; ExactMatrix is the public type.
 rref is a true canonical form over an exact field: equal row spaces
 yield identical output.
 """
@@ -108,10 +108,6 @@ class ExactMatrix:
         one, zero = field.one(), field.zero()
         return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_rationals(cls, field: FieldDescriptor, rows: Sequence[Sequence]) -> "ExactMatrix":
-        return cls(field, [[field.from_rational(x) for x in row] for row in rows])
-
     def __getitem__(self, ij) -> Scalar:
         i, j = ij
         return self.rows[i][j]
@@ -197,20 +193,6 @@ class ExactMatrix:
         if len(reduced) < n or any(p >= n for p in pivots):
             raise InvalidInputError("matrix is singular")
         return ExactMatrix(self.field, [row[n:] for row in reduced])
-
-    def kernel_basis(self) -> list[Row]:
-        """Basis of the right null space, parametrized by non-pivot columns."""
-        pivot_rows, pivots = rref_rows(self.rows)
-        free = [j for j in range(self.ncols) if j not in pivots]
-        one, zero = self.field.one(), self.field.zero()
-        basis = []
-        for j in free:
-            vec = [zero] * self.ncols
-            vec[j] = one
-            for prow, p in zip(pivot_rows, pivots):
-                vec[p] = -prow[j]
-            basis.append(tuple(vec))
-        return basis
 
     def key(self) -> str:
         """Deterministic serialization used for dedup and canonical ordering."""

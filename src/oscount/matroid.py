@@ -1,7 +1,20 @@
 """Independent checks of the invariants read off the intersection lattice.
 
-`nbc_betti` walks subsets of the hyperplanes with `linalg.reduce_row` on
-exact scalars alone and shares no flat or Moebius code with `arrangement`.
+`nbc_betti` walks subsets of the hyperplanes on Python ints alone, over Q,
+with no modulus.  Let K = Q(zeta_N) and phi = phi(N).  K is the Q-space
+with basis 1, zeta, ..., zeta^(phi-1), so the K-span of a set S of
+vectors in K^l is, as a Q-space, the Q-span of the zeta^j s for s in S and
+j < phi.  Each normal v therefore becomes phi rational rows of length
+l phi, the power-basis coordinates of zeta^j v (the one use of `Scalar`),
+each scaled to a primitive integer row.  "v_e lies in the K-span of the
+chosen normals" is then "row 0 of e reduces to zero against the Q-basis
+of the chosen rows", and choosing e adds all phi of its rows.  Reduction
+is fraction-free, v <- d v - v[col] row with d the basis row's pivot
+entry, and a row is divided by its gcd when it joins the basis: integer
+arithmetic throughout, so it is exact with no bound to prove.  Over Q
+(N = 1) the rows are the primitive integer normals.  nbc shares nothing
+with the lattice code: not `_levels`, not the zeta -> omega map into F_p,
+not the Hadamard bound and not the prime.
 
 `finite_field_count` counts the points of F_q^l off the hyperplanes mod q
 with numpy alone.  The count is chi(A, q) when reduction mod q keeps the
@@ -18,13 +31,14 @@ of a wrong chi.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
+from typing import Optional, Sequence
 
 from .arrangement import Arrangement, IntersectionLattice, _levels
 from .errors import ComputationCapError, InvalidInputError
-from .fields import is_prime
-from .linalg import reduce_row
+from .fields import FieldDescriptor, Scalar, is_prime
 
 __all__ = [
     "nbc_betti",
@@ -45,40 +59,84 @@ def nbc_betti(arrangement: Arrangement, subset_cap: int = DEFAULT_SUBSET_CAP) ->
     row space; a branch dies exactly when the current element lies in the
     span of the larger-indexed chosen ones (that membership is equivalent to
     creating a broken circuit, taking the circuit's minimal element as the
-    element itself).  The counts sum to the Orlik-Solomon dimension.
+    element itself).  The counts are the Betti numbers of the Orlik-Solomon
+    algebra (Orlik-Terao, Arrangements of Hyperplanes, Thm 3.55).  Past
+    `subset_cap` visited sets it raises with the counts so far.
     """
     if not arrangement.central:
         raise InvalidInputError(
             "the nbc oracle is defined for central arrangements; cone the input first"
         )
-    vectors = [h.normal for h in arrangement.hyperplanes]
+    expanded = [_zeta_rows(h.normal, arrangement.field) for h in arrangement.hyperplanes]
     counts: dict[int, int] = {}
     visited = 0
-    # (element, chosen rows, their pivots, chosen count); depth-first with
-    # an explicit stack, so the depth is not bounded by the recursion limit
-    stack = [(len(vectors) - 1, (), (), 0)]
+    # (element, basis of the chosen rows, chosen count); depth-first with an
+    # explicit stack, so the depth is not bounded by the recursion limit
+    stack = [(len(expanded) - 1, (), 0)]
     while stack:
-        e, rows, pivots, size = stack.pop()
+        e, basis, size = stack.pop()
         if e < 0:
             counts[size] = counts.get(size, 0) + 1
             continue
         visited += 1
         if visited > subset_cap:
             raise ComputationCapError(
-                f"subset cap {subset_cap} exceeded during nbc enumeration"
+                f"subset cap {subset_cap} exceeded during nbc enumeration",
+                partial={"nbc_counts": _by_size(counts), "sets_visited": subset_cap},
             )
-        reduced = reduce_row(vectors[e], rows, pivots)
-        lead = next((i for i, x in enumerate(reduced) if not x.is_zero()), None)
-        if lead is None:
+        first, *others = expanded[e]
+        chosen = _join(basis, first)
+        if chosen is None:
             continue  # e is spanned by the chosen larger-indexed elements
-        inv = reduced[lead].inverse()
-        normalized = tuple(inv * x for x in reduced)
+        for row in others:
+            chosen = _join(chosen, row)  # never None: K v_e meets the span in 0
         # pushed last, popped first: the branch without e is walked first
-        stack.append((e - 1, rows + (normalized,), pivots + (lead,), size + 1))
-        stack.append((e - 1, rows, pivots, size))
+        stack.append((e - 1, chosen, size + 1))
+        stack.append((e - 1, basis, size))
+    return _by_size(counts)
 
-    top = max(counts) if counts else 0
-    return [counts.get(k, 0) for k in range(top + 1)]
+
+def _by_size(counts: dict[int, int]) -> list[int]:
+    return [counts.get(k, 0) for k in range(max(counts, default=0) + 1)]
+
+
+def _zeta_rows(normal: Sequence[Scalar], field: FieldDescriptor) -> list[list[int]]:
+    """The primitive integer rows of zeta^j v, j < phi(N): v's entries
+    multiplied by zeta^j, each written as its phi(N) power-basis coordinates."""
+    rows = []
+    power = field.one()
+    for _ in range(field.degree):
+        rows.append(_primitive([c for x in normal for c in (x * power).coords]))
+        power = power * field.zeta()
+    return rows
+
+
+def _join(basis: tuple, row: Sequence[int]) -> Optional[tuple]:
+    """`basis` with the reduction of `row` against it appended as (pivot,
+    row), or None when `row` lies in its span.
+
+    Each basis row is 0 at the pivots of the rows before it, so eliminating
+    them in insertion order by v <- d v - v[col] row, with d the row's
+    pivot entry, leaves v 0 at every pivot; a nonzero vector of the span is
+    not, so the result is 0 exactly when `row` is in the span."""
+    for col, prow in basis:
+        c = row[col]
+        if c:
+            d = prow[col]
+            row = [d * a - c * b for a, b in zip(row, prow)]
+    lead = next((i for i, x in enumerate(row) if x), None)
+    if lead is None:
+        return None
+    g = gcd(*row)
+    return basis + ((lead, tuple(x // g for x in row)),)
+
+
+def _primitive(fracs: Sequence[Fraction]) -> list[int]:
+    """The integer multiple of a nonzero rational vector with no common factor."""
+    scale = lcm(*(f.denominator for f in fracs))
+    ints = [int(f * scale) for f in fracs]
+    g = gcd(*ints)
+    return [v // g for v in ints]
 
 
 def _integer_rows(arrangement: Arrangement) -> list[list[int]]:
@@ -87,14 +145,7 @@ def _integer_rows(arrangement: Arrangement) -> list[list[int]]:
         raise InvalidInputError(
             "finite-field counting requires rational coefficients"
         )
-    rows = []
-    for h in arrangement.hyperplanes:
-        fracs = [x.rational_value() for x in h.row()]
-        scale = lcm(*(f.denominator for f in fracs))
-        ints = [int(f * scale) for f in fracs]
-        g = gcd(*ints)
-        rows.append([v // g for v in ints])
-    return rows
+    return [_primitive([x.rational_value() for x in h.row()]) for h in arrangement.hyperplanes]
 
 
 def finite_field_count(

@@ -5,8 +5,9 @@ from itertools import combinations
 import pytest
 
 from oscount.arrangement import Arrangement, build_arrangement
-from oscount.fields import rational_field
-from oscount.linalg import rank_of_rows, reduce_row
+from oscount.fields import cyclotomic_field, rational_field
+from oscount.groups import MatrixGroup
+from oscount.linalg import ExactMatrix, Row, rank_of_rows, reduce_row, rref_rows
 from oscount.polynomial import IntegerPolynomial
 
 
@@ -19,6 +20,22 @@ def rational_arrangement(dim: int, rows, offsets=None) -> Arrangement:
         offset = f.from_rational(offsets[i]) if offsets else f.zero()
         raw.append((normal, offset))
     return build_arrangement(f, dim, raw)
+
+
+def g414_arrangement():
+    """The reflection arrangement of G(4,1,4): x_i = 0 and x_i = zeta^k x_j."""
+    field = cyclotomic_field(4)
+    zero, one, zeta = field.zero(), field.one(), field.zeta()
+    raw = [(tuple(one if j == i else zero for j in range(4)), zero) for i in range(4)]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            power = one
+            for _ in range(4):
+                normal = [zero] * 4
+                normal[i], normal[j] = one, -power
+                raw.append((tuple(normal), zero))
+                power = power * zeta
+    return build_arrangement(field, 4, raw)
 
 
 def brute_force_flats(arrangement: Arrangement) -> set:
@@ -74,6 +91,44 @@ def whitney_characteristic(arrangement: Arrangement) -> IntegerPolynomial:
 
     walk(0, (), (), 0)
     return IntegerPolynomial(coeffs)
+
+
+def from_rationals(field, rows) -> ExactMatrix:
+    return ExactMatrix(field, [[field.from_rational(x) for x in row] for row in rows])
+
+
+def kernel_basis(matrix: ExactMatrix) -> list[Row]:
+    """Basis of the right null space, parametrized by non-pivot columns."""
+    pivot_rows, pivots = rref_rows(matrix.rows)
+    free = [j for j in range(matrix.ncols) if j not in pivots]
+    one, zero = matrix.field.one(), matrix.field.zero()
+    basis = []
+    for j in free:
+        vec = [zero] * matrix.ncols
+        vec[j] = one
+        for prow, p in zip(pivot_rows, pivots):
+            vec[p] = -prow[j]
+        basis.append(tuple(vec))
+    return basis
+
+
+def conjugacy_classes(group: MatrixGroup) -> list[frozenset[int]]:
+    group._require_enumerated()
+    leftover = set(range(len(group.elements)))
+    classes = []
+    while leftover:
+        seed = min(leftover, key=lambda i: group.elements[i].key())
+        cls = group.conjugacy_class_of(seed)
+        classes.append(cls)
+        leftover -= cls
+    classes.sort(key=lambda c: min(group.elements[i].key() for i in c))
+    return classes
+
+
+def check_symplectic_all(group: MatrixGroup) -> bool:
+    group._require_enumerated()
+    omega = group.symplectic_form
+    return all(g.transpose() * omega * g == omega for g in group.elements)
 
 
 @pytest.fixture

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import brute_force_flats, rational_arrangement
+from conftest import brute_force_flats, g414_arrangement, rational_arrangement
 
 from oscount.arrangement import (
     _hadamard_bound,
@@ -271,22 +271,6 @@ def test_q8d8_lattice_prime_is_above_the_bound_and_proven():
     m = ((p - 1) & (1 - p)).bit_length() - 1
     assert (p - 1) >> m < 2**m
     assert any(pow(b, (p - 1) // 2, p) == p - 1 for b in range(2, 10))
-
-
-def g414_arrangement():
-    """The reflection arrangement of G(4,1,4): x_i = 0 and x_i = zeta^k x_j."""
-    field = cyclotomic_field(4)
-    zero, one, zeta = field.zero(), field.one(), field.zeta()
-    raw = [(tuple(one if j == i else zero for j in range(4)), zero) for i in range(4)]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            power = one
-            for _ in range(4):
-                normal = [zero] * 4
-                normal[i], normal[j] = one, -power
-                raw.append((tuple(normal), zero))
-                power = power * zeta
-    return build_arrangement(field, 4, raw)
 
 
 def test_g414_lattice_prime_and_poincare():

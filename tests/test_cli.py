@@ -5,6 +5,7 @@ from importlib import resources
 import pytest
 
 from oscount import cli
+from oscount.arrangement import MAX_BOUND_BITS
 from oscount.counting import g4_arrangement, q8d8_arrangement
 from oscount.errors import InvalidInputError
 from oscount.fields import MAX_CONDUCTOR, cyclotomic_field
@@ -63,6 +64,8 @@ def test_malformed_line_reports_line_number():
         parse_arrangement_text("frobnicate\n")
     with pytest.raises(InvalidInputError, match="line 1"):
         parse_arrangement_text("field\n")
+    with pytest.raises(InvalidInputError, match="line 4: hyperplane 1: bad rational token '1/0'"):
+        parse_arrangement_text("field rational\ndim 2\n\nhyperplane 1/0 1\n")
 
 
 def test_wrong_coefficient_count_names_hyperplane():
@@ -155,6 +158,26 @@ def test_conductor_above_the_limit_is_refused_before_any_work(capsys, tmp_path):
     )
     with pytest.raises(InvalidInputError, match="exceeds the limit"):
         cyclotomic_field(MAX_CONDUCTOR + 1)
+
+
+def test_lattice_prime_above_the_bit_limit_is_a_cap(capsys, tmp_path):
+    # a Hadamard bound of about 6,000 bits: the prime search alone would run
+    # for minutes, so the limit is checked before it
+    path = tmp_path / "big.arr"
+    a, b, c = 10**600 + 7, 10**599 + 3, 7 * 10**598 + 1
+    path.write_text(
+        f"field rational\ndim 2\nhyperplane {a} {b}\nhyperplane {b} {c}\nhyperplane {c} {a}\n"
+    )
+    start = time.perf_counter()
+    assert cli.main(["analyze", str(path), "--json"]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    bits = json.loads(out)["partial"]["bound_bits"]
+    assert bits > 5_900
+    assert err == (
+        f"error: the lattice prime must exceed a {bits}-bit bound; the limit is "
+        f"{MAX_BOUND_BITS} bits\n"
+    )
 
 
 def test_dimension_above_the_limit_is_invalid_input(capsys, tmp_path):

@@ -1,14 +1,22 @@
 import inspect
+import json
 import random
 import sys
 
 import pytest
 
-from conftest import rational_arrangement, whitney_characteristic
+from conftest import g414_arrangement, rational_arrangement, whitney_characteristic
 
-from oscount.arrangement import characteristic_polynomial, intersection_lattice, poincare_polynomial
+from oscount.arrangement import (
+    build_arrangement,
+    characteristic_polynomial,
+    intersection_lattice,
+    poincare_polynomial,
+)
 from oscount.counting import catalog, g4_arrangement, q8d8_arrangement
-from oscount import matroid
+from oscount import arrangement, cli, matroid
+from oscount.fields import cyclotomic_field
+from oscount.polynomial import IntegerPolynomial
 from oscount.errors import ComputationCapError, InvalidInputError
 from oscount.matroid import (
     find_good_primes,
@@ -61,6 +69,47 @@ def test_nbc_equals_poincare_on_random_central_arrangements():
         a = rational_arrangement(dim, rows)
         pi = poincare_polynomial(intersection_lattice(a))
         assert tuple(nbc_betti(a)) == pi.coefficients
+
+
+def test_nbc_reads_no_lattice_code(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the lattice code ran")
+
+    for name in ("_levels", "_rows_mod_prime", "_lattice_prime"):
+        monkeypatch.setattr(arrangement, name, refuse)
+    monkeypatch.setattr(matroid, "_levels", refuse)
+    with pytest.raises(AssertionError, match="the lattice code ran"):
+        intersection_lattice(g4_arrangement())
+    assert nbc_betti(g4_arrangement()) == [1, 3, 2]
+    assert nbc_betti(q8d8_arrangement()) == [1, 21, 170, 650, 1125, 625]
+    assert nbc_betti(g414_arrangement()) == [1, 28, 254, 812, 585]
+
+
+@pytest.mark.parametrize("conductor", [3, 5])
+def test_nbc_equals_whitney_over_cyclotomic_fields(conductor):
+    # entries 0, +-zeta^k and 1 + zeta^k make dependencies over Q(zeta_N)
+    # that the rational coordinates alone do not see
+    field = cyclotomic_field(conductor)
+    powers = [field.one()]
+    for _ in range(conductor - 1):
+        powers.append(powers[-1] * field.zeta())
+    entries = [field.zero()] * 3 + powers + [-x for x in powers]
+    entries += [field.one() + x for x in powers[1:]]
+    rng = random.Random(7000 + conductor)
+    for case in range(30):
+        dim, n = rng.randint(1, 3), rng.randint(1, 6)
+        raw = []
+        while len(raw) < n:
+            normal = tuple(rng.choice(entries) for _ in range(dim))
+            if any(not x.is_zero() for x in normal):
+                raw.append((normal, field.zero()))
+        a = build_arrangement(field, dim, raw)
+        betti = nbc_betti(a)
+        chi = IntegerPolynomial(
+            (-1) ** (dim - i) * betti[dim - i] if dim - i < len(betti) else 0
+            for i in range(dim + 1)
+        )
+        assert chi == whitney_characteristic(a), f"N = {conductor}, case {case}"
 
 
 def test_nbc_top_degree_equals_top_moebius_mass():
@@ -176,3 +225,31 @@ def test_whitney_oracle_matches_lattice(braid3):
     assert whitney_characteristic(braid3) == characteristic_polynomial(
         intersection_lattice(braid3)
     )
+
+
+# The sets the nbc walk visits on q8d8: the subset cap fires at the same set
+# only while the visit order stays the same.
+Q8D8_NBC_VISITS = 11_407
+
+
+def test_subset_cap_boundary_on_q8d8():
+    a = q8d8_arrangement()
+    assert nbc_betti(a, subset_cap=Q8D8_NBC_VISITS) == [1, 21, 170, 650, 1125, 625]
+    with pytest.raises(ComputationCapError, match=f"subset cap {Q8D8_NBC_VISITS - 1} ") as exc:
+        nbc_betti(a, subset_cap=Q8D8_NBC_VISITS - 1)
+    # every nbc set is counted before the walk's last, spanned, visit
+    assert exc.value.partial == {
+        "nbc_counts": [1, 21, 170, 650, 1125, 625],
+        "sets_visited": Q8D8_NBC_VISITS - 1,
+    }
+
+
+def test_subset_cap_reports_the_counts_so_far(capsys):
+    argv = ["count", "--catalog", "q8d8", "--oracle", "nbc", "--subset-cap", "100", "--json"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: subset cap 100 exceeded during nbc enumeration\n"
+    assert json.loads(out) == {
+        "error": "subset cap 100 exceeded during nbc enumeration",
+        "partial": {"nbc_counts": [1, 7, 20, 25, 11], "sets_visited": 100},
+    }
