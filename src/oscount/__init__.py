@@ -34,7 +34,6 @@ from .counting import (
     count_resolutions,
     namikawa_weyl_from_group,
     wreath_count_closed_form,
-    wreath_count_direct,
 )
 from .errors import (
     ComputationCapError,
@@ -50,7 +49,6 @@ from .fields import (
     cyclotomic_field,
     cyclotomic_polynomial,
     cyclotomic_reduce,
-    promote,
     rational_field,
 )
 from .groups import (

@@ -59,7 +59,7 @@ from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ComputationCapError, InvalidInputError, MathematicalInconsistencyError
-from .fields import FieldDescriptor, Scalar, cyclotomic_polynomial, is_prime
+from .fields import FieldDescriptor, Scalar, is_prime
 from .linalg import Row, rank_of_rows
 from .polynomial import IntegerPolynomial
 
@@ -163,9 +163,7 @@ def build_arrangement(
             )
         for x in tuple(normal) + (offset,):
             if x.field.conductor != field.conductor:
-                raise InvalidInputError(
-                    "hyperplane coefficients from a different field; promote explicitly"
-                )
+                raise InvalidInputError("hyperplane coefficients from a different field")
         h = Hyperplane.canonical(normal, offset)
         if h.row() not in seen:
             seen[h.row()] = None
@@ -248,13 +246,13 @@ def _hadamard_bound(rows: list[list[tuple[int, ...]]], ell: int) -> int:
     return isqrt(product - 1) + 1
 
 
-def _lattice_prime(bound: int, conductor: int) -> tuple[int, int]:
+def _lattice_prime(bound: int, field: FieldDescriptor) -> tuple[int, int]:
     """(p, omega): the first proven prime p = k 2^m + 1 > bound with k < 2^m
-    and conductor | p - 1, searched by increasing m and k, and an omega in
-    F_p certified as a root of Phi_N by Phi_N(omega) = 0 (mod p)."""
+    and N | p - 1, searched by increasing m and k, and an omega in F_p
+    certified as a root of Phi_N by Phi_N(omega) = 0 (mod p)."""
+    conductor = field.conductor
     twos = (conductor & -conductor).bit_length() - 1
     odd = conductor >> twos  # k is a multiple of the odd part of N
-    phi = cyclotomic_polynomial(conductor)
     m = max(twos, 1, (bound.bit_length() + 1) // 2)
     while True:
         k = odd * max(1, -(-bound // (odd << m)))  # the first k with k 2^m >= bound
@@ -263,7 +261,7 @@ def _lattice_prime(bound: int, conductor: int) -> tuple[int, int]:
             if is_prime(p):
                 for a in range(2, p):
                     omega = pow(a, (p - 1) // conductor, p)
-                    if _horner(phi, omega, p) == 0:
+                    if _horner(field.cyclotomic, omega, p) == 0:
                         return p, omega
             k += odd
         m += 1
@@ -290,7 +288,7 @@ def _rows_mod_prime(arrangement: Arrangement) -> tuple[list[tuple[int, ...]], in
             f"{MAX_BOUND_BITS} bits",
             partial={"bound_bits": bits},
         )
-    p, omega = _lattice_prime(bound, field.conductor)
+    p, omega = _lattice_prime(bound, field)
     return [tuple(_horner(entry, omega, p) for entry in row) for row in rows], p
 
 

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 from math import prod
+from pathlib import Path
 
 from .arrangement import (
     Arrangement,
     DEFAULT_FLAT_CAP,
     IntersectionLattice,
-    build_arrangement,
     characteristic_polynomial,
     essential_rank,
     intersection_lattice,
@@ -30,9 +29,8 @@ from .errors import (
     MathematicalInconsistencyError,
     UnsupportedFoldingError,
 )
-from .fields import cyclotomic_field, rational_field
+from .fileio import parse_arrangement_file, parse_group_file
 from .groups import MatrixGroup, ParabolicClass
-from .linalg import ExactMatrix, kron
 from .polynomial import IntegerPolynomial
 from .rootdata import CatalanSpec, WeylTypeData, catalan_arrangement, parse_type_label, weyl_data
 
@@ -43,15 +41,10 @@ __all__ = [
     "CatalogEntry",
     "count_resolutions",
     "wreath_count_closed_form",
-    "wreath_count_direct",
     "namikawa_weyl_from_group",
     "diagram_automorphism_order",
     "catalog",
     "FOLDING_OVERRIDES",
-    "q8d8_arrangement",
-    "g4_arrangement",
-    "q8d8_group",
-    "g4_group",
 ]
 
 
@@ -167,26 +160,6 @@ def wreath_weyl_data(type_data: WeylTypeData, n: int) -> NamikawaWeylData:
     return NamikawaWeylData.from_factors([(type_data.full_label, type_data.weyl_order)])
 
 
-def wreath_count_direct(
-    type_data: WeylTypeData, n: int, flat_cap: int = DEFAULT_FLAT_CAP
-) -> CountReport:
-    """The arrangement route: coned Catalan arrangement plus the wreath Weyl
-    order.  For n >= 2 the result must equal the closed form exactly (the
-    two measure different objects at n = 1; see the n = 1 degeneracy note in
-    the self-test)."""
-    spec = CatalanSpec(type_data, n)
-    arr = catalan_arrangement(spec)
-    report = count_resolutions(arr, wreath_weyl_data(type_data, n), flat_cap)
-    if n >= 2:
-        closed = wreath_count_closed_form(type_data, n)
-        if report.resolution_count != closed:
-            raise MathematicalInconsistencyError(
-                f"wreath routes disagree for ({type_data.full_label}, n={n}): "
-                f"arrangement {report.resolution_count} vs closed form {closed}"
-            )
-    return report
-
-
 def diagram_automorphism_order(label: str) -> int:
     """Order of the Dynkin-diagram automorphism group of an ADE label."""
     letter, rank = parse_type_label(label)
@@ -203,20 +176,15 @@ def diagram_automorphism_order(label: str) -> int:
 FOLDING_OVERRIDES: dict[tuple[str, int], int] = {("A2", 2): 3}
 
 
-def namikawa_weyl_from_group(
-    parabolics: list[ParabolicClass],
-    overrides: dict[tuple[str, int], int] | None = None,
-) -> NamikawaWeylData:
+def namikawa_weyl_from_group(parabolics: list[ParabolicClass]) -> NamikawaWeylData:
     """Namikawa Weyl order from parabolic class data.
 
     When Xi(B) is trivial as a group, or the label admits no diagram
     automorphism (A1/E7/E8), the diagram action is forced trivial and W_B is
     the full Weyl group of the label.  Otherwise the conjugation action on
-    classes does not determine the diagram action, so only explicit
-    overrides are accepted.
+    classes does not determine the diagram action, so only the entries of
+    FOLDING_OVERRIDES are accepted.
     """
-    if overrides is None:
-        overrides = FOLDING_OVERRIDES
     factors = []
     for pc in parabolics:
         label = pc.kleinian_label
@@ -224,8 +192,8 @@ def namikawa_weyl_from_group(
         full_order = weyl_data(letter, rank).weyl_order
         if pc.xi_order == 1 or diagram_automorphism_order(label) == 1:
             factor = full_order
-        elif (label, pc.xi_order) in overrides:
-            factor = overrides[(label, pc.xi_order)]
+        elif (label, pc.xi_order) in FOLDING_OVERRIDES:
+            factor = FOLDING_OVERRIDES[(label, pc.xi_order)]
         else:
             raise UnsupportedFoldingError(
                 f"parabolic class with label {label} and |Xi| = {pc.xi_order}: "
@@ -240,91 +208,9 @@ def namikawa_weyl_from_group(
     return NamikawaWeylData.from_factors(factors)
 
 
-# ---------------------------------------------------------------------------
-# Catalog data
-
-
-def q8d8_arrangement() -> Arrangement:
-    """21 hyperplanes in Q^5: the 16 sign hyperplanes
-    c1 +- c2 +- c3 +- c4 +- c5 = 0 and the 5 coordinate hyperplanes."""
-    f = rational_field()
-    raw = []
-    for signs in iter_product((1, -1), repeat=4):
-        normal = tuple(f.from_rational(c) for c in (1,) + signs)
-        raw.append((normal, f.zero()))
-    for i in range(5):
-        normal = tuple(f.from_rational(1 if j == i else 0) for j in range(5))
-        raw.append((normal, f.zero()))
-    return build_arrangement(f, 5, raw)
-
-
-def g4_arrangement() -> Arrangement:
-    """Three hyperplanes over Q(zeta_3): normals (1,1), (w,w^2), (w^2,w)."""
-    f = cyclotomic_field(3)
-    w = f.zeta()
-    one, zero = f.one(), f.zero()
-    raw = [
-        ((one, one), zero),
-        ((w, w * w), zero),
-        ((w * w, w), zero),
-    ]
-    return build_arrangement(f, 2, raw)
-
-
-def q8d8_group() -> MatrixGroup:
-    """The order-32 central product of the quaternion and dihedral groups of
-    order 8, acting on C^2 (x) C^2 over Q(zeta_4); the symplectic form is
-    (skew) (x) (symmetric)."""
-    f = cyclotomic_field(4)
-    i_ = f.zeta()
-    one, zero = f.one(), f.zero()
-    qi = ExactMatrix(f, [[i_, zero], [zero, -i_]])
-    qj = ExactMatrix(f, [[zero, one], [-one, zero]])
-    ident = ExactMatrix.identity(f, 2)
-    rot = ExactMatrix(f, [[zero, -one], [one, zero]])
-    flip = ExactMatrix(f, [[one, zero], [zero, -one]])
-    omega = kron(ExactMatrix(f, [[zero, one], [-one, zero]]), ident)
-    gens = [kron(qi, ident), kron(qj, ident), kron(ident, rot), kron(ident, flip)]
-    return MatrixGroup(f, 4, gens, omega)
-
-
-def g4_group() -> MatrixGroup:
-    """The rank-2 complex reflection group of order 24, generated by two
-    order-3 reflections with the braid relation, doubled to C^2 + (C^2)* by
-    g |-> g (+) (g^T)^{-1} over Q(zeta_3)."""
-    f = cyclotomic_field(3)
-    w = f.zeta()
-    one, zero = f.one(), f.zero()
-    third = f.from_rational(Fraction(1, 3))
-    two_w = w + w
-    s = ExactMatrix(f, [[one, zero], [zero, w]])
-    t = ExactMatrix(
-        f,
-        [
-            [third * (one + two_w), one],
-            [third * (-two_w), third * (one + one + w)],
-        ],
-    )
-
-    def doubled(g: ExactMatrix) -> ExactMatrix:
-        ginv_t = g.inverse().transpose()
-        rows = []
-        for i in range(2):
-            rows.append(list(g.rows[i]) + [zero, zero])
-        for i in range(2):
-            rows.append([zero, zero] + list(ginv_t.rows[i]))
-        return ExactMatrix(f, rows)
-
-    omega = ExactMatrix(
-        f,
-        [
-            [zero, zero, one, zero],
-            [zero, zero, zero, one],
-            [-one, zero, zero, zero],
-            [zero, -one, zero, zero],
-        ],
-    )
-    return MatrixGroup(f, 4, [doubled(s), doubled(t)], omega)
+# The q8d8 and g4 arrangements and groups are read from the shipped data
+# files, whose headers say how each was built.
+_DATA = Path(__file__).with_name("data")
 
 
 @dataclass
@@ -341,9 +227,9 @@ def catalog(name: str) -> CatalogEntry:
     if name == "q8d8":
         return CatalogEntry(
             name="q8d8",
-            arrangement=q8d8_arrangement(),
+            arrangement=parse_arrangement_file(str(_DATA / "q8d8.arr")),
             weyl_data=NamikawaWeylData.from_factors([("A1", 2)] * 5),
-            group=q8d8_group(),
+            group=parse_group_file(str(_DATA / "q8d8.grp")),
             expected={
                 "poincare": (1, 21, 170, 650, 1125, 625),
                 "os_dimension": 2592,
@@ -359,9 +245,9 @@ def catalog(name: str) -> CatalogEntry:
     if name == "g4":
         return CatalogEntry(
             name="g4",
-            arrangement=g4_arrangement(),
+            arrangement=parse_arrangement_file(str(_DATA / "g4.arr")),
             weyl_data=NamikawaWeylData.from_factors([("A2", 3)]),
-            group=g4_group(),
+            group=parse_group_file(str(_DATA / "g4.grp")),
             expected={
                 "poincare": (1, 3, 2),
                 "os_dimension": 6,

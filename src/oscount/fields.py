@@ -4,7 +4,8 @@ A scalar is a coordinate vector over Q in the power basis
 1, z, ..., z^{phi(N)-1} of Q[x]/Phi_N(x), stored in lowest terms, so
 equality is literal coordinate equality and all arithmetic is exact.
 The rational field is the case N = 1.  Mixed-field arithmetic is an
-error; promotion Q -> Q(zeta_N) is the explicit operation `promote`.
+error.  A FieldDescriptor computes Phi_N and the power table of zeta once,
+when it is made.
 
 The conductor is at most MAX_CONDUCTOR, checked before any work: Phi_N
 comes from a recursion over the divisors of N, arithmetic costs grow with
@@ -13,7 +14,7 @@ phi(N)^2 and the lattice prime exceeds H^phi(N) (see `arrangement`).
 
 from __future__ import annotations
 
-import functools
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -28,7 +29,6 @@ __all__ = [
     "cyclotomic_field",
     "cyclotomic_polynomial",
     "cyclotomic_reduce",
-    "promote",
     "euler_phi",
     "is_prime",
     "parse_scalar",
@@ -104,29 +104,29 @@ def _poly_divmod_int(num: tuple[int, ...], den: tuple[int, ...]):
     return tuple(quot), tuple(num_l)
 
 
-@functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, ascending.  Phi_1 = x - 1.
 
-    Computed by the recursion x^n - 1 = prod_{d | n} Phi_d.
+    Computed by the recursion x^m - 1 = prod_{d | m} Phi_d, for the divisors
+    m of n in increasing order.
     """
     if n < 1:
         raise InvalidInputError(f"cyclotomic polynomial undefined for {n}")
-    if n == 1:
-        return (-1, 1)
-    poly = tuple([-1] + [0] * (n - 1) + [1])  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly, rem = _poly_divmod_int(poly, cyclotomic_polynomial(d))
-            assert rem == (), "cyclotomic recursion left a remainder"
-    return poly
+    found: dict[int, tuple[int, ...]] = {}
+    for m in range(1, n + 1):
+        if n % m == 0:
+            poly = tuple([-1] + [0] * (m - 1) + [1])  # x^m - 1
+            for d, phi_d in found.items():
+                if m % d == 0:
+                    poly, rem = _poly_divmod_int(poly, phi_d)
+                    assert rem == (), "cyclotomic recursion left a remainder"
+            found[m] = poly
+    return found[n]
 
 
-@functools.lru_cache(maxsize=None)
-def _power_table(conductor: int) -> tuple[tuple[int, ...], ...]:
+def _power_table(conductor: int, phi: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Coordinates of zeta^k in the power basis mod Phi_N, for k up to
     max(N, 2*phi(N) - 1) exclusive (products need exponents to 2d - 2)."""
-    phi = cyclotomic_polynomial(conductor)
     d = len(phi) - 1
     rows: list[tuple[int, ...]] = []
     for k in range(d):
@@ -145,21 +145,33 @@ def _power_table(conductor: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class FieldDescriptor:
-    """Coefficient field: Q (conductor 1) or Q(zeta_N)."""
+    """Coefficient field: Q (conductor 1) or Q(zeta_N), with Phi_N
+    (`cyclotomic`, ascending) and the coordinates of zeta^k (`powers`)."""
 
     kind: str
     conductor: int
     degree: int
+    cyclotomic: tuple[int, ...] = dataclasses.field(init=False, repr=False, compare=False)
+    powers: tuple[tuple[int, ...], ...] = dataclasses.field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.kind not in ("rational", "cyclotomic"):
             raise InvalidInputError(f"unknown field kind {self.kind!r}")
         if self.conductor < 1:
             raise InvalidInputError("conductor must be >= 1")
+        if self.conductor > MAX_CONDUCTOR:
+            raise InvalidInputError(
+                f"conductor {self.conductor} exceeds the limit {MAX_CONDUCTOR}"
+            )
         if self.degree != euler_phi(self.conductor):
             raise InvalidInputError("degree must equal the totient of the conductor")
         if self.kind == "rational" and self.conductor != 1:
             raise InvalidInputError("rational field has conductor 1")
+        phi = cyclotomic_polynomial(self.conductor)
+        object.__setattr__(self, "cyclotomic", phi)
+        object.__setattr__(self, "powers", _power_table(self.conductor, phi))
 
     @property
     def is_rational(self) -> bool:
@@ -189,13 +201,12 @@ def rational_field() -> FieldDescriptor:
 
 
 def cyclotomic_field(conductor: int) -> FieldDescriptor:
-    if conductor > MAX_CONDUCTOR:
-        raise InvalidInputError(
-            f"conductor {conductor} exceeds the limit {MAX_CONDUCTOR}"
-        )
     if conductor == 1:
         return rational_field()
-    return FieldDescriptor("cyclotomic", conductor, euler_phi(conductor))
+    # the totient's trial division is unbounded in N, so a conductor above
+    # the limit reaches __post_init__, which refuses it, without one
+    degree = euler_phi(conductor) if conductor <= MAX_CONDUCTOR else 0
+    return FieldDescriptor("cyclotomic", conductor, degree)
 
 
 class Scalar:
@@ -218,7 +229,7 @@ class Scalar:
         if self.field.conductor != other.field.conductor:
             raise InvalidInputError(
                 f"mixed-field arithmetic: conductor {self.field.conductor} vs "
-                f"{other.field.conductor}; promote explicitly"
+                f"{other.field.conductor}"
             )
 
     def __add__(self, other: "Scalar") -> "Scalar":
@@ -244,7 +255,7 @@ class Scalar:
                 for j, bj in enumerate(b):
                     if bj:
                         conv[i + j] += ai * bj
-        table = _power_table(self.field.conductor)
+        table = self.field.powers
         out = conv[:d]
         for k in range(d, 2 * d - 1):
             ck = conv[k]
@@ -262,7 +273,7 @@ class Scalar:
         if d == 1:
             return Scalar(self.field, (Fraction(1) / self.coords[0],))
         # Extended Euclid in Q[x] against Phi_N (irreducible over Q).
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.field.conductor)]
+        phi = [Fraction(c) for c in self.field.cyclotomic]
         a = list(self.coords)
         r0, r1 = phi, a
         s0, s1 = [Fraction(0)], [Fraction(1)]
@@ -284,7 +295,7 @@ class Scalar:
         f = self.field
         if f.is_rational:
             return self
-        table = _power_table(f.conductor)
+        table = f.powers
         d = f.degree
         out = [Fraction(0)] * d
         for k, ck in enumerate(self.coords):
@@ -382,7 +393,7 @@ def cyclotomic_reduce(poly_coords: Sequence, field: FieldDescriptor) -> Scalar:
         )
     out = coords[:d] + [Fraction(0)] * max(d - len(coords), 0)
     if len(coords) > d:
-        table = _power_table(n)
+        table = field.powers
         for k in range(d, len(coords)):
             ck = coords[k]
             if ck:
@@ -393,15 +404,12 @@ def cyclotomic_reduce(poly_coords: Sequence, field: FieldDescriptor) -> Scalar:
     return Scalar(field, tuple(out))
 
 
-def promote(x: Scalar, field: FieldDescriptor) -> Scalar:
-    """Explicit promotion Q -> Q(zeta_N); anything else is refused."""
-    if x.field.conductor == field.conductor:
-        return x
-    if not x.field.is_rational:
-        raise InvalidInputError(
-            f"no promotion from conductor {x.field.conductor} to {field.conductor}"
-        )
-    return field.from_rational(x.coords[0])
+def _rational(text: str) -> Fraction:
+    # Fraction also reads exponents, and would expand 1e1000000 into an
+    # integer of a million digits; they are not part of the token syntax.
+    if "e" in text or "E" in text:
+        raise ValueError("exponent notation is not allowed")
+    return Fraction(text)
 
 
 def parse_scalar(token: str, field: FieldDescriptor) -> Scalar:
@@ -416,7 +424,7 @@ def parse_scalar(token: str, field: FieldDescriptor) -> Scalar:
             raise InvalidInputError(f"unterminated cyclotomic token {token!r}")
         parts = token[1:-1].split(",")
         try:
-            coords = [Fraction(p.strip()) for p in parts]
+            coords = [_rational(p.strip()) for p in parts]
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInputError(f"bad cyclotomic token {token!r}: {exc}") from None
         if len(coords) > field.degree:
@@ -426,7 +434,7 @@ def parse_scalar(token: str, field: FieldDescriptor) -> Scalar:
         coords += [Fraction(0)] * (field.degree - len(coords))
         return Scalar(field, tuple(coords))
     try:
-        value = Fraction(token)
+        value = _rational(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"bad rational token {token!r}: {exc}") from None
     return field.from_rational(value)

@@ -14,8 +14,8 @@ Groups:
     generator         followed by 2n rows, repeated per generator
 
 Scalar tokens use the syntax of the exact-arithmetic layer: `p/q`, `p`,
-or `(a0,a1,...)`.  Round-trip is stable: serialize(parse(f)) parses to an
-equal object.
+or `(a0,a1,...)`.  Arrangements round-trip: serialize(parse(f)) parses
+to an equal object.
 
 Limits, checked before anything is allocated: `dim` is at most MAX_DIM,
 and the conductor N is at most `fields.MAX_CONDUCTOR`.
@@ -35,7 +35,6 @@ __all__ = [
     "serialize_arrangement",
     "parse_group_text",
     "parse_group_file",
-    "serialize_group",
     "MAX_DIM",
 ]
 
@@ -106,9 +105,8 @@ def parse_arrangement_text(text: str) -> Arrangement:
                     raise InvalidInputError(
                         f"line {lineno}: hyperplane {count}: expected one offset after `=`"
                     )
-                offset = parse_scalar(rest[0], field)
             else:
-                coeff_tokens, offset = body, field.zero()
+                coeff_tokens, rest = body, []
             if len(coeff_tokens) != dim:
                 raise InvalidInputError(
                     f"line {lineno}: hyperplane {count} has {len(coeff_tokens)} "
@@ -116,6 +114,7 @@ def parse_arrangement_text(text: str) -> Arrangement:
                 )
             try:
                 normal = tuple(parse_scalar(tok, field) for tok in coeff_tokens)
+                offset = parse_scalar(rest[0], field) if rest else field.zero()
             except InvalidInputError as exc:
                 raise InvalidInputError(f"line {lineno}: hyperplane {count}: {exc}") from None
             raw.append((normal, offset))
@@ -135,14 +134,10 @@ def parse_arrangement_file(path: str) -> Arrangement:
     return parse_arrangement_text(text)
 
 
-def _field_directive(field: FieldDescriptor) -> str:
-    if field.is_rational:
-        return "field rational"
-    return f"field cyclotomic {field.conductor}"
-
-
 def serialize_arrangement(arrangement: Arrangement) -> str:
-    lines = [_field_directive(arrangement.field), f"dim {arrangement.ambient_dim}"]
+    field = arrangement.field
+    directive = "field rational" if field.is_rational else f"field cyclotomic {field.conductor}"
+    lines = [directive, f"dim {arrangement.ambient_dim}"]
     for h in arrangement.hyperplanes:
         body = " ".join(str(x) for x in h.normal)
         if h.offset.is_zero():
@@ -197,7 +192,10 @@ def parse_group_text(text: str) -> MatrixGroup:
                 raise InvalidInputError(
                     f"line {lineno}: matrix row has {len(tokens)} entries; expected {dim}"
                 )
-            pending.append([parse_scalar(tok, field) for tok in tokens])
+            try:
+                pending.append([parse_scalar(tok, field) for tok in tokens])
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"line {lineno}: {exc}") from None
             if len(pending) == dim:
                 finish_block(lineno)
     finish_block(last_lineno)
@@ -217,14 +215,3 @@ def parse_group_file(path: str) -> MatrixGroup:
     except OSError as exc:
         raise InvalidInputError(f"cannot read group file {path}: {exc}") from None
     return parse_group_text(text)
-
-
-def serialize_group(group: MatrixGroup) -> str:
-    lines = [_field_directive(group.field), f"dim {group.dim}", "symplectic_form"]
-    for row in group.symplectic_form.rows:
-        lines.append(" ".join(str(x) for x in row))
-    for g in group.generators:
-        lines.append("generator")
-        for row in g.rows:
-            lines.append(" ".join(str(x) for x in row))
-    return "\n".join(lines) + "\n"

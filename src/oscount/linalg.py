@@ -13,7 +13,7 @@ from typing import Sequence
 from .errors import InvalidInputError
 from .fields import FieldDescriptor, Scalar
 
-__all__ = ["ExactMatrix", "rref_rows", "reduce_row", "rank_of_rows", "kron"]
+__all__ = ["ExactMatrix", "rref_rows", "reduce_row", "rank_of_rows"]
 
 Row = tuple[Scalar, ...]
 
@@ -67,17 +67,6 @@ def rank_of_rows(rows: Sequence[Row]) -> int:
     return len(rref_rows(rows)[0])
 
 
-def kron(a: "ExactMatrix", b: "ExactMatrix") -> "ExactMatrix":
-    """Kronecker product, row-major in the first factor."""
-    rows = []
-    for i in range(a.nrows):
-        for k in range(b.nrows):
-            rows.append(
-                [a.rows[i][j] * b.rows[k][l] for j in range(a.ncols) for l in range(b.ncols)]
-            )
-    return ExactMatrix(a.field, rows)
-
-
 class ExactMatrix:
     """Immutable matrix of Scalars over a common field."""
 
@@ -107,10 +96,6 @@ class ExactMatrix:
     def identity(cls, field: FieldDescriptor, n: int) -> "ExactMatrix":
         one, zero = field.one(), field.zero()
         return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, ij) -> Scalar:
-        i, j = ij
-        return self.rows[i][j]
 
     def __eq__(self, other) -> bool:
         return (
@@ -154,16 +139,6 @@ class ExactMatrix:
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(self.field, list(zip(*self.rows)) if self.rows else [])
-
-    def rref(self) -> tuple["ExactMatrix", int, tuple[int, ...]]:
-        """Canonical reduced row echelon form, rank, pivot columns.
-
-        Zero rows are kept (padded at the bottom) so the shape is preserved.
-        """
-        pivot_rows, pivots = rref_rows(self.rows)
-        zero_row = tuple(self.field.zero() for _ in range(self.ncols))
-        padded = list(pivot_rows) + [zero_row] * (self.nrows - len(pivot_rows))
-        return ExactMatrix(self.field, padded), len(pivots), pivots
 
     def rank(self) -> int:
         return rank_of_rows(self.rows)

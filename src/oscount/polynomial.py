@@ -21,24 +21,6 @@ class IntegerPolynomial:
     def __setattr__(self, *_):
         raise AttributeError("IntegerPolynomial is immutable")
 
-    @classmethod
-    def zero(cls) -> "IntegerPolynomial":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "IntegerPolynomial":
-        return cls((1,))
-
-    @classmethod
-    def t(cls) -> "IntegerPolynomial":
-        return cls((0, 1))
-
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
     def __call__(self, x: int) -> int:
         acc = 0
         for c in reversed(self.coefficients):

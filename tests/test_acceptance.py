@@ -19,7 +19,6 @@ from oscount.counting import (
     count_resolutions,
     namikawa_weyl_from_group,
     wreath_count_closed_form,
-    wreath_count_direct,
 )
 from oscount.groups import minimal_parabolics, symplectic_reflections, verify_zeta_bijection
 from oscount.matroid import find_good_primes, finite_field_count, nbc_betti
@@ -82,9 +81,10 @@ def test_criterion_4_wreath_two_route_agreement():
             wdata = weyl_data(letter, rank)
             t0 = time.perf_counter()
             closed = wreath_count_closed_form(wdata, n)
-            report = wreath_count_direct(wdata, n)
+            entry = catalog(f"wreath:{label}:{n}")
+            report = count_resolutions(entry.arrangement, entry.weyl_data)
             elapsed = time.perf_counter() - t0
-            assert closed == count
+            assert closed == count == entry.expected["count"]
             assert report.resolution_count == count
             assert report.os_dimension == pi1
             assert report.weyl_order == 2 * wdata.weyl_order
@@ -100,7 +100,9 @@ def test_criterion_5_n1_degeneracy():
         # the n = 1 arrangement measures a different object: {a=0, x=0} for A1
         # with |W| = prod(e_i + 1) = 2 gives count 2, and is deliberately not
         # compared against the closed form
-        report = wreath_count_direct(weyl_data("A", 1), 1)
+        entry = catalog("wreath:A1:1")
+        assert "count" not in entry.expected
+        report = count_resolutions(entry.arrangement, entry.weyl_data)
         assert report.os_dimension == 4 and report.weyl_order == 2
         assert report.resolution_count == 2
 

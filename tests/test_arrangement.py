@@ -16,15 +16,15 @@ from oscount.arrangement import (
     poincare_polynomial,
     region_count,
 )
-from oscount.counting import g4_arrangement, q8d8_arrangement
+from oscount.counting import catalog
 from oscount.errors import ComputationCapError, InvalidInputError
 from oscount.fields import cyclotomic_field, rational_field
 from oscount.matroid import nbc_betti
 from oscount.polynomial import IntegerPolynomial
 
 QQ = rational_field()
-T = IntegerPolynomial.t()
-ONE = IntegerPolynomial.one()
+T = IntegerPolynomial((0, 1))
+ONE = IntegerPolynomial((1,))
 
 
 def test_build_canonicalizes_and_dedups():
@@ -43,13 +43,13 @@ def test_build_rejects_zero_normal_and_mixed_fields():
 
 
 def test_q8d8_arrangement_shape():
-    a = q8d8_arrangement()
+    a = catalog("q8d8").arrangement
     assert len(a.hyperplanes) == 21
     assert a.ambient_dim == 5 and a.central
 
 
 def test_g4_arrangement_shape():
-    a = g4_arrangement()
+    a = catalog("g4").arrangement
     assert len(a.hyperplanes) == 3
     assert a.ambient_dim == 2 and a.central
     assert a.field.conductor == 3
@@ -72,7 +72,7 @@ def test_boolean_lattice(boolean3):
 
 
 def test_g4_lattice_and_polynomials():
-    lat = intersection_lattice(g4_arrangement())
+    lat = intersection_lattice(catalog("g4").arrangement)
     assert lat.flats_per_level() == [1, 3, 1]
     assert [mu for _, mu in lat.all_flats()] == [1, -1, -1, -1, 2]
     assert characteristic_polynomial(lat) == IntegerPolynomial((2, -3, 1))
@@ -88,7 +88,7 @@ def test_braid_characteristic_with_finite_field_oracle(braid3):
 
 
 def test_q8d8_poincare_polynomial_matches_published_value():
-    lat = intersection_lattice(q8d8_arrangement())
+    lat = intersection_lattice(catalog("q8d8").arrangement)
     pi = poincare_polynomial(lat)
     assert pi.coefficients == (1, 21, 170, 650, 1125, 625)
     assert pi(1) == 2592
@@ -103,12 +103,12 @@ def test_region_counts():
     assert region_count(rational_arrangement(2, [[1, 0]])) == (2, 0)
     four = rational_arrangement(2, [[0, 1], [1, 0], [1, 1], [1, -1]])
     assert region_count(four) == (8, 0)
-    assert region_count(q8d8_arrangement())[0] == 2592
+    assert region_count(catalog("q8d8").arrangement)[0] == 2592
 
 
 def test_region_count_refuses_nonreal():
     with pytest.raises(InvalidInputError, match="hyperplane"):
-        region_count(g4_arrangement())
+        region_count(catalog("g4").arrangement)
 
 
 def test_region_count_affine():
@@ -155,7 +155,7 @@ def test_deletion_restriction_braid_merges_images(braid3):
 
 
 def test_deletion_restriction_identity_on_g4():
-    a = g4_arrangement()
+    a = catalog("g4").arrangement
     chi = characteristic_polynomial(intersection_lattice(a))
     deleted, restricted = deletion_restriction(a, 0)
     chi_d = characteristic_polynomial(intersection_lattice(deleted))
@@ -171,7 +171,7 @@ def test_deletion_restriction_identity_on_catalog_representatives():
     from oscount.counting import catalog
 
     cases = [
-        (q8d8_arrangement(), (0, 16)),
+        (catalog("q8d8").arrangement, (0, 16)),
         (catalog("wreath:A2:2").arrangement, None),
         (catalog("wreath:A3:2").arrangement, (0, 18)),
     ]
@@ -186,7 +186,7 @@ def test_deletion_restriction_identity_on_catalog_representatives():
 
 
 def test_moebius_row_sums_vanish():
-    for arrangement in (q8d8_arrangement(), g4_arrangement()):
+    for arrangement in (catalog("q8d8").arrangement, catalog("g4").arrangement):
         lat = intersection_lattice(arrangement)
         flats = [(f, mu) for f, mu in lat.all_flats()]
         for f, _ in flats:
@@ -197,7 +197,7 @@ def test_moebius_row_sums_vanish():
 
 
 def test_poincare_sign_pattern():
-    lat = intersection_lattice(q8d8_arrangement())
+    lat = intersection_lattice(catalog("q8d8").arrangement)
     pi = poincare_polynomial(lat)
     whitney = lat.whitney_numbers()
     for k, w in enumerate(whitney):
@@ -210,14 +210,14 @@ def test_flat_family_matches_subset_ranks():
     affine = rational_arrangement(
         2, [[1, 0], [0, 1], [1, 1], [1, -1], [1, 0]], offsets=[0, 0, 1, 2, 1]
     )
-    for arrangement in (g4_arrangement(), affine):
+    for arrangement in (catalog("g4").arrangement, affine):
         lat = intersection_lattice(arrangement)
         flats = {(f.contains, f.codim) for f, _ in lat.all_flats()}
         assert flats == brute_force_flats(arrangement)
 
 
 def test_flat_cap_errors():
-    a = q8d8_arrangement()
+    a = catalog("q8d8").arrangement
     assert intersection_lattice(a, flat_cap=568).num_flats() == 568
     with pytest.raises(ComputationCapError, match="exceeded at codimension 5") as err:
         intersection_lattice(a, flat_cap=567)
@@ -228,7 +228,7 @@ def test_flat_cap_errors():
 
 
 def test_lattice_determinism():
-    a = q8d8_arrangement()
+    a = catalog("q8d8").arrangement
     l1 = intersection_lattice(a)
     l2 = intersection_lattice(a)
 
@@ -255,7 +255,7 @@ def test_lattice_with_large_coefficients_matches_subset_ranks():
 
 
 def test_q8d8_lattice_prime_is_above_the_bound_and_proven():
-    a = q8d8_arrangement()
+    a = catalog("q8d8").arrangement
     _, p = _rows_mod_prime(a)
     assert p == 193
     # p exceeds H, the product of the six (l + 1) largest row norms, taken
@@ -276,7 +276,7 @@ def test_q8d8_lattice_prime_is_above_the_bound_and_proven():
 def test_g414_lattice_prime_and_poincare():
     a = g414_arrangement()
     bound = _hadamard_bound(_integer_rows(a), 4) ** 2
-    p, omega = _lattice_prime(bound, 4)
+    p, omega = _lattice_prime(bound, cyclotomic_field(4))
     assert p == _rows_mod_prime(a)[1] > bound
     assert p % 4 == 1
     assert (omega * omega + 1) % p == 0  # Phi_4(omega) = 0
@@ -289,5 +289,5 @@ def test_g414_lattice_prime_and_poincare():
 
 
 def test_essential_rank():
-    assert essential_rank(q8d8_arrangement()) == 5
+    assert essential_rank(catalog("q8d8").arrangement) == 5
     assert essential_rank(rational_arrangement(3, [[1, 0, 0], [2, 0, 0]])) == 1

@@ -6,7 +6,7 @@ import pytest
 
 from oscount import cli
 from oscount.arrangement import MAX_BOUND_BITS
-from oscount.counting import g4_arrangement, q8d8_arrangement
+from oscount.counting import catalog
 from oscount.errors import InvalidInputError
 from oscount.fields import MAX_CONDUCTOR, cyclotomic_field
 from oscount.fileio import (
@@ -15,7 +15,6 @@ from oscount.fileio import (
     parse_arrangement_text,
     parse_group_text,
     serialize_arrangement,
-    serialize_group,
 )
 
 
@@ -23,12 +22,26 @@ def data_path(name: str) -> str:
     return str(resources.files("oscount.data") / name)
 
 
+# The 16 sign hyperplanes x1 +- x2 +- x3 +- x4 +- x5 = 0, then the 5
+# coordinate hyperplanes, in the order the nbc walk and the subset cap use.
+Q8D8_NORMALS = [
+    (1, 1, 1, 1, 1), (1, 1, 1, 1, -1), (1, 1, 1, -1, 1), (1, 1, 1, -1, -1),
+    (1, 1, -1, 1, 1), (1, 1, -1, 1, -1), (1, 1, -1, -1, 1), (1, 1, -1, -1, -1),
+    (1, -1, 1, 1, 1), (1, -1, 1, 1, -1), (1, -1, 1, -1, 1), (1, -1, 1, -1, -1),
+    (1, -1, -1, 1, 1), (1, -1, -1, 1, -1), (1, -1, -1, -1, 1), (1, -1, -1, -1, -1),
+    (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1),
+]
+
+
 def test_shipped_q8d8_file():
     arr = parse_arrangement_file(data_path("q8d8.arr"))
     assert len(arr.hyperplanes) == 21
     assert arr.ambient_dim == 5
     assert arr.field.is_rational
-    assert arr.hyperplanes == q8d8_arrangement().hyperplanes
+    assert arr.central
+    normals = [tuple(x.rational_value() for x in h.normal) for h in arr.hyperplanes]
+    assert normals == Q8D8_NORMALS
+    assert arr.hyperplanes == catalog("q8d8").arrangement.hyperplanes
 
 
 def test_g4_file_from_spec_rows():
@@ -40,7 +53,7 @@ hyperplane (0,1) (-1,-1)
 hyperplane (-1,-1) (0,1)
 """
     arr = parse_arrangement_text(text)
-    assert arr.same_hyperplanes(g4_arrangement())
+    assert arr.same_hyperplanes(catalog("g4").arrangement)
 
 
 def test_empty_hyperplane_list_is_valid():
@@ -49,8 +62,8 @@ def test_empty_hyperplane_list_is_valid():
 
 
 def test_round_trip_stability():
-    for build in (q8d8_arrangement, g4_arrangement):
-        arr = build()
+    for name in ("q8d8", "g4"):
+        arr = catalog(name).arrangement
         text = serialize_arrangement(arr)
         again = parse_arrangement_text(text)
         assert again.hyperplanes == arr.hyperplanes
@@ -71,17 +84,6 @@ def test_malformed_line_reports_line_number():
 def test_wrong_coefficient_count_names_hyperplane():
     with pytest.raises(InvalidInputError, match="hyperplane 2"):
         parse_arrangement_text("field rational\ndim 2\nhyperplane 1 0\nhyperplane 1\n")
-
-
-def test_group_round_trip():
-    from oscount.counting import g4_group
-
-    g = g4_group()
-    text = serialize_group(g)
-    again = parse_group_text(text)
-    assert serialize_group(again) == text
-    again.enumerate_elements()
-    assert again.order == 24
 
 
 def test_group_file_errors():
@@ -112,7 +114,7 @@ def test_cli_count_json_structure(capsys):
 
 def test_cli_analyze_with_oracles(capsys, tmp_path):
     path = tmp_path / "g4.arr"
-    path.write_text(serialize_arrangement(g4_arrangement()))
+    path.write_text(serialize_arrangement(catalog("g4").arrangement))
     assert cli.main(["analyze", str(path), "--oracle", "nbc", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["os_dimension"] == 6
@@ -180,6 +182,27 @@ def test_lattice_prime_above_the_bit_limit_is_a_cap(capsys, tmp_path):
     )
 
 
+def test_exponent_token_is_refused_before_it_is_expanded(capsys, tmp_path):
+    # Fraction would expand 1e10000000 into a ten-million-digit integer
+    path = tmp_path / "exp.arr"
+    path.write_text("field rational\ndim 2\n\nhyperplane 1e10000000 1\n")
+    start = time.perf_counter()
+    assert cli.main(["analyze", str(path)]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "error: line 4: hyperplane 1: bad rational token '1e10000000': "
+        "exponent notation is not allowed\n"
+    )
+    for text in (
+        "field cyclotomic 3\ndim 1\nhyperplane (1,2E5)\n",
+        "field rational\ndim 1\nhyperplane 1 = 1e5\n",
+    ):
+        with pytest.raises(InvalidInputError, match="line 3: .*exponent notation"):
+            parse_arrangement_text(text)
+    with pytest.raises(InvalidInputError, match="line 4: .*exponent notation"):
+        parse_group_text("field rational\ndim 2\nsymplectic_form\n0 1e3\n-1 0\n")
+
+
 def test_dimension_above_the_limit_is_invalid_input(capsys, tmp_path):
     path = tmp_path / "big.arr"
     path.write_text("field rational\ndim 99999999999\n")
@@ -208,20 +231,20 @@ def test_unexpected_exception_is_one_line_and_exit_3(capsys, monkeypatch):
 
 def test_cli_exit_code_cap(capsys, tmp_path):
     path = tmp_path / "q8.arr"
-    path.write_text(serialize_arrangement(q8d8_arrangement()))
+    path.write_text(serialize_arrangement(catalog("q8d8").arrangement))
     assert cli.main(["analyze", str(path), "--flat-cap", "10"]) == 2
 
 
 def test_cli_exit_code_inconsistency(capsys, tmp_path):
     path = tmp_path / "q8.arr"
-    path.write_text(serialize_arrangement(q8d8_arrangement()))
+    path.write_text(serialize_arrangement(catalog("q8d8").arrangement))
     # wrong Weyl order: 2592 is not divisible by 7
     assert cli.main(["count", "--arrangement", str(path), "--weyl-order", "7"]) == 3
 
 
 def test_cli_count_arrangement_with_weyl_order(capsys, tmp_path):
     path = tmp_path / "q8.arr"
-    path.write_text(serialize_arrangement(q8d8_arrangement()))
+    path.write_text(serialize_arrangement(catalog("q8d8").arrangement))
     assert cli.main(["count", "--arrangement", str(path), "--weyl-order", "32", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["resolution_count"] == 81
@@ -258,7 +281,7 @@ def test_cli_catalan_json_mode(capsys):
 
 def test_cli_cap_env_override(capsys, tmp_path, monkeypatch):
     path = tmp_path / "q8.arr"
-    path.write_text(serialize_arrangement(q8d8_arrangement()))
+    path.write_text(serialize_arrangement(catalog("q8d8").arrangement))
     monkeypatch.setenv("OSCOUNT_FLAT_CAP", "10")
     assert cli.main(["analyze", str(path)]) == 2
     monkeypatch.setenv("OSCOUNT_FLAT_CAP", "junk")

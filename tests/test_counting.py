@@ -2,6 +2,7 @@ import pytest
 
 from conftest import rational_arrangement
 
+from oscount import counting
 from oscount.counting import (
     FOLDING_OVERRIDES,
     NamikawaWeylData,
@@ -10,7 +11,6 @@ from oscount.counting import (
     diagram_automorphism_order,
     namikawa_weyl_from_group,
     wreath_count_closed_form,
-    wreath_count_direct,
     wreath_weyl_data,
 )
 from oscount.errors import (
@@ -74,15 +74,19 @@ def test_wreath_closed_form_n1_is_one(label, rank):
 def test_wreath_direct_routes_agree():
     cases = [("A", 1, 2, 8, 2), ("A", 1, 3, 12, 3), ("A", 2, 2, 60, 5)]
     for label, rank, n, pi1, count in cases:
-        report = wreath_count_direct(weyl_data(label, rank), n)
+        entry = catalog(f"wreath:{label}{rank}:{n}")
+        report = count_resolutions(entry.arrangement, entry.weyl_data)
         assert report.os_dimension == pi1
-        assert report.resolution_count == count
+        assert report.resolution_count == count == entry.expected["count"]
+        assert report.resolution_count == wreath_count_closed_form(weyl_data(label, rank), n)
         assert report.weyl_order == 2 * weyl_data(label, rank).weyl_order
 
 
 def test_wreath_direct_n1_uses_plain_weyl_order():
     # the n = 1 arrangement is a different object; no closed-form comparison
-    report = wreath_count_direct(weyl_data("A", 1), 1)
+    entry = catalog("wreath:A1:1")
+    assert "count" not in entry.expected
+    report = count_resolutions(entry.arrangement, entry.weyl_data)
     assert report.weyl_order == 2
     assert report.os_dimension == 4
     assert report.resolution_count == 2
@@ -105,7 +109,7 @@ def test_diagram_automorphism_orders():
     assert diagram_automorphism_order("E8") == 1
 
 
-def test_namikawa_weyl_from_groups():
+def test_namikawa_weyl_from_groups(monkeypatch):
     q8 = catalog("q8d8")
     q8.group.enumerate_elements()
     w = namikawa_weyl_from_group(minimal_parabolics(q8.group, symplectic_reflections(q8.group)))
@@ -117,8 +121,9 @@ def test_namikawa_weyl_from_groups():
     paras = minimal_parabolics(g4.group, symplectic_reflections(g4.group))
     w = namikawa_weyl_from_group(paras)
     assert w.total_order == 3  # paper-sourced override for the folded case
+    monkeypatch.setattr(counting, "FOLDING_OVERRIDES", {})
     with pytest.raises(UnsupportedFoldingError):
-        namikawa_weyl_from_group(paras, overrides={})
+        namikawa_weyl_from_group(paras)
 
 
 def test_namikawa_weyl_data_validation():

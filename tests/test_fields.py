@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from oscount.fields import (
     euler_phi,
     is_prime,
     parse_scalar,
-    promote,
     rational_field,
 )
 
@@ -53,6 +53,18 @@ def test_field_descriptor_invariants():
     assert cyclotomic_field(1) == QQ
     with pytest.raises(InvalidInputError):
         FieldDescriptor("cyclotomic", 8, 3)
+    assert Q8.cyclotomic == (1, 0, 0, 0, 1)
+    assert Q3.powers[:3] == ((1, 0), (0, 1), (-1, -1))
+
+
+def test_conductor_limit_is_checked_before_phi_is_computed():
+    # Phi_N comes from a recursion over the divisors of N
+    start = time.perf_counter()
+    with pytest.raises(InvalidInputError, match="exceeds the limit"):
+        FieldDescriptor("cyclotomic", 10**6, euler_phi(10**6))
+    with pytest.raises(InvalidInputError, match="exceeds the limit"):
+        cyclotomic_field(2**127 - 1)  # a prime: its totient would need 2^63 trial divisions
+    assert time.perf_counter() - start < 1
 
 
 def test_reduce_zeta3_squared():
@@ -85,10 +97,8 @@ def test_conjugate_examples():
 def test_mixed_field_arithmetic_is_an_error():
     with pytest.raises(InvalidInputError):
         Q3.one() + Q4.one()
-    promoted = promote(QQ.from_rational(2), Q3)
-    assert promoted == Q3.from_rational(2)
     with pytest.raises(InvalidInputError):
-        promote(Q3.zeta(), Q4)
+        QQ.from_rational(2) * Q3.zeta()
 
 
 def test_zeta_orders():

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import check_symplectic_all, conjugacy_classes, kernel_basis
 
-from oscount.counting import g4_group, q8d8_group
+from oscount.counting import catalog
 from oscount.errors import ComputationCapError, InvalidInputError
 from oscount.fields import cyclotomic_field, rational_field
 from oscount.groups import (
@@ -57,7 +57,7 @@ def test_pm_identity_enumeration():
 
 
 def test_enumeration_cap():
-    g = q8d8_group()
+    g = catalog("q8d8").group
     with pytest.raises(ComputationCapError):
         g.enumerate_elements(cap=5)
 
@@ -86,7 +86,7 @@ def test_nonsymplectic_generator_rejected():
 
 
 def test_q8d8_group_order_and_reflections():
-    g = q8d8_group()
+    g = catalog("q8d8").group
     g.enumerate_elements()
     assert g.order == 32
     assert check_symplectic_all(g)
@@ -96,7 +96,7 @@ def test_q8d8_group_order_and_reflections():
 
 
 def test_g4_group_order_and_reflections():
-    g = g4_group()
+    g = catalog("g4").group
     g.enumerate_elements()
     assert g.order == 24
     assert check_symplectic_all(g)
@@ -119,7 +119,7 @@ def test_pm_identity_reflections_and_parabolics():
 
 
 def test_q8d8_parabolics():
-    g = q8d8_group()
+    g = catalog("q8d8").group
     g.enumerate_elements()
     paras = minimal_parabolics(g, symplectic_reflections(g))
     assert len(paras) == 5
@@ -134,7 +134,7 @@ def test_q8d8_parabolics():
 
 
 def test_g4_parabolics():
-    g = g4_group()
+    g = catalog("g4").group
     g.enumerate_elements()
     paras = minimal_parabolics(g, symplectic_reflections(g))
     assert len(paras) == 1
@@ -150,7 +150,7 @@ def test_g4_parabolics():
 
 
 def test_class_equation():
-    for g in (q8d8_group(), g4_group()):
+    for g in (catalog("q8d8").group, catalog("g4").group):
         g.enumerate_elements()
         classes = conjugacy_classes(g)
         assert sum(len(c) for c in classes) == g.order
@@ -158,7 +158,7 @@ def test_class_equation():
 
 def test_fixed_spaces_are_symplectic():
     # Omega restricted to ker(1 - s) has full rank dim - 2
-    for g in (q8d8_group(), g4_group()):
+    for g in (catalog("q8d8").group, catalog("g4").group):
         g.enumerate_elements()
         identity = ExactMatrix.identity(g.field, g.dim)
         for cls in symplectic_reflections(g):
@@ -180,7 +180,7 @@ def test_fixed_spaces_are_symplectic():
 
 
 def test_subgroup_depends_only_on_fixed_space():
-    g = g4_group()
+    g = catalog("g4").group
     g.enumerate_elements()
     identity = ExactMatrix.identity(g.field, g.dim)
     from oscount.linalg import rref_rows
@@ -236,8 +236,8 @@ def test_kleinian_label_rejects_trivial():
 
 
 def test_element_ordering_is_deterministic():
-    g1 = q8d8_group()
-    g2 = q8d8_group()
+    g1 = catalog("q8d8").group
+    g2 = catalog("q8d8").group
     assert [m.key() for m in g1.enumerate_elements()] == [
         m.key() for m in g2.enumerate_elements()
     ]

@@ -13,7 +13,7 @@ from oscount.arrangement import (
     intersection_lattice,
     poincare_polynomial,
 )
-from oscount.counting import catalog, g4_arrangement, q8d8_arrangement
+from oscount.counting import catalog
 from oscount import arrangement, cli, matroid
 from oscount.fields import cyclotomic_field
 from oscount.polynomial import IntegerPolynomial
@@ -26,11 +26,11 @@ from oscount.matroid import (
 
 
 def test_nbc_g4():
-    assert nbc_betti(g4_arrangement()) == [1, 3, 2]
+    assert nbc_betti(catalog("g4").arrangement) == [1, 3, 2]
 
 
 def test_nbc_q8d8_reproduces_poincare_independently():
-    assert nbc_betti(q8d8_arrangement()) == [1, 21, 170, 650, 1125, 625]
+    assert nbc_betti(catalog("q8d8").arrangement) == [1, 21, 170, 650, 1125, 625]
 
 
 def test_nbc_empty():
@@ -79,9 +79,9 @@ def test_nbc_reads_no_lattice_code(monkeypatch):
         monkeypatch.setattr(arrangement, name, refuse)
     monkeypatch.setattr(matroid, "_levels", refuse)
     with pytest.raises(AssertionError, match="the lattice code ran"):
-        intersection_lattice(g4_arrangement())
-    assert nbc_betti(g4_arrangement()) == [1, 3, 2]
-    assert nbc_betti(q8d8_arrangement()) == [1, 21, 170, 650, 1125, 625]
+        intersection_lattice(catalog("g4").arrangement)
+    assert nbc_betti(catalog("g4").arrangement) == [1, 3, 2]
+    assert nbc_betti(catalog("q8d8").arrangement) == [1, 21, 170, 650, 1125, 625]
     assert nbc_betti(g414_arrangement()) == [1, 28, 254, 812, 585]
 
 
@@ -113,7 +113,7 @@ def test_nbc_equals_whitney_over_cyclotomic_fields(conductor):
 
 
 def test_nbc_top_degree_equals_top_moebius_mass():
-    for a in (q8d8_arrangement(), g4_arrangement()):
+    for a in (catalog("q8d8").arrangement, catalog("g4").arrangement):
         lat = intersection_lattice(a)
         betti = nbc_betti(a)
         top = lat.rank()
@@ -170,7 +170,7 @@ def test_good_prime_search_stops_at_the_cap(braid3):
 
 def test_finite_field_rejects_nonrational():
     with pytest.raises(InvalidInputError):
-        finite_field_count(g4_arrangement(), 7)
+        finite_field_count(catalog("g4").arrangement, 7)
 
 
 def test_finite_field_cap():
@@ -200,7 +200,7 @@ def test_good_primes_of_catalog_entries(name, primes):
 
 
 def test_good_prime_check_stops_at_the_first_level_that_differs(monkeypatch):
-    lattice = intersection_lattice(q8d8_arrangement())
+    lattice = intersection_lattice(catalog("q8d8").arrangement)
     yielded = []
     real = matroid._levels
 
@@ -233,7 +233,7 @@ Q8D8_NBC_VISITS = 11_407
 
 
 def test_subset_cap_boundary_on_q8d8():
-    a = q8d8_arrangement()
+    a = catalog("q8d8").arrangement
     assert nbc_betti(a, subset_cap=Q8D8_NBC_VISITS) == [1, 21, 170, 650, 1125, 625]
     with pytest.raises(ComputationCapError, match=f"subset cap {Q8D8_NBC_VISITS - 1} ") as exc:
         nbc_betti(a, subset_cap=Q8D8_NBC_VISITS - 1)
