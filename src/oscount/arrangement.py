@@ -36,9 +36,10 @@ alpha in that ideal gives p <= |N(alpha)| <= H^phi(N), so p > H^phi(N)
 suffices.  The prime is proven, never guessed: p = k 2^m + 1 with
 k < 2^m and N | k 2^m, and a base a with a^((p-1)/2) = -1 (mod p) proves
 it prime (Proth's theorem, found by `fields.is_prime`).  The search tries
-about as many candidates as H^phi(N) has bits, each a modular power of
-that size, so its time grows about as the cube of the bits: a bound above
-MAX_BOUND_BITS is a computation cap (exit 2), checked before the search.
+about as many candidates as H^phi(N) has bits; a gcd with the odd primes
+below 2,000 drops most composites, and each survivor costs a modular power
+of that size, so the time grows about as the cube of the bits: a bound
+above MAX_BOUND_BITS is a computation cap (exit 2), checked before the search.
 
 Moebius values come from the same cover edges by Weisner's theorem
 (Weisner 1935; Stanley, EC1 Cor. 3.9.3).  Ordered by inclusion of
@@ -254,11 +255,14 @@ def _lattice_prime(bound: int, field: FieldDescriptor) -> tuple[int, int]:
     twos = (conductor & -conductor).bit_length() - 1
     odd = conductor >> twos  # k is a multiple of the odd part of N
     m = max(twos, 1, (bound.bit_length() + 1) // 2)
+    # The odd primes below 2,000, multiplied: a candidate above 2,000 with a
+    # factor in common is composite, and one gcd rules it out before `is_prime`.
+    sieve = prod(q for q in range(3, 2000, 2) if all(q % d for d in range(3, isqrt(q) + 1, 2)))
     while True:
         k = odd * max(1, -(-bound // (odd << m)))  # the first k with k 2^m >= bound
         while k < 1 << m:
             p = (k << m) + 1
-            if is_prime(p):
+            if (p <= 2000 or gcd(p, sieve) == 1) and is_prime(p):
                 for a in range(2, p):
                     omega = pow(a, (p - 1) // conductor, p)
                     if _horner(field.cyclotomic, omega, p) == 0:

@@ -15,6 +15,7 @@ phi(N)^2 and the lattice prime exceeds H^phi(N) (see `arrangement`).
 from __future__ import annotations
 
 import dataclasses
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -404,11 +405,17 @@ def cyclotomic_reduce(poly_coords: Sequence, field: FieldDescriptor) -> Scalar:
     return Scalar(field, tuple(out))
 
 
+_RATIONAL_TOKEN = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _rational(text: str) -> Fraction:
-    # Fraction also reads exponents, and would expand 1e1000000 into an
-    # integer of a million digits; they are not part of the token syntax.
+    # Fraction also reads decimals, `_` digit groups and exponents, and would
+    # expand 1e1000000 into an integer of a million digits; none of them is
+    # part of the token syntax.
     if "e" in text or "E" in text:
         raise ValueError("exponent notation is not allowed")
+    if not _RATIONAL_TOKEN.fullmatch(text):
+        raise ValueError("expected an integer p or a fraction p/q")
     return Fraction(text)
 
 

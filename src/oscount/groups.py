@@ -1,10 +1,15 @@
 """Finite matrix groups inside Sp(V) over an exact field.
 
 Breadth-first enumeration, symplectic reflections and their conjugacy
-classes, minimal parabolic subgroups (pointwise stabilizers of reflection
-fixed spaces) with their Kleinian labels and normalizer data, and the
-bijection check between reflection classes and normalizer-orbits in the
-minimal parabolics.
+classes, minimal parabolic subgroups with their Kleinian labels and
+normalizer data, and the bijection check between reflection classes and
+normalizer-orbits in the minimal parabolics.
+
+A minimal parabolic P_s, the pointwise stabilizer of the fixed space V^s
+of a reflection s, is 1 plus the reflections t with V^t = V^s, since V^g
+is symplectic for every g of finite order (proof in `minimal_parabolics`).  Fixed spaces
+are compared as canonical rref rows of 1 - s, so P_s is exact, and
+conjugacy and normalizers follow from g P_s g^-1 = P_{g s g^-1}.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import ComputationCapError, InvalidInputError
 from .fields import FieldDescriptor
-from .linalg import ExactMatrix, Row, reduce_row, rref_rows
+from .linalg import ExactMatrix, Row, rref_rows
 
 __all__ = [
     "MatrixGroup",
@@ -86,7 +91,8 @@ class MatrixGroup:
                         frontier[k] = y
                         if len(seen) + len(frontier) > cap:
                             raise ComputationCapError(
-                                f"group enumeration cap {cap} exceeded"
+                                f"group enumeration cap {cap} exceeded",
+                                partial={"elements_per_layer": [len(layer) for layer in layers]},
                             )
             layer = [frontier[k] for k in sorted(frontier)]
             seen.update(frontier)
@@ -116,23 +122,39 @@ class MatrixGroup:
             self._inverse[i] = self.index_of(self.elements[i].inverse())
         return self._inverse[i]
 
+    def conjugate(self, i: int, j: int) -> int:
+        """The index of g_i g_j g_i^-1."""
+        e = self.elements
+        return self.index_of(e[i] * e[j] * e[self.inverse_index(i)])
+
     def conjugacy_class_of(self, i: int) -> frozenset[int]:
         """Orbit of element i under conjugation (generators suffice)."""
         self._require_enumerated()
-        gen_pairs = [(g, g.inverse()) for g in self.generators]
+        gens = [self.index_of(g) for g in self.generators]
         orbit = {i}
-        frontier = [self.elements[i]]
+        frontier = [i]
         while frontier:
             nxt = []
             for x in frontier:
-                for g, ginv in gen_pairs:
-                    y = g * x * ginv
-                    j = self.index_of(y)
-                    if j not in orbit:
-                        orbit.add(j)
+                for g in gens:
+                    y = self.conjugate(g, x)
+                    if y not in orbit:
+                        orbit.add(y)
                         nxt.append(y)
             frontier = nxt
         return frozenset(orbit)
+
+
+def _orbits(group: MatrixGroup, items, orbit_of) -> dict[int, frozenset[int]]:
+    """Partition `items` into orbits, {seed: orbit_of(seed)}, each seeded at
+    its least element key; the seeds come in increasing key order."""
+    orbits: dict[int, frozenset[int]] = {}
+    done: set[int] = set()
+    for seed in sorted(items, key=lambda i: group.elements[i].key()):
+        if seed not in done:
+            orbits[seed] = frozenset(orbit_of(seed))
+            done |= orbits[seed]
+    return orbits
 
 
 @dataclass(frozen=True)
@@ -147,39 +169,21 @@ class ReflectionClass:
 
 def _fixed_space_rows(group: MatrixGroup, i: int) -> tuple[Row, ...]:
     identity = ExactMatrix.identity(group.field, group.dim)
-    diff = identity - group.elements[i]
-    rows, _ = rref_rows(diff.rows)
-    return rows
+    return rref_rows((identity - group.elements[i]).rows)[0]
 
 
 def symplectic_reflections(group: MatrixGroup) -> list[ReflectionClass]:
     """All s with rank(1 - s) = 2, partitioned into conjugacy classes."""
     group._require_enumerated()
     identity = ExactMatrix.identity(group.field, group.dim)
-    reflections = [
-        i
-        for i, g in enumerate(group.elements)
-        if (identity - g).rank() == 2
-    ]
-    remaining = set(reflections)
+    reflections = {i for i, g in enumerate(group.elements) if (identity - g).rank() == 2}
     classes = []
-    while remaining:
-        seed = min(remaining, key=lambda i: group.elements[i].key())
-        members = group.conjugacy_class_of(seed)
-        if not members <= set(reflections):
-            raise InvalidInputError(
-                "conjugacy class of a reflection left the reflection set"
-            )
+    for seed, members in _orbits(group, reflections, group.conjugacy_class_of).items():
+        if not members <= reflections:
+            raise InvalidInputError("conjugacy class of a reflection left the reflection set")
         classes.append(
-            ReflectionClass(
-                representative=seed,
-                members=members,
-                size=len(members),
-                fixed_space=_fixed_space_rows(group, seed),
-            )
+            ReflectionClass(seed, members, len(members), _fixed_space_rows(group, seed))
         )
-        remaining -= members
-    classes.sort(key=lambda c: group.elements[c.representative].key())
     return classes
 
 
@@ -251,131 +255,87 @@ def kleinian_label(elements: list[ExactMatrix]) -> str:
 
 def _subgroup_classes_within(group: MatrixGroup, members: tuple[int, ...]):
     """Conjugacy classes of the subgroup H as a group in its own right."""
-    mats = {i: group.elements[i] for i in members}
-    inv = {i: mats[i].inverse() for i in members}
-    leftover = set(members)
-    classes = []
-    while leftover:
-        seed = min(leftover, key=lambda i: group.elements[i].key())
-        orbit = set()
-        for j in members:
-            conj = mats[j] * mats[seed] * inv[j]
-            orbit.add(group.index_of(conj))
-        classes.append(frozenset(orbit))
-        leftover -= orbit
-    classes.sort(key=lambda c: min(group.elements[i].key() for i in c))
-    return classes
+    return _orbits(
+        group, members, lambda s: {group.conjugate(h, s) for h in members}
+    ).values()
 
 
 def minimal_parabolics(
     group: MatrixGroup, reflections: list[ReflectionClass]
 ) -> list[ParabolicClass]:
-    """Pointwise stabilizers of the fixed spaces of `reflections` (the
+    """Pointwise stabilizers P_s of the fixed spaces of `reflections` (the
     group's `symplectic_reflections`), up to conjugacy.
 
-    For each class: the normalizer (by direct test), its quotient order,
-    the permutation action on the subgroup's nontrivial conjugacy classes,
-    and the normalizer-orbits on the nontrivial elements.
+    For each class: the normalizer, its quotient order, the permutation
+    action on the subgroup's nontrivial conjugacy classes, and the
+    normalizer-orbits on the nontrivial elements.
+
+    Stabilizers: P_s is 1 plus the reflections t with V^t = V^s.  Let g in
+    Sp(V) have finite order.  For v in V^g, w(v, u - gu) = w(gv, gu) -
+    w(v, gu) = 0, so im(1 - g) lies in the w-complement of V^g, and both
+    have dimension dim V - dim V^g: they are equal.  g is semisimple (x^n - 1
+    has distinct roots in characteristic 0), so V^g meets im(1 - g) only in
+    0: V^g is symplectic, of even codimension.  If g fixes V^s pointwise,
+    then V^s, of codimension 2, lies in V^g, so V^g is V (g = 1) or V^s (g
+    is a reflection t with V^t = V^s).  V^t = V^s is tested as equality of
+    the canonical rref rows of 1 - t and 1 - s, which span V^s's annihilator.
+
+    Conjugacy.  g P_s g^-1 = P_{g s g^-1}, so P_s and P_t are conjugate
+    exactly when some reflection of P_t is conjugate to s: the class of P_s
+    is {P_t : t conjugate to s}, one per reflection class.
+
+    Normalizers.  P_{g s g^-1} = P_s exactly when g s g^-1 lies in P_s, so g
+    normalizes P_s iff it conjugates one reflection s of P_s into P_s.
     """
     group._require_enumerated()
-    identity = ExactMatrix.identity(group.field, group.dim)
-
-    # Pointwise stabilizer of V^s:  g fixes V^s iff every row of (1 - g)
-    # lies in the row space of (1 - s).
-    subgroups: dict[tuple[int, ...], tuple[Row, ...]] = {}
+    spaces: dict[tuple[Row, ...], list[int]] = {}  # fixed space -> P_s
     for cls in reflections:
         for s in cls.members:
-            rows = _fixed_space_rows(group, s)
-            pivots = tuple(next(i for i, x in enumerate(r) if not x.is_zero()) for r in rows)
-            members = []
-            for i, g in enumerate(group.elements):
-                diff = identity - g
-                if all(
-                    all(x.is_zero() for x in reduce_row(row, rows, pivots))
-                    for row in diff.rows
-                ):
-                    members.append(i)
-            key = tuple(sorted(members))
-            subgroups.setdefault(key, rows)
+            spaces.setdefault(_fixed_space_rows(group, s), [0]).append(s)
+    parabolic = {}  # reflection -> its P_s, sorted; 0 is the identity
+    fixed_space = {}
+    for rows, members in spaces.items():
+        members = tuple(sorted(members))
+        fixed_space[members] = rows
+        parabolic.update((s, members) for s in members[1:])
 
-    # Group the subgroups into Gamma-conjugacy classes.
-    def conjugate_subgroup(members: tuple[int, ...], g: ExactMatrix, ginv: ExactMatrix):
-        return tuple(sorted(group.index_of(g * group.elements[i] * ginv) for i in members))
-
-    gen_pairs = [(g, g.inverse()) for g in group.generators]
-    leftover = set(subgroups)
     classes: list[ParabolicClass] = []
-    while leftover:
-        seed = min(leftover)
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for sub in frontier:
-                for g, ginv in gen_pairs:
-                    image = conjugate_subgroup(sub, g, ginv)
-                    if image not in orbit:
-                        orbit.add(image)
-                        nxt.append(image)
-            frontier = nxt
-        leftover -= orbit
-
-        members = seed
+    for cls in reflections:
+        conjugates = {parabolic[s] for s in cls.members}
+        members = min(conjugates)
+        if any(c.subgroup == members for c in classes):
+            continue  # another reflection class of the same parabolics
         member_set = frozenset(members)
-        h_order = len(members)
-
-        # Normalizer by exhaustive test over the whole group.
-        normalizer = []
-        for i, g in enumerate(group.elements):
-            ginv = group.elements[group.inverse_index(i)]
-            if frozenset(conjugate_subgroup(members, g, ginv)) == member_set:
-                normalizer.append(i)
-        n_order = len(normalizer)
-        xi_order = n_order // h_order
+        normalizer = [
+            g for g in range(group.order) if group.conjugate(g, members[1]) in member_set
+        ]
 
         # Action of the normalizer on the nontrivial H-classes.
-        h_classes = _subgroup_classes_within(group, members)
-        nontrivial = [c for c in h_classes if not any(group.elements[i].is_identity() for i in c)]
+        nontrivial = [c for c in _subgroup_classes_within(group, members) if 0 not in c]
         class_of = {i: k for k, c in enumerate(nontrivial) for i in c}
-        perms = set()
-        for i in normalizer:
-            g = group.elements[i]
-            ginv = group.elements[group.inverse_index(i)]
-            perm = []
-            for c in nontrivial:
-                j = next(iter(c))
-                image = group.index_of(g * group.elements[j] * ginv)
-                perm.append(class_of[image])
-            perms.add(tuple(perm))
-        trivial_action = all(p == tuple(range(len(nontrivial))) for p in perms)
+        perms = {
+            tuple(class_of[group.conjugate(g, next(iter(c)))] for c in nontrivial)
+            for g in normalizer
+        }
 
         # Normalizer-orbits on the nontrivial elements of H.
-        nontrivial_elements = [i for i in members if not group.elements[i].is_identity()]
-        leftover_elts = set(nontrivial_elements)
-        orbits = []
-        while leftover_elts:
-            e = min(leftover_elts, key=lambda i: group.elements[i].key())
-            orb = set()
-            for i in normalizer:
-                g = group.elements[i]
-                ginv = group.elements[group.inverse_index(i)]
-                orb.add(group.index_of(g * group.elements[e] * ginv))
-            orbits.append(frozenset(orb))
-            leftover_elts -= orb
+        orbits = _orbits(
+            group, members[1:], lambda e: {group.conjugate(g, e) for g in normalizer}
+        ).values()
 
         classes.append(
             ParabolicClass(
                 subgroup=members,
-                subgroup_order=h_order,
+                subgroup_order=len(members),
                 kleinian_label=kleinian_label([group.elements[i] for i in members]),
-                num_conjugates=len(orbit),
-                normalizer_order=n_order,
-                xi_order=xi_order,
+                num_conjugates=len(conjugates),
+                normalizer_order=len(normalizer),
+                xi_order=len(normalizer) // len(members),
                 class_action_perms=tuple(sorted(perms)),
-                class_action_trivial=trivial_action,
+                class_action_trivial=all(p == tuple(range(len(nontrivial))) for p in perms),
                 orbit_count=len(orbits),
                 orbits=tuple(orbits),
-                fixed_space=subgroups[seed],
+                fixed_space=fixed_space[members],
             )
         )
     classes.sort(key=lambda c: c.subgroup)

@@ -125,6 +125,20 @@ def conjugacy_classes(group: MatrixGroup) -> list[frozenset[int]]:
     return classes
 
 
+def pointwise_stabilizer(group: MatrixGroup, s: int) -> tuple[int, ...]:
+    """Sorted indices of the elements fixing V^{g_s} pointwise, by the
+    definition: every row of 1 - g lies in the row space of 1 - g_s."""
+    identity = ExactMatrix.identity(group.field, group.dim)
+    rows, pivots = rref_rows((identity - group.elements[s]).rows)
+    return tuple(
+        i
+        for i, g in enumerate(group.elements)
+        if all(
+            all(x.is_zero() for x in reduce_row(r, rows, pivots))
+            for r in (identity - g).rows
+        )
+    )
+
 def check_symplectic_all(group: MatrixGroup) -> bool:
     group._require_enumerated()
     omega = group.symplectic_form

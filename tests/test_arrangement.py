@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from conftest import brute_force_flats, g414_arrangement, rational_arrangement
@@ -267,6 +269,20 @@ def test_q8d8_lattice_prime_is_above_the_bound_and_proven():
     for sq in squares[:6]:
         product *= sq
     assert p**2 > product
+    # Proth: p - 1 = k 2^m with k < 2^m, and a^((p-1)/2) = -1 (mod p)
+    m = ((p - 1) & (1 - p)).bit_length() - 1
+    assert (p - 1) >> m < 2**m
+    assert any(pow(b, (p - 1) // 2, p) == p - 1 for b in range(2, 10))
+
+
+def test_lattice_prime_search_near_the_bit_limit_is_fast():
+    # a 1,535-bit bound costs seconds of modular powers unless the candidates
+    # with a small prime factor are dropped first
+    bound = 2**1535 + 12345
+    start = time.perf_counter()
+    p, _ = _lattice_prime(bound, rational_field())
+    assert time.perf_counter() - start < 6
+    assert p > bound
     # Proth: p - 1 = k 2^m with k < 2^m, and a^((p-1)/2) = -1 (mod p)
     m = ((p - 1) & (1 - p)).bit_length() - 1
     assert (p - 1) >> m < 2**m

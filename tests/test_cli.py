@@ -203,6 +203,26 @@ def test_exponent_token_is_refused_before_it_is_expanded(capsys, tmp_path):
         parse_group_text("field rational\ndim 2\nsymplectic_form\n0 1e3\n-1 0\n")
 
 
+def test_decimal_and_digit_group_tokens_are_refused(capsys, tmp_path):
+    # Fraction reads 0.5 as 1/2 and 1_000 as 1000; the token syntax is p or p/q
+    path = tmp_path / "dec.arr"
+    for normal, bad in (("0.5 1", "0.5"), ("1 1_000", "1_000")):
+        path.write_text(f"field rational\ndim 2\n\nhyperplane {normal}\n")
+        assert cli.main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: line 4: hyperplane 1: bad rational token '{bad}': "
+            "expected an integer p or a fraction p/q\n"
+        )
+    for text in (
+        "field cyclotomic 3\ndim 1\nhyperplane (1,0.5)\n",
+        "field rational\ndim 1\nhyperplane 1 = 1_000\n",
+    ):
+        with pytest.raises(InvalidInputError, match="line 3: .*expected an integer"):
+            parse_arrangement_text(text)
+    with pytest.raises(InvalidInputError, match="line 4: .*expected an integer"):
+        parse_group_text("field rational\ndim 2\nsymplectic_form\n0 1.0\n-1 0\n")
+
+
 def test_dimension_above_the_limit_is_invalid_input(capsys, tmp_path):
     path = tmp_path / "big.arr"
     path.write_text("field rational\ndim 99999999999\n")

@@ -91,6 +91,42 @@ GROUP_G4 = {
 }
 
 
+# q8d8's five parabolic classes are alike: Z/2 with two conjugates each
+Q8D8_PARABOLIC = {
+    "subgroup_order": 2,
+    "kleinian_label": "A1",
+    "num_conjugates": 2,
+    "normalizer_order": 16,
+    "xi_order": 8,
+    "xi_class_action_trivial": True,
+    "orbit_count": 1,
+}
+
+GROUP_Q8D8 = {
+    "command": "group analyze",
+    "field": {"kind": "cyclotomic", "conductor": 4, "degree": 2},
+    "dim": 4,
+    "order": 32,
+    "num_reflection_classes": 5,
+    "reflection_class_sizes": [2, 2, 2, 2, 2],
+    "parabolic_classes": [Q8D8_PARABOLIC] * 5,
+    "zeta_bijection": {
+        "num_reflection_classes": 5,
+        "num_parabolic_orbits": 5,
+        "matching": [
+            {"parabolic": 0, "orbit": 0, "reflection_class": 0},
+            {"parabolic": 1, "orbit": 0, "reflection_class": 1},
+            {"parabolic": 2, "orbit": 0, "reflection_class": 2},
+            {"parabolic": 3, "orbit": 0, "reflection_class": 3},
+            {"parabolic": 4, "orbit": 0, "reflection_class": 4},
+        ],
+        "bijective": True,
+    },
+    "namikawa_weyl": {"factors": [["A1", 2]] * 5, "total_order": 32},
+    "caps": CAPS,
+}
+
+
 @pytest.fixture
 def braid3_file(tmp_path):
     path = tmp_path / "braid3.arr"
@@ -114,8 +150,12 @@ def _json_doc(capsys, argv) -> dict:
             ["group", "analyze", str(resources.files("oscount.data") / "g4.grp"), "--json"],
             GROUP_G4,
         ),
+        (
+            ["group", "analyze", str(resources.files("oscount.data") / "q8d8.grp"), "--json"],
+            GROUP_Q8D8,
+        ),
     ],
-    ids=["count", "analyze", "group"],
+    ids=["count", "analyze", "group", "group-q8d8"],
 )
 def test_json_document_is_pinned(capsys, braid3_file, argv, expected):
     argv = [braid3_file if a == "BRAID3" else a for a in argv]
@@ -193,6 +233,16 @@ def test_cap_error_reports_partial_work_as_json(capsys):
     assert cli.main(ff_capped + ["--json"]) == 2
     assert capsys.readouterr().out == ""
 
+
+def test_group_cap_error_reports_completed_layers(capsys):
+    q8d8 = str(resources.files("oscount.data") / "q8d8.grp")
+    argv = ["group", "analyze", q8d8, "--group-cap", "10"]
+    message = "group enumeration cap 10 exceeded"
+    assert cli.main(argv + ["--json"]) == 2
+    out, err = capsys.readouterr()
+    # the identity, then the 4 elements one generator away; the next layer overflows
+    assert json.loads(out) == {"error": message, "partial": {"elements_per_layer": [1, 4]}}
+    assert err == f"error: {message}\n"
 
 def test_group_analyze_computes_each_invariant_once(capsys, monkeypatch):
     calls = []

@@ -2,7 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import check_symplectic_all, conjugacy_classes, kernel_basis
+from conftest import (
+    check_symplectic_all,
+    conjugacy_classes,
+    kernel_basis,
+    pointwise_stabilizer,
+)
 
 from oscount.counting import catalog
 from oscount.errors import ComputationCapError, InvalidInputError
@@ -14,7 +19,7 @@ from oscount.groups import (
     symplectic_reflections,
     verify_zeta_bijection,
 )
-from oscount.linalg import ExactMatrix, rank_of_rows, reduce_row
+from oscount.linalg import ExactMatrix, rank_of_rows, rref_rows
 
 
 def pm_identity_group() -> MatrixGroup:
@@ -182,27 +187,45 @@ def test_fixed_spaces_are_symplectic():
 def test_subgroup_depends_only_on_fixed_space():
     g = catalog("g4").group
     g.enumerate_elements()
-    identity = ExactMatrix.identity(g.field, g.dim)
-    from oscount.linalg import rref_rows
-
     by_space = {}
     for cls in symplectic_reflections(g):
         for s in cls.members:
-            rows, pivots = rref_rows((identity - g.elements[s]).rows)
-            members = []
-            for i, elt in enumerate(g.elements):
-                diff = identity - elt
-                if all(
-                    all(x.is_zero() for x in reduce_row(r, rows, pivots))
-                    for r in diff.rows
-                ):
-                    members.append(i)
-            key = ";".join(" ".join(str(x) for x in r) for r in rows)
-            if key in by_space:
-                assert by_space[key] == tuple(members)
-            else:
-                by_space[key] = tuple(members)
+            key = rref_rows((ExactMatrix.identity(g.field, g.dim) - g.elements[s]).rows)[0]
+            members = pointwise_stabilizer(g, s)
+            assert by_space.setdefault(key, members) == members
     assert len(by_space) == 4  # four subgroups in one conjugacy class
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: catalog("q8d8").group,
+        lambda: catalog("g4").group,
+        quaternion_group,
+        binary_tetrahedral_group,
+    ],
+    ids=["q8d8", "g4", "Q8", "2T"],
+)
+def test_parabolics_are_the_pointwise_stabilizers(make):
+    g = make()
+    g.enumerate_elements()
+    reflections = symplectic_reflections(g)
+    stabilizers = {pointwise_stabilizer(g, s) for c in reflections for s in c.members}
+    covered = []
+    for p in minimal_parabolics(g, reflections):
+        conjugates = set()
+        for x in g.elements:
+            x_inv = x.inverse()
+            conjugates.add(
+                tuple(sorted(g.index_of(x * g.elements[i] * x_inv) for i in p.subgroup))
+            )
+        for sub in conjugates:
+            assert sub == pointwise_stabilizer(g, sub[1])  # sub[0] is the identity
+        assert len(conjugates) == p.num_conjugates
+        assert p.normalizer_order * p.num_conjugates == g.order
+        covered.extend(conjugates)
+    # the classes are disjoint and cover the stabilizer of every reflection
+    assert sorted(covered) == sorted(stabilizers)
 
 
 def test_kleinian_labels():
