@@ -5,17 +5,31 @@ function, characteristic and Poincare polynomials, Zaslavsky region counts,
 coning, and deletion/restriction.
 
 A flat X is its codimension, `contains(X)` (the maximal set of hyperplanes
-through it) and mu(X).  The lattice is built one codimension at a time by
-partitioning covers: each hyperplane h not in contains(X) is reduced once
-against an echelon basis of X's affine system [A | b] (offset in the last
-column).  A leading entry in the offset column means h misses X;
-otherwise X meets h in a flat one codimension lower.  Two hyperplanes give
-the same such flat exactly when their normalized reduced rows are equal,
-so each group G of equal rows is one cover Y of X, with the maximal set
-contains(Y) = contains(X) | G.  That frozenset is the dedup key, and Y's
-basis is made only when Y is new.  The basis rows are private to
-`_levels`, which keeps them only for the level being expanded and the
-level being found.
+through it) and mu(X); the lattice is built one codimension at a time.
+Let P(X), empty at the ambient space, be pivot columns of the row space
+span(X) of X's system [A | b] (offset last): a row of span(X) is fixed by
+its entries at P(X).  The residual of h at X is the one row of h + span(X)
+that is 0 at P(X), scaled to 1 at its lead (first nonzero) entry.  A lead
+in the offset column means h misses X; otherwise X meets h in a cover,
+the same for two hyperplanes exactly when their residuals are equal: a
+group G of equal residuals is a cover, keyed by contains(X) | G.
+
+(a) If Y is found from X by G, Y lies in X, so X meet h = X meet h' gives
+Y meet h = Y meet h': each other group of X lies in one group of Y, and
+what misses X misses Y.  So Y reduces one residual per group of X and
+merges equal results; this is set theory, true over F_p and when affine.
+
+(b) With v the residual of G and l its lead, P(Y) = P(X) + {l}: a row
+u + c v, u in span(X), that is 0 at P(X) has u = 0 (v is 0 there) and
+c = 0 (at l).  So the residual at Y of a group with residual r at X is
+r - r[l] v, scaled, and no echelon basis is kept.
+
+(c) In a central arrangement no hyperplane misses X, so if X has one group,
+X meet h is one flat for all h outside contains(X), on every hyperplane:
+the center.  The lattice is graded, so X's level lies just below the
+center, whose mu is -(sum of mu over every other flat), as mu sums to 0
+over the flats up to any flat but the ambient space; no other flat of that
+level is expanded.  The levels are exactly those of the rows mod p.
 
 The build runs on Python ints modulo one prime p, and its lattice is the
 one over the field; this is a bound argument, not a probability.  Each
@@ -212,13 +226,9 @@ class IntersectionLattice:
 def intersection_lattice(
     arrangement: Arrangement, flat_cap: int = DEFAULT_FLAT_CAP
 ) -> IntersectionLattice:
-    """All nonempty intersections with their Moebius values, level by level.
-
-    Each flat's covers come from one partition of the hyperplanes not
-    containing it, and mu is accumulated over the cover edges (Weisner).
-    The rows are mapped into F_p for a prime p at which the lattice is the
-    one over the field (module docstring).
-    """
+    """All nonempty intersections with their Moebius values, level by level,
+    built by `_levels` on the rows mapped into F_p for a prime p at which
+    the lattice is the one over the field (module docstring)."""
     rows, p = _rows_mod_prime(arrangement)
     levels = _levels(rows, arrangement.ambient_dim, p, flat_cap)
     return IntersectionLattice(arrangement, list(levels))
@@ -299,61 +309,67 @@ def _rows_mod_prime(arrangement: Arrangement) -> tuple[list[tuple[int, ...]], in
 def _levels(
     rows: Sequence[tuple[int, ...]], offset_col: int, p: int, flat_cap: int
 ) -> Iterator[list[Flat]]:
-    """The flats of the hyperplanes `rows`, tuples of ints mod the prime p,
-    one codimension at a time.
-
-    Each level is yielded, sorted by `sorted(contains)`, before the next one
-    is built, so a caller that stops early builds no more.  A flat's row
-    space lives only here, for the level being expanded and the one being
-    found: (pivot, row) pairs sorted by pivot, each row 1 at its pivot and 0
-    before it.  Reducing h against them in order leaves the one row of
-    h + span(X) that is 0 at every pivot, so a cover's basis is X's plus
-    the normalized reduction of its first hyperplane.
+    """The flats of the nonzero rows mod the prime p, one codimension at a
+    time, by (a)-(c) of the module docstring.  Each level is yielded, sorted
+    by `sorted(contains)`, before the next one is built, so a caller that
+    stops early builds no more.  A flat's groups are freed after its last
+    cover is expanded.  Groups keep the order of their least members and
+    join members in that order, so a group's first member is its least.
     """
+    central = not any(row[offset_col] for row in rows)
     level = [Flat(codim=0, contains=frozenset(), mu=1)]
-    bases = {frozenset(): ()}  # contains -> ((pivot, row), ...)
-    sizes: list[int] = []
-    total = 1
+    # contains -> (residuals, members, i): its parent's groups, i its own
+    sources = {frozenset(): (rows, [(h,) for h in range(len(rows))], None)}
+    sizes: list[int] = []  # the completed levels' sizes
+    total, below = 1, 0  # flats found; the sum of mu over the levels yielded
+
+    def capped() -> ComputationCapError:
+        message = f"flat cap {flat_cap} exceeded at codimension {len(sizes)}"
+        return ComputationCapError(message, partial={"flats_per_level": sizes})
+
     while level:
         yield level
         sizes.append(len(level))
-        found: dict[frozenset[int], tuple] = {}  # the next level's bases
-        mus: dict[frozenset[int], int] = {}
+        below += sum(flat.mu for flat in level)
+        codim = len(sizes)
+        mus, found, seen = {}, {}, {}  # the next level's mu, sources and residuals
         for flat in level:
-            basis = bases[flat.contains]
-            covers: dict[tuple[int, ...], list[int]] = {}
-            for h, row in enumerate(rows):
-                if h in flat.contains:
-                    continue
-                for col, prow in basis:
-                    c = row[col]
-                    if c:
-                        row = [(a - c * b) % p for a, b in zip(row, prow)]
-                # nonzero because `contains` is maximal
-                lead = next(i for i, x in enumerate(row) if x)
+            keys, parts, via = sources.pop(flat.contains)
+            pairs = zip(keys, parts)
+            if via is not None:  # (b), with v the residual of group via
+                v, c = keys[via], keys[via].index(1)  # v is 0 before its lead, 1
+                pairs = ((r, g) if not r[c] else ([(a - r[c] * b) % p for a, b in zip(r, v)], g)
+                         for i, (r, g) in enumerate(pairs) if i != via)
+            groups: dict[tuple[int, ...], tuple[int, ...]] = {}
+            for row, members in pairs:  # (a): merge equal residuals
+                lead = row.index(next(filter(None, row)))  # the first nonzero entry
                 if lead == offset_col:
                     continue  # parallel to the flat: empty affine intersection
                 inv = pow(row[lead], -1, p)
-                covers.setdefault(tuple(x * inv % p for x in row), []).append(h)
+                key = tuple(row) if inv == 1 else tuple(x * inv % p for x in row)
+                key = seen.setdefault(key, key)  # one tuple per distinct residual
+                groups[key] = groups[key] + members if key in groups else members
+            keys, parts = tuple(groups), tuple(groups.values())
+            if central and len(parts) == 1:  # (c): this level is the one below the center
+                if total >= flat_cap:
+                    raise capped()
+                yield [Flat(codim, frozenset(range(len(rows))), -below)]
+                return
             first = min(flat.contains, default=len(rows))
-            for key, group in covers.items():
-                contains = flat.contains.union(group)
-                if contains not in found:
+            for i, members in enumerate(parts):
+                contains = flat.contains.union(members)
+                if contains not in mus:
+                    if total >= flat_cap:
+                        raise capped()
                     total += 1
-                    if total > flat_cap:
-                        raise ComputationCapError(
-                            f"flat cap {flat_cap} exceeded at codimension {len(sizes)}",
-                            partial={"flats_per_level": sizes},
-                        )
-                    lead = next(i for i, x in enumerate(key) if x)
-                    found[contains] = tuple(sorted(basis + ((lead, key),)))
                     mus[contains] = 0
+                    found[contains] = (keys, parts, i)
                 # Weisner with the atom a = min(contains): mu(Y) is minus the
                 # sum of mu(X) over the flats X covered by Y with a not in X.
-                if group[0] < first:
+                if members[0] < first:
                     mus[contains] -= flat.mu
-        bases = found
-        level = [Flat(len(sizes), c, mus[c]) for c in sorted(found, key=sorted)]
+        sources = found
+        level = [Flat(codim, c, mus[c]) for c in sorted(mus, key=sorted)]
 
 
 def characteristic_polynomial(lattice: IntersectionLattice) -> IntegerPolynomial:

@@ -199,7 +199,8 @@ def find_good_primes(
             continue
         if q**ell > ff_cap:
             raise ComputationCapError(
-                f"found only {len(good)} good primes with q^l <= cap {ff_cap}"
+                f"found only {len(good)} good primes with q^l <= cap {ff_cap}",
+                partial={"good_primes": good, "last_q": q},
             )
         if _keeps_lattice(rows, ell, q, exact):
             good.append(q)

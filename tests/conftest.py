@@ -39,28 +39,65 @@ def g414_arrangement():
 
 
 def brute_force_flats(arrangement: Arrangement) -> set:
-    """{(contains, codim)} of every nonempty intersection, from subset ranks only.
+    """{(contains, codim)} of every nonempty intersection, from subset ranks
+    only (`subset_flats` with exact ranks over the field)."""
+    return subset_flats([h.row() for h in arrangement.hyperplanes], rank_of_rows)
+
+
+def subset_flats(rows, rank) -> set:
+    """{(contains, codim)} of every nonempty intersection of the hyperplanes
+    with rows [normal | offset], where `rank` is the rank of a list of rows.
 
     A subset S meets in a nonempty flat exactly when its normals and its
-    augmented rows [normal | offset] have equal rank; that rank is the
-    codimension, and the flat lies on h exactly when adding h's row keeps
-    the rank.  Independent of the lattice code by construction.
+    augmented rows have equal rank; that rank is the codimension, and the
+    flat lies on h exactly when adding h's row keeps the rank.  Independent
+    of the lattice code by construction.
     """
-    rows = [h.row() for h in arrangement.hyperplanes]
-    normals = [h.normal for h in arrangement.hyperplanes]
+    normals = [row[:-1] for row in rows]
     n = len(rows)
     flats = set()
     for size in range(n + 1):
         for subset in combinations(range(n), size):
             rows_s = [rows[i] for i in subset]
-            rank = rank_of_rows(rows_s)
-            if rank_of_rows([normals[i] for i in subset]) != rank:
+            r = rank(rows_s)
+            if rank([normals[i] for i in subset]) != r:
                 continue
-            closure = frozenset(
-                h for h in range(n) if rank_of_rows(rows_s + [rows[h]]) == rank
-            )
-            flats.add((closure, rank))
+            closure = frozenset(h for h in range(n) if rank(rows_s + [rows[h]]) == r)
+            flats.add((closure, r))
     return flats
+
+
+def rank_mod(q: int):
+    """The rank of a list of integer rows mod the prime q, as a function:
+    Gauss-Jordan elimination, one column at a time."""
+
+    def rank(rows) -> int:
+        rows = [[x % q for x in row] for row in rows]
+        r = 0
+        for col in range(len(rows[0]) if rows else 0):
+            pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+            if pivot is None:
+                continue
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            inv = pow(rows[r][col], -1, q)
+            for i in range(len(rows)):
+                if i != r and rows[i][col]:
+                    c = rows[i][col] * inv
+                    rows[i] = [(a - c * b) % q for a, b in zip(rows[i], rows[r])]
+            r += 1
+        return r
+
+    return rank
+
+
+def brute_force_moebius(flats: set) -> dict:
+    """{contains: mu} for the poset `flats` of (contains, codim) pairs ordered
+    by inclusion of `contains`, from the definition: mu = 1 at the bottom
+    (contains empty) and mu(Y) = -(sum of mu(X) over the X below Y)."""
+    mu: dict = {}
+    for contains, _ in sorted(flats, key=lambda flat: flat[1]):  # X < Y has lower codim
+        mu[contains] = -sum(m for c, m in mu.items() if c < contains) if contains else 1
+    return mu
 
 
 def whitney_characteristic(arrangement: Arrangement) -> IntegerPolynomial:

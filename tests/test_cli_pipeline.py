@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 
 import oscount
 from oscount import arrangement, cli, counting, groups
+from oscount.fileio import parse_arrangement_file
 
 CAPS = {"flat_cap": 2000000, "subset_cap": 2000000, "group_cap": 200000, "ff_cap": 100000000}
 
@@ -53,6 +55,67 @@ ANALYZE_BRAID3_FF = {
         "finite_field": [
             {"q": 2, "count": 0, "chi": 0, "agrees": True},
             {"q": 3, "count": 6, "chi": 6, "agrees": True},
+        ],
+        "agrees": True,
+    },
+    "caps": CAPS,
+}
+
+COUNT_D4_2 = {
+    "command": "count",
+    "num_hyperplanes": 37,
+    "ambient_dim": 5,
+    "rank": 5,
+    "char_poly": {
+        "coefficients": [-6237, 9081, -3326, 518, -37, 1],
+        "text": "t^5 - 37*t^4 + 518*t^3 - 3326*t^2 + 9081*t - 6237",
+    },
+    "poincare_poly": {
+        "coefficients": [1, 37, 518, 3326, 9081, 6237],
+        "text": "6237*t^5 + 9081*t^4 + 3326*t^3 + 518*t^2 + 37*t + 1",
+    },
+    "os_dimension": 19200,
+    "weyl_order": 384,
+    "resolution_count": 50,
+    "flats_per_level": [1, 37, 382, 1258, 1009, 1],
+    "moebius_checksum": [1, -37, 518, -3326, 9081, -6237],
+    "regions": 19200,
+    "bounded_regions": 0,
+    "caps": CAPS,
+}
+
+ANALYZE_Q8D8_FF = {
+    "command": "analyze",
+    "field": {"kind": "rational", "conductor": 1, "degree": 1},
+    "ambient_dim": 5,
+    "central": True,
+    "num_hyperplanes": 21,
+    "hyperplanes": [
+        "1 1 1 1 1 0", "1 1 1 1 -1 0", "1 1 1 -1 1 0", "1 1 1 -1 -1 0",
+        "1 1 -1 1 1 0", "1 1 -1 1 -1 0", "1 1 -1 -1 1 0", "1 1 -1 -1 -1 0",
+        "1 -1 1 1 1 0", "1 -1 1 1 -1 0", "1 -1 1 -1 1 0", "1 -1 1 -1 -1 0",
+        "1 -1 -1 1 1 0", "1 -1 -1 1 -1 0", "1 -1 -1 -1 1 0", "1 -1 -1 -1 -1 0",
+        "1 0 0 0 0 0", "0 1 0 0 0 0", "0 0 1 0 0 0", "0 0 0 1 0 0", "0 0 0 0 1 0",
+    ],
+    "rank": 5,
+    "char_poly": {
+        "coefficients": [-625, 1125, -650, 170, -21, 1],
+        "text": "t^5 - 21*t^4 + 170*t^3 - 650*t^2 + 1125*t - 625",
+    },
+    "poincare_poly": {
+        "coefficients": [1, 21, 170, 650, 1125, 625],
+        "text": "625*t^5 + 1125*t^4 + 650*t^3 + 170*t^2 + 21*t + 1",
+    },
+    "os_dimension": 2592,
+    "flats_per_level": [1, 21, 130, 270, 145, 1],
+    "moebius_checksum": [1, -21, 170, -650, 1125, -625],
+    "regions": 2592,
+    "bounded_regions": 0,
+    "oracle_results": {
+        "oracle": "ff",
+        "finite_field": [
+            {"q": 5, "count": 0, "chi": 0, "agrees": True},
+            {"q": 7, "count": 96, "chi": 96, "agrees": True},
         ],
         "agrees": True,
     },
@@ -146,6 +209,12 @@ def _json_doc(capsys, argv) -> dict:
     [
         (["count", "--catalog", "g4", "--oracle", "nbc", "--json"], COUNT_G4_NBC),
         (["analyze", "BRAID3", "--oracle", "ff", "--json"], ANALYZE_BRAID3_FF),
+        (["count", "--catalog", "wreath:D4:2", "--json"], COUNT_D4_2),
+        (
+            ["analyze", str(resources.files("oscount.data") / "q8d8.arr"), "--oracle", "ff"]
+            + ["--json"],
+            ANALYZE_Q8D8_FF,
+        ),
         (
             ["group", "analyze", str(resources.files("oscount.data") / "g4.grp"), "--json"],
             GROUP_G4,
@@ -155,7 +224,7 @@ def _json_doc(capsys, argv) -> dict:
             GROUP_Q8D8,
         ),
     ],
-    ids=["count", "analyze", "group", "group-q8d8"],
+    ids=["count", "analyze", "count-d4-2", "analyze-q8d8-ff", "group", "group-q8d8"],
 )
 def test_json_document_is_pinned(capsys, braid3_file, argv, expected):
     argv = [braid3_file if a == "BRAID3" else a for a in argv]
@@ -229,9 +298,13 @@ def test_cap_error_reports_partial_work_as_json(capsys):
     # without --json, and for a cap error with no partial work, stdout stays empty
     assert cli.main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+    # q = 2 is bad for wreath:A1:2 (its good primes are 3 and 5), and 3^2 > 8
     ff_capped = ["count", "--catalog", "wreath:A1:2", "--oracle", "ff", "--ff-cap", "8"]
+    message = "found only 0 good primes with q^l <= cap 8"
     assert cli.main(ff_capped + ["--json"]) == 2
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"error": message, "partial": {"good_primes": [], "last_q": 3}}
+    assert err == f"error: {message}\n"
 
 
 def test_group_cap_error_reports_completed_layers(capsys):
@@ -243,6 +316,7 @@ def test_group_cap_error_reports_completed_layers(capsys):
     # the identity, then the 4 elements one generator away; the next layer overflows
     assert json.loads(out) == {"error": message, "partial": {"elements_per_layer": [1, 4]}}
     assert err == f"error: {message}\n"
+
 
 def test_group_analyze_computes_each_invariant_once(capsys, monkeypatch):
     calls = []
@@ -258,3 +332,22 @@ def test_group_analyze_computes_each_invariant_once(capsys, monkeypatch):
     g4 = str(resources.files("oscount.data") / "g4.grp")
     assert cli.main(["group", "analyze", g4, "--json"]) == 0
     assert sorted(calls) == ["minimal_parabolics", "symplectic_reflections"]
+
+
+def test_1100_concurrent_lines(capsys, tmp_path):
+    # every line meets every other only at the origin: the lattice is
+    # [1, 1100, 1], and a build that reduced every pair of lines took 5.5 s
+    lines = [f"hyperplane 1 {k}" for k in range(1100)]
+    path = tmp_path / "lines.arr"
+    path.write_text("\n".join(["field rational", "dim 2", *lines]) + "\n")
+    doc = _json_doc(capsys, ["analyze", str(path), "--oracle", "nbc", "--json"])
+    assert doc["flats_per_level"] == [1, 1100, 1]
+    assert doc["oracle_results"] == {
+        "oracle": "nbc",
+        "nbc_betti": [1, 1100, 1099],
+        "agrees": True,
+    }
+    lines = parse_arrangement_file(str(path))
+    start = time.perf_counter()
+    assert arrangement.intersection_lattice(lines).flats_per_level() == [1, 1100, 1]
+    assert time.perf_counter() - start < 2

@@ -164,8 +164,9 @@ def test_normal_vanishing_mod_q_is_bad():
 
 def test_good_prime_search_stops_at_the_cap(braid3):
     # q^3 <= 30 leaves only q = 2 and q = 3
-    with pytest.raises(ComputationCapError, match="found only 2"):
+    with pytest.raises(ComputationCapError, match="found only 2") as exc:
         find_good_primes(intersection_lattice(braid3), 3, ff_cap=30)
+    assert exc.value.partial == {"good_primes": [2, 3], "last_q": 5}
 
 
 def test_finite_field_rejects_nonrational():

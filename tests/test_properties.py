@@ -4,14 +4,24 @@ A fixed, recorded seed drives every case, so failures are reproducible.
 Covers: Whitney-oracle equality with the lattice route, the
 deletion-restriction identity, the cone identity, Moebius row sums, the
 Moebius sign pattern, Zaslavsky's region count, and (for up to 6
-hyperplanes) the flat family against brute-force subset ranks.
+hyperplanes) every flat and its Moebius value against brute-force subset
+ranks and the definition of mu.  `_levels` is also run directly on random
+rows mod small primes, where rows coincide and affine classes are parallel.
 """
 
 import random
 
-from conftest import brute_force_flats, rational_arrangement, whitney_characteristic
+from conftest import (
+    brute_force_flats,
+    brute_force_moebius,
+    rank_mod,
+    rational_arrangement,
+    subset_flats,
+    whitney_characteristic,
+)
 
 from oscount.arrangement import (
+    _levels,
     characteristic_polynomial,
     cone,
     deletion_restriction,
@@ -91,7 +101,48 @@ def test_flat_family_matches_subset_ranks():
         if len(arr.hyperplanes) > MAX_BRUTE_FORCE:
             continue
         lattice = intersection_lattice(arr)
-        flats = {(f.contains, f.codim) for f, _ in lattice.all_flats()}
-        assert flats == brute_force_flats(arr), f"case {case}: flat family"
+        flats = {(f.contains, f.codim, mu) for f, mu in lattice.all_flats()}
+        assert flats == _with_moebius(brute_force_flats(arr)), f"case {case}: flat family"
         checked += 1
     assert checked >= NUM_CASES // 2
+
+
+def _with_moebius(flats: set) -> set:
+    mu = brute_force_moebius(flats)
+    return {(contains, codim, mu[contains]) for contains, codim in flats}
+
+
+def random_rows_mod_q():
+    """Nonzero rows [normal | offset] mod q in {2, 3, 5, 7}: some repeat an
+    earlier row up to a unit (one hyperplane mod q, two indices), some
+    share an earlier normal with another offset (parallel), and some have a
+    zero normal (a hyperplane that misses everything)."""
+    rng = random.Random(SEED)
+    for case in range(NUM_CASES):
+        q = (2, 3, 5, 7)[case % 4]
+        dim = rng.randint(1, 4)
+        affine = rng.random() < 0.5
+        n = rng.randint(1, 7)
+        rows = []
+        while len(rows) < n:
+            draw = rng.random()
+            if rows and draw < 0.2:
+                unit = rng.randrange(1, q)
+                row = tuple(unit * x % q for x in rng.choice(rows))
+            elif rows and affine and draw < 0.4:
+                row = rng.choice(rows)[:-1] + (rng.randrange(q),)
+            else:
+                row = tuple(rng.randrange(q) for _ in range(dim))
+                row += (rng.randrange(q) if affine else 0,)
+            if any(row):
+                rows.append(row)
+        yield case, q, dim, rows
+
+
+def test_levels_mod_q_match_subset_ranks():
+    for case, q, dim, rows in random_rows_mod_q():
+        levels = list(_levels(rows, dim, q, 10**6))
+        assert all(f.codim == codim for codim, level in enumerate(levels) for f in level)
+        flats = {(f.contains, f.codim, f.mu) for level in levels for f in level}
+        expected = _with_moebius(subset_flats(rows, rank_mod(q)))
+        assert flats == expected, f"case {case}: q = {q}, rows {rows}"
