@@ -17,8 +17,14 @@ with the lattice code: not `_levels`, not the zeta -> omega map into F_p,
 not the Hadamard bound and not the prime.
 
 `finite_field_count` counts the points of F_q^l off the hyperplanes mod q
-with numpy alone.  The count is chi(A, q) when reduction mod q keeps the
-intersection lattice (Athanasiadis, Adv. Math. 122, 1996).
+on Python ints, one line {x'} x F_q per x' in F_q^(l-1).  Every row is
+reduced mod q first.  The line meets a x = b in exactly one point,
+x_l = (b - a'.x') / a_l, when a_l != 0 mod q, and otherwise in the whole
+line (b = a'.x') or in none.  So the line holds no point of the complement
+when some row with a_l = 0 vanishes at x', and otherwise q minus the number
+of distinct forbidden x_l; the sum over x' is the count, exactly.  It is
+chi(A, q) when reduction mod q keeps the intersection lattice (Athanasiadis,
+Adv. Math. 122, 1996).
 `find_good_primes` decides that with the lattice engine itself: equal
 `contains` families mod q and over the field, level by level, are the same
 lattice, so chi(A mod q) = chi(A).  Only the choice of q shares code with
@@ -167,20 +173,31 @@ def finite_field_count(
         )
     if not rows:
         return npoints
-    # Lazy: numpy dominates the package's import time and only this oracle uses it.
-    import numpy as np
-
-    normals = np.array([r[:-1] for r in rows], dtype=np.int64) % q
-    offsets = np.array([r[-1] for r in rows], dtype=np.int64) % q
-    powers = q ** np.arange(ell, dtype=np.int64)
-    chunk = 1 << 16
+    # The k rows with a_l = 0 mod q first, then the others scaled by 1/a_l,
+    # so that b - a'.x' of a scaled row is the x_l it forbids on the line
+    walls, slopes = [], []
+    for row in rows:
+        *head, a_l, b = [x % q for x in row]
+        if a_l:
+            inv = pow(a_l, -1, q)
+            slopes.append([x * inv % q for x in head + [b]])
+        else:
+            walls.append(head + [b])
+    scaled = walls + slopes
+    k = len(walls)
     count = 0
-    for start in range(0, npoints, chunk):
-        stop = min(start + chunk, npoints)
-        idx = np.arange(start, stop, dtype=np.int64)
-        points = (idx[:, None] // powers[None, :]) % q
-        vals = (points @ normals.T - offsets[None, :]) % q
-        count += int(np.count_nonzero(np.all(vals != 0, axis=1)))
+    # depth first over the prefixes x' of the first i coordinates, keeping
+    # b - a'.x' mod q for every row
+    stack = [(0, [row[-1] for row in scaled])]
+    while stack:
+        i, values = stack.pop()
+        if i == ell - 1:
+            if 0 not in values[:k]:
+                count += q - len(set(values[k:]))
+            continue
+        column = [row[i] for row in scaled]
+        for t in range(q):
+            stack.append((i + 1, [(v - t * c) % q for v, c in zip(values, column)]))
     return count
 
 

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -88,6 +88,16 @@ def rank_mod(q: int):
         return r
 
     return rank
+
+
+def brute_force_points(rows, q: int) -> int:
+    """Number of x in F_q^l with a.x != b (mod q) for every integer row
+    [a | b]: every point of F_q^l is tried.  Uses nothing from oscount."""
+    ell = len(rows[0]) - 1 if rows else 0
+    return sum(
+        all(sum(a * x for a, x in zip(row, point)) % q != row[-1] % q for row in rows)
+        for point in product(range(q), repeat=ell)
+    )
 
 
 def brute_force_moebius(flats: set) -> dict:

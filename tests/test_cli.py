@@ -132,6 +132,21 @@ def test_cli_analyze_ff_oracle(capsys, tmp_path):
     assert doc["oracle_results"]["agrees"] is True
 
 
+def test_cli_ff_oracle_takes_coefficients_beyond_64_bits(capsys, tmp_path):
+    # three distinct lines through 0 in the plane: chi = (t - 1)(t - 2); the
+    # coefficient 10^30 + 1 does not fit a machine word before reduction mod q
+    path = tmp_path / "wide.arr"
+    path.write_text(
+        "field rational\ndim 2\nhyperplane 1 0\nhyperplane 0 1\n"
+        "hyperplane 1 1000000000000000000000000000001\n"
+    )
+    assert cli.main(["analyze", str(path), "--oracle", "ff", "--json"]) == 0
+    results = json.loads(capsys.readouterr().out)["oracle_results"]["finite_field"]
+    assert results
+    for r in results:
+        assert r["count"] == r["chi"] == (r["q"] - 1) * (r["q"] - 2)
+
+
 def test_cli_json_is_deterministic_except_timing(capsys):
     def run():
         assert cli.main(["count", "--catalog", "g4", "--json"]) == 0

@@ -268,6 +268,25 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_ff_oracle_runs_with_numpy_unimportable():
+    src = str(Path(oscount.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    # a None entry in sys.modules makes every `import numpy` raise ImportError
+    code = (
+        "import sys; sys.modules['numpy'] = None; from oscount import cli; "
+        "sys.exit(cli.main(sys.argv[1:]))"
+    )
+    path = str(resources.files("oscount.data") / "q8d8.arr")
+    argv = ["analyze", path, "--oracle", "ff", "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert isinstance(doc.pop("timing_seconds"), float)
+    assert json.dumps(doc) == json.dumps(ANALYZE_Q8D8_FF)
+
+
 @pytest.mark.parametrize("verb", ["count", "analyze"])
 def test_ff_oracle_reuses_the_exact_lattice(capsys, braid3_file, monkeypatch, verb):
     calls = []

@@ -2,10 +2,16 @@ import inspect
 import json
 import random
 import sys
+from math import gcd
 
 import pytest
 
-from conftest import g414_arrangement, rational_arrangement, whitney_characteristic
+from conftest import (
+    brute_force_points,
+    g414_arrangement,
+    rational_arrangement,
+    whitney_characteristic,
+)
 
 from oscount.arrangement import (
     build_arrangement,
@@ -184,6 +190,55 @@ def test_finite_field_matches_chi_at_good_primes(braid3):
     chi = characteristic_polynomial(intersection_lattice(braid3))
     for q in find_good_primes(intersection_lattice(braid3), 3):
         assert finite_field_count(braid3, q) == chi(q)
+
+
+def _random_row(rng, q: int, ell: int, central: bool, rows: list) -> list[int]:
+    """A primitive integer row [a | b], b = 0 when central, of a random kind:
+    small, large, a_l = 0 mod q, a = 0 mod q (affine only), or congruent
+    mod q to one of `rows`."""
+    kinds = ["small", "large", "a_l"] + ["a"] * (not central) + ["repeat"] * bool(rows)
+    kind = rng.choice(kinds)
+    a = [rng.randint(-3, 3) for _ in range(ell)]
+    b = 0 if central else rng.randint(-5, 5)
+    if kind == "large":
+        a = [rng.randint(-(10**30), 10**30) for _ in range(ell)]
+    elif kind == "a_l":
+        a[-1] = q * rng.randint(-2, 2)
+    elif kind == "a":
+        a = [q * rng.randint(-2, 2) for _ in range(ell)]
+        b = rng.choice([1, -1]) + q * rng.randint(-2, 2)
+    elif kind == "repeat":
+        *a, c = [x + q * rng.randint(-1, 1) for x in rng.choice(rows)]
+        b = 0 if central else c
+    if not any(a):
+        a[0] = q if kind == "a" else 1
+    g = gcd(*a, b)
+    return [x // g for x in a + [b]]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_finite_field_count_equals_brute_force(q):
+    rng = random.Random(1000 + q)
+    seen = set()
+    for ell in range(1, 5):
+        for central in (True, False):
+            for _ in range(3):
+                rows = []
+                for _ in range(rng.randint(1, 7)):
+                    rows.append(_random_row(rng, q, ell, central, rows))
+                a = rational_arrangement(ell, [r[:-1] for r in rows], [r[-1] for r in rows])
+                assert finite_field_count(a, q) == brute_force_points(rows, q), (rows, q)
+                seen.add("central" if a.central else "affine")
+                mod_q = [tuple(x % q for x in r) for r in rows]
+                for r, m in zip(rows, mod_q):
+                    hits = {
+                        "large": max(map(abs, r)) >= 2**63,
+                        "a_l = 0 mod q": m[-2] == 0,
+                        "a = 0 mod q": not any(m[:-1]),
+                        "congruent mod q": mod_q.count(m) > 1,
+                    }
+                    seen.update(kind for kind, hit in hits.items() if hit)
+    assert seen == {"central", "affine", "large", "a_l = 0 mod q", "a = 0 mod q", "congruent mod q"}
 
 
 @pytest.mark.parametrize(
