@@ -5,6 +5,16 @@ classes, minimal parabolic subgroups with their Kleinian labels and
 normalizer data, and the bijection check between reflection classes and
 normalizer-orbits in the minimal parabolics.
 
+After enumeration no matrix is multiplied.  The BFS records, for each
+element g_i and generator s_k, the index of g_i s_k (a right
+multiplication table) and each element's parent product, which spells
+g_i as a word in the generators.  A product g_i g_j walks g_j's word from
+i through the table; s_k^-1 is the element before 1 on the cycle of column
+k and (x s_k)^-1 = s_k^-1 x^-1; a conjugation is two products and an
+inverse.  Every table entry is an exact product identified by its
+canonical key and every element is the product of its word, so this index
+arithmetic is exact (details in `MatrixGroup`).
+
 A minimal parabolic P_s, the pointwise stabilizer of the fixed space V^s
 of a reflection s, is 1 plus the reflections t with V^t = V^s, since V^g
 is symplectic for every g of finite order (proof in `minimal_parabolics`).  Fixed spaces
@@ -14,7 +24,9 @@ conjugacy and normalizers follow from g P_s g^-1 = P_{g s g^-1}.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import ComputationCapError, InvalidInputError
 from .fields import FieldDescriptor
@@ -35,8 +47,28 @@ DEFAULT_GROUP_CAP = 200_000
 
 
 class MatrixGroup:
-    """A finite subgroup of Sp(2n) given by generators; `enumerate_elements`
-    fills the canonical element store (BFS layer, then serialization key)."""
+    """A finite subgroup of Sp(2n) given by generators s_0, ..., s_{m-1}.
+
+    `enumerate_elements` fills the canonical element store g_0 = 1, g_1, ...
+    (BFS layer, then serialization key) and keeps two flat arrays from the
+    products the BFS makes anyway: `_right[i*m + k]` is the index of g_i s_k,
+    and `_parent[i] = p*m + k` names the product g_p s_k that first reached
+    g_i, with g_p one layer closer to 1.  Following parents back to 0 spells
+    g_i as a word s_{k_1} ... s_{k_d}, so after enumeration every group
+    operation is index arithmetic on the table:
+
+    - `multiply(i, j)` starts at i and follows the columns k_1, ..., k_d of
+      g_j's word through `_right`;
+    - s_k^-1 is the element before 1 on the cycle 1, s_k, s_k^2, ... of
+      column k, and (g_p s_k)^-1 = s_k^-1 g_p^-1 fills every inverse in BFS
+      order;
+    - `conjugate(i, j)` is `multiply(multiply(i, j), inverse_index(i))`.
+
+    Exactness: every table entry is the index of an exact matrix product,
+    identified by its canonical key, and every element is the product of its
+    BFS word, so each index these operations return is that of the exact
+    matrix the product names.  No matrix is multiplied after enumeration.
+    """
 
     def __init__(
         self,
@@ -69,68 +101,98 @@ class MatrixGroup:
         self.symplectic_form = omega
         self.elements: list[ExactMatrix] | None = None
         self.order: int | None = None
-        self._index: dict[str, int] = {}
-        self._inverse: list[int] | None = None
+        self._keys: list[str] = []  # serialization key of each element
+        self._right = array("q")
+        self._parent = array("q")
+        self._inverse = array("q")
 
     def enumerate_elements(self, cap: int = DEFAULT_GROUP_CAP) -> list[ExactMatrix]:
-        """Breadth-first closure under generator multiplication."""
+        """Breadth-first closure under right multiplication by the
+        generators; records the table and parents, then fills the inverses."""
         if cap < 1:
             raise InvalidInputError("enumeration cap must be >= 1")
         if self.elements is not None:
             return self.elements
+        gens = list(enumerate(self.generators))
+        m = len(gens)
         identity = ExactMatrix.identity(self.field, self.dim)
-        seen: dict[str, ExactMatrix] = {identity.key(): identity}
-        layers: list[list[ExactMatrix]] = [[identity]]
-        while layers[-1]:
-            frontier: dict[str, ExactMatrix] = {}
-            for x in layers[-1]:
-                for g in self.generators:
+        elements = [identity]
+        keys = [identity.key()]
+        index = {keys[0]: 0}
+        right, parent = array("q"), array("q", [0])
+        layer_sizes = [1]
+        start = 0
+        while start < len(elements):
+            frontier: dict[str, tuple[ExactMatrix, int]] = {}
+            products: list[str] = []  # key of g_i s_k, in table order
+            for i in range(start, len(elements)):
+                x = elements[i]
+                for k, g in gens:
                     y = x * g
-                    k = y.key()
-                    if k not in seen and k not in frontier:
-                        frontier[k] = y
-                        if len(seen) + len(frontier) > cap:
+                    key = y.key()
+                    products.append(key)
+                    if key not in index and key not in frontier:
+                        frontier[key] = (y, i * m + k)
+                        if len(index) + len(frontier) > cap:
                             raise ComputationCapError(
                                 f"group enumeration cap {cap} exceeded",
-                                partial={"elements_per_layer": [len(layer) for layer in layers]},
+                                partial={"elements_per_layer": layer_sizes},
                             )
-            layer = [frontier[k] for k in sorted(frontier)]
-            seen.update(frontier)
-            layers.append(layer)
-        elements: list[ExactMatrix] = [e for layer in layers for e in layer]
+            start = len(elements)
+            for key in sorted(frontier):
+                y, p = frontier[key]
+                index[key] = len(elements)
+                elements.append(y)
+                keys.append(key)
+                parent.append(p)
+            right.extend(map(index.__getitem__, products))
+            if frontier:
+                layer_sizes.append(len(frontier))
         self.elements = elements
         self.order = len(elements)
-        self._index = {e.key(): i for i, e in enumerate(elements)}
+        self._keys, self._right, self._parent = keys, right, parent
+        gen_inverse = []
+        for k in range(m):
+            before, x = 0, right[k]
+            while x:
+                before, x = x, right[x * m + k]
+            gen_inverse.append(before)
+        inverse = array("q", [0]) * len(elements)
+        for i in range(1, len(elements)):
+            p, k = divmod(parent[i], m)
+            inverse[i] = self.multiply(gen_inverse[k], inverse[p])
+        self._inverse = inverse
         return elements
 
     def _require_enumerated(self):
         if self.elements is None:
             raise InvalidInputError("call enumerate_elements() first")
 
-    def index_of(self, m: ExactMatrix) -> int:
+    def multiply(self, i: int, j: int) -> int:
+        """The index of g_i g_j: g_j's BFS word walked from i through the table."""
         self._require_enumerated()
-        try:
-            return self._index[m.key()]
-        except KeyError:
-            raise InvalidInputError("matrix is not an element of the group") from None
+        m = len(self.generators)
+        word = []
+        while j:
+            j, k = divmod(self._parent[j], m)
+            word.append(k)
+        right = self._right
+        for k in reversed(word):
+            i = right[i * m + k]
+        return i
 
     def inverse_index(self, i: int) -> int:
         self._require_enumerated()
-        if self._inverse is None:
-            self._inverse = [-1] * len(self.elements)
-        if self._inverse[i] < 0:
-            self._inverse[i] = self.index_of(self.elements[i].inverse())
         return self._inverse[i]
 
     def conjugate(self, i: int, j: int) -> int:
         """The index of g_i g_j g_i^-1."""
-        e = self.elements
-        return self.index_of(e[i] * e[j] * e[self.inverse_index(i)])
+        return self.multiply(self.multiply(i, j), self.inverse_index(i))
 
     def conjugacy_class_of(self, i: int) -> frozenset[int]:
         """Orbit of element i under conjugation (generators suffice)."""
         self._require_enumerated()
-        gens = [self.index_of(g) for g in self.generators]
+        gens = self._right[: len(self.generators)]  # row 0: 1 s_k = s_k
         orbit = {i}
         frontier = [i]
         while frontier:
@@ -150,7 +212,7 @@ def _orbits(group: MatrixGroup, items, orbit_of) -> dict[int, frozenset[int]]:
     its least element key; the seeds come in increasing key order."""
     orbits: dict[int, frozenset[int]] = {}
     done: set[int] = set()
-    for seed in sorted(items, key=lambda i: group.elements[i].key()):
+    for seed in sorted(items, key=group._keys.__getitem__):
         if seed not in done:
             orbits[seed] = frozenset(orbit_of(seed))
             done |= orbits[seed]
@@ -209,30 +271,29 @@ class ParabolicClass:
     fixed_space: tuple[Row, ...]
 
 
-def _element_order(m: ExactMatrix) -> int:
-    acc = m
-    k = 1
-    while not acc.is_identity():
-        acc = acc * m
-        k += 1
-        if k > 10_000:
-            raise InvalidInputError("element order exceeds sanity bound")
-    return k
-
-
-def kleinian_label(elements: list[ExactMatrix]) -> str:
-    """ADE label of a finite SL(2,C)-type subgroup given by its element list.
+def kleinian_label(group: MatrixGroup, members: Sequence[int]) -> str:
+    """ADE label of a finite SL(2,C)-type subgroup of an enumerated group,
+    given by its element indices; orders and commutation come from the
+    group's multiplication table.
 
     Cyclic of order k -> A_{k-1}; nonabelian with an element of order
     |H|/2 (a cyclic subgroup of index 2) -> D_{|H|/4 + 2}; otherwise
     orders 24/48/120 -> E_6/E_7/E_8.
     """
-    n = len(elements)
+    n = len(members)
     if n < 2:
         raise InvalidInputError("trivial subgroup has no Kleinian label")
-    orders = [_element_order(m) for m in elements]
+    orders = []
+    for i in members:
+        power, k = i, 1
+        while power:  # 0 is the identity
+            power = group.multiply(power, i)
+            k += 1
+        orders.append(k)
     abelian = all(
-        a * b == b * a for i, a in enumerate(elements) for b in elements[i + 1 :]
+        group.multiply(a, b) == group.multiply(b, a)
+        for t, a in enumerate(members)
+        for b in members[t + 1 :]
     )
     if abelian:
         if n in orders:
@@ -327,7 +388,7 @@ def minimal_parabolics(
             ParabolicClass(
                 subgroup=members,
                 subgroup_order=len(members),
-                kleinian_label=kleinian_label([group.elements[i] for i in members]),
+                kleinian_label=kleinian_label(group, members),
                 num_conjugates=len(conjugates),
                 normalizer_order=len(normalizer),
                 xi_order=len(normalizer) // len(members),

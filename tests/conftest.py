@@ -159,6 +159,12 @@ def kernel_basis(matrix: ExactMatrix) -> list[Row]:
     return basis
 
 
+def index_by_key(group: MatrixGroup) -> dict[str, int]:
+    """{ExactMatrix.key(): index} over the enumerated elements; reads the
+    element list only, never the group's multiplication table."""
+    return {m.key(): i for i, m in enumerate(group.elements)}
+
+
 def conjugacy_classes(group: MatrixGroup) -> list[frozenset[int]]:
     group._require_enumerated()
     leftover = set(range(len(group.elements)))

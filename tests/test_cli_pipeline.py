@@ -326,7 +326,7 @@ def test_cap_error_reports_partial_work_as_json(capsys):
     assert err == f"error: {message}\n"
 
 
-def test_group_cap_error_reports_completed_layers(capsys):
+def test_group_cap_error_reports_completed_layers(capsys, tmp_path):
     q8d8 = str(resources.files("oscount.data") / "q8d8.grp")
     argv = ["group", "analyze", q8d8, "--group-cap", "10"]
     message = "group enumeration cap 10 exceeded"
@@ -334,6 +334,17 @@ def test_group_cap_error_reports_completed_layers(capsys):
     out, err = capsys.readouterr()
     # the identity, then the 4 elements one generator away; the next layer overflows
     assert json.loads(out) == {"error": message, "partial": {"elements_per_layer": [1, 4]}}
+    assert err == f"error: {message}\n"
+    # an infinite cyclic group: one element per layer until the cap
+    unipotent = tmp_path / "unipotent.grp"
+    unipotent.write_text(
+        "field rational\ndim 2\nsymplectic_form\n0 1\n-1 0\ngenerator\n1 1\n0 1\n"
+    )
+    message = "group enumeration cap 50 exceeded"
+    argv = ["group", "analyze", str(unipotent), "--group-cap", "50", "--json"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"error": message, "partial": {"elements_per_layer": [1] * 50}}
     assert err == f"error: {message}\n"
 
 

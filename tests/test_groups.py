@@ -5,6 +5,7 @@ import pytest
 from conftest import (
     check_symplectic_all,
     conjugacy_classes,
+    index_by_key,
     kernel_basis,
     pointwise_stabilizer,
 )
@@ -53,6 +54,23 @@ def binary_tetrahedral_group() -> MatrixGroup:
         [[half * (-one + i_), half * (one + i_)], [half * (-one + i_), half * (-one - i_)]],
     )
     return MatrixGroup(f, 2, [qi, qj, w], omega)
+
+
+def cyclic5_group() -> MatrixGroup:
+    f5 = cyclotomic_field(5)
+    z = f5.zeta()
+    omega = ExactMatrix(f5, [[f5.zero(), f5.one()], [-f5.one(), f5.zero()]])
+    c5 = ExactMatrix(f5, [[z, f5.zero()], [f5.zero(), z.inverse()]])
+    return MatrixGroup(f5, 2, [c5], omega)
+
+
+GROUPS = {
+    "q8d8": lambda: catalog("q8d8").group,
+    "g4": lambda: catalog("g4").group,
+    "Q8": quaternion_group,
+    "2T": binary_tetrahedral_group,
+    "C5": cyclic5_group,
+}
 
 
 def test_pm_identity_enumeration():
@@ -196,28 +214,20 @@ def test_subgroup_depends_only_on_fixed_space():
     assert len(by_space) == 4  # four subgroups in one conjugacy class
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: catalog("q8d8").group,
-        lambda: catalog("g4").group,
-        quaternion_group,
-        binary_tetrahedral_group,
-    ],
-    ids=["q8d8", "g4", "Q8", "2T"],
-)
-def test_parabolics_are_the_pointwise_stabilizers(make):
-    g = make()
+@pytest.mark.parametrize("name", ["q8d8", "g4", "Q8", "2T"])
+def test_parabolics_are_the_pointwise_stabilizers(name):
+    g = GROUPS[name]()
     g.enumerate_elements()
     reflections = symplectic_reflections(g)
     stabilizers = {pointwise_stabilizer(g, s) for c in reflections for s in c.members}
+    index = index_by_key(g)
     covered = []
     for p in minimal_parabolics(g, reflections):
         conjugates = set()
         for x in g.elements:
             x_inv = x.inverse()
             conjugates.add(
-                tuple(sorted(g.index_of(x * g.elements[i] * x_inv) for i in p.subgroup))
+                tuple(sorted(index[(x * g.elements[i] * x_inv).key()] for i in p.subgroup))
             )
         for sub in conjugates:
             assert sub == pointwise_stabilizer(g, sub[1])  # sub[0] is the identity
@@ -231,31 +241,28 @@ def test_parabolics_are_the_pointwise_stabilizers(make):
 def test_kleinian_labels():
     z2 = pm_identity_group()
     z2.enumerate_elements()
-    assert kleinian_label(z2.elements) == "A1"
+    assert kleinian_label(z2, range(z2.order)) == "A1"
     q8 = quaternion_group()
     q8.enumerate_elements()
     assert q8.order == 8
-    assert kleinian_label(q8.elements) == "D4"
+    assert kleinian_label(q8, range(q8.order)) == "D4"
     bt = binary_tetrahedral_group()
     bt.enumerate_elements()
     assert bt.order == 24
-    assert kleinian_label(bt.elements) == "E6"
+    assert kleinian_label(bt, range(bt.order)) == "E6"
 
 
 def test_cyclic_labels():
-    f5 = cyclotomic_field(5)
-    z = f5.zeta()
-    omega = ExactMatrix(f5, [[f5.zero(), f5.one()], [-f5.one(), f5.zero()]])
-    c5 = ExactMatrix(f5, [[z, f5.zero()], [f5.zero(), z.inverse()]])
-    g = MatrixGroup(f5, 2, [c5], omega)
+    g = cyclic5_group()
     g.enumerate_elements()
-    assert kleinian_label(g.elements) == "A4"
+    assert kleinian_label(g, range(g.order)) == "A4"
 
 
 def test_kleinian_label_rejects_trivial():
-    f = rational_field()
+    z2 = pm_identity_group()
+    z2.enumerate_elements()
     with pytest.raises(InvalidInputError):
-        kleinian_label([ExactMatrix.identity(f, 2)])
+        kleinian_label(z2, [0])
 
 
 def test_element_ordering_is_deterministic():
@@ -264,3 +271,38 @@ def test_element_ordering_is_deterministic():
     assert [m.key() for m in g1.enumerate_elements()] == [
         m.key() for m in g2.enumerate_elements()
     ]
+
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_index_arithmetic_matches_matrix_products(name):
+    g = GROUPS[name]()
+    elements = g.enumerate_elements()
+    index = index_by_key(g)
+    inverses = [x.inverse() for x in elements]
+    for i, x in enumerate(elements):
+        assert g.inverse_index(i) == index[inverses[i].key()]
+        for j, y in enumerate(elements):
+            product = x * y
+            assert g.multiply(i, j) == index[product.key()]
+            assert g.conjugate(i, j) == index[(product * inverses[i]).key()]
+
+
+@pytest.mark.parametrize("name", ["q8d8", "g4"])
+def test_no_matrix_arithmetic_after_enumeration(name, monkeypatch):
+    g = GROUPS[name]()
+    g.enumerate_elements()
+    calls = []
+    for method in ("__mul__", "inverse"):
+        real = getattr(ExactMatrix, method)
+
+        def counted(*args, _method=method, _real=real):
+            calls.append(_method)
+            return _real(*args)
+
+        monkeypatch.setattr(ExactMatrix, method, counted)
+    reflections = symplectic_reflections(g)
+    parabolics = minimal_parabolics(g, reflections)
+    ok, _ = verify_zeta_bijection(reflections, parabolics)
+    assert ok
+    assert calls == []
