@@ -11,69 +11,87 @@ with the Catalan-type arrangement family, and finite symplectic matrix
 group analysis (reflection classes, minimal parabolics, Kleinian labels).
 """
 
-from .arrangement import (
-    Arrangement,
-    Flat,
-    Hyperplane,
-    IntersectionLattice,
-    build_arrangement,
-    characteristic_polynomial,
-    cone,
-    deletion_restriction,
-    essential_rank,
-    intersection_lattice,
-    poincare_polynomial,
-    region_count,
-)
-from .counting import (
-    CatalogEntry,
-    CountReport,
-    NamikawaWeylData,
-    analyze_arrangement,
-    catalog,
-    count_resolutions,
-    namikawa_weyl_from_group,
-    wreath_count_closed_form,
-)
-from .errors import (
-    ComputationCapError,
-    InvalidInputError,
-    MathematicalInconsistencyError,
-    OracleDisagreementError,
-    OscountError,
-    UnsupportedFoldingError,
-)
-from .fields import (
-    FieldDescriptor,
-    Scalar,
-    cyclotomic_field,
-    cyclotomic_polynomial,
-    cyclotomic_reduce,
-    rational_field,
-)
-from .groups import (
-    MatrixGroup,
-    ParabolicClass,
-    ReflectionClass,
-    kleinian_label,
-    minimal_parabolics,
-    symplectic_reflections,
-    verify_zeta_bijection,
-)
-from .linalg import ExactMatrix
-from .matroid import (
-    find_good_primes,
-    finite_field_count,
-    nbc_betti,
-)
-from .polynomial import IntegerPolynomial
-from .rootdata import (
-    CatalanSpec,
-    WeylTypeData,
-    affine_catalan,
-    catalan_arrangement,
-    parse_type_label,
-    weyl_data,
-)
+import importlib
 
+# Each public name and the submodule that defines it.  A name is imported on
+# first use (PEP 562), so `import oscount` loads no submodule and a command
+# loads only the modules it runs.
+_SUBMODULE_NAMES = {
+    "arrangement": (
+        "Arrangement",
+        "Flat",
+        "Hyperplane",
+        "IntersectionLattice",
+        "build_arrangement",
+        "characteristic_polynomial",
+        "cone",
+        "deletion_restriction",
+        "essential_rank",
+        "intersection_lattice",
+        "poincare_polynomial",
+        "region_count",
+    ),
+    "counting": (
+        "CatalogEntry",
+        "CountReport",
+        "analyze_arrangement",
+        "catalog",
+        "count_resolutions",
+        "wreath_count_closed_form",
+    ),
+    "errors": (
+        "ComputationCapError",
+        "InvalidInputError",
+        "MathematicalInconsistencyError",
+        "OracleDisagreementError",
+        "OscountError",
+        "UnsupportedFoldingError",
+    ),
+    "fields": (
+        "FieldDescriptor",
+        "Scalar",
+        "cyclotomic_field",
+        "cyclotomic_polynomial",
+        "cyclotomic_reduce",
+        "rational_field",
+    ),
+    "groups": (
+        "MatrixGroup",
+        "NamikawaWeylData",
+        "ParabolicClass",
+        "ReflectionClass",
+        "kleinian_label",
+        "minimal_parabolics",
+        "namikawa_weyl_from_group",
+        "symplectic_reflections",
+        "verify_zeta_bijection",
+    ),
+    "linalg": ("ExactMatrix",),
+    "matroid": ("find_good_primes", "finite_field_count", "nbc_betti"),
+    "polynomial": ("IntegerPolynomial",),
+    "rootdata": (
+        "CatalanSpec",
+        "WeylTypeData",
+        "affine_catalan",
+        "catalan_arrangement",
+        "parse_type_label",
+        "weyl_data",
+    ),
+}
+_EXPORTS = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -69,11 +69,15 @@ exactly once, so no edge list is kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt, lcm, prod
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import ComputationCapError, InvalidInputError, MathematicalInconsistencyError
+from .errors import (
+    DEFAULT_FLAT_CAP,
+    ComputationCapError,
+    InvalidInputError,
+    MathematicalInconsistencyError,
+)
 from .fields import FieldDescriptor, Scalar, is_prime
 from .linalg import Row, rank_of_rows
 from .polynomial import IntegerPolynomial
@@ -95,12 +99,10 @@ __all__ = [
     "MAX_BOUND_BITS",
 ]
 
-DEFAULT_FLAT_CAP = 2_000_000
 MAX_BOUND_BITS = 1_536
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(NamedTuple):
     """The affine hyperplane {x : normal . x = offset}, in canonical scaling."""
 
     normal: tuple[Scalar, ...]
@@ -132,12 +134,20 @@ class Hyperplane:
         return self.key()
 
 
-@dataclass(frozen=True)
 class Arrangement:
-    field: FieldDescriptor
-    ambient_dim: int
-    hyperplanes: tuple[Hyperplane, ...]
-    central: bool
+    __slots__ = ("field", "ambient_dim", "hyperplanes", "central")
+
+    def __init__(
+        self,
+        field: FieldDescriptor,
+        ambient_dim: int,
+        hyperplanes: tuple[Hyperplane, ...],
+        central: bool,
+    ):
+        self.field = field
+        self.ambient_dim = ambient_dim
+        self.hyperplanes = hyperplanes
+        self.central = central
 
     def __len__(self) -> int:
         return len(self.hyperplanes)
@@ -164,19 +174,15 @@ def build_arrangement(
         raise InvalidInputError("ambient dimension must be >= 0")
     seen: dict[Row, None] = {}
     planes: list[Hyperplane] = []
-    for item in raw_hyperplanes:
-        if isinstance(item, Hyperplane):
-            normal, offset = item.normal, item.offset
-        else:
-            normal, offset = item
-            normal = tuple(normal)
-            if offset is None:
-                offset = field.zero()
+    for normal, offset in raw_hyperplanes:  # a Hyperplane is a (normal, offset) pair too
+        normal = tuple(normal)
+        if offset is None:
+            offset = field.zero()
         if len(normal) != ambient_dim:
             raise InvalidInputError(
                 f"hyperplane normal of length {len(normal)}; ambient dimension is {ambient_dim}"
             )
-        for x in tuple(normal) + (offset,):
+        for x in normal + (offset,):
             if x.field.conductor != field.conductor:
                 raise InvalidInputError("hyperplane coefficients from a different field")
         h = Hyperplane.canonical(normal, offset)
@@ -187,8 +193,7 @@ def build_arrangement(
     return Arrangement(field, ambient_dim, tuple(planes), central)
 
 
-@dataclass(frozen=True)
-class Flat:
+class Flat(NamedTuple):
     """A nonempty intersection of hyperplanes: its codimension, the maximal
     set of hyperplane indices containing it, and mu(ambient, X)."""
 
@@ -197,12 +202,14 @@ class Flat:
     mu: int
 
 
-@dataclass
 class IntersectionLattice:
     """Flats grouped by codimension; level 0 is the ambient space."""
 
-    arrangement: Arrangement
-    levels: list[list[Flat]]
+    __slots__ = ("arrangement", "levels")
+
+    def __init__(self, arrangement: Arrangement, levels: list[list[Flat]]):
+        self.arrangement = arrangement
+        self.levels = levels
 
     def all_flats(self):
         for level in self.levels:

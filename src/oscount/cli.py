@@ -10,6 +10,12 @@ Caps may be set by flags or environment variables (OSCOUNT_FLAT_CAP,
 OSCOUNT_SUBSET_CAP, OSCOUNT_GROUP_CAP, OSCOUNT_FF_CAP).  Any other failure
 is one `error: internal error: ...` line and exit code 3; OSCOUNT_DEBUG=1
 adds its traceback.
+
+Startup: a command imports only the modules it runs, inside its handler, so
+`group analyze` loads no arrangement code and `count --arrangement` no group
+code, and no module imports `dataclasses` (or, through it, `inspect`).  At
+module level this file imports the standard library and `errors` alone.
+The traceback module is imported only when OSCOUNT_DEBUG asks for it.
 """
 
 from __future__ import annotations
@@ -20,41 +26,17 @@ import os
 import sys
 import time
 
-from .arrangement import DEFAULT_FLAT_CAP, cone, deletion_restriction
-from .counting import (
-    analyze_arrangement,
-    catalog,
-    count_resolutions,
-    namikawa_weyl_from_group,
-    wreath_count_closed_form,
-)
 from .errors import (
+    DEFAULT_FF_CAP,
+    DEFAULT_FLAT_CAP,
+    DEFAULT_GROUP_CAP,
+    DEFAULT_SUBSET_CAP,
     InvalidInputError,
     MathematicalInconsistencyError,
     OracleDisagreementError,
     OscountError,
     UnsupportedFoldingError,
 )
-from .fileio import (
-    parse_arrangement_file,
-    parse_group_file,
-    serialize_arrangement,
-)
-from .groups import (
-    DEFAULT_GROUP_CAP,
-    minimal_parabolics,
-    symplectic_reflections,
-    verify_zeta_bijection,
-)
-from .matroid import (
-    DEFAULT_FF_CAP,
-    DEFAULT_SUBSET_CAP,
-    finite_field_count,
-    find_good_primes,
-    nbc_betti,
-)
-from .polynomial import IntegerPolynomial
-from .rootdata import CatalanSpec, affine_catalan, catalan_arrangement, parse_type_label, weyl_data
 
 __all__ = ["main"]
 
@@ -94,7 +76,7 @@ def _caps(args) -> dict:
     return caps
 
 
-def _poly_doc(p: IntegerPolynomial) -> dict:
+def _poly_doc(p) -> dict:
     return {"coefficients": list(p.coefficients), "text": str(p)}
 
 
@@ -122,6 +104,8 @@ def _emit(doc: dict, as_json: bool, human_lines):
 
 def _run_oracles(report, which: str, caps) -> dict:
     """Cross-check the lattice route; disagreement raises (exit 3)."""
+    from .matroid import find_good_primes, finite_field_count, nbc_betti
+
     arrangement = report.lattice.arrangement
     results: dict = {"oracle": which}
     if which == "nbc":
@@ -175,6 +159,9 @@ def _report_doc(head: dict, report, oracle: str, caps, t0: float) -> dict:
 
 
 def _cmd_analyze(args) -> int:
+    from .counting import analyze_arrangement
+    from .fileio import parse_arrangement_file
+
     caps = _caps(args)
     arrangement = parse_arrangement_file(args.file)
     t0 = time.perf_counter()
@@ -203,6 +190,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _emit_arrangement(arrangement, args, command: str, extra: dict | None = None) -> int:
+    from .fileio import serialize_arrangement
+
     text = serialize_arrangement(arrangement)
     doc = _arrangement_head(command, arrangement)
     doc["arrangement_text"] = text
@@ -221,11 +210,22 @@ def _emit_arrangement(arrangement, args, command: str, extra: dict | None = None
 
 
 def _cmd_cone(args) -> int:
+    from .arrangement import cone
+    from .fileio import parse_arrangement_file
+
     arrangement = parse_arrangement_file(args.file)
     return _emit_arrangement(cone(arrangement), args, "cone")
 
 
 def _cmd_catalan(args) -> int:
+    from .rootdata import (
+        CatalanSpec,
+        affine_catalan,
+        catalan_arrangement,
+        parse_type_label,
+        weyl_data,
+    )
+
     letter, rank = parse_type_label(args.type)
     wdata = weyl_data(letter, rank)
     spec = CatalanSpec(wdata, args.n)
@@ -255,6 +255,9 @@ def _count_lines(doc: dict) -> list[str]:
 
 
 def _cmd_count(args) -> int:
+    from .counting import catalog, count_resolutions
+    from .fileio import parse_arrangement_file
+
     caps = _caps(args)
     t0 = time.perf_counter()
     if args.catalog and args.arrangement:
@@ -287,6 +290,9 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_wreath_formula(args) -> int:
+    from .counting import wreath_count_closed_form
+    from .rootdata import parse_type_label, weyl_data
+
     letter, rank = parse_type_label(args.type)
     wdata = weyl_data(letter, rank)
     value = wreath_count_closed_form(wdata, args.n)
@@ -308,6 +314,13 @@ def _group_doc(group, caps) -> tuple[dict, bool]:
     """Enumerate the group, then its reflection classes, minimal parabolics,
     zeta bijection and Namikawa Weyl order; returns the report and whether
     the bijection holds."""
+    from .groups import (
+        minimal_parabolics,
+        namikawa_weyl_from_group,
+        symplectic_reflections,
+        verify_zeta_bijection,
+    )
+
     group.enumerate_elements(caps["group_cap"])
     reflections = symplectic_reflections(group)
     parabolics = minimal_parabolics(group, reflections)
@@ -347,6 +360,8 @@ def _group_doc(group, caps) -> tuple[dict, bool]:
 
 
 def _cmd_group_analyze(args) -> int:
+    from .fileio import parse_group_file
+
     caps = _caps(args)
     t0 = time.perf_counter()
     doc, ok = _group_doc(parse_group_file(args.file), caps)
@@ -387,6 +402,17 @@ def _cmd_group_analyze(args) -> int:
 def _selftest_checks(caps, skip: set[str]):
     """Yield (name, status, detail) rows; status in PASS/FAIL/SKIP.  Every
     expected number comes from the catalog entry under test."""
+    from .arrangement import cone, deletion_restriction
+    from .counting import analyze_arrangement, catalog, count_resolutions, wreath_count_closed_form
+    from .matroid import nbc_betti
+    from .polynomial import IntegerPolynomial
+    from .rootdata import (
+        CatalanSpec,
+        affine_catalan,
+        catalan_arrangement,
+        parse_type_label,
+        weyl_data,
+    )
 
     def check(name, fn, *args):
         try:
@@ -596,7 +622,7 @@ def main(argv=None) -> int:
         return exc.exit_code
     except Exception as exc:  # noqa: BLE001 - the CLI boundary: no raw traceback
         if os.environ.get("OSCOUNT_DEBUG") == "1":
-            import traceback  # imported here to keep it off the startup path
+            import traceback
 
             traceback.print_exc()
         print(f"error: internal error: {exc!r}", file=sys.stderr)

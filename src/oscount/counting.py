@@ -5,14 +5,17 @@ total Orlik-Solomon dimension of the singular-locus arrangement divided by
 the order of the Namikawa Weyl group; the wreath family also has the closed
 form  prod_i ((n-1) h + e_i + 1) / (e_i + 1),  giving two independent
 routes that must agree exactly.
+
+Counting needs only the arrangement layer.  The catalog's entries also read
+the shipped data files, matrix groups and root data, which `catalog`
+imports when it builds an entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arrangement import (
     Arrangement,
@@ -24,52 +27,24 @@ from .arrangement import (
     poincare_polynomial,
     region_count,
 )
-from .errors import (
-    InvalidInputError,
-    MathematicalInconsistencyError,
-    UnsupportedFoldingError,
-)
-from .fileio import parse_arrangement_file, parse_group_file
-from .groups import MatrixGroup, ParabolicClass
+from .errors import InvalidInputError, MathematicalInconsistencyError
 from .polynomial import IntegerPolynomial
-from .rootdata import CatalanSpec, WeylTypeData, catalan_arrangement, parse_type_label, weyl_data
+
+if TYPE_CHECKING:
+    from .groups import MatrixGroup, NamikawaWeylData
+    from .rootdata import WeylTypeData
 
 __all__ = [
-    "NamikawaWeylData",
     "CountReport",
     "analyze_arrangement",
     "CatalogEntry",
     "count_resolutions",
     "wreath_count_closed_form",
-    "namikawa_weyl_from_group",
-    "diagram_automorphism_order",
     "catalog",
-    "FOLDING_OVERRIDES",
 ]
 
 
-@dataclass(frozen=True)
-class NamikawaWeylData:
-    """Per parabolic class a (kleinian_label, |W_B|) factor; the total order
-    is the product."""
-
-    factors: tuple[tuple[str, int], ...]
-    total_order: int
-
-    @staticmethod
-    def from_factors(factors) -> "NamikawaWeylData":
-        factors = tuple((str(l), int(o)) for l, o in factors)
-        return NamikawaWeylData(factors, prod((o for _, o in factors), start=1))
-
-    def __post_init__(self):
-        if self.total_order != prod((o for _, o in self.factors), start=1):
-            raise InvalidInputError("total_order is not the product of the factors")
-        if self.total_order < 1:
-            raise InvalidInputError("Namikawa Weyl order must be >= 1")
-
-
-@dataclass
-class CountReport:
+class CountReport(NamedTuple):
     """Arrangement invariants and the lattice they were read from;
     `count_resolutions` adds the Weyl order and the resolution count."""
 
@@ -92,16 +67,11 @@ def analyze_arrangement(
     lattice = intersection_lattice(arrangement, flat_cap)
     chi = characteristic_polynomial(lattice)
     pi = poincare_polynomial(lattice)
-    report = CountReport(
-        lattice=lattice,
-        rank=essential_rank(arrangement),
-        char_poly=chi,
-        poincare_poly=pi,
-        os_dimension=pi(1),
-    )
+    rank = essential_rank(arrangement)
+    regions = bounded = None
     if all(h.is_real() for h in arrangement.hyperplanes):
-        report.regions, report.bounded_regions = region_count(arrangement, lattice)
-    return report
+        regions, bounded = region_count(arrangement, lattice)
+    return CountReport(lattice, rank, chi, pi, pi(1), regions, bounded)
 
 
 def count_resolutions(
@@ -121,18 +91,17 @@ def count_resolutions(
     if isinstance(weyl, int):
         if weyl < 1:
             raise InvalidInputError("Weyl order must be >= 1")
-        weyl = NamikawaWeylData.from_factors([("user", weyl)])
+        k = weyl
+    else:
+        k = weyl.total_order
     report = analyze_arrangement(arrangement, flat_cap)
     os_dim = report.os_dimension
-    k = weyl.total_order
     if os_dim % k != 0:
         raise MathematicalInconsistencyError(
             f"OS dimension {os_dim} is not divisible by |W| = {k}; "
             "wrong Weyl order or wrong arrangement"
         )
-    report.weyl_order = k
-    report.resolution_count = os_dim // k
-    return report
+    return report._replace(weyl_order=k, resolution_count=os_dim // k)
 
 
 def wreath_count_closed_form(type_data: WeylTypeData, n: int) -> int:
@@ -153,6 +122,8 @@ def wreath_count_closed_form(type_data: WeylTypeData, n: int) -> int:
 def wreath_weyl_data(type_data: WeylTypeData, n: int) -> NamikawaWeylData:
     """|W| = 2 * |W_G| for n >= 2 (an A1 factor for the diagonal leaf and the
     full W_G factor), |W_G| for n = 1."""
+    from .groups import NamikawaWeylData
+
     if n >= 2:
         return NamikawaWeylData.from_factors(
             [("A1", 2), (type_data.full_label, type_data.weyl_order)]
@@ -160,69 +131,36 @@ def wreath_weyl_data(type_data: WeylTypeData, n: int) -> NamikawaWeylData:
     return NamikawaWeylData.from_factors([(type_data.full_label, type_data.weyl_order)])
 
 
-def diagram_automorphism_order(label: str) -> int:
-    """Order of the Dynkin-diagram automorphism group of an ADE label."""
-    letter, rank = parse_type_label(label)
-    if letter == "A":
-        return 1 if rank == 1 else 2
-    if letter == "D":
-        return 6 if rank == 4 else 2
-    return 2 if rank == 6 else 1
-
-
-# Paper-sourced overrides for |W_B| where Xi(B) is a nontrivial group and the
-# label admits diagram automorphisms, keyed by (kleinian_label, xi_order).
-# The only catalog case is the order-24 rank-2 group: |W_B| = 3.
-FOLDING_OVERRIDES: dict[tuple[str, int], int] = {("A2", 2): 3}
-
-
-def namikawa_weyl_from_group(parabolics: list[ParabolicClass]) -> NamikawaWeylData:
-    """Namikawa Weyl order from parabolic class data.
-
-    When Xi(B) is trivial as a group, or the label admits no diagram
-    automorphism (A1/E7/E8), the diagram action is forced trivial and W_B is
-    the full Weyl group of the label.  Otherwise the conjugation action on
-    classes does not determine the diagram action, so only the entries of
-    FOLDING_OVERRIDES are accepted.
-    """
-    factors = []
-    for pc in parabolics:
-        label = pc.kleinian_label
-        letter, rank = parse_type_label(label)
-        full_order = weyl_data(letter, rank).weyl_order
-        if pc.xi_order == 1 or diagram_automorphism_order(label) == 1:
-            factor = full_order
-        elif (label, pc.xi_order) in FOLDING_OVERRIDES:
-            factor = FOLDING_OVERRIDES[(label, pc.xi_order)]
-        else:
-            raise UnsupportedFoldingError(
-                f"parabolic class with label {label} and |Xi| = {pc.xi_order}: "
-                "the diagram action cannot be derived from class data and no "
-                "override is available"
-            )
-        if full_order % factor != 0:
-            raise MathematicalInconsistencyError(
-                f"|W_B| = {factor} does not divide |W({label})| = {full_order}"
-            )
-        factors.append((label, factor))
-    return NamikawaWeylData.from_factors(factors)
-
-
 # The q8d8 and g4 arrangements and groups are read from the shipped data
 # files, whose headers say how each was built.
 _DATA = Path(__file__).with_name("data")
 
 
-@dataclass
 class CatalogEntry:
-    name: str
-    arrangement: Arrangement
-    weyl_data: NamikawaWeylData
-    group: MatrixGroup | None
-    expected: dict
+    """A worked example: its arrangement, Namikawa Weyl data, matrix group
+    (None for the wreath family) and published values."""
+
+    __slots__ = ("name", "arrangement", "weyl_data", "group", "expected")
+
+    def __init__(
+        self,
+        name: str,
+        arrangement: Arrangement,
+        weyl_data: NamikawaWeylData,
+        group: MatrixGroup | None,
+        expected: dict,
+    ):
+        self.name = name
+        self.arrangement = arrangement
+        self.weyl_data = weyl_data
+        self.group = group
+        self.expected = expected
 
 
 def catalog(name: str) -> CatalogEntry:
+    from .fileio import parse_arrangement_file, parse_group_file
+    from .groups import NamikawaWeylData
+
     name = name.strip().lower()
     if name == "q8d8":
         return CatalogEntry(
@@ -260,6 +198,8 @@ def catalog(name: str) -> CatalogEntry:
             },
         )
     if name.startswith("wreath:"):
+        from .rootdata import CatalanSpec, catalan_arrangement, parse_type_label, weyl_data
+
         parts = name.split(":")
         if len(parts) != 3:
             raise InvalidInputError(

@@ -1,11 +1,18 @@
-"""Error hierarchy shared by every module.
+"""Error hierarchy shared by every module, and the default computation caps.
 
 Each class carries the process exit code used by the CLI:
 1 invalid input, 2 computation cap exceeded, 3 mathematical/oracle
-inconsistency.
+inconsistency.  The caps live here, beside the error they raise, so that
+the CLI reads their defaults without importing the modules that enforce
+them.
 """
 
 from __future__ import annotations
+
+DEFAULT_FLAT_CAP = 2_000_000  # flats of the intersection lattice (`arrangement`)
+DEFAULT_SUBSET_CAP = 2_000_000  # sets the nbc walk visits (`matroid`)
+DEFAULT_GROUP_CAP = 200_000  # group elements enumerated (`groups`)
+DEFAULT_FF_CAP = 10**8  # q^l of a finite-field count (`matroid`)
 
 
 class OscountError(Exception):

@@ -14,9 +14,7 @@ phi(N)^2 and the lattice prime exceeds H^phi(N) (see `arrangement`).
 
 from __future__ import annotations
 
-import dataclasses
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -144,35 +142,39 @@ def _power_table(conductor: int, phi: tuple[int, ...]) -> tuple[tuple[int, ...],
     return tuple(rows)
 
 
-@dataclass(frozen=True)
 class FieldDescriptor:
     """Coefficient field: Q (conductor 1) or Q(zeta_N), with Phi_N
-    (`cyclotomic`, ascending) and the coordinates of zeta^k (`powers`)."""
+    (`cyclotomic`, ascending) and the coordinates of zeta^k (`powers`).
+    Immutable; equal and hashed by the conductor, which fixes the rest."""
 
-    kind: str
-    conductor: int
-    degree: int
-    cyclotomic: tuple[int, ...] = dataclasses.field(init=False, repr=False, compare=False)
-    powers: tuple[tuple[int, ...], ...] = dataclasses.field(
-        init=False, repr=False, compare=False
-    )
+    __slots__ = ("kind", "conductor", "degree", "cyclotomic", "powers")
 
-    def __post_init__(self):
-        if self.kind not in ("rational", "cyclotomic"):
-            raise InvalidInputError(f"unknown field kind {self.kind!r}")
-        if self.conductor < 1:
+    def __init__(self, kind: str, conductor: int, degree: int):
+        if kind not in ("rational", "cyclotomic"):
+            raise InvalidInputError(f"unknown field kind {kind!r}")
+        if conductor < 1:
             raise InvalidInputError("conductor must be >= 1")
-        if self.conductor > MAX_CONDUCTOR:
-            raise InvalidInputError(
-                f"conductor {self.conductor} exceeds the limit {MAX_CONDUCTOR}"
-            )
-        if self.degree != euler_phi(self.conductor):
+        if conductor > MAX_CONDUCTOR:
+            raise InvalidInputError(f"conductor {conductor} exceeds the limit {MAX_CONDUCTOR}")
+        if degree != euler_phi(conductor):
             raise InvalidInputError("degree must equal the totient of the conductor")
-        if self.kind == "rational" and self.conductor != 1:
+        if kind == "rational" and conductor != 1:
             raise InvalidInputError("rational field has conductor 1")
-        phi = cyclotomic_polynomial(self.conductor)
+        phi = cyclotomic_polynomial(conductor)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "cyclotomic", phi)
-        object.__setattr__(self, "powers", _power_table(self.conductor, phi))
+        object.__setattr__(self, "powers", _power_table(conductor, phi))
+
+    def __setattr__(self, *_):
+        raise AttributeError("FieldDescriptor is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FieldDescriptor) and self.conductor == other.conductor
+
+    def __hash__(self):
+        return hash(self.conductor)
 
     @property
     def is_rational(self) -> bool:
@@ -205,7 +207,7 @@ def cyclotomic_field(conductor: int) -> FieldDescriptor:
     if conductor == 1:
         return rational_field()
     # the totient's trial division is unbounded in N, so a conductor above
-    # the limit reaches __post_init__, which refuses it, without one
+    # the limit reaches the FieldDescriptor check, which refuses it, without one
     degree = euler_phi(conductor) if conductor <= MAX_CONDUCTOR else 0
     return FieldDescriptor("cyclotomic", conductor, degree)
 

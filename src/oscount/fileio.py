@@ -19,15 +19,21 @@ to an equal object.
 
 Limits, checked before anything is allocated: `dim` is at most MAX_DIM,
 and the conductor N is at most `fields.MAX_CONDUCTOR`.
+
+The two formats share only the line and scalar syntax, so each parser
+imports its own layer (`arrangement` or `groups`) when it runs.
 """
 
 from __future__ import annotations
 
-from .arrangement import Arrangement, build_arrangement
+from typing import TYPE_CHECKING
+
 from .errors import InvalidInputError
 from .fields import FieldDescriptor, cyclotomic_field, parse_scalar, rational_field
-from .groups import MatrixGroup
-from .linalg import ExactMatrix
+
+if TYPE_CHECKING:
+    from .arrangement import Arrangement
+    from .groups import MatrixGroup
 
 __all__ = [
     "parse_arrangement_text",
@@ -81,6 +87,8 @@ def _parse_dim(tokens: list[str], lineno: int, form: str) -> int:
 
 
 def parse_arrangement_text(text: str) -> Arrangement:
+    from .arrangement import build_arrangement
+
     field: FieldDescriptor | None = None
     dim: int | None = None
     raw = []
@@ -148,6 +156,9 @@ def serialize_arrangement(arrangement: Arrangement) -> str:
 
 
 def parse_group_text(text: str) -> MatrixGroup:
+    from .groups import MatrixGroup
+    from .linalg import ExactMatrix
+
     field: FieldDescriptor | None = None
     dim: int | None = None
     form_rows: list[list] = []

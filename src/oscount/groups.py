@@ -18,17 +18,26 @@ arithmetic is exact (details in `MatrixGroup`).
 A minimal parabolic P_s, the pointwise stabilizer of the fixed space V^s
 of a reflection s, is 1 plus the reflections t with V^t = V^s, since V^g
 is symplectic for every g of finite order (proof in `minimal_parabolics`).  Fixed spaces
-are compared as canonical rref rows of 1 - s, so P_s is exact, and
-conjugacy and normalizers follow from g P_s g^-1 = P_{g s g^-1}.
+are compared as canonical rref rows of 1 - s, one rref per element, so P_s
+is exact, and conjugacy and normalizers follow from g P_s g^-1 = P_{g s g^-1}.
+
+The Namikawa Weyl group is read off the minimal parabolics: one ADE Weyl
+group factor per parabolic class (`namikawa_weyl_from_group`).
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from typing import Sequence
+from math import factorial, prod
+from typing import NamedTuple, Sequence
 
-from .errors import ComputationCapError, InvalidInputError
+from .errors import (
+    DEFAULT_GROUP_CAP,
+    ComputationCapError,
+    InvalidInputError,
+    MathematicalInconsistencyError,
+    UnsupportedFoldingError,
+)
 from .fields import FieldDescriptor
 from .linalg import ExactMatrix, Row, rref_rows
 
@@ -40,10 +49,12 @@ __all__ = [
     "minimal_parabolics",
     "kleinian_label",
     "verify_zeta_bijection",
+    "NamikawaWeylData",
+    "namikawa_weyl_from_group",
+    "diagram_automorphism_order",
+    "FOLDING_OVERRIDES",
     "DEFAULT_GROUP_CAP",
 ]
-
-DEFAULT_GROUP_CAP = 200_000
 
 
 class MatrixGroup:
@@ -219,38 +230,36 @@ def _orbits(group: MatrixGroup, items, orbit_of) -> dict[int, frozenset[int]]:
     return orbits
 
 
-@dataclass(frozen=True)
-class ReflectionClass:
+class ReflectionClass(NamedTuple):
     """A conjugacy class of symplectic reflections (rank(1 - s) = 2)."""
 
     representative: int
     members: frozenset[int]
     size: int
-    fixed_space: tuple[Row, ...]  # rref equations of V^s
-
-
-def _fixed_space_rows(group: MatrixGroup, i: int) -> tuple[Row, ...]:
-    identity = ExactMatrix.identity(group.field, group.dim)
-    return rref_rows((identity - group.elements[i]).rows)[0]
+    fixed_spaces: dict[int, tuple[Row, ...]]  # member s -> rref equations of V^s
 
 
 def symplectic_reflections(group: MatrixGroup) -> list[ReflectionClass]:
-    """All s with rank(1 - s) = 2, partitioned into conjugacy classes."""
+    """All s with rank(1 - s) = 2, partitioned into conjugacy classes.  The
+    rref of 1 - g is taken once per element; a reflection keeps its rows."""
     group._require_enumerated()
     identity = ExactMatrix.identity(group.field, group.dim)
-    reflections = {i for i, g in enumerate(group.elements) if (identity - g).rank() == 2}
+    fixed = {}  # reflection -> the rref rows of 1 - s
+    for i, g in enumerate(group.elements):
+        rows = rref_rows((identity - g).rows)[0]
+        if len(rows) == 2:
+            fixed[i] = rows
     classes = []
-    for seed, members in _orbits(group, reflections, group.conjugacy_class_of).items():
-        if not members <= reflections:
+    for seed, members in _orbits(group, fixed, group.conjugacy_class_of).items():
+        if not members <= fixed.keys():
             raise InvalidInputError("conjugacy class of a reflection left the reflection set")
         classes.append(
-            ReflectionClass(seed, members, len(members), _fixed_space_rows(group, seed))
+            ReflectionClass(seed, members, len(members), {s: fixed[s] for s in members})
         )
     return classes
 
 
-@dataclass(frozen=True)
-class ParabolicClass:
+class ParabolicClass(NamedTuple):
     """A conjugacy class of minimal parabolic subgroups.
 
     `class_action_perms` are the distinct permutations induced by the
@@ -351,8 +360,8 @@ def minimal_parabolics(
     group._require_enumerated()
     spaces: dict[tuple[Row, ...], list[int]] = {}  # fixed space -> P_s
     for cls in reflections:
-        for s in cls.members:
-            spaces.setdefault(_fixed_space_rows(group, s), [0]).append(s)
+        for s, rows in cls.fixed_spaces.items():
+            spaces.setdefault(rows, [0]).append(s)
     parabolic = {}  # reflection -> its P_s, sorted; 0 is the identity
     fixed_space = {}
     for rows, members in spaces.items():
@@ -448,3 +457,81 @@ def verify_zeta_bijection(
         "bijective": ok,
     }
     return ok, report
+
+
+class NamikawaWeylData:
+    """Per parabolic class a (kleinian_label, |W_B|) factor; the total order
+    is the product."""
+
+    __slots__ = ("factors", "total_order")
+
+    def __init__(self, factors: tuple[tuple[str, int], ...], total_order: int):
+        if total_order != prod((o for _, o in factors), start=1):
+            raise InvalidInputError("total_order is not the product of the factors")
+        if total_order < 1:
+            raise InvalidInputError("Namikawa Weyl order must be >= 1")
+        self.factors = factors
+        self.total_order = total_order
+
+    @staticmethod
+    def from_factors(factors) -> "NamikawaWeylData":
+        factors = tuple((str(l), int(o)) for l, o in factors)
+        return NamikawaWeylData(factors, prod((o for _, o in factors), start=1))
+
+
+def diagram_automorphism_order(label: str) -> int:
+    """Order of the Dynkin-diagram automorphism group of an ADE label."""
+    letter, rank = label[0], int(label[1:])
+    if letter == "A":
+        return 1 if rank == 1 else 2
+    if letter == "D":
+        return 6 if rank == 4 else 2
+    return 2 if rank == 6 else 1
+
+
+def _weyl_order(label: str) -> int:
+    """|W| of an ADE label: (l+1)! for A_l, 2^(l-1) l! for D_l, and
+    prod(e_i + 1) over the exponents for E_6, E_7, E_8."""
+    letter, rank = label[0], int(label[1:])
+    if letter == "A":
+        return factorial(rank + 1)
+    if letter == "D":
+        return 2 ** (rank - 1) * factorial(rank)
+    return {6: 51_840, 7: 2_903_040, 8: 696_729_600}[rank]
+
+
+# Paper-sourced overrides for |W_B| where Xi(B) is a nontrivial group and the
+# label admits diagram automorphisms, keyed by (kleinian_label, xi_order).
+# The only catalog case is the order-24 rank-2 group: |W_B| = 3.
+FOLDING_OVERRIDES: dict[tuple[str, int], int] = {("A2", 2): 3}
+
+
+def namikawa_weyl_from_group(parabolics: list[ParabolicClass]) -> NamikawaWeylData:
+    """Namikawa Weyl order from parabolic class data.
+
+    When Xi(B) is trivial as a group, or the label admits no diagram
+    automorphism (A1/E7/E8), the diagram action is forced trivial and W_B is
+    the full Weyl group of the label.  Otherwise the conjugation action on
+    classes does not determine the diagram action, so only the entries of
+    FOLDING_OVERRIDES are accepted.
+    """
+    factors = []
+    for pc in parabolics:
+        label = pc.kleinian_label
+        full_order = _weyl_order(label)
+        if pc.xi_order == 1 or diagram_automorphism_order(label) == 1:
+            factor = full_order
+        elif (label, pc.xi_order) in FOLDING_OVERRIDES:
+            factor = FOLDING_OVERRIDES[(label, pc.xi_order)]
+        else:
+            raise UnsupportedFoldingError(
+                f"parabolic class with label {label} and |Xi| = {pc.xi_order}: "
+                "the diagram action cannot be derived from class data and no "
+                "override is available"
+            )
+        if full_order % factor != 0:
+            raise MathematicalInconsistencyError(
+                f"|W_B| = {factor} does not divide |W({label})| = {full_order}"
+            )
+        factors.append((label, factor))
+    return NamikawaWeylData.from_factors(factors)

@@ -43,7 +43,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .arrangement import Arrangement, IntersectionLattice, _levels
-from .errors import ComputationCapError, InvalidInputError
+from .errors import DEFAULT_FF_CAP, DEFAULT_SUBSET_CAP, ComputationCapError, InvalidInputError
 from .fields import FieldDescriptor, Scalar, is_prime
 
 __all__ = [
@@ -53,9 +53,6 @@ __all__ = [
     "DEFAULT_SUBSET_CAP",
     "DEFAULT_FF_CAP",
 ]
-
-DEFAULT_SUBSET_CAP = 2_000_000
-DEFAULT_FF_CAP = 10**8
 
 
 def nbc_betti(arrangement: Arrangement, subset_cap: int = DEFAULT_SUBSET_CAP) -> list[int]:
@@ -68,12 +65,24 @@ def nbc_betti(arrangement: Arrangement, subset_cap: int = DEFAULT_SUBSET_CAP) ->
     element itself).  The counts are the Betti numbers of the Orlik-Solomon
     algebra (Orlik-Terao, Arrangements of Hyperplanes, Thm 3.55).  Past
     `subset_cap` visited sets it raises with the counts so far.
+
+    Full-rank prune: once the chosen rows, e's included, span all the
+    expanded rows, the branch with e is not pushed unless e = 0.  Every
+    element below e then lies in the span of chosen larger-indexed
+    elements, so that branch would die on its next visit, at e - 1, and
+    count nothing.  The rank is the walk's own: the length of a `_join`
+    basis of all the expanded rows.
     """
     if not arrangement.central:
         raise InvalidInputError(
             "the nbc oracle is defined for central arrangements; cone the input first"
         )
     expanded = [_zeta_rows(h.normal, arrangement.field) for h in arrangement.hyperplanes]
+    full: tuple = ()  # a basis of all the expanded rows; its length is their rank
+    for rows in expanded:
+        for row in rows:
+            full = _join(full, row) or full
+    rank = len(full)
     counts: dict[int, int] = {}
     visited = 0
     # (element, basis of the chosen rows, chosen count); depth-first with an
@@ -97,7 +106,8 @@ def nbc_betti(arrangement: Arrangement, subset_cap: int = DEFAULT_SUBSET_CAP) ->
         for row in others:
             chosen = _join(chosen, row)  # never None: K v_e meets the span in 0
         # pushed last, popped first: the branch without e is walked first
-        stack.append((e - 1, chosen, size + 1))
+        if e == 0 or len(chosen) < rank:
+            stack.append((e - 1, chosen, size + 1))
         stack.append((e - 1, basis, size))
     return _by_size(counts)
 

@@ -12,8 +12,8 @@ since only the matroid of the (m, root) vectors matters):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .arrangement import Arrangement, build_arrangement
 from .errors import InvalidInputError
@@ -34,9 +34,8 @@ SUPPORTED_LABELS = ("A", "D", "E")
 _EXPONENTS_E = {6: (1, 4, 5, 7, 8, 11), 7: (1, 5, 7, 9, 11, 13, 17), 8: (1, 7, 11, 13, 17, 19, 23, 29)}
 
 
-@dataclass(frozen=True)
-class WeylTypeData:
-    """Classical invariants of an ADE Weyl group, verified at construction."""
+class WeylTypeData(NamedTuple):
+    """Classical invariants of an ADE Weyl group, verified by `weyl_data`."""
 
     label: str
     rank: int
@@ -49,18 +48,6 @@ class WeylTypeData:
     @property
     def full_label(self) -> str:
         return f"{self.label}{self.rank}"
-
-    def __post_init__(self):
-        ell, h = self.rank, self.coxeter_number
-        if self.weyl_order != prod(e + 1 for e in self.exponents):
-            raise InvalidInputError(f"{self.full_label}: order != prod(e_i + 1)")
-        if len(self.positive_roots) != ell * h // 2:
-            raise InvalidInputError(f"{self.full_label}: |R+| != l*h/2")
-        if h != self.exponents[-1] + 1:
-            raise InvalidInputError(f"{self.full_label}: h != e_l + 1")
-        for i in range(ell):
-            if self.exponents[i] + self.exponents[ell - 1 - i] != h:
-                raise InvalidInputError(f"{self.full_label}: exponents not symmetric")
 
 
 def parse_type_label(text: str) -> tuple[str, int]:
@@ -160,6 +147,13 @@ def weyl_data(label: str, rank: int) -> WeylTypeData:
         realization = "integer coordinates with respect to the simple roots"
     else:
         raise InvalidInputError(f"unsupported label {label!r}; expected A, D or E")
+    # the classical identities, as a check on the tables above
+    if len(roots) != rank * h // 2:
+        raise InvalidInputError(f"{label}{rank}: |R+| != l*h/2")
+    if h != exponents[-1] + 1:
+        raise InvalidInputError(f"{label}{rank}: h != e_l + 1")
+    if any(exponents[i] + exponents[rank - 1 - i] != h for i in range(rank)):
+        raise InvalidInputError(f"{label}{rank}: exponents not symmetric")
     return WeylTypeData(
         label=label,
         rank=rank,
@@ -171,14 +165,16 @@ def weyl_data(label: str, rank: int) -> WeylTypeData:
     )
 
 
-@dataclass(frozen=True)
 class CatalanSpec:
-    type: WeylTypeData
-    n: int
+    """The Catalan-type arrangement of a root system with parameter n >= 1."""
 
-    def __post_init__(self):
-        if self.n < 1:
+    __slots__ = ("type", "n")
+
+    def __init__(self, type: WeylTypeData, n: int):
+        if n < 1:
             raise InvalidInputError("wreath parameter n must be >= 1")
+        self.type = type
+        self.n = n
 
 
 def catalan_arrangement(spec: CatalanSpec) -> Arrangement:

@@ -14,13 +14,13 @@ from oscount.arrangement import (
     intersection_lattice,
     poincare_polynomial,
 )
-from oscount.counting import (
-    catalog,
-    count_resolutions,
+from oscount.counting import catalog, count_resolutions, wreath_count_closed_form
+from oscount.groups import (
+    minimal_parabolics,
     namikawa_weyl_from_group,
-    wreath_count_closed_form,
+    symplectic_reflections,
+    verify_zeta_bijection,
 )
-from oscount.groups import minimal_parabolics, symplectic_reflections, verify_zeta_bijection
 from oscount.matroid import find_good_primes, finite_field_count, nbc_betti
 from oscount.rootdata import parse_type_label, weyl_data
 

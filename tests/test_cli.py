@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from oscount import cli
+from oscount import cli, counting
 from oscount.arrangement import MAX_BOUND_BITS
 from oscount.counting import catalog
 from oscount.errors import InvalidInputError
@@ -253,7 +253,7 @@ def test_unexpected_exception_is_one_line_and_exit_3(capsys, monkeypatch):
     def broken(*args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "count_resolutions", broken)
+    monkeypatch.setattr(counting, "count_resolutions", broken)
     monkeypatch.delenv("OSCOUNT_DEBUG", raising=False)
     assert cli.main(["count", "--catalog", "g4"]) == 3
     assert capsys.readouterr().err == "error: internal error: RuntimeError('boom')\n"
@@ -350,9 +350,7 @@ def test_selftest_skip_ff(capsys):
 
 def test_selftest_detects_tampered_catalog(capsys, monkeypatch):
     # negative control: flip one sign in the q8d8 arrangement
-    import oscount.counting as counting_mod
-
-    real_catalog = counting_mod.catalog
+    real_catalog = counting.catalog
 
     def tampered(name):
         entry = real_catalog(name)
@@ -369,7 +367,7 @@ def test_selftest_detects_tampered_catalog(capsys, monkeypatch):
             entry.arrangement = build_arrangement(f, 5, [planes[0]] + rest)
         return entry
 
-    monkeypatch.setattr(cli, "catalog", tampered)
+    monkeypatch.setattr(counting, "catalog", tampered)
     assert cli.main(["selftest", "--skip", "ff", "--skip", "nbc", "--json"]) == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc["failed"] >= 1

@@ -261,11 +261,51 @@ def test_cap_below_one_is_invalid_input(capsys, monkeypatch, flag, source):
     assert "must be >= 1" in capsys.readouterr().err
 
 
-def test_importing_the_cli_leaves_numpy_unloaded():
+Q8D8_ARR = str(resources.files("oscount.data") / "q8d8.arr")
+Q8D8_GRP = str(resources.files("oscount.data") / "q8d8.grp")
+
+
+@pytest.mark.parametrize(
+    "argv, needed, unneeded",
+    [
+        (
+            ["group", "analyze", Q8D8_GRP, "--json"],
+            ["oscount.groups"],
+            ["oscount.arrangement", "oscount.matroid", "oscount.rootdata"],
+        ),
+        (
+            ["count", "--arrangement", Q8D8_ARR, "--weyl-order", "32", "--oracle", "nbc", "--json"],
+            ["oscount.arrangement", "oscount.matroid"],
+            ["oscount.groups", "oscount.rootdata"],
+        ),
+        (
+            ["analyze", Q8D8_ARR, "--oracle", "ff", "--json"],
+            ["oscount.arrangement", "oscount.matroid"],
+            ["oscount.groups", "oscount.rootdata"],
+        ),
+        (["wreath-formula", "--type", "A1", "--n", "2", "--json"], ["oscount.rootdata"], []),
+    ],
+    ids=["group-analyze", "count-nbc", "analyze-ff", "wreath-formula"],
+)
+def test_a_command_imports_only_what_it_runs(argv, needed, unneeded):
+    # a fresh interpreter runs the command, then reports which of the named
+    # modules it loaded; no command loads dataclasses, inspect or numpy
     src = str(Path(oscount.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, oscount.cli; sys.exit('numpy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    names = needed + unneeded + ["dataclasses", "inspect", "numpy"]
+    code = (
+        "import sys; from oscount import cli; code = cli.main(sys.argv[2:]); "
+        "print(' '.join(m for m in sys.argv[1].split(',') if m in sys.modules)); "
+        "sys.exit(code)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, ",".join(names), *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == needed
 
 
 def test_ff_oracle_runs_with_numpy_unimportable():
@@ -358,7 +398,6 @@ def test_group_analyze_computes_each_invariant_once(capsys, monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(groups, name, counted)
-        monkeypatch.setattr(cli, name, counted)
     g4 = str(resources.files("oscount.data") / "g4.grp")
     assert cli.main(["group", "analyze", g4, "--json"]) == 0
     assert sorted(calls) == ["minimal_parabolics", "symplectic_reflections"]

@@ -2,14 +2,10 @@ import pytest
 
 from conftest import rational_arrangement
 
-from oscount import counting
+from oscount import groups
 from oscount.counting import (
-    FOLDING_OVERRIDES,
-    NamikawaWeylData,
     catalog,
     count_resolutions,
-    diagram_automorphism_order,
-    namikawa_weyl_from_group,
     wreath_count_closed_form,
     wreath_weyl_data,
 )
@@ -18,7 +14,14 @@ from oscount.errors import (
     MathematicalInconsistencyError,
     UnsupportedFoldingError,
 )
-from oscount.groups import minimal_parabolics, symplectic_reflections
+from oscount.groups import (
+    FOLDING_OVERRIDES,
+    NamikawaWeylData,
+    diagram_automorphism_order,
+    minimal_parabolics,
+    namikawa_weyl_from_group,
+    symplectic_reflections,
+)
 from oscount.rootdata import weyl_data
 
 
@@ -109,6 +112,12 @@ def test_diagram_automorphism_orders():
     assert diagram_automorphism_order("E8") == 1
 
 
+def test_weyl_orders_of_kleinian_labels_match_the_root_data():
+    for letter, ranks in (("A", range(1, 9)), ("D", range(4, 9)), ("E", (6, 7, 8))):
+        for rank in ranks:
+            assert groups._weyl_order(f"{letter}{rank}") == weyl_data(letter, rank).weyl_order
+
+
 def test_namikawa_weyl_from_groups(monkeypatch):
     q8 = catalog("q8d8")
     q8.group.enumerate_elements()
@@ -121,7 +130,7 @@ def test_namikawa_weyl_from_groups(monkeypatch):
     paras = minimal_parabolics(g4.group, symplectic_reflections(g4.group))
     w = namikawa_weyl_from_group(paras)
     assert w.total_order == 3  # paper-sourced override for the folded case
-    monkeypatch.setattr(counting, "FOLDING_OVERRIDES", {})
+    monkeypatch.setattr(groups, "FOLDING_OVERRIDES", {})
     with pytest.raises(UnsupportedFoldingError):
         namikawa_weyl_from_group(paras)
 

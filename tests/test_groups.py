@@ -20,6 +20,7 @@ from oscount.groups import (
     symplectic_reflections,
     verify_zeta_bijection,
 )
+from oscount import groups, linalg
 from oscount.linalg import ExactMatrix, rank_of_rows, rref_rows
 
 
@@ -306,3 +307,23 @@ def test_no_matrix_arithmetic_after_enumeration(name, monkeypatch):
     ok, _ = verify_zeta_bijection(reflections, parabolics)
     assert ok
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["q8d8", "g4"])
+def test_one_rref_of_one_minus_g_per_element(name, monkeypatch):
+    # the reflections keep the rref rows of 1 - s that found them, and the
+    # minimal parabolics compare fixed spaces by those rows
+    g = GROUPS[name]()
+    g.enumerate_elements()
+    calls = []
+    real = linalg.rref_rows
+
+    def counted(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "rref_rows", counted)
+    monkeypatch.setattr(groups, "rref_rows", counted)
+    parabolics = minimal_parabolics(g, symplectic_reflections(g))
+    assert parabolics
+    assert len(calls) == g.order

@@ -1,7 +1,6 @@
 """Every public name resolves: each module's `__all__` and every name the
 package imports, so a deleted function cannot leave a dangling export."""
 
-import ast
 import importlib
 from pathlib import Path
 
@@ -21,14 +20,11 @@ def test_every_name_in_all_resolves(name):
 
 
 def test_every_name_the_package_imports_resolves():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    imported = [
-        (node.module, alias.name)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
-    assert imported
-    for module, name in imported:
-        assert hasattr(importlib.import_module(f"oscount.{module}"), name), (module, name)
-        assert hasattr(oscount, name), name
+    # the package imports lazily, from one name -> submodule table
+    assert oscount._EXPORTS
+    assert sorted(oscount.__all__) == sorted(oscount._EXPORTS)
+    for name, module in oscount._EXPORTS.items():
+        submodule = importlib.import_module(f"oscount.{module}")
+        assert hasattr(submodule, name), (module, name)
+        assert getattr(oscount, name) is getattr(submodule, name), (module, name)
+        assert name in dir(oscount), name
