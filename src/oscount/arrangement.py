@@ -70,7 +70,7 @@ exactly once, so no edge list is kept.
 from __future__ import annotations
 
 from math import gcd, isqrt, lcm, prod
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     DEFAULT_FLAT_CAP,
@@ -79,8 +79,10 @@ from .errors import (
     MathematicalInconsistencyError,
 )
 from .fields import FieldDescriptor, Scalar, is_prime
-from .linalg import Row, rank_of_rows
 from .polynomial import IntegerPolynomial
+
+if TYPE_CHECKING:
+    from .linalg import Row
 
 __all__ = [
     "Hyperplane",
@@ -223,6 +225,10 @@ class IntersectionLattice:
         return sum(len(level) for level in self.levels)
 
     def rank(self) -> int:
+        """The largest codimension of a flat, which is the rank of the
+        normals (`essential_rank`): r independent normals meet in a nonempty
+        flat of codimension r, and the normals through a nonempty flat have
+        rank equal to its codimension."""
         return len(self.levels) - 1
 
     def whitney_numbers(self) -> list[int]:
@@ -402,7 +408,11 @@ def poincare_polynomial(lattice: IntersectionLattice) -> IntegerPolynomial:
 
 
 def essential_rank(arrangement: Arrangement) -> int:
-    """Rank of the essentialized arrangement (rank of the stacked normals)."""
+    """Rank of the essentialized arrangement (rank of the stacked normals),
+    by an exact rref; `IntersectionLattice.rank` reads the same number off
+    a built lattice."""
+    from .linalg import rank_of_rows
+
     return rank_of_rows([h.normal for h in arrangement.hyperplanes])
 
 
@@ -424,7 +434,7 @@ def region_count(
     chi = characteristic_polynomial(lattice)
     ell = arrangement.ambient_dim
     regions = (-1) ** ell * chi(-1)
-    bounded = (-1) ** essential_rank(arrangement) * chi(1)
+    bounded = (-1) ** lattice.rank() * chi(1)
     if regions < 0 or bounded < 0:
         raise MathematicalInconsistencyError(
             f"negative Zaslavsky count (regions={regions}, bounded={bounded})"

@@ -22,7 +22,6 @@ from .arrangement import (
     DEFAULT_FLAT_CAP,
     IntersectionLattice,
     characteristic_polynomial,
-    essential_rank,
     intersection_lattice,
     poincare_polynomial,
     region_count,
@@ -67,11 +66,10 @@ def analyze_arrangement(
     lattice = intersection_lattice(arrangement, flat_cap)
     chi = characteristic_polynomial(lattice)
     pi = poincare_polynomial(lattice)
-    rank = essential_rank(arrangement)
     regions = bounded = None
     if all(h.is_real() for h in arrangement.hyperplanes):
         regions, bounded = region_count(arrangement, lattice)
-    return CountReport(lattice, rank, chi, pi, pi(1), regions, bounded)
+    return CountReport(lattice, lattice.rank(), chi, pi, pi(1), regions, bounded)
 
 
 def count_resolutions(

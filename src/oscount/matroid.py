@@ -5,16 +5,19 @@ with no modulus.  Let K = Q(zeta_N) and phi = phi(N).  K is the Q-space
 with basis 1, zeta, ..., zeta^(phi-1), so the K-span of a set S of
 vectors in K^l is, as a Q-space, the Q-span of the zeta^j s for s in S and
 j < phi.  Each normal v therefore becomes phi rational rows of length
-l phi, the power-basis coordinates of zeta^j v (the one use of `Scalar`),
-each scaled to a primitive integer row.  "v_e lies in the K-span of the
-chosen normals" is then "row 0 of e reduces to zero against the Q-basis
-of the chosen rows", and choosing e adds all phi of its rows.  Reduction
-is fraction-free, v <- d v - v[col] row with d the basis row's pivot
-entry, and a row is divided by its gcd when it joins the basis: integer
-arithmetic throughout, so it is exact with no bound to prove.  Over Q
-(N = 1) the rows are the primitive integer normals.  nbc shares nothing
-with the lattice code: not `_levels`, not the zeta -> omega map into F_p,
-not the Hadamard bound and not the prime.
+l phi, the power-basis coordinates of zeta^j v (from the `Scalar`
+coordinates of v by integer shifts), each scaled to a primitive integer
+row.  "v_e lies in the K-span of the chosen normals" is then "row 0 of e
+reduces to zero against the Q-basis of the chosen rows", and choosing e
+adds all phi of its rows.  Reduction is fraction-free, v <- d v - v[col]
+row with d the basis row's pivot entry, and a row is divided by its gcd
+when it joins the basis: integer arithmetic throughout, so it is exact
+with no bound to prove.  Over Q (N = 1) the rows are the primitive
+integer normals.  nbc shares nothing with the lattice code: not
+`_levels`, not the zeta -> omega map into F_p, not the Hadamard bound and
+not the prime.  Most of the walk's nodes are tails, chosen sets one rank
+short of full, and `nbc_betti` settles each with a loop of span tests and
+no new basis.
 
 `finite_field_count` counts the points of F_q^l off the hyperplanes mod q
 on Python ints, one line {x'} x F_q per x' in F_q^(l-1).  Every row is
@@ -66,23 +69,39 @@ def nbc_betti(arrangement: Arrangement, subset_cap: int = DEFAULT_SUBSET_CAP) ->
     algebra (Orlik-Terao, Arrangements of Hyperplanes, Thm 3.55).  Past
     `subset_cap` visited sets it raises with the counts so far.
 
-    Full-rank prune: once the chosen rows, e's included, span all the
-    expanded rows, the branch with e is not pushed unless e = 0.  Every
-    element below e then lies in the span of chosen larger-indexed
-    elements, so that branch would die on its next visit, at e - 1, and
-    count nothing.  The rank is the walk's own: the length of a `_join`
-    basis of all the expanded rows.
+    Let r be the rank of all the expanded rows (the length of a `_join`
+    basis of them, the walk's own) and S the chosen set of a node at e.  A
+    branch whose chosen rows already span all r while elements remain would
+    die at its next visit, since every smaller element is then spanned; so
+    it is never walked, except that S with 0 is an nbc set and is counted.
+
+    Tails.  Call the node a tail when e = 0 or S's rows are phi short of r
+    (one short over K), so that they and the rows of any unspanned x <= e
+    span everything.  By the rule above, the branch choosing x is then
+    walked only for x = 0, so the subtree is the chain e, e - 1, ..., 0 of
+    branches without x, and its only nbc sets are S and S with 0, reached
+    exactly when no x <= e lies in the span of S.  The walk settles a tail in one loop of
+    span tests over x = e, ..., 0: each x is one visit, checked against
+    the cap, the loop stops at the first x in the span, and if there is
+    none it counts S and S with 0.  That is the chain's nodes in the
+    stack's order with the same sets counted at the same visit, so
+    `visited`, where the cap fires and the partial it reports are those of
+    the node-by-node walk.  The other nodes join e's rows and push both
+    branches: their chosen rows with e's stay below rank r.
     """
     if not arrangement.central:
         raise InvalidInputError(
             "the nbc oracle is defined for central arrangements; cone the input first"
         )
     expanded = [_zeta_rows(h.normal, arrangement.field) for h in arrangement.hyperplanes]
+    if not expanded:
+        return [1]  # the empty set is the only nbc set
     full: tuple = ()  # a basis of all the expanded rows; its length is their rank
     for rows in expanded:
         for row in rows:
             full = _join(full, row) or full
     rank = len(full)
+    phi = arrangement.field.degree  # the rows of each element
     counts: dict[int, int] = {}
     visited = 0
     # (element, basis of the chosen rows, chosen count); depth-first with an
@@ -90,15 +109,21 @@ def nbc_betti(arrangement: Arrangement, subset_cap: int = DEFAULT_SUBSET_CAP) ->
     stack = [(len(expanded) - 1, (), 0)]
     while stack:
         e, basis, size = stack.pop()
-        if e < 0:
-            counts[size] = counts.get(size, 0) + 1
+        if e == 0 or len(basis) + phi == rank:
+            # a tail: its subtree is the chain e, e - 1, ..., 0 (docstring)
+            for x in range(e, -1, -1):
+                visited += 1
+                if visited > subset_cap:
+                    raise _cap_error(subset_cap, counts)
+                if _in_span(basis, expanded[x][0]):
+                    break
+            else:
+                counts[size] = counts.get(size, 0) + 1
+                counts[size + 1] = counts.get(size + 1, 0) + 1
             continue
         visited += 1
         if visited > subset_cap:
-            raise ComputationCapError(
-                f"subset cap {subset_cap} exceeded during nbc enumeration",
-                partial={"nbc_counts": _by_size(counts), "sets_visited": subset_cap},
-            )
+            raise _cap_error(subset_cap, counts)
         first, *others = expanded[e]
         chosen = _join(basis, first)
         if chosen is None:
@@ -106,10 +131,16 @@ def nbc_betti(arrangement: Arrangement, subset_cap: int = DEFAULT_SUBSET_CAP) ->
         for row in others:
             chosen = _join(chosen, row)  # never None: K v_e meets the span in 0
         # pushed last, popped first: the branch without e is walked first
-        if e == 0 or len(chosen) < rank:
-            stack.append((e - 1, chosen, size + 1))
+        stack.append((e - 1, chosen, size + 1))
         stack.append((e - 1, basis, size))
     return _by_size(counts)
+
+
+def _cap_error(subset_cap: int, counts: dict[int, int]) -> ComputationCapError:
+    return ComputationCapError(
+        f"subset cap {subset_cap} exceeded during nbc enumeration",
+        partial={"nbc_counts": _by_size(counts), "sets_visited": subset_cap},
+    )
 
 
 def _by_size(counts: dict[int, int]) -> list[int]:
@@ -118,33 +149,59 @@ def _by_size(counts: dict[int, int]) -> list[int]:
 
 def _zeta_rows(normal: Sequence[Scalar], field: FieldDescriptor) -> list[list[int]]:
     """The primitive integer rows of zeta^j v, j < phi(N): v's entries
-    multiplied by zeta^j, each written as its phi(N) power-basis coordinates."""
-    rows = []
-    power = field.one()
-    for _ in range(field.degree):
-        rows.append(_primitive([c for x in normal for c in (x * power).coords]))
-        power = power * field.zeta()
+    multiplied by zeta^j, each written as its phi(N) power-basis coordinates.
+
+    Row 0 is v's coordinates made primitive.  Multiplying an entry by zeta
+    shifts its coordinates up one power and rewrites zeta^phi as
+    -(c_0 + c_1 zeta + ... + c_(phi-1) zeta^(phi-1)), the c_i the lower
+    coefficients of Phi_N: an integer map of determinant +-Phi_N(0) = +-1
+    for N >= 2, so each next row is integral and primitive again."""
+    d = field.degree
+    low = field.cyclotomic[:d]
+    row = _primitive([c for x in normal for c in x.coords])
+    rows = [row]
+    for _ in range(d - 1):
+        row = [
+            (row[k + i - 1] if i else 0) - row[k + d - 1] * low[i]
+            for k in range(0, len(row), d)
+            for i in range(d)
+        ]
+        rows.append(row)
     return rows
 
 
-def _join(basis: tuple, row: Sequence[int]) -> Optional[tuple]:
-    """`basis` with the reduction of `row` against it appended as (pivot,
-    row), or None when `row` lies in its span.
+def _reduce(basis: tuple, row: Sequence[int]) -> list[int]:
+    """`row` reduced against `basis`, 0 exactly when `row` lies in its span.
 
     Each basis row is 0 at the pivots of the rows before it, so eliminating
     them in insertion order by v <- d v - v[col] row, with d the row's
     pivot entry, leaves v 0 at every pivot; a nonzero vector of the span is
-    not, so the result is 0 exactly when `row` is in the span."""
+    not."""
     for col, prow in basis:
         c = row[col]
         if c:
             d = prow[col]
             row = [d * a - c * b for a, b in zip(row, prow)]
-    lead = next((i for i, x in enumerate(row) if x), None)
-    if lead is None:
+    return row
+
+
+def _join(basis: tuple, row: Sequence[int]) -> Optional[tuple]:
+    """`basis` with the reduction of `row` against it appended as (pivot,
+    row), or None when `row` lies in its span."""
+    row = _reduce(basis, row)
+    for lead, x in enumerate(row):
+        if x:
+            break
+    else:
         return None
     g = gcd(*row)
-    return basis + ((lead, tuple(x // g for x in row)),)
+    return basis + ((lead, tuple(row) if g == 1 else tuple([x // g for x in row])),)
+
+
+def _in_span(basis: tuple, row: Sequence[int]) -> bool:
+    """Whether `row` lies in the span of `basis`: `_join`'s test, with no
+    gcd and no new basis."""
+    return not any(_reduce(basis, row))
 
 
 def _primitive(fracs: Sequence[Fraction]) -> list[int]:

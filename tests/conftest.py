@@ -110,6 +110,59 @@ def brute_force_moebius(flats: set) -> dict:
     return mu
 
 
+def subspace_normals(rng, field, dim: int, k: int, n: int) -> list[tuple]:
+    """Up to n nonzero normals (zero draws are dropped) in the span of k
+    random vectors of field^dim, so of rank at most k; coefficients are
+    small integers and zeta."""
+    small = [field.from_rational(c) for c in (-2, -1, 0, 0, 1, 2)] + [field.zeta()]
+    basis = [[rng.choice(small) for _ in range(dim)] for _ in range(k)]
+    normals = []
+    for _ in range(n):
+        normal = [field.zero()] * dim
+        for vector in basis:
+            c = rng.choice(small)
+            normal = [x + c * y for x, y in zip(normal, vector)]
+        if any(not x.is_zero() for x in normal):
+            normals.append(tuple(normal))
+    return normals
+
+
+def nbc_by_definition(arrangement: Arrangement) -> list[int]:
+    """Counts by size of the nbc sets of a central arrangement, from the
+    definitions: the rank of every subset of the normals, the circuits
+    (dependent sets whose every proper subset is independent), the broken
+    circuits (a circuit minus its least element) and the independent sets
+    containing none.  Exact Scalar rows through `linalg.reduce_row`; shares
+    nothing with the nbc walk."""
+    normals = [h.normal for h in arrangement.hyperplanes]
+    n = len(normals)
+    # an echelon basis (rows, pivots) of the normals in each subset mask,
+    # built from the mask without its least element
+    spans = [((), ())]
+    for mask in range(1, 1 << n):
+        rows, pivots = spans[mask & (mask - 1)]
+        reduced = reduce_row(normals[(mask & -mask).bit_length() - 1], rows, pivots)
+        lead = next((j for j, x in enumerate(reduced) if not x.is_zero()), None)
+        if lead is not None:
+            inv = reduced[lead].inverse()
+            rows, pivots = rows + (tuple(inv * x for x in reduced),), pivots + (lead,)
+        spans.append((rows, pivots))
+    rank = [len(pivots) for _, pivots in spans]
+    size = [bin(mask).count("1") for mask in range(1 << n)]
+    circuits = [
+        mask
+        for mask in range(1 << n)
+        if rank[mask] < size[mask]
+        and all(rank[mask & ~(1 << i)] == size[mask] - 1 for i in range(n) if mask >> i & 1)
+    ]
+    broken = [c & (c - 1) for c in circuits]  # drop the least element
+    counts = [0] * (max(rank) + 1)
+    for mask in range(1 << n):
+        if rank[mask] == size[mask] and not any(mask & b == b for b in broken):
+            counts[size[mask]] += 1
+    return counts
+
+
 def whitney_characteristic(arrangement: Arrangement) -> IntegerPolynomial:
     """Brute-force characteristic polynomial
     chi(A, t) = sum over subsets with nonempty intersection of

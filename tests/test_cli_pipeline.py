@@ -276,12 +276,12 @@ Q8D8_GRP = str(resources.files("oscount.data") / "q8d8.grp")
         (
             ["count", "--arrangement", Q8D8_ARR, "--weyl-order", "32", "--oracle", "nbc", "--json"],
             ["oscount.arrangement", "oscount.matroid"],
-            ["oscount.groups", "oscount.rootdata"],
+            ["oscount.groups", "oscount.rootdata", "oscount.linalg"],
         ),
         (
             ["analyze", Q8D8_ARR, "--oracle", "ff", "--json"],
             ["oscount.arrangement", "oscount.matroid"],
-            ["oscount.groups", "oscount.rootdata"],
+            ["oscount.groups", "oscount.rootdata", "oscount.linalg"],
         ),
         (["wreath-formula", "--type", "A1", "--n", "2", "--json"], ["oscount.rootdata"], []),
     ],

@@ -9,7 +9,9 @@ import pytest
 from conftest import (
     brute_force_points,
     g414_arrangement,
+    nbc_by_definition,
     rational_arrangement,
+    subspace_normals,
     whitney_characteristic,
 )
 
@@ -116,6 +118,25 @@ def test_nbc_equals_whitney_over_cyclotomic_fields(conductor):
             for i in range(dim + 1)
         )
         assert chi == whitney_characteristic(a), f"N = {conductor}, case {case}"
+
+
+def test_nbc_equals_its_definition_on_random_central_arrangements():
+    # rows are combinations of k random vectors: rank-deficient (l > rank)
+    # whenever k < l, and a pencil (rank 2, three or more hyperplanes) at k = 2
+    rng = random.Random(31337)
+    kinds = set()
+    for case in range(90):
+        field = cyclotomic_field((1, 3, 4)[case % 3])
+        dim = rng.randint(1, 4)
+        normals = subspace_normals(rng, field, dim, rng.randint(1, dim), rng.randint(0, 8))
+        a = build_arrangement(field, dim, [(normal, field.zero()) for normal in normals])
+        expected = nbc_by_definition(a)
+        assert nbc_betti(a) == expected, f"case {case}: N = {field.conductor}"
+        rank = len(expected) - 1
+        kinds.add((field.degree, rank < dim, rank == 2 and len(a.hyperplanes) > 2))
+    assert {degree for degree, _, _ in kinds} == {1, 2}
+    assert any(deficient for _, deficient, _ in kinds)
+    assert any(pencil for _, _, pencil in kinds)
 
 
 def test_nbc_top_degree_equals_top_moebius_mass():
@@ -300,6 +321,25 @@ def test_subset_cap_boundary_on_q8d8():
         "nbc_counts": [1, 21, 170, 650, 1124, 624],
         "sets_visited": Q8D8_NBC_VISITS - 1,
     }
+
+
+# `_join` calls of the node-by-node walk on G(4,1,4), which joined every
+# element's rows at every tail and pushed the two leaves below element 0.
+G414_NODE_BY_NODE_JOINS = 16_224
+
+
+def test_nbc_settles_tails_without_joining(monkeypatch):
+    calls = 0
+    join = matroid._join
+
+    def counted(basis, row):
+        nonlocal calls
+        calls += 1
+        return join(basis, row)
+
+    monkeypatch.setattr(matroid, "_join", counted)
+    assert nbc_betti(g414_arrangement()) == [1, 28, 254, 812, 585]
+    assert calls <= G414_NODE_BY_NODE_JOINS // 2
 
 
 def test_subset_cap_reports_the_counts_so_far(capsys):

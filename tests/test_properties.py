@@ -7,6 +7,8 @@ Moebius sign pattern, Zaslavsky's region count, and (for up to 6
 hyperplanes) every flat and its Moebius value against brute-force subset
 ranks and the definition of mu.  `_levels` is also run directly on random
 rows mod small primes, where rows coincide and affine classes are parallel.
+The lattice's rank is checked against the rank of the normals on affine and
+rank-deficient input over Q, Q(zeta_3) and Q(zeta_4).
 """
 
 import random
@@ -17,18 +19,22 @@ from conftest import (
     rank_mod,
     rational_arrangement,
     subset_flats,
+    subspace_normals,
     whitney_characteristic,
 )
 
 from oscount.arrangement import (
     _levels,
+    build_arrangement,
     characteristic_polynomial,
     cone,
     deletion_restriction,
+    essential_rank,
     intersection_lattice,
     poincare_polynomial,
     region_count,
 )
+from oscount.fields import cyclotomic_field
 from oscount.polynomial import IntegerPolynomial
 
 SEED = 20250809
@@ -146,3 +152,27 @@ def test_levels_mod_q_match_subset_ranks():
         flats = {(f.contains, f.codim, f.mu) for level in levels for f in level}
         expected = _with_moebius(subset_flats(rows, rank_mod(q)))
         assert flats == expected, f"case {case}: q = {q}, rows {rows}"
+
+
+def test_lattice_rank_is_essential_rank():
+    # rows are combinations of k random vectors, so the normals have rank at
+    # most k < l in most cases; offsets make half the cases affine
+    rng = random.Random(SEED)
+    kinds = set()
+    for case in range(NUM_CASES):
+        field = cyclotomic_field((1, 3, 4)[case % 3])
+        dim = rng.randint(1, 5)
+        normals = subspace_normals(rng, field, dim, rng.randint(0, dim), rng.randint(0, 7))
+        affine = rng.random() < 0.5
+        raw = [
+            (normal, field.from_rational(rng.randint(-2, 2) if affine else 0))
+            for normal in normals
+        ]
+        arr = build_arrangement(field, dim, raw)
+        rank = essential_rank(arr)
+        assert intersection_lattice(arr).rank() == rank, f"case {case}"
+        kinds.add((rank < dim, not arr.central, field.degree))
+    assert {(True, True), (True, False), (False, True), (False, False)} <= {
+        kind[:2] for kind in kinds
+    }
+    assert {kind[2] for kind in kinds} == {1, 2}
