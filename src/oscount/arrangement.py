@@ -6,6 +6,9 @@ coning, and deletion/restriction.
 
 A flat X is its codimension, `contains(X)` (the maximal set of hyperplanes
 through it) and mu(X); the lattice is built one codimension at a time.
+`contains(X)` is kept as an int bitmask, bit h for hyperplane h: a union
+is `|`, the least member is the lowest set bit, and a level is sorted by
+the int.
 Let P(X), empty at the ambient space, be pivot columns of the row space
 span(X) of X's system [A | b] (offset last): a row of span(X) is fixed by
 its entries at P(X).  The residual of h at X is the one row of h + span(X)
@@ -30,6 +33,12 @@ the center.  The lattice is graded, so X's level lies just below the
 center, whose mu is -(sum of mu over every other flat), as mu sums to 0
 over the flats up to any flat but the ambient space; no other flat of that
 level is expanded.  The levels are exactly those of the rows mod p.
+
+(d) The step r -> r - r[l] v, scaled, is a function of the rows r and v and
+of p alone.  So each residual is interned once per build to a small id, and
+the step is memoized per v from the id of r to the id of the result: a
+memo hit returns exactly the row that recomputing would.  The memo lives
+in one `_levels` call; nothing is cached across builds.
 
 The build runs on Python ints modulo one prime p, and its lattice is the
 one over the field; this is a bound argument, not a probability.  Each
@@ -197,11 +206,18 @@ def build_arrangement(
 
 class Flat(NamedTuple):
     """A nonempty intersection of hyperplanes: its codimension, the maximal
-    set of hyperplane indices containing it, and mu(ambient, X)."""
+    set of hyperplanes containing it as a bitmask (bit h for hyperplane h),
+    and mu(ambient, X)."""
 
     codim: int
-    contains: frozenset[int]
+    mask: int
     mu: int
+
+    @property
+    def contains(self) -> frozenset[int]:
+        """The hyperplane indices of the set bits of `mask`."""
+        mask = self.mask
+        return frozenset(h for h in range(mask.bit_length()) if mask >> h & 1)
 
 
 class IntersectionLattice:
@@ -319,20 +335,56 @@ def _rows_mod_prime(arrangement: Arrangement) -> tuple[list[tuple[int, ...]], in
     return [tuple(_horner(entry, omega, p) for entry in row) for row in rows], p
 
 
+def _normalized(row: Sequence[int], p: int) -> tuple[int, tuple[int, ...]]:
+    """(lead, row scaled to 1 at lead) for a nonzero row mod p, where lead is
+    the column of its first nonzero entry."""
+    lead = 0
+    while not row[lead]:
+        lead += 1
+    x = row[lead]
+    if x == 1:
+        return lead, tuple(row)
+    inv = pow(x, -1, p)
+    return lead, tuple(y * inv % p for y in row)
+
+
 def _levels(
     rows: Sequence[tuple[int, ...]], offset_col: int, p: int, flat_cap: int
 ) -> Iterator[list[Flat]]:
     """The flats of the nonzero rows mod the prime p, one codimension at a
-    time, by (a)-(c) of the module docstring.  Each level is yielded, sorted
-    by `sorted(contains)`, before the next one is built, so a caller that
-    stops early builds no more.  A flat's groups are freed after its last
-    cover is expanded.  Groups keep the order of their least members and
-    join members in that order, so a group's first member is its least.
+    time, by (a)-(d) of the module docstring.  Each level is yielded, sorted
+    by `mask`, before the next one is built, so a caller that stops early
+    builds no more.  Residuals are interned to ids, with -1 for no cover (a
+    residual that misses the flat, or the zero step of a group by itself).
+    A flat's groups are two tuples, residual ids and members masks, shared
+    by its covers and freed after the last of them is expanded.  A group
+    that merges with no other keeps its parent's members mask object.
     """
+    n = len(rows)
     central = not any(row[offset_col] for row in rows)
-    level = [Flat(codim=0, contains=frozenset(), mu=1)]
-    # contains -> (residuals, members, i): its parent's groups, i its own
-    sources = {frozenset(): (rows, [(h,) for h in range(len(rows))], None)}
+    ids: dict[tuple[int, ...], int] = {}  # residual -> id
+    table: list[tuple[int, ...]] = []  # id -> residual
+    leads: list[int] = []  # id -> its lead column
+
+    def intern(row: Sequence[int]) -> int:
+        lead, key = _normalized(row, p)
+        if lead == offset_col:
+            return -1  # parallel to the flat: empty affine intersection
+        rid = ids.setdefault(key, len(table))
+        if rid == len(table):
+            table.append(key)
+            leads.append(lead)
+        return rid
+
+    atoms: dict[int, int] = {}  # the ambient space's residuals, as groups
+    for h, row in enumerate(rows):
+        r = intern(row)
+        atoms[r] = atoms.get(r, 0) | 1 << h
+    # (d): via id -> {residual id: its step}; None, the ambient's, is the identity
+    steps: dict[Optional[int], dict[int, int]] = {None: {r: r for r in atoms}}
+    level = [Flat(codim=0, mask=0, mu=1)]
+    # mask -> (its parent's group ids and members masks, its own group's id)
+    sources = {0: (tuple(atoms), tuple(atoms.values()), None)}
     sizes: list[int] = []  # the completed levels' sizes
     total, below = 1, 0  # flats found; the sum of mu over the levels yielded
 
@@ -345,61 +397,57 @@ def _levels(
         sizes.append(len(level))
         below += sum(flat.mu for flat in level)
         codim = len(sizes)
-        mus, found, seen = {}, {}, {}  # the next level's mu, sources and residuals
+        mus, found = {}, {}  # the next level's mu and sources
         for flat in level:
-            keys, parts, via = sources.pop(flat.contains)
-            pairs = zip(keys, parts)
-            if via is not None:  # (b), with v the residual of group via
-                v, c = keys[via], keys[via].index(1)  # v is 0 before its lead, 1
-                pairs = ((r, g) if not r[c] else ([(a - r[c] * b) % p for a, b in zip(r, v)], g)
-                         for i, (r, g) in enumerate(pairs) if i != via)
-            groups: dict[tuple[int, ...], tuple[int, ...]] = {}
-            for row, members in pairs:  # (a): merge equal residuals
-                lead = row.index(next(filter(None, row)))  # the first nonzero entry
-                if lead == offset_col:
-                    continue  # parallel to the flat: empty affine intersection
-                inv = pow(row[lead], -1, p)
-                key = tuple(row) if inv == 1 else tuple(x * inv % p for x in row)
-                key = seen.setdefault(key, key)  # one tuple per distinct residual
-                groups[key] = groups[key] + members if key in groups else members
-            keys, parts = tuple(groups), tuple(groups.values())
-            if central and len(parts) == 1:  # (c): this level is the one below the center
+            keys, parts, v = sources.pop(flat.mask)
+            step = steps.get(v)
+            if step is None:
+                step = steps[v] = {v: -1}
+            groups: dict[int, int] = {}
+            for r, members in zip(keys, parts):  # (a): merge equal residuals
+                s = step.get(r)
+                if s is None:  # (b): r - r[c] v with c the lead of v
+                    row, row_v = table[r], table[v]
+                    t = row[leads[v]]
+                    s = step[r] = intern([(a - t * b) % p for a, b in zip(row, row_v)]) if t else r
+                if s >= 0:
+                    groups[s] = groups[s] | members if s in groups else members
+            if central and len(groups) == 1:  # (c): this level is the one below the center
                 if total >= flat_cap:
                     raise capped()
-                yield [Flat(codim, frozenset(range(len(rows))), -below)]
+                yield [Flat(codim, (1 << n) - 1, -below)]
                 return
-            first = min(flat.contains, default=len(rows))
-            for i, members in enumerate(parts):
-                contains = flat.contains.union(members)
-                if contains not in mus:
+            low = flat.mask & -flat.mask or 1 << n
+            keys, parts = tuple(groups), tuple(groups.values())
+            for s, members in zip(keys, parts):
+                mask = flat.mask | members
+                if mask not in mus:
                     if total >= flat_cap:
                         raise capped()
                     total += 1
-                    mus[contains] = 0
-                    found[contains] = (keys, parts, i)
+                    mus[mask] = 0
+                    found[mask] = (keys, parts, s)
                 # Weisner with the atom a = min(contains): mu(Y) is minus the
                 # sum of mu(X) over the flats X covered by Y with a not in X.
-                if members[0] < first:
-                    mus[contains] -= flat.mu
+                if members & -members < low:
+                    mus[mask] -= flat.mu
         sources = found
-        level = [Flat(codim, c, mus[c]) for c in sorted(mus, key=sorted)]
+        level = [Flat(codim, mask, mus[mask]) for mask in sorted(mus)]
 
 
 def characteristic_polynomial(lattice: IntersectionLattice) -> IntegerPolynomial:
-    """chi(A, t) = sum_X mu(X) t^{dim X}."""
+    """chi(A, t) = sum_X mu(X) t^{dim X}, from the Whitney numbers."""
     ell = lattice.arrangement.ambient_dim
     coeffs = [0] * (ell + 1)
-    for flat, mu in lattice.all_flats():
-        coeffs[ell - flat.codim] += mu
+    for codim, w in enumerate(lattice.whitney_numbers()):
+        coeffs[ell - codim] = w
     return IntegerPolynomial(coeffs)
 
 
 def poincare_polynomial(lattice: IntersectionLattice) -> IntegerPolynomial:
     """pi(A, t) = sum_X mu(X) (-t)^{codim X}; coefficients are Whitney numbers
     and must be nonnegative for a realizable arrangement."""
-    coeffs = [0] * (lattice.rank() + 1)
-    for flat, mu in lattice.all_flats():
-        coeffs[flat.codim] += mu * (-1) ** flat.codim
+    coeffs = [w * (-1) ** codim for codim, w in enumerate(lattice.whitney_numbers())]
     if any(c < 0 for c in coeffs):
         raise MathematicalInconsistencyError(
             f"negative Poincare coefficient in {coeffs}; lattice is not geometric"

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import brute_force_flats, g414_arrangement, rational_arrangement
 
+from oscount import arrangement
 from oscount.arrangement import (
     _hadamard_bound,
     _integer_rows,
@@ -235,11 +236,42 @@ def test_lattice_determinism():
     l2 = intersection_lattice(a)
 
     def keys(level):
-        return [tuple(sorted(f.contains)) for f in level]
+        return [f.mask for f in level]
 
     assert [keys(level) for level in l1.levels] == [keys(level) for level in l2.levels]
     for level in l1.levels:
         assert keys(level) == sorted(keys(level))
+
+
+def test_wreath_d5_2_lattice_matches_the_closed_form():
+    # pi = (1 + t) prod_i (1 + ((n-1) h + e_i) t) for D5 (h = 8, exponents
+    # 1, 3, 5, 7, 4) and n = 2
+    expected = ONE
+    for b in [1] + [8 + e for e in (1, 3, 5, 7, 4)]:
+        expected = expected * IntegerPolynomial((1, b))
+    lat = intersection_lattice(catalog("wreath:D5:2").arrangement)
+    assert lat.flats_per_level() == [1, 61, 1170, 8600, 22951, 15884, 1]
+    assert poincare_polynomial(lat) == expected
+    assert expected.coefficients == (1, 61, 1490, 18350, 116289, 331029, 231660)
+    assert expected(1) == 698_880
+
+
+def test_lattice_step_memo_computes_each_residual_once(monkeypatch):
+    # every reduced or normalized row goes through `_normalized`: the 37
+    # atoms, then one call per distinct (residual, via) step that changes
+    # the residual.  wreath:D4:2 makes 28,617 (residual, via) visits over
+    # 6,335 distinct pairs and 241 distinct residuals
+    calls = []
+    real = arrangement._normalized
+
+    def counted(row, p):
+        calls.append(row)
+        return real(row, p)
+
+    monkeypatch.setattr(arrangement, "_normalized", counted)
+    lat = intersection_lattice(catalog("wreath:D4:2").arrangement)
+    assert lat.num_flats() == 2688
+    assert len(calls) == 4680
 
 
 def test_lattice_with_large_coefficients_matches_subset_ranks():

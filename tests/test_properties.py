@@ -154,6 +154,16 @@ def test_levels_mod_q_match_subset_ranks():
         assert flats == expected, f"case {case}: q = {q}, rows {rows}"
 
 
+def test_levels_mod_q_masks_are_contains_and_sort_each_level():
+    for case, q, dim, rows in random_rows_mod_q():
+        for level in _levels(rows, dim, q, 10**6):
+            masks = [f.mask for f in level]
+            assert masks == sorted(masks), f"case {case}"
+            for f in level:
+                assert f.contains <= set(range(len(rows))), f"case {case}"
+                assert sum(1 << h for h in f.contains) == f.mask, f"case {case}"
+
+
 def test_lattice_rank_is_essential_rank():
     # rows are combinations of k random vectors, so the normals have rank at
     # most k < l in most cases; offsets make half the cases affine
