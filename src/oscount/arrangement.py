@@ -160,9 +160,6 @@ class Arrangement:
         self.hyperplanes = hyperplanes
         self.central = central
 
-    def __len__(self) -> int:
-        return len(self.hyperplanes)
-
     def hyperplane_set(self) -> frozenset:
         return frozenset(h.row() for h in self.hyperplanes)
 
@@ -228,11 +225,6 @@ class IntersectionLattice:
     def __init__(self, arrangement: Arrangement, levels: list[list[Flat]]):
         self.arrangement = arrangement
         self.levels = levels
-
-    def all_flats(self):
-        for level in self.levels:
-            for flat in level:
-                yield flat, flat.mu
 
     def flats_per_level(self) -> list[int]:
         return [len(level) for level in self.levels]
@@ -464,21 +456,16 @@ def essential_rank(arrangement: Arrangement) -> int:
     return rank_of_rows([h.normal for h in arrangement.hyperplanes])
 
 
-def region_count(
-    arrangement: Arrangement,
-    lattice: Optional[IntersectionLattice] = None,
-    flat_cap: int = DEFAULT_FLAT_CAP,
-) -> tuple[int, int]:
-    """Zaslavsky counts for a real arrangement:
+def region_count(lattice: IntersectionLattice) -> tuple[int, int]:
+    """Zaslavsky counts for a real arrangement, read off its lattice:
     regions = (-1)^l chi(-1), bounded = (-1)^rank chi(1)."""
+    arrangement = lattice.arrangement
     for i, h in enumerate(arrangement.hyperplanes):
         if not h.is_real():
             raise InvalidInputError(
                 f"region count requires a real arrangement; hyperplane {i} ({h}) "
                 "has coefficients not fixed by conjugation"
             )
-    if lattice is None:
-        lattice = intersection_lattice(arrangement, flat_cap)
     chi = characteristic_polynomial(lattice)
     ell = arrangement.ambient_dim
     regions = (-1) ** ell * chi(-1)

@@ -199,8 +199,11 @@ def _emit_arrangement(arrangement, args, command: str, extra: dict | None = None
     if extra:
         doc.update(extra)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write {args.out}: {exc}") from None
         doc["out"] = args.out
         _emit(doc, args.json, [f"wrote {doc['num_hyperplanes']} hyperplanes to {args.out}"])
     elif args.json:
@@ -264,8 +267,10 @@ def _cmd_count(args) -> int:
     if args.catalog and args.arrangement:
         raise InvalidInputError("give either --catalog or --arrangement, not both")
     if args.catalog:
+        if args.weyl_order is not None:
+            raise InvalidInputError("give --weyl-order with --arrangement, not with --catalog")
         entry = catalog(args.catalog)
-        report = count_resolutions(entry.arrangement, entry.weyl_data, caps["flat_cap"])
+        report = count_resolutions(entry.arrangement, entry.weyl_data.total_order, caps["flat_cap"])
         expected = entry.expected.get("count")
         if expected is not None and report.resolution_count != expected:
             raise MathematicalInconsistencyError(

@@ -68,17 +68,16 @@ def analyze_arrangement(
     pi = poincare_polynomial(lattice)
     regions = bounded = None
     if all(h.is_real() for h in arrangement.hyperplanes):
-        regions, bounded = region_count(arrangement, lattice)
+        regions, bounded = region_count(lattice)
     return CountReport(lattice, lattice.rank(), chi, pi, pi(1), regions, bounded)
 
 
 def count_resolutions(
-    arrangement: Arrangement,
-    weyl: NamikawaWeylData | int,
-    flat_cap: int = DEFAULT_FLAT_CAP,
+    arrangement: Arrangement, weyl_order: int, flat_cap: int = DEFAULT_FLAT_CAP
 ) -> CountReport:
-    """Total OS dimension of a central arrangement divided by |W|, as an
-    exact integer; non-divisibility is reported as an inconsistency, never
+    """Total OS dimension of a central arrangement divided by the Namikawa
+    Weyl order |W| (a catalog entry's `weyl_data.total_order`), as an exact
+    integer; non-divisibility is reported as an inconsistency, never
     rounded.  For real arrangements the report also carries the region
     count, which is |W| * resolution_count by Zaslavsky's theorem: both are
     sums of mu(X) (-1)^{codim X} over the same lattice."""
@@ -86,20 +85,16 @@ def count_resolutions(
         raise InvalidInputError(
             "resolution counting requires a central arrangement (cone affine input first)"
         )
-    if isinstance(weyl, int):
-        if weyl < 1:
-            raise InvalidInputError("Weyl order must be >= 1")
-        k = weyl
-    else:
-        k = weyl.total_order
+    if weyl_order < 1:
+        raise InvalidInputError("Weyl order must be >= 1")
     report = analyze_arrangement(arrangement, flat_cap)
     os_dim = report.os_dimension
-    if os_dim % k != 0:
+    if os_dim % weyl_order != 0:
         raise MathematicalInconsistencyError(
-            f"OS dimension {os_dim} is not divisible by |W| = {k}; "
+            f"OS dimension {os_dim} is not divisible by |W| = {weyl_order}; "
             "wrong Weyl order or wrong arrangement"
         )
-    return report._replace(weyl_order=k, resolution_count=os_dim // k)
+    return report._replace(weyl_order=weyl_order, resolution_count=os_dim // weyl_order)
 
 
 def wreath_count_closed_form(type_data: WeylTypeData, n: int) -> int:
@@ -123,10 +118,8 @@ def wreath_weyl_data(type_data: WeylTypeData, n: int) -> NamikawaWeylData:
     from .groups import NamikawaWeylData
 
     if n >= 2:
-        return NamikawaWeylData.from_factors(
-            [("A1", 2), (type_data.full_label, type_data.weyl_order)]
-        )
-    return NamikawaWeylData.from_factors([(type_data.full_label, type_data.weyl_order)])
+        return NamikawaWeylData([("A1", 2), (type_data.full_label, type_data.weyl_order)])
+    return NamikawaWeylData([(type_data.full_label, type_data.weyl_order)])
 
 
 # The q8d8 and g4 arrangements and groups are read from the shipped data
@@ -164,7 +157,7 @@ def catalog(name: str) -> CatalogEntry:
         return CatalogEntry(
             name="q8d8",
             arrangement=parse_arrangement_file(str(_DATA / "q8d8.arr")),
-            weyl_data=NamikawaWeylData.from_factors([("A1", 2)] * 5),
+            weyl_data=NamikawaWeylData([("A1", 2)] * 5),
             group=parse_group_file(str(_DATA / "q8d8.grp")),
             expected={
                 "poincare": (1, 21, 170, 650, 1125, 625),
@@ -182,7 +175,7 @@ def catalog(name: str) -> CatalogEntry:
         return CatalogEntry(
             name="g4",
             arrangement=parse_arrangement_file(str(_DATA / "g4.arr")),
-            weyl_data=NamikawaWeylData.from_factors([("A2", 3)]),
+            weyl_data=NamikawaWeylData([("A2", 3)]),
             group=parse_group_file(str(_DATA / "g4.grp")),
             expected={
                 "poincare": (1, 3, 2),

@@ -28,30 +28,12 @@ __all__ = [
     "cyclotomic_field",
     "cyclotomic_polynomial",
     "cyclotomic_reduce",
-    "euler_phi",
     "is_prime",
     "parse_scalar",
     "MAX_CONDUCTOR",
 ]
 
 MAX_CONDUCTOR = 100
-
-
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise InvalidInputError(f"totient undefined for {n}")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
 
 
 def is_prime(n: int) -> bool:
@@ -144,26 +126,20 @@ def _power_table(conductor: int, phi: tuple[int, ...]) -> tuple[tuple[int, ...],
 
 class FieldDescriptor:
     """Coefficient field: Q (conductor 1) or Q(zeta_N), with Phi_N
-    (`cyclotomic`, ascending) and the coordinates of zeta^k (`powers`).
-    Immutable; equal and hashed by the conductor, which fixes the rest."""
+    (`cyclotomic`, ascending), its degree phi(N) and the coordinates of
+    zeta^k (`powers`).  Immutable; equal and hashed by the conductor, which
+    fixes the rest."""
 
-    __slots__ = ("kind", "conductor", "degree", "cyclotomic", "powers")
+    __slots__ = ("conductor", "degree", "cyclotomic", "powers")
 
-    def __init__(self, kind: str, conductor: int, degree: int):
-        if kind not in ("rational", "cyclotomic"):
-            raise InvalidInputError(f"unknown field kind {kind!r}")
+    def __init__(self, conductor: int):
         if conductor < 1:
             raise InvalidInputError("conductor must be >= 1")
         if conductor > MAX_CONDUCTOR:
             raise InvalidInputError(f"conductor {conductor} exceeds the limit {MAX_CONDUCTOR}")
-        if degree != euler_phi(conductor):
-            raise InvalidInputError("degree must equal the totient of the conductor")
-        if kind == "rational" and conductor != 1:
-            raise InvalidInputError("rational field has conductor 1")
         phi = cyclotomic_polynomial(conductor)
-        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "degree", len(phi) - 1)
         object.__setattr__(self, "cyclotomic", phi)
         object.__setattr__(self, "powers", _power_table(conductor, phi))
 
@@ -179,6 +155,10 @@ class FieldDescriptor:
     @property
     def is_rational(self) -> bool:
         return self.conductor == 1
+
+    @property
+    def kind(self) -> str:
+        return "rational" if self.conductor == 1 else "cyclotomic"
 
     def zero(self) -> "Scalar":
         return Scalar(self, (Fraction(0),) * self.degree)
@@ -200,16 +180,11 @@ class FieldDescriptor:
 
 
 def rational_field() -> FieldDescriptor:
-    return FieldDescriptor("rational", 1, 1)
+    return FieldDescriptor(1)
 
 
 def cyclotomic_field(conductor: int) -> FieldDescriptor:
-    if conductor == 1:
-        return rational_field()
-    # the totient's trial division is unbounded in N, so a conductor above
-    # the limit reaches the FieldDescriptor check, which refuses it, without one
-    degree = euler_phi(conductor) if conductor <= MAX_CONDUCTOR else 0
-    return FieldDescriptor("cyclotomic", conductor, degree)
+    return FieldDescriptor(conductor)
 
 
 class Scalar:
@@ -288,10 +263,6 @@ class Scalar:
         const = next(c for c in reversed(r0) if c)
         inv_coords = [c / const for c in s0]
         return cyclotomic_reduce(inv_coords, self.field)
-
-    def __truediv__(self, other: "Scalar") -> "Scalar":
-        self._same_field(other)
-        return self * other.inverse()
 
     def conjugate(self) -> "Scalar":
         """Complex conjugation, zeta -> zeta^{N-1}."""

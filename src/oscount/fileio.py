@@ -17,8 +17,8 @@ Scalar tokens use the syntax of the exact-arithmetic layer: `p/q`, `p`,
 or `(a0,a1,...)`.  Arrangements round-trip: serialize(parse(f)) parses
 to an equal object.
 
-Limits, checked before anything is allocated: `dim` is at most MAX_DIM,
-and the conductor N is at most `fields.MAX_CONDUCTOR`.
+Limits, checked before anything is allocated: `dim` is between 0 and
+MAX_DIM, and the conductor N is at most `fields.MAX_CONDUCTOR`.
 
 The two formats share only the line and scalar syntax, so each parser
 imports its own layer (`arrangement` or `groups`) when it runs.
@@ -79,6 +79,8 @@ def _parse_dim(tokens: list[str], lineno: int, form: str) -> int:
         dim = int(tokens[1])
     except ValueError:
         raise InvalidInputError(f"line {lineno}: bad dimension {tokens[1]!r}") from None
+    if dim < 0:
+        raise InvalidInputError(f"line {lineno}: dimension must be >= 0, got {dim}")
     if dim > MAX_DIM:
         raise InvalidInputError(
             f"line {lineno}: dimension {dim} exceeds the limit {MAX_DIM}"
@@ -216,7 +218,7 @@ def parse_group_text(text: str) -> MatrixGroup:
         raise InvalidInputError("missing `symplectic_form` block")
     if not generators:
         raise InvalidInputError("missing `generator` blocks")
-    return MatrixGroup(field, dim, generators, ExactMatrix(field, form_rows))
+    return MatrixGroup(generators, ExactMatrix(field, form_rows))
 
 
 def parse_group_file(path: str) -> MatrixGroup:

@@ -38,7 +38,6 @@ from .errors import (
     MathematicalInconsistencyError,
     UnsupportedFoldingError,
 )
-from .fields import FieldDescriptor
 from .linalg import ExactMatrix, Row, rref_rows
 
 __all__ = [
@@ -58,7 +57,8 @@ __all__ = [
 
 
 class MatrixGroup:
-    """A finite subgroup of Sp(2n) given by generators s_0, ..., s_{m-1}.
+    """A finite subgroup of Sp(2n) given by generators s_0, ..., s_{m-1};
+    its field and its dimension 2n are those of the symplectic form.
 
     `enumerate_elements` fills the canonical element store g_0 = 1, g_1, ...
     (BFS layer, then serialization key) and keeps two flat arrays from the
@@ -81,17 +81,12 @@ class MatrixGroup:
     matrix the product names.  No matrix is multiplied after enumeration.
     """
 
-    def __init__(
-        self,
-        field: FieldDescriptor,
-        dim: int,
-        generators: list[ExactMatrix],
-        symplectic_form: ExactMatrix,
-    ):
+    def __init__(self, generators: list[ExactMatrix], symplectic_form: ExactMatrix):
+        omega = symplectic_form
+        dim = omega.nrows
         if dim % 2 != 0 or dim <= 0:
             raise InvalidInputError("symplectic dimension must be a positive even number")
-        omega = symplectic_form
-        if omega.nrows != dim or omega.ncols != dim:
+        if omega.ncols != dim:
             raise InvalidInputError("symplectic form has the wrong shape")
         if omega.transpose() != -omega:
             raise InvalidInputError("symplectic form is not antisymmetric")
@@ -106,7 +101,7 @@ class MatrixGroup:
                 raise InvalidInputError(f"generator {k} is not invertible") from None
             if g.transpose() * omega * g != omega:
                 raise InvalidInputError(f"generator {k} does not preserve the symplectic form")
-        self.field = field
+        self.field = omega.field
         self.dim = dim
         self.generators = list(generators)
         self.symplectic_form = omega
@@ -465,18 +460,11 @@ class NamikawaWeylData:
 
     __slots__ = ("factors", "total_order")
 
-    def __init__(self, factors: tuple[tuple[str, int], ...], total_order: int):
-        if total_order != prod((o for _, o in factors), start=1):
-            raise InvalidInputError("total_order is not the product of the factors")
-        if total_order < 1:
+    def __init__(self, factors: Sequence[tuple[str, int]]):
+        self.factors = tuple(factors)
+        self.total_order = prod((o for _, o in self.factors), start=1)
+        if self.total_order < 1:
             raise InvalidInputError("Namikawa Weyl order must be >= 1")
-        self.factors = factors
-        self.total_order = total_order
-
-    @staticmethod
-    def from_factors(factors) -> "NamikawaWeylData":
-        factors = tuple((str(l), int(o)) for l, o in factors)
-        return NamikawaWeylData(factors, prod((o for _, o in factors), start=1))
 
 
 def diagram_automorphism_order(label: str) -> int:
@@ -534,4 +522,4 @@ def namikawa_weyl_from_group(parabolics: list[ParabolicClass]) -> NamikawaWeylDa
                 f"|W_B| = {factor} does not divide |W({label})| = {full_order}"
             )
         factors.append((label, factor))
-    return NamikawaWeylData.from_factors(factors)
+    return NamikawaWeylData(factors)

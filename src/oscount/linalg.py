@@ -143,18 +143,6 @@ class ExactMatrix:
     def rank(self) -> int:
         return rank_of_rows(self.rows)
 
-    def is_identity(self) -> bool:
-        if self.nrows != self.ncols:
-            return False
-        for i, row in enumerate(self.rows):
-            for j, x in enumerate(row):
-                if i == j:
-                    if not x.is_one():
-                        return False
-                elif not x.is_zero():
-                    return False
-        return True
-
     def inverse(self) -> "ExactMatrix":
         if self.nrows != self.ncols:
             raise InvalidInputError("inverse of a non-square matrix")

@@ -54,7 +54,7 @@ def test_criterion_1_q8d8_poincare_and_nbc_oracle():
 def test_criterion_2_q8d8_count():
     with criterion(2, "q8d8 count 2592/32 = 81"):
         entry = catalog("q8d8")
-        report = count_resolutions(entry.arrangement, entry.weyl_data)
+        report = count_resolutions(entry.arrangement, entry.weyl_data.total_order)
         assert report.os_dimension == 2592
         assert report.weyl_order == 32
         assert report.os_dimension % report.weyl_order == 0
@@ -69,7 +69,7 @@ def test_criterion_3_g4():
         assert pi.coefficients == (1, 3, 2)
         assert pi(1) == 6
         assert nbc_betti(entry.arrangement) == [1, 3, 2]
-        report = count_resolutions(entry.arrangement, entry.weyl_data)
+        report = count_resolutions(entry.arrangement, entry.weyl_data.total_order)
         assert report.weyl_order == 3 and report.resolution_count == 2
 
 
@@ -82,7 +82,7 @@ def test_criterion_4_wreath_two_route_agreement():
             t0 = time.perf_counter()
             closed = wreath_count_closed_form(wdata, n)
             entry = catalog(f"wreath:{label}:{n}")
-            report = count_resolutions(entry.arrangement, entry.weyl_data)
+            report = count_resolutions(entry.arrangement, entry.weyl_data.total_order)
             elapsed = time.perf_counter() - t0
             assert closed == count == entry.expected["count"]
             assert report.resolution_count == count
@@ -102,7 +102,7 @@ def test_criterion_5_n1_degeneracy():
         # compared against the closed form
         entry = catalog("wreath:A1:1")
         assert "count" not in entry.expected
-        report = count_resolutions(entry.arrangement, entry.weyl_data)
+        report = count_resolutions(entry.arrangement, entry.weyl_data.total_order)
         assert report.os_dimension == 4 and report.weyl_order == 2
         assert report.resolution_count == 2
 

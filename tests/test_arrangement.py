@@ -62,14 +62,14 @@ def test_empty_arrangement_lattice():
     a = rational_arrangement(3, [])
     lat = intersection_lattice(a)
     assert lat.flats_per_level() == [1]
-    assert [mu for _, mu in lat.all_flats()] == [1]
+    assert [f.mu for level in lat.levels for f in level] == [1]
 
 
 def test_boolean_lattice(boolean3):
     lat = intersection_lattice(boolean3)
     assert lat.flats_per_level() == [1, 3, 3, 1]
-    for flat, mu in lat.all_flats():
-        assert mu == (-1) ** flat.codim
+    for flat in (f for level in lat.levels for f in level):
+        assert flat.mu == (-1) ** flat.codim
     chi = characteristic_polynomial(lat)
     assert chi == (T - ONE) * (T - ONE) * (T - ONE)
 
@@ -77,7 +77,7 @@ def test_boolean_lattice(boolean3):
 def test_g4_lattice_and_polynomials():
     lat = intersection_lattice(catalog("g4").arrangement)
     assert lat.flats_per_level() == [1, 3, 1]
-    assert [mu for _, mu in lat.all_flats()] == [1, -1, -1, -1, 2]
+    assert [f.mu for level in lat.levels for f in level] == [1, -1, -1, -1, 2]
     assert characteristic_polynomial(lat) == IntegerPolynomial((2, -3, 1))
     assert poincare_polynomial(lat) == IntegerPolynomial((1, 3, 2))
 
@@ -103,21 +103,22 @@ def test_single_hyperplane_poincare():
 
 
 def test_region_counts():
-    assert region_count(rational_arrangement(2, [[1, 0]])) == (2, 0)
+    assert region_count(intersection_lattice(rational_arrangement(2, [[1, 0]]))) == (2, 0)
     four = rational_arrangement(2, [[0, 1], [1, 0], [1, 1], [1, -1]])
-    assert region_count(four) == (8, 0)
-    assert region_count(catalog("q8d8").arrangement)[0] == 2592
+    assert region_count(intersection_lattice(four)) == (8, 0)
+    assert region_count(intersection_lattice(catalog("q8d8").arrangement))[0] == 2592
 
 
 def test_region_count_refuses_nonreal():
     with pytest.raises(InvalidInputError, match="hyperplane"):
-        region_count(catalog("g4").arrangement)
+        region_count(intersection_lattice(catalog("g4").arrangement))
 
 
 def test_region_count_affine():
     a = rational_arrangement(1, [[1], [1], [1]], offsets=[0, -1, 1])
-    assert characteristic_polynomial(intersection_lattice(a)) == T - IntegerPolynomial((3,))
-    assert region_count(a) == (4, 2)
+    lat = intersection_lattice(a)
+    assert characteristic_polynomial(lat) == T - IntegerPolynomial((3,))
+    assert region_count(lat) == (4, 2)
 
 
 def test_cone_of_empty():
@@ -191,7 +192,7 @@ def test_deletion_restriction_identity_on_catalog_representatives():
 def test_moebius_row_sums_vanish():
     for arrangement in (catalog("q8d8").arrangement, catalog("g4").arrangement):
         lat = intersection_lattice(arrangement)
-        flats = [(f, mu) for f, mu in lat.all_flats()]
+        flats = [(f, f.mu) for level in lat.levels for f in level]
         for f, _ in flats:
             if f.codim == 0:
                 continue
@@ -215,7 +216,7 @@ def test_flat_family_matches_subset_ranks():
     )
     for arrangement in (catalog("g4").arrangement, affine):
         lat = intersection_lattice(arrangement)
-        flats = {(f.contains, f.codim) for f, _ in lat.all_flats()}
+        flats = {(f.contains, f.codim) for level in lat.levels for f in level}
         assert flats == brute_force_flats(arrangement)
 
 
@@ -284,7 +285,7 @@ def test_lattice_with_large_coefficients_matches_subset_ranks():
         offsets=[0, 0, 0, 0, P, 1],
     )
     assert _hadamard_bound(_integer_rows(a), 3) > 2**61
-    flats = {(f.contains, f.codim) for f, _ in intersection_lattice(a).all_flats()}
+    flats = {(f.contains, f.codim) for level in intersection_lattice(a).levels for f in level}
     assert flats == brute_force_flats(a)
 
 

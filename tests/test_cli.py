@@ -249,6 +249,15 @@ def test_dimension_above_the_limit_is_invalid_input(capsys, tmp_path):
         parse_group_text("field rational\ndim 99999999999\n")
 
 
+def test_negative_dimension_is_refused_with_its_line(capsys, tmp_path):
+    path = tmp_path / "neg.arr"
+    path.write_text("field rational\ndim -2\n")
+    assert cli.main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err == "error: line 2: dimension must be >= 0, got -2\n"
+    with pytest.raises(InvalidInputError, match="^line 3: dimension must be >= 0, got -2$"):
+        parse_group_text("field rational\n\ndim -2\nsymplectic_form\n")
+
+
 def test_unexpected_exception_is_one_line_and_exit_3(capsys, monkeypatch):
     def broken(*args):
         raise RuntimeError("boom")
@@ -277,6 +286,13 @@ def test_cli_exit_code_inconsistency(capsys, tmp_path):
     assert cli.main(["count", "--arrangement", str(path), "--weyl-order", "7"]) == 3
 
 
+def test_weyl_order_beside_a_catalog_entry_is_refused(capsys):
+    # a catalog entry carries its own Weyl order
+    assert cli.main(["count", "--catalog", "g4", "--weyl-order", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: give --weyl-order with --arrangement, not with --catalog\n"
+
+
 def test_cli_count_arrangement_with_weyl_order(capsys, tmp_path):
     path = tmp_path / "q8.arr"
     path.write_text(serialize_arrangement(catalog("q8d8").arrangement))
@@ -292,6 +308,16 @@ def test_cli_cone_round_trip(capsys, tmp_path):
     assert cli.main(["cone", str(src), "--out", str(out)]) == 0
     coned = parse_arrangement_file(str(out))
     assert coned.central and len(coned.hyperplanes) == 4
+
+
+def test_unwritable_out_path_is_invalid_input(capsys, tmp_path):
+    missing = tmp_path / "no" / "x.arr"
+    assert cli.main(["catalan", "--type", "A2", "--n", "2", "--out", str(missing)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {missing}: ")
+    src = tmp_path / "aff.arr"
+    src.write_text("field rational\ndim 1\nhyperplane 1 = 1\n")
+    assert cli.main(["cone", str(src), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
 
 
 def test_cli_catalan_emit(capsys, tmp_path):

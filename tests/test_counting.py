@@ -27,7 +27,7 @@ from oscount.rootdata import weyl_data
 
 def test_count_q8d8():
     entry = catalog("q8d8")
-    report = count_resolutions(entry.arrangement, entry.weyl_data)
+    report = count_resolutions(entry.arrangement, entry.weyl_data.total_order)
     assert report.os_dimension == 2592
     assert report.weyl_order == 32
     assert report.resolution_count == 81
@@ -36,7 +36,7 @@ def test_count_q8d8():
 
 def test_count_g4():
     entry = catalog("g4")
-    report = count_resolutions(entry.arrangement, entry.weyl_data)
+    report = count_resolutions(entry.arrangement, entry.weyl_data.total_order)
     assert report.os_dimension == 6
     assert report.resolution_count == 2
     assert report.regions is None  # not a real arrangement
@@ -78,7 +78,7 @@ def test_wreath_direct_routes_agree():
     cases = [("A", 1, 2, 8, 2), ("A", 1, 3, 12, 3), ("A", 2, 2, 60, 5)]
     for label, rank, n, pi1, count in cases:
         entry = catalog(f"wreath:{label}{rank}:{n}")
-        report = count_resolutions(entry.arrangement, entry.weyl_data)
+        report = count_resolutions(entry.arrangement, entry.weyl_data.total_order)
         assert report.os_dimension == pi1
         assert report.resolution_count == count == entry.expected["count"]
         assert report.resolution_count == wreath_count_closed_form(weyl_data(label, rank), n)
@@ -89,7 +89,7 @@ def test_wreath_direct_n1_uses_plain_weyl_order():
     # the n = 1 arrangement is a different object; no closed-form comparison
     entry = catalog("wreath:A1:1")
     assert "count" not in entry.expected
-    report = count_resolutions(entry.arrangement, entry.weyl_data)
+    report = count_resolutions(entry.arrangement, entry.weyl_data.total_order)
     assert report.weyl_order == 2
     assert report.os_dimension == 4
     assert report.resolution_count == 2
@@ -136,11 +136,12 @@ def test_namikawa_weyl_from_groups(monkeypatch):
 
 
 def test_namikawa_weyl_data_validation():
-    with pytest.raises(InvalidInputError):
-        NamikawaWeylData((("A1", 2),), 3)
-    w = NamikawaWeylData.from_factors([("A1", 2), ("A2", 6)])
+    with pytest.raises(InvalidInputError, match="Namikawa Weyl order must be >= 1"):
+        NamikawaWeylData([("A1", 2), ("A2", 0)])
+    w = NamikawaWeylData([("A1", 2), ("A2", 6)])
+    assert w.factors == (("A1", 2), ("A2", 6))
     assert w.total_order == 12
-    assert w.total_order <= 2 * 6
+    assert NamikawaWeylData([]).total_order == 1
 
 
 def test_catalog_expected_values():

@@ -11,7 +11,6 @@ from oscount.fields import (
     cyclotomic_field,
     cyclotomic_polynomial,
     cyclotomic_reduce,
-    euler_phi,
     is_prime,
     parse_scalar,
     rational_field,
@@ -23,8 +22,9 @@ Q4 = cyclotomic_field(4)
 Q8 = cyclotomic_field(8)
 
 
-def test_euler_phi_small():
-    assert [euler_phi(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+def test_field_degree_is_the_totient():
+    degrees = [FieldDescriptor(n).degree for n in range(1, 13)]
+    assert degrees == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
 
 
 def test_is_prime_agrees_with_trial_division():
@@ -51,8 +51,10 @@ def test_field_descriptor_invariants():
     assert QQ.degree == 1 and QQ.conductor == 1
     assert Q8.degree == 4
     assert cyclotomic_field(1) == QQ
-    with pytest.raises(InvalidInputError):
-        FieldDescriptor("cyclotomic", 8, 3)
+    assert (QQ.kind, Q8.kind, cyclotomic_field(2).kind) == ("rational", "cyclotomic", "cyclotomic")
+    for conductor in (0, -3):
+        with pytest.raises(InvalidInputError, match="conductor must be >= 1"):
+            FieldDescriptor(conductor)
     assert Q8.cyclotomic == (1, 0, 0, 0, 1)
     assert Q3.powers[:3] == ((1, 0), (0, 1), (-1, -1))
 
@@ -61,9 +63,9 @@ def test_conductor_limit_is_checked_before_phi_is_computed():
     # Phi_N comes from a recursion over the divisors of N
     start = time.perf_counter()
     with pytest.raises(InvalidInputError, match="exceeds the limit"):
-        FieldDescriptor("cyclotomic", 10**6, euler_phi(10**6))
+        FieldDescriptor(10**6)
     with pytest.raises(InvalidInputError, match="exceeds the limit"):
-        cyclotomic_field(2**127 - 1)  # a prime: its totient would need 2^63 trial divisions
+        cyclotomic_field(2**127 - 1)  # a prime: Phi_N would have degree 2^127 - 2
     assert time.perf_counter() - start < 1
 
 

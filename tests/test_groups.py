@@ -29,7 +29,7 @@ def pm_identity_group() -> MatrixGroup:
     one, zero = f.one(), f.zero()
     omega = ExactMatrix(f, [[zero, one], [-one, zero]])
     neg = ExactMatrix(f, [[-one, zero], [zero, -one]])
-    return MatrixGroup(f, 2, [neg], omega)
+    return MatrixGroup([neg], omega)
 
 
 def quaternion_group() -> MatrixGroup:
@@ -39,7 +39,7 @@ def quaternion_group() -> MatrixGroup:
     omega = ExactMatrix(f, [[zero, one], [-one, zero]])
     qi = ExactMatrix(f, [[i_, zero], [zero, -i_]])
     qj = ExactMatrix(f, [[zero, one], [-one, zero]])
-    return MatrixGroup(f, 2, [qi, qj], omega)
+    return MatrixGroup([qi, qj], omega)
 
 
 def binary_tetrahedral_group() -> MatrixGroup:
@@ -54,7 +54,7 @@ def binary_tetrahedral_group() -> MatrixGroup:
         f,
         [[half * (-one + i_), half * (one + i_)], [half * (-one + i_), half * (-one - i_)]],
     )
-    return MatrixGroup(f, 2, [qi, qj, w], omega)
+    return MatrixGroup([qi, qj, w], omega)
 
 
 def cyclic5_group() -> MatrixGroup:
@@ -62,7 +62,7 @@ def cyclic5_group() -> MatrixGroup:
     z = f5.zeta()
     omega = ExactMatrix(f5, [[f5.zero(), f5.one()], [-f5.one(), f5.zero()]])
     c5 = ExactMatrix(f5, [[z, f5.zero()], [f5.zero(), z.inverse()]])
-    return MatrixGroup(f5, 2, [c5], omega)
+    return MatrixGroup([c5], omega)
 
 
 GROUPS = {
@@ -92,7 +92,7 @@ def test_noninvertible_generator_rejected():
     omega = ExactMatrix(f, [[zero, one], [-one, zero]])
     singular = ExactMatrix(f, [[one, zero], [zero, zero]])
     with pytest.raises(InvalidInputError):
-        MatrixGroup(f, 2, [singular], omega)
+        MatrixGroup([singular], omega)
 
 
 def test_nonsymplectic_generator_rejected():
@@ -103,10 +103,20 @@ def test_nonsymplectic_generator_rejected():
     half = f.from_rational(Fraction(1, 2))
     stretch = ExactMatrix(f, [[two, zero], [zero, two]])  # scales the form by 4
     with pytest.raises(InvalidInputError):
-        MatrixGroup(f, 2, [stretch], omega)
+        MatrixGroup([stretch], omega)
     # diag(2, 1/2) does preserve it
     ok = ExactMatrix(f, [[two, zero], [zero, half]])
-    MatrixGroup(f, 2, [ok], omega)
+    MatrixGroup([ok], omega)
+
+
+def test_field_and_dimension_are_read_off_the_form():
+    g = quaternion_group()
+    assert g.field == cyclotomic_field(4) and g.dim == 2
+    # a generator over Q beside a form over Q(zeta_4) is refused when the group is made
+    f = rational_field()
+    neg = ExactMatrix(f, [[-f.one(), f.zero()], [f.zero(), -f.one()]])
+    with pytest.raises(InvalidInputError, match="mixed-field arithmetic"):
+        MatrixGroup([neg], g.symplectic_form)
 
 
 def test_q8d8_group_order_and_reflections():

@@ -82,7 +82,7 @@ def test_rank_equals_rank_of_transpose(nrows, ncols, data):
 
 def test_inverse_and_kernel():
     m = qmat([[2, 1], [1, 1]])
-    assert (m * m.inverse()).is_identity()
+    assert m * m.inverse() == ExactMatrix.identity(m.field, 2)
     k = qmat([[1, 2, 3], [2, 4, 6]])
     basis = kernel_basis(k)
     assert len(basis) == 2

@@ -144,7 +144,7 @@ def test_nbc_top_degree_equals_top_moebius_mass():
         lat = intersection_lattice(a)
         betti = nbc_betti(a)
         top = lat.rank()
-        mass = sum(abs(mu) for f, mu in lat.all_flats() if f.codim == top)
+        mass = sum(abs(f.mu) for f in lat.levels[top])
         assert betti[top] == mass
 
 

@@ -1,7 +1,11 @@
 """Every public name resolves: each module's `__all__` and every name the
-package imports, so a deleted function cannot leave a dangling export."""
+package imports, so a deleted function cannot leave a dangling export.  The
+README's library sketch runs as written."""
 
+import ast
 import importlib
+import io
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -28,3 +32,31 @@ def test_every_name_the_package_imports_resolves():
         assert hasattr(submodule, name), (module, name)
         assert getattr(oscount, name) is getattr(submodule, name), (module, name)
         assert name in dir(oscount), name
+
+
+def test_readme_library_sketch_runs_and_shows_its_values():
+    # Each expression line of the sketch ends in a comment that starts with
+    # the value it shows; a changed signature or value fails here.
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    comments = {
+        tok.start[0]: tok.string.lstrip("#").strip()
+        for tok in tokenize.generate_tokens(io.StringIO(block).readline)
+        if tok.type == tokenize.COMMENT
+    }
+    namespace: dict = {}
+    shown = []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr) and stmt.end_lineno in comments:
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            comment, text = comments[stmt.end_lineno], str(value)
+            assert comment.startswith(text) and not comment[len(text) :][:1].isalnum(), (
+                ast.unparse(stmt),
+                text,
+                comment,
+            )
+            shown.append(value)
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert {2592, 81, 14} <= {v for v in shown if isinstance(v, int)}
