@@ -37,7 +37,6 @@ _SUBMODULE_NAMES = {
         "analyze_arrangement",
         "catalog",
         "count_resolutions",
-        "wreath_count_closed_form",
     ),
     "errors": (
         "ComputationCapError",
@@ -60,6 +59,7 @@ _SUBMODULE_NAMES = {
         "NamikawaWeylData",
         "ParabolicClass",
         "ReflectionClass",
+        "analyze_group",
         "kleinian_label",
         "minimal_parabolics",
         "namikawa_weyl_from_group",
@@ -76,6 +76,7 @@ _SUBMODULE_NAMES = {
         "catalan_arrangement",
         "parse_type_label",
         "weyl_data",
+        "wreath_count_closed_form",
     ),
 }
 _EXPORTS = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}

@@ -1,4 +1,5 @@
-"""Command-line interface.
+"""Command-line interface: it parses arguments and formats what the library
+computes (`counting`, `groups.analyze_group`, `rootdata`, `selftest`).
 
 Commands: analyze, cone, catalan, count, wreath-formula, group, selftest.
 Exit codes: 0 success, 1 invalid input, 2 computation cap exceeded,
@@ -7,15 +8,16 @@ a single document with stable key order (the timing field excepted from
 determinism guarantees).
 
 Caps may be set by flags or environment variables (OSCOUNT_FLAT_CAP,
-OSCOUNT_SUBSET_CAP, OSCOUNT_GROUP_CAP, OSCOUNT_FF_CAP).  Any other failure
-is one `error: internal error: ...` line and exit code 3; OSCOUNT_DEBUG=1
-adds its traceback.
+OSCOUNT_SUBSET_CAP, OSCOUNT_GROUP_CAP, OSCOUNT_FF_CAP); only the commands
+that read caps (analyze, count, group analyze, selftest) take the flags.
+Any other failure is one `error: internal error: ...` line and exit code 3;
+OSCOUNT_DEBUG=1 adds its traceback.
 
 Startup: a command imports only the modules it runs, inside its handler, so
 `group analyze` loads no arrangement code and `count --arrangement` no group
-code, and no module imports `dataclasses` (or, through it, `inspect`).  At
-module level this file imports the standard library and `errors` alone,
-and the selftest checks live in `oscount.selftest`.
+code, `wreath-formula` only `rootdata`, and no module imports `dataclasses`
+(or, through it, `inspect`).  At module level this file imports the
+standard library and `errors` alone.
 The traceback module is imported only when OSCOUNT_DEBUG asks for it.
 """
 
@@ -34,9 +36,7 @@ from .errors import (
     DEFAULT_SUBSET_CAP,
     InvalidInputError,
     MathematicalInconsistencyError,
-    OracleDisagreementError,
     OscountError,
-    UnsupportedFoldingError,
 )
 
 __all__ = ["main"]
@@ -50,10 +50,12 @@ _CAPS = (
 )
 
 
-def _add_common(parser: argparse.ArgumentParser):
+def _add_common(parser: argparse.ArgumentParser, caps: bool = True):
+    """--json, and the cap flags on the commands that read caps."""
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    for flag, _, default, text in _CAPS:
-        parser.add_argument(flag, type=int, default=None, help=f"{text} (default {default})")
+    if caps:
+        for flag, _, default, text in _CAPS:
+            parser.add_argument(flag, type=int, default=None, help=f"{text} (default {default})")
 
 
 def _caps(args) -> dict:
@@ -103,37 +105,6 @@ def _emit(doc: dict, as_json: bool, human_lines):
             print(line)
 
 
-def _run_oracles(report, which: str, caps) -> dict:
-    """Cross-check the lattice route; disagreement raises (exit 3)."""
-    from .matroid import find_good_primes, finite_field_count, nbc_betti
-
-    arrangement = report.lattice.arrangement
-    results: dict = {"oracle": which}
-    if which == "nbc":
-        betti = nbc_betti(arrangement, caps["subset_cap"])
-        expected = list(report.poincare_poly.coefficients)
-        results["nbc_betti"] = betti
-        results["agrees"] = betti == expected
-        if not results["agrees"]:
-            raise OracleDisagreementError(
-                f"nbc oracle {betti} != Poincare coefficients {expected}"
-            )
-    elif which == "ff":
-        chi = report.char_poly
-        primes = find_good_primes(report.lattice, 2, caps["ff_cap"])
-        checks = []
-        for q in primes:
-            n = finite_field_count(arrangement, q, caps["ff_cap"])
-            checks.append({"q": q, "count": n, "chi": chi(q), "agrees": n == chi(q)})
-        results["finite_field"] = checks
-        results["agrees"] = all(c["agrees"] for c in checks)
-        if not results["agrees"]:
-            raise OracleDisagreementError(f"finite-field oracle disagrees: {checks}")
-    else:
-        raise InvalidInputError(f"unknown oracle {which!r}")
-    return results
-
-
 def _report_doc(head: dict, report, oracle: str, caps, t0: float) -> dict:
     """The JSON document of `count` and `analyze`: the command's own head
     fields, the report, the oracle results, the caps and the timing."""
@@ -153,7 +124,9 @@ def _report_doc(head: dict, report, oracle: str, caps, t0: float) -> dict:
         doc["regions"] = report.regions
         doc["bounded_regions"] = report.bounded_regions
     if oracle != "none":
-        doc["oracle_results"] = _run_oracles(report, oracle, caps)
+        from .counting import run_oracle
+
+        doc["oracle_results"] = run_oracle(report, oracle, caps)
     doc["caps"] = caps
     doc["timing_seconds"] = round(time.perf_counter() - t0, 6)
     return doc
@@ -296,8 +269,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_wreath_formula(args) -> int:
-    from .counting import wreath_count_closed_form
-    from .rootdata import parse_type_label, weyl_data
+    from .rootdata import parse_type_label, weyl_data, wreath_count_closed_form
 
     letter, rank = parse_type_label(args.type)
     wdata = weyl_data(letter, rank)
@@ -316,21 +288,15 @@ def _cmd_wreath_formula(args) -> int:
     return 0
 
 
-def _group_doc(group, caps) -> tuple[dict, bool]:
-    """Enumerate the group, then its reflection classes, minimal parabolics,
-    zeta bijection and Namikawa Weyl order; returns the report and whether
-    the bijection holds."""
-    from .groups import (
-        minimal_parabolics,
-        namikawa_weyl_from_group,
-        symplectic_reflections,
-        verify_zeta_bijection,
-    )
+def _cmd_group_analyze(args) -> int:
+    from .fileio import parse_group_file
+    from .groups import analyze_group
 
-    group.enumerate_elements(caps["group_cap"])
-    reflections = symplectic_reflections(group)
-    parabolics = minimal_parabolics(group, reflections)
-    ok, zeta_report = verify_zeta_bijection(reflections, parabolics)
+    caps = _caps(args)
+    t0 = time.perf_counter()
+    group = parse_group_file(args.file)
+    reflections, parabolics, zeta_report, weyl, note = analyze_group(group, caps["group_cap"])
+    ok = zeta_report["bijective"]
     doc = {
         "command": "group analyze",
         "field": _field_doc(group.field),
@@ -352,25 +318,15 @@ def _group_doc(group, caps) -> tuple[dict, bool]:
         ],
         "zeta_bijection": zeta_report,
     }
-    try:
-        weyl = namikawa_weyl_from_group(parabolics)
+    if weyl is None:
+        doc["namikawa_weyl"] = None
+        doc["namikawa_weyl_note"] = note
+    else:
         doc["namikawa_weyl"] = {
             "factors": [list(f) for f in weyl.factors],
             "total_order": weyl.total_order,
         }
-    except UnsupportedFoldingError as exc:
-        doc["namikawa_weyl"] = None
-        doc["namikawa_weyl_note"] = str(exc)
     doc["caps"] = caps
-    return doc, ok
-
-
-def _cmd_group_analyze(args) -> int:
-    from .fileio import parse_group_file
-
-    caps = _caps(args)
-    t0 = time.perf_counter()
-    doc, ok = _group_doc(parse_group_file(args.file), caps)
     doc["timing_seconds"] = round(time.perf_counter() - t0, 6)
     if not ok:
         _emit(doc, args.json, [])
@@ -404,9 +360,7 @@ def _cmd_group_analyze(args) -> int:
 def _cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
-    # passed in, not imported there: under `python -m oscount.cli` this
-    # module is __main__, and importing oscount.cli would load it again
-    return run_selftest(_caps(args), set(args.skip or []), args.json, _group_doc, _run_oracles)
+    return run_selftest(_caps(args), set(args.skip or []), args.json)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -428,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cone", help="cone an affine arrangement file")
     p.add_argument("file")
     p.add_argument("--out", default=None)
-    _add_common(p)
+    _add_common(p, caps=False)
     p.set_defaults(func=_cmd_cone)
 
     p = sub.add_parser("catalan", help="emit a Catalan-type arrangement")
@@ -436,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--affine", action="store_true", help="emit the affine arrangement")
     p.add_argument("--out", default=None)
-    _add_common(p)
+    _add_common(p, caps=False)
     p.set_defaults(func=_cmd_catalan)
 
     p = sub.add_parser("count", help="count resolutions")
@@ -450,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wreath-formula", help="closed-form wreath count")
     p.add_argument("--type", required=True)
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
+    _add_common(p, caps=False)
     p.set_defaults(func=_cmd_wreath_formula)
 
     p = sub.add_parser("group", help="matrix group commands")

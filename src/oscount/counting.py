@@ -1,19 +1,19 @@
-"""Resolution counting and the built-in catalog of worked examples.
+"""Resolution counting, its oracle cross-check and the built-in catalog.
 
 The count of Q-factorial terminalizations of a symplectic quotient is the
 total Orlik-Solomon dimension of the singular-locus arrangement divided by
 the order of the Namikawa Weyl group; the wreath family also has the closed
-form  prod_i ((n-1) h + e_i + 1) / (e_i + 1),  giving two independent
-routes that must agree exactly.
+form `rootdata.wreath_count_closed_form`, giving two independent routes that
+must agree exactly.
 
-Counting needs only the arrangement layer.  The catalog's entries also read
-the shipped data files, matrix groups and root data, which `catalog`
-imports when it builds an entry.
+Counting needs only the arrangement layer, and `run_oracle` imports the
+matroid oracles when it runs.  The catalog's entries also read the shipped
+data files, matrix groups and root data, which `catalog` imports when it
+builds an entry.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -26,7 +26,7 @@ from .arrangement import (
     poincare_polynomial,
     region_count,
 )
-from .errors import InvalidInputError, MathematicalInconsistencyError
+from .errors import InvalidInputError, MathematicalInconsistencyError, OracleDisagreementError
 from .polynomial import IntegerPolynomial
 
 if TYPE_CHECKING:
@@ -38,7 +38,7 @@ __all__ = [
     "analyze_arrangement",
     "CatalogEntry",
     "count_resolutions",
-    "wreath_count_closed_form",
+    "run_oracle",
     "catalog",
 ]
 
@@ -97,19 +97,36 @@ def count_resolutions(
     return report._replace(weyl_order=weyl_order, resolution_count=os_dim // weyl_order)
 
 
-def wreath_count_closed_form(type_data: WeylTypeData, n: int) -> int:
-    """prod_i ((n-1) h + e_i + 1) / (e_i + 1), asserted integral; 1 at n = 1."""
-    if n < 1:
-        raise InvalidInputError("wreath parameter n must be >= 1")
-    h = type_data.coxeter_number
-    value = Fraction(1)
-    for e in type_data.exponents:
-        value *= Fraction((n - 1) * h + e + 1, e + 1)
-    if value.denominator != 1:
-        raise MathematicalInconsistencyError(
-            f"closed-form product {value} is not an integer; table error"
-        )
-    return int(value)
+def run_oracle(report: CountReport, which: str, caps: dict) -> dict:
+    """Cross-check a report's lattice route with the "nbc" or "ff" oracle and
+    return its results; disagreement raises OracleDisagreementError."""
+    from .matroid import find_good_primes, finite_field_count, nbc_betti
+
+    arrangement = report.lattice.arrangement
+    results: dict = {"oracle": which}
+    if which == "nbc":
+        betti = nbc_betti(arrangement, caps["subset_cap"])
+        expected = list(report.poincare_poly.coefficients)
+        results["nbc_betti"] = betti
+        results["agrees"] = betti == expected
+        if not results["agrees"]:
+            raise OracleDisagreementError(
+                f"nbc oracle {betti} != Poincare coefficients {expected}"
+            )
+    elif which == "ff":
+        chi = report.char_poly
+        primes = find_good_primes(report.lattice, 2, caps["ff_cap"])
+        checks = []
+        for q in primes:
+            n = finite_field_count(arrangement, q, caps["ff_cap"])
+            checks.append({"q": q, "count": n, "chi": chi(q), "agrees": n == chi(q)})
+        results["finite_field"] = checks
+        results["agrees"] = all(c["agrees"] for c in checks)
+        if not results["agrees"]:
+            raise OracleDisagreementError(f"finite-field oracle disagrees: {checks}")
+    else:
+        raise InvalidInputError(f"unknown oracle {which!r}")
+    return results
 
 
 def wreath_weyl_data(type_data: WeylTypeData, n: int) -> NamikawaWeylData:
@@ -190,6 +207,7 @@ def catalog(name: str) -> CatalogEntry:
         )
     if name.startswith("wreath:"):
         from .rootdata import CatalanSpec, catalan_arrangement, parse_type_label, weyl_data
+        from .rootdata import wreath_count_closed_form
 
         parts = name.split(":")
         if len(parts) != 3:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, MathematicalInconsistencyError
 
 __all__ = [
     "FieldDescriptor",
@@ -100,7 +100,10 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
             for d, phi_d in found.items():
                 if m % d == 0:
                     poly, rem = _poly_divmod_int(poly, phi_d)
-                    assert rem == (), "cyclotomic recursion left a remainder"
+                    if rem:
+                        raise MathematicalInconsistencyError(
+                            f"cyclotomic recursion left a remainder at m = {m}"
+                        )
             found[m] = poly
     return found[n]
 

@@ -18,7 +18,8 @@ or `(a0,a1,...)`.  Arrangements round-trip: serialize(parse(f)) parses
 to an equal object.
 
 Limits, checked before anything is allocated: `dim` is between 0 and
-MAX_DIM, and the conductor N is at most `fields.MAX_CONDUCTOR`.
+MAX_DIM (a group's `dim` also positive and even), and the conductor N is at
+most `fields.MAX_CONDUCTOR`.
 
 The two formats share only the line and scalar syntax, so each parser
 imports its own layer (`arrangement` or `groups`) when it runs.
@@ -191,6 +192,11 @@ def parse_group_text(text: str) -> MatrixGroup:
             field = _parse_field_directive(tokens, lineno)
         elif head == "dim":
             dim = _parse_dim(tokens, lineno, "dim 2n")
+            if dim == 0 or dim % 2:
+                raise InvalidInputError(
+                    f"line {lineno}: symplectic dimension must be a positive even number, "
+                    f"got {dim}"
+                )
         elif head in ("symplectic_form", "generator"):
             finish_block(lineno)
             if field is None or dim is None:

@@ -38,6 +38,7 @@ from .errors import (
     MathematicalInconsistencyError,
     UnsupportedFoldingError,
 )
+from .fields import is_prime
 from .linalg import ExactMatrix, Row, rref_rows
 
 __all__ = [
@@ -50,6 +51,7 @@ __all__ = [
     "verify_zeta_bijection",
     "NamikawaWeylData",
     "namikawa_weyl_from_group",
+    "analyze_group",
     "diagram_automorphism_order",
     "FOLDING_OVERRIDES",
     "DEFAULT_GROUP_CAP",
@@ -114,14 +116,34 @@ class MatrixGroup:
 
     def enumerate_elements(self, cap: int = DEFAULT_GROUP_CAP) -> list[ExactMatrix]:
         """Breadth-first closure under right multiplication by the
-        generators; records the table and parents, then fills the inverses."""
+        generators; records the table and parents, then fills the inverses.
+
+        First a generator of infinite order is refused, by an exact test.  If
+        g has finite order m, it is semisimple and each eigenvalue has an
+        order m_i with phi(m_i) <= [Q(zeta_N, lambda) : Q] <= dim phi(N), so
+        m divides L = lcm{m : phi(m) <= dim phi(N)}: g has finite order
+        exactly when g^L = 1.  Walking g, g^2, ... reaches 1 after ord(g) - 1
+        products; when it has not within twice the bits of L, repeated
+        squaring settles g^L.  Both form powers g^k with k <= L, whose entries
+        grow at most linearly in k, so the test runs when L <= cap; for a
+        larger L the cap bounds the enumeration instead."""
         if cap < 1:
             raise InvalidInputError("enumeration cap must be >= 1")
         if self.elements is not None:
             return self.elements
+        identity = ExactMatrix.identity(self.field, self.dim)
+        exponent = _order_exponent(self.dim * self.field.degree, cap)
+        if exponent is not None:
+            for k, g in enumerate(self.generators):
+                power, steps = g, 2 * exponent.bit_length()
+                while power != identity and steps:
+                    power, steps = power * g, steps - 1
+                if power != identity and _power(g, exponent) != identity:
+                    raise InvalidInputError(
+                        f"generator {k} has infinite order: its {exponent}th power is not 1"
+                    )
         gens = list(enumerate(self.generators))
         m = len(gens)
-        identity = ExactMatrix.identity(self.field, self.dim)
         elements = [identity]
         keys = [identity.key()]
         index = {keys[0]: 0}
@@ -211,6 +233,34 @@ class MatrixGroup:
                         nxt.append(y)
             frontier = nxt
         return frozenset(orbit)
+
+
+def _order_exponent(bound: int, cap: int) -> int | None:
+    """L = lcm{m : phi(m) <= bound}, or None once it exceeds cap.  Each
+    prime-power part p^k of such an m has phi(p^k) <= phi(m), so L is the
+    product over primes p of the largest p^k with p^(k-1) (p - 1) <= bound."""
+    exponent = 1
+    for p in range(2, bound + 2):
+        if is_prime(p):
+            q = p
+            while q * (p - 1) <= bound:  # phi(q p) = q (p - 1)
+                q *= p
+            exponent *= q
+            if exponent > cap:
+                return None
+    return exponent
+
+
+def _power(g: ExactMatrix, e: int) -> ExactMatrix:
+    """g^e by repeated squaring, e >= 1."""
+    result = None
+    while True:
+        if e & 1:
+            result = g if result is None else result * g
+        e >>= 1
+        if not e:
+            return result
+        g = g * g
 
 
 def _orbits(group: MatrixGroup, items, orbit_of) -> dict[int, frozenset[int]]:
@@ -523,3 +573,18 @@ def namikawa_weyl_from_group(parabolics: list[ParabolicClass]) -> NamikawaWeylDa
             )
         factors.append((label, factor))
     return NamikawaWeylData(factors)
+
+
+def analyze_group(group: MatrixGroup, group_cap: int = DEFAULT_GROUP_CAP):
+    """The group twin of `counting.analyze_arrangement`: enumerate, then
+    (reflections, parabolics, zeta_report, weyl, note), where weyl is None
+    and note says why when the class data cannot fix a folding."""
+    group.enumerate_elements(group_cap)
+    reflections = symplectic_reflections(group)
+    parabolics = minimal_parabolics(group, reflections)
+    _, zeta_report = verify_zeta_bijection(reflections, parabolics)
+    try:
+        weyl, note = namikawa_weyl_from_group(parabolics), None
+    except UnsupportedFoldingError as exc:
+        weyl, note = None, str(exc)
+    return reflections, parabolics, zeta_report, weyl, note

@@ -1,4 +1,4 @@
-"""ADE root-system data and the coned Catalan-type arrangement generator.
+"""ADE root-system data, the wreath closed form and the Catalan arrangements.
 
 Realizations (recorded on each table entry, any exact one is acceptable
 since only the matroid of the (m, root) vectors matters):
@@ -8,22 +8,27 @@ since only the matroid of the (m, root) vectors matters):
   E_6/7/8 : integer coordinates with respect to the simple roots, generated
         by height from the Cartan matrix (the even-lattice realization does
         not fit in l ambient coordinates).
+
+Only the two generators build arrangements, so only they import the
+arrangement and field layers, when they run.
 """
 
 from __future__ import annotations
 
-from math import prod
-from typing import NamedTuple
+from math import gcd, prod
+from typing import TYPE_CHECKING, NamedTuple
 
-from .arrangement import Arrangement, build_arrangement
-from .errors import InvalidInputError
-from .fields import rational_field
+from .errors import InvalidInputError, MathematicalInconsistencyError
+
+if TYPE_CHECKING:
+    from .arrangement import Arrangement
 
 __all__ = [
     "WeylTypeData",
     "CatalanSpec",
     "weyl_data",
     "parse_type_label",
+    "wreath_count_closed_form",
     "catalan_arrangement",
     "affine_catalan",
     "SUPPORTED_LABELS",
@@ -165,6 +170,21 @@ def weyl_data(label: str, rank: int) -> WeylTypeData:
     )
 
 
+def wreath_count_closed_form(type_data: WeylTypeData, n: int) -> int:
+    """prod_i ((n-1) h + e_i + 1) / (e_i + 1), checked integral; 1 at n = 1."""
+    if n < 1:
+        raise InvalidInputError("wreath parameter n must be >= 1")
+    h = type_data.coxeter_number
+    num = prod((n - 1) * h + e + 1 for e in type_data.exponents)
+    den = prod(e + 1 for e in type_data.exponents)
+    if num % den != 0:
+        g = gcd(num, den)
+        raise MathematicalInconsistencyError(
+            f"closed-form product {num // g}/{den // g} is not an integer; table error"
+        )
+    return num // den
+
+
 class CatalanSpec:
     """The Catalan-type arrangement of a root system with parameter n >= 1."""
 
@@ -181,6 +201,9 @@ def catalan_arrangement(spec: CatalanSpec) -> Arrangement:
     """Central arrangement over Q in l+1 coordinates (a, x_1..x_l):
     root . x + m a = 0 for positive roots and |m| <= n-1, plus a = 0;
     the hyperplane count is |R+| (2n - 1) + 1."""
+    from .arrangement import build_arrangement
+    from .fields import rational_field
+
     f = rational_field()
     ell = spec.type.rank
     raw = []
@@ -196,6 +219,9 @@ def catalan_arrangement(spec: CatalanSpec) -> Arrangement:
 def affine_catalan(spec: CatalanSpec) -> Arrangement:
     """The affine arrangement root . x + m = 0 in l variables whose cone is
     catalan_arrangement(spec)."""
+    from .arrangement import build_arrangement
+    from .fields import rational_field
+
     f = rational_field()
     ell = spec.type.rank
     raw = []

@@ -1,9 +1,9 @@
-"""`oscount selftest`: every catalog check, run through the same pipeline
-as `count`, `analyze` and `group analyze`.
+"""`oscount selftest`: every catalog check, a plain client of the library
+pipelines that `count`, `analyze` and `group analyze` run.
 
-The CLI imports this module only for the `selftest` command and passes in
-its own report builders (`group_doc`, `run_oracles`), so no other command
-compiles the checks and this module never imports `oscount.cli`.
+The CLI imports this module only for the `selftest` command, so no other
+command compiles the checks.  A failed check raises
+MathematicalInconsistencyError, never `assert`, which `python -O` drops.
 """
 
 from __future__ import annotations
@@ -11,16 +11,16 @@ from __future__ import annotations
 import json
 import time
 
-from .errors import OscountError
+from .errors import MathematicalInconsistencyError, OscountError
 
 __all__ = ["run_selftest"]
 
 
-def run_selftest(caps: dict, skip: set[str], as_json: bool, group_doc, run_oracles) -> int:
+def run_selftest(caps: dict, skip: set[str], as_json: bool) -> int:
     """Print every check's row (or one JSON document); exit code 0 when
     none failed, else 3."""
     t0 = time.perf_counter()
-    rows = list(_checks(caps, skip, group_doc, run_oracles))
+    rows = list(_checks(caps, skip))
     elapsed = time.perf_counter() - t0
     doc = {
         "command": "selftest",
@@ -43,11 +43,17 @@ def run_selftest(caps: dict, skip: set[str], as_json: bool, group_doc, run_oracl
     return 0 if doc["failed"] == 0 else 3
 
 
-def _checks(caps, skip: set[str], group_doc, run_oracles):
+def _require(holds: bool, message: str):
+    if not holds:
+        raise MathematicalInconsistencyError(message)
+
+
+def _checks(caps, skip: set[str]):
     """Yield (name, status, detail) rows; status in PASS/FAIL/SKIP.  Every
     expected number comes from the catalog entry under test."""
     from .arrangement import cone, deletion_restriction
-    from .counting import analyze_arrangement, catalog, count_resolutions, wreath_count_closed_form
+    from .counting import analyze_arrangement, catalog, count_resolutions, run_oracle
+    from .groups import analyze_group
     from .matroid import nbc_betti
     from .polynomial import IntegerPolynomial
     from .rootdata import (
@@ -56,48 +62,46 @@ def _checks(caps, skip: set[str], group_doc, run_oracles):
         catalan_arrangement,
         parse_type_label,
         weyl_data,
+        wreath_count_closed_form,
     )
 
     def check(name, fn, *args):
         try:
             return (name, "PASS", fn(*args))
-        except (OscountError, AssertionError) as exc:
+        except OscountError as exc:
             return (name, "FAIL", str(exc))
 
     def count_check(entry):
         e = entry.expected
         report = count_resolutions(entry.arrangement, entry.weyl_data.total_order, caps["flat_cap"])
         if "poincare" in e:
-            assert report.poincare_poly.coefficients == e["poincare"], (
-                f"Poincare {report.poincare_poly.coefficients} != {e['poincare']}"
-            )
-        assert report.os_dimension == e["os_dimension"], (
-            f"pi(1) = {report.os_dimension} != {e['os_dimension']}"
-        )
-        assert report.resolution_count == e["count"], f"count {report.resolution_count}"
+            coefficients = report.poincare_poly.coefficients
+            _require(coefficients == e["poincare"], f"Poincare {coefficients} != {e['poincare']}")
+        os_dim = report.os_dimension
+        _require(os_dim == e["os_dimension"], f"pi(1) = {os_dim} != {e['os_dimension']}")
+        _require(report.resolution_count == e["count"], f"count {report.resolution_count}")
         if "regions" in e:
-            assert report.regions == e["regions"], f"regions {report.regions}"
+            _require(report.regions == e["regions"], f"regions {report.regions}")
         return f"count {report.resolution_count}, OS dim {report.os_dimension}"
 
     def nbc_check(entry):
         betti = nbc_betti(entry.arrangement, caps["subset_cap"])
-        assert tuple(betti) == entry.expected["poincare"], f"nbc {betti}"
+        _require(tuple(betti) == entry.expected["poincare"], f"nbc {betti}")
         return f"betti {betti}"
 
     def group_check(entry):
-        e = entry.expected
-        doc, bijective = group_doc(entry.group, caps)
-        assert doc["order"] == e["group_order"], f"order {doc['order']}"
-        r = doc["num_reflection_classes"]
-        assert r == e["reflection_classes"], f"r = {r}"
-        labels = tuple(p["kleinian_label"] for p in doc["parabolic_classes"])
-        assert labels == e["parabolic_labels"], f"labels {labels}"
-        assert all(p["xi_class_action_trivial"] for p in doc["parabolic_classes"])
-        assert bijective, "zeta bijection failed"
-        weyl = doc["namikawa_weyl"]
-        assert weyl is not None, doc.get("namikawa_weyl_note")
-        assert weyl["total_order"] == e["weyl_order"], f"|W| = {weyl['total_order']}"
-        return f"order {doc['order']}, r={r}, |W| = {weyl['total_order']}"
+        e, group = entry.expected, entry.group
+        reflections, parabolics, zeta_report, weyl, note = analyze_group(group, caps["group_cap"])
+        _require(group.order == e["group_order"], f"order {group.order}")
+        r = len(reflections)
+        _require(r == e["reflection_classes"], f"r = {r}")
+        labels = tuple(p.kleinian_label for p in parabolics)
+        _require(labels == e["parabolic_labels"], f"labels {labels}")
+        _require(all(p.class_action_trivial for p in parabolics), "Xi acts nontrivially")
+        _require(zeta_report["bijective"], "zeta bijection failed")
+        _require(weyl is not None, note)
+        _require(weyl.total_order == e["weyl_order"], f"|W| = {weyl.total_order}")
+        return f"order {group.order}, r={r}, |W| = {weyl.total_order}"
 
     for name in ("q8d8", "g4"):
         entry = catalog(name)
@@ -116,14 +120,14 @@ def _checks(caps, skip: set[str], group_doc, run_oracles):
     def n1_check():
         for label in ("A1", "A2", "A3", "D4", "D5", "E6", "E7", "E8"):
             letter, rank = parse_type_label(label)
-            assert wreath_count_closed_form(weyl_data(letter, rank), 1) == 1, label
+            _require(wreath_count_closed_form(weyl_data(letter, rank), 1) == 1, label)
         return "closed form (*, n=1) = 1"
 
     yield check("n=1 degeneracy (closed form)", n1_check)
 
     def ff_check(entry):
         report = analyze_arrangement(entry.arrangement, caps["flat_cap"])
-        results = run_oracles(report, "ff", caps)
+        results = run_oracle(report, "ff", caps)
         return f"q={[c['q'] for c in results['finite_field']]} agree with chi"
 
     if "ff" in skip:
@@ -139,11 +143,11 @@ def _checks(caps, skip: set[str], group_doc, run_oracles):
             aff = affine_catalan(spec)
             pi_aff = analyze_arrangement(aff, caps["flat_cap"]).poincare_poly
             coned = cone(aff)
-            assert coned.same_hyperplanes(catalan_arrangement(spec))
+            same = coned.same_hyperplanes(catalan_arrangement(spec))
+            _require(same, f"cone of affine {label} n={n} != Catalan arrangement")
             pi_cone = analyze_arrangement(coned, caps["flat_cap"]).poincare_poly
-            assert pi_cone == IntegerPolynomial((1, 1)) * pi_aff, (
-                f"cone identity fails for {label} n={n}"
-            )
+            cone_ok = pi_cone == IntegerPolynomial((1, 1)) * pi_aff
+            _require(cone_ok, f"cone identity fails for {label} n={n}")
         return "pi(cA, t) = (1+t) pi(A, t)"
 
     yield check("cone identity on affine families", cone_check)
@@ -156,7 +160,7 @@ def _checks(caps, skip: set[str], group_doc, run_oracles):
                 deleted, restricted = deletion_restriction(arrangement, h)
                 chi_d = analyze_arrangement(deleted, caps["flat_cap"]).char_poly
                 chi_r = analyze_arrangement(restricted, caps["flat_cap"]).char_poly
-                assert chi == chi_d - chi_r, f"deletion-restriction fails at h={h}"
+                _require(chi == chi_d - chi_r, f"deletion-restriction fails at h={h}")
         return "chi(A) = chi(A') - chi(A'') for every h"
 
     yield check("deletion-restriction identity", delres_check)

@@ -14,7 +14,7 @@ from oscount.arrangement import (
     intersection_lattice,
     poincare_polynomial,
 )
-from oscount.counting import catalog, count_resolutions, wreath_count_closed_form
+from oscount.counting import catalog, count_resolutions
 from oscount.groups import (
     minimal_parabolics,
     namikawa_weyl_from_group,
@@ -22,7 +22,7 @@ from oscount.groups import (
     verify_zeta_bijection,
 )
 from oscount.matroid import find_good_primes, finite_field_count, nbc_betti
-from oscount.rootdata import parse_type_label, weyl_data
+from oscount.rootdata import parse_type_label, weyl_data, wreath_count_closed_form
 
 Q8D8_POINCARE = (1, 21, 170, 650, 1125, 625)
 

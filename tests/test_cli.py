@@ -258,6 +258,48 @@ def test_negative_dimension_is_refused_with_its_line(capsys, tmp_path):
         parse_group_text("field rational\n\ndim -2\nsymplectic_form\n")
 
 
+def test_group_dimension_must_be_positive_and_even_on_its_line(capsys, tmp_path):
+    for dim in (0, 3):
+        path = tmp_path / f"dim{dim}.grp"
+        path.write_text(f"field rational\ndim {dim}\nsymplectic_form\n")
+        assert cli.main(["group", "analyze", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: line 2: symplectic dimension must be a positive even number, got {dim}\n"
+        )
+    # an arrangement may still live in dimension 0
+    assert parse_arrangement_text("field rational\ndim 0\n").ambient_dim == 0
+
+
+def test_infinite_order_generator_is_invalid_input(capsys, tmp_path):
+    # unipotent and hyperbolic generators of Sp(2, Z): L = 12 for dim 2 over Q
+    for rows in ("1 1\n0 1", "2 1\n1 1"):
+        path = tmp_path / "infinite.grp"
+        path.write_text(f"field rational\ndim 2\nsymplectic_form\n0 1\n-1 0\ngenerator\n{rows}\n")
+        start = time.perf_counter()
+        assert cli.main(["group", "analyze", str(path), "--json"]) == 1
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == (
+            "",
+            "error: generator 0 has infinite order: its 12th power is not 1\n",
+        )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cone", data_path("g4.arr"), "--flat-cap", "0"],
+        ["catalan", "--type", "A1", "--n", "2", "--ff-cap", "0"],
+        ["wreath-formula", "--type", "A1", "--n", "2", "--group-cap", "-5"],
+    ],
+)
+def test_cap_flags_are_refused_where_no_cap_is_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code != 0
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+
 def test_unexpected_exception_is_one_line_and_exit_3(capsys, monkeypatch):
     def broken(*args):
         raise RuntimeError("boom")

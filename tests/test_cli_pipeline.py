@@ -283,7 +283,17 @@ Q8D8_GRP = str(resources.files("oscount.data") / "q8d8.grp")
             ["oscount.arrangement", "oscount.matroid"],
             ["oscount.groups", "oscount.rootdata", "oscount.linalg"],
         ),
-        (["wreath-formula", "--type", "A1", "--n", "2", "--json"], ["oscount.rootdata"], []),
+        (
+            ["wreath-formula", "--type", "A1", "--n", "2", "--json"],
+            ["oscount.rootdata"],
+            [
+                "oscount.arrangement",
+                "oscount.fields",
+                "oscount.polynomial",
+                "oscount.counting",
+                "fractions",
+            ],
+        ),
     ],
     ids=["group-analyze", "count-nbc", "analyze-ff", "wreath-formula"],
 )
@@ -306,6 +316,32 @@ def test_a_command_imports_only_what_it_runs(argv, needed, unneeded):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].split() == needed
+
+
+def test_selftest_fails_a_tampered_count_under_python_O():
+    # -O strips assert statements, so a check written as one would pass
+    src = str(Path(oscount.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys\n"
+        "from oscount import cli, counting\n"
+        "real = counting.catalog\n"
+        "def tampered(name):\n"
+        "    entry = real(name)\n"
+        "    if entry.name == 'q8d8':\n"
+        "        entry.expected['count'] += 1\n"
+        "    return entry\n"
+        "counting.catalog = tampered\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    argv = ["selftest", "--skip", "ff", "--skip", "nbc", "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code, *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 3, proc.stderr
+    doc = json.loads(proc.stdout)
+    failed = [(c["name"], c["detail"]) for c in doc["checks"] if c["status"] == "FAIL"]
+    assert failed == [("q8d8 arrangement + count 82", "count 81")]
 
 
 def test_ff_oracle_runs_with_numpy_unimportable():
@@ -375,13 +411,17 @@ def test_group_cap_error_reports_completed_layers(capsys, tmp_path):
     # the identity, then the 4 elements one generator away; the next layer overflows
     assert json.loads(out) == {"error": message, "partial": {"elements_per_layer": [1, 4]}}
     assert err == f"error: {message}\n"
-    # an infinite cyclic group: one element per layer until the cap
-    unipotent = tmp_path / "unipotent.grp"
-    unipotent.write_text(
-        "field rational\ndim 2\nsymplectic_form\n0 1\n-1 0\ngenerator\n1 1\n0 1\n"
+    # diag(zeta, zeta^-1) over Q(zeta_60), cyclic of order 60: one element
+    # per layer until the cap
+    zeta, inverse = "(0,1" + ",0" * 14 + ")", "(0,-1,0,0,0,1,0,1,0,1,0,0,0,-1,0,-1)"
+    zero = "(0" + ",0" * 15 + ")"
+    cyclic = tmp_path / "cyclic60.grp"
+    cyclic.write_text(
+        "field cyclotomic 60\ndim 2\nsymplectic_form\n0 1\n-1 0\n"
+        f"generator\n{zeta} {zero}\n{zero} {inverse}\n"
     )
     message = "group enumeration cap 50 exceeded"
-    argv = ["group", "analyze", str(unipotent), "--group-cap", "50", "--json"]
+    argv = ["group", "analyze", str(cyclic), "--group-cap", "50", "--json"]
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert json.loads(out) == {"error": message, "partial": {"elements_per_layer": [1] * 50}}

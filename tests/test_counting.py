@@ -3,12 +3,7 @@ import pytest
 from conftest import rational_arrangement
 
 from oscount import groups
-from oscount.counting import (
-    catalog,
-    count_resolutions,
-    wreath_count_closed_form,
-    wreath_weyl_data,
-)
+from oscount.counting import catalog, count_resolutions, wreath_weyl_data
 from oscount.errors import (
     InvalidInputError,
     MathematicalInconsistencyError,
@@ -22,7 +17,7 @@ from oscount.groups import (
     namikawa_weyl_from_group,
     symplectic_reflections,
 )
-from oscount.rootdata import weyl_data
+from oscount.rootdata import weyl_data, wreath_count_closed_form
 
 
 def test_count_q8d8():
@@ -65,6 +60,10 @@ def test_wreath_closed_form_values():
     assert wreath_count_closed_form(weyl_data("A", 1), 3) == 3
     assert wreath_count_closed_form(weyl_data("A", 2), 2) == 5
     assert wreath_count_closed_form(weyl_data("A", 3), 2) == 14
+    # a table whose product is not integral is an inconsistency, in lowest terms
+    bad = weyl_data("A", 1)._replace(exponents=(2,), coxeter_number=2)
+    with pytest.raises(MathematicalInconsistencyError, match="^closed-form product 5/3 is not"):
+        wreath_count_closed_form(bad, 2)
 
 
 @pytest.mark.parametrize(

@@ -86,6 +86,32 @@ def test_enumeration_cap():
         g.enumerate_elements(cap=5)
 
 
+def test_finite_order_exponent():
+    # L = lcm{m : phi(m) <= dim phi(N)}: dim 2 over Q, dim 4 over Q, the
+    # catalog groups (dim 4 over Q(zeta_4) and Q(zeta_3)); None above the cap
+    assert [groups._order_exponent(b, 10**6) for b in (2, 4, 8)] == [12, 120, 5040]
+    assert groups._order_exponent(8, 5039) is None
+    for name in ("q8d8", "g4"):
+        g = GROUPS[name]()
+        assert groups._order_exponent(g.dim * g.field.degree, 10**6) == 5040
+
+
+def test_finite_order_beyond_the_walk_is_settled_by_the_power():
+    # blocks of orders 6 and 5 (the companion matrix of Phi_5 and a form it
+    # keeps) in Sp(6, Q): order 30, past the 24-step walk for L = 2520
+    f = rational_field()
+    form = [[0, 1], [-1, 0]], [[0, -1, -1, 1], [1, 0, -1, -1], [1, 1, 0, -1], [-1, 1, 1, 0]]
+    gen = [[0, 1], [-1, 1]], [[0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]]
+
+    def block_diagonal(a, b):
+        rows = [r + [0] * 4 for r in a] + [[0] * 2 + r for r in b]
+        return ExactMatrix(f, [[f.from_rational(x) for x in r] for r in rows])
+
+    g = MatrixGroup([block_diagonal(*gen)], block_diagonal(*form))
+    g.enumerate_elements()
+    assert g.order == 30
+
+
 def test_noninvertible_generator_rejected():
     f = rational_field()
     one, zero = f.one(), f.zero()

@@ -1,6 +1,7 @@
 """Every public name resolves: each module's `__all__` and every name the
 package imports, so a deleted function cannot leave a dangling export.  The
-README's library sketch runs as written."""
+README's library sketch runs as written, and no module uses `assert`, which
+`python -O` removes."""
 
 import ast
 import importlib
@@ -60,3 +61,9 @@ def test_readme_library_sketch_runs_and_shows_its_values():
         else:
             exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
     assert {2592, 81, 14} <= {v for v in shown if isinstance(v, int)}
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__"])
+def test_no_assert_statement_in_the_package(name):
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)] == []
