@@ -428,7 +428,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        if exc.code == 0:
+            raise
+        return 1
     try:
         return args.func(args)
     except OscountError as exc:

@@ -7,6 +7,13 @@ The rational field is the case N = 1.  Mixed-field arithmetic is an
 error.  A FieldDescriptor computes Phi_N and the power table of zeta once,
 when it is made.
 
+Two private routines carry all of the arithmetic.  `_fold` reduces a
+power-basis vector modulo Phi_N by folding each exponent k >= phi(N)
+through the power table; a product, a conjugate and `cyclotomic_reduce`
+each end in it.  `_poly_divmod` is the one division in Q[x]: the divisor
+recursion for Phi_N runs through it, and so does `Scalar.inverse`, an
+extended Euclid against Phi_N whose Bezout cofactors are Scalars.
+
 The conductor is at most MAX_CONDUCTOR, checked before any work: Phi_N
 comes from a recursion over the divisors of N, arithmetic costs grow with
 phi(N)^2 and the lattice prime exceeds H^phi(N) (see `arrangement`).
@@ -69,20 +76,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _poly_divmod_int(num: tuple[int, ...], den: tuple[int, ...]):
-    # den is monic; exact division over Z.
-    num_l = list(num)
-    d = len(den) - 1
-    quot = [0] * max(len(num_l) - d, 0)
-    for k in range(len(num_l) - 1, d - 1, -1):
-        c = num_l[k]
+def _poly_divmod(num: Sequence, den: Sequence) -> tuple[list, list]:
+    """Quotient and remainder of num by den != 0 in Q[x], coefficients
+    ascending, Fractions or ints; the remainder has no zero leading
+    coefficient.  A monic den divides nothing, so Phi_N stays on ints."""
+    num = list(num)
+    den = list(den)
+    while not den[-1]:
+        den.pop()
+    d, lead = len(den) - 1, den[-1]
+    quot = [0] * max(len(num) - d, 0)
+    for k in range(len(num) - 1, d - 1, -1):
+        c = num[k] if lead == 1 else num[k] / lead
         if c:
             quot[k - d] = c
-            for j in range(d + 1):
-                num_l[k - d + j] -= c * den[j]
-    while num_l and num_l[-1] == 0:
-        num_l.pop()
-    return tuple(quot), tuple(num_l)
+            for j, dj in enumerate(den):
+                num[k - d + j] -= c * dj
+    del num[d:]
+    while num and not num[-1]:
+        num.pop()
+    return quot, num
 
 
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
@@ -96,15 +109,15 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     found: dict[int, tuple[int, ...]] = {}
     for m in range(1, n + 1):
         if n % m == 0:
-            poly = tuple([-1] + [0] * (m - 1) + [1])  # x^m - 1
+            poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
             for d, phi_d in found.items():
                 if m % d == 0:
-                    poly, rem = _poly_divmod_int(poly, phi_d)
+                    poly, rem = _poly_divmod(poly, phi_d)
                     if rem:
                         raise MathematicalInconsistencyError(
                             f"cyclotomic recursion left a remainder at m = {m}"
                         )
-            found[m] = poly
+            found[m] = tuple(poly)
     return found[n]
 
 
@@ -174,12 +187,8 @@ class FieldDescriptor:
         return Scalar(self, (c,) + (Fraction(0),) * (self.degree - 1))
 
     def zeta(self) -> "Scalar":
-        """A primitive N-th root of unity (the basis element z)."""
-        if self.conductor == 1:
-            return self.one()
-        if self.conductor == 2:
-            return self.from_rational(-1)
-        return Scalar(self, (Fraction(0), Fraction(1)) + (Fraction(0),) * (self.degree - 2))
+        """A primitive N-th root of unity (the basis element z when N >= 3)."""
+        return Scalar(self, tuple(map(Fraction, self.powers[1 % self.conductor])))
 
 
 def rational_field() -> FieldDescriptor:
@@ -227,61 +236,42 @@ class Scalar:
     def __mul__(self, other: "Scalar") -> "Scalar":
         self._same_field(other)
         a, b = self.coords, other.coords
-        d = self.field.degree
-        if d == 1:
+        if len(a) == 1:
             return Scalar(self.field, (a[0] * b[0],))
-        conv = [Fraction(0)] * (2 * d - 1)
+        conv = [Fraction(0)] * (2 * len(a) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         conv[i + j] += ai * bj
-        table = self.field.powers
-        out = conv[:d]
-        for k in range(d, 2 * d - 1):
-            ck = conv[k]
-            if ck:
-                row = table[k]
-                for i, ti in enumerate(row):
-                    if ti:
-                        out[i] += ck * ti
-        return Scalar(self.field, tuple(out))
+        return _fold(conv, self.field)
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        d = self.field.degree
-        if d == 1:
-            return Scalar(self.field, (Fraction(1) / self.coords[0],))
-        # Extended Euclid in Q[x] against Phi_N (irreducible over Q).
-        phi = [Fraction(c) for c in self.field.cyclotomic]
-        a = list(self.coords)
-        r0, r1 = phi, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
+        f = self.field
+        if f.degree == 1:
+            return Scalar(f, (1 / self.coords[0],))
+        # Extended Euclid in Q[x] against Phi_N, irreducible over Q.  The
+        # cofactors s_i, with r_i = s_i * self mod Phi_N, are Scalars; a
+        # quotient has at most phi(N) + 1 <= N coefficients, so it folds.
+        r0, r1 = [Fraction(c) for c in f.cyclotomic], self.coords
+        s0, s1 = f.zero(), f.one()
         while any(r1):
-            q, r = _poly_divmod_frac(r0, r1)
+            q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul_frac(q, s1))
+            s0, s1 = s1, s0 - _fold(q, f) * s1
         # r0 is a nonzero constant multiple of gcd = 1.
         const = next(c for c in reversed(r0) if c)
-        inv_coords = [c / const for c in s0]
-        return cyclotomic_reduce(inv_coords, self.field)
+        return Scalar(f, tuple(c / const for c in s0.coords))
 
     def conjugate(self) -> "Scalar":
         """Complex conjugation, zeta -> zeta^{N-1}."""
-        f = self.field
-        if f.is_rational:
-            return self
-        table = f.powers
-        d = f.degree
-        out = [Fraction(0)] * d
+        n = self.field.conductor
+        moved = [Fraction(0)] * n
         for k, ck in enumerate(self.coords):
-            if ck:
-                row = table[(k * (f.conductor - 1)) % f.conductor]
-                for i, ti in enumerate(row):
-                    if ti:
-                        out[i] += ck * ti
-        return Scalar(f, tuple(out))
+            moved[k * (n - 1) % n] = ck
+        return _fold(moved, self.field)
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -317,45 +307,6 @@ class Scalar:
         return f"Scalar[N={self.field.conductor}]({self})"
 
 
-def _poly_divmod_frac(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    while num and not num[-1]:
-        num.pop()
-    den = list(den)
-    while den and not den[-1]:
-        den.pop()
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 1)
-    lead = den[-1]
-    while len(num) >= len(den) and any(num):
-        shift = len(num) - len(den)
-        c = num[-1] / lead
-        q[shift] = c
-        for i, dc in enumerate(den):
-            num[shift + i] -= c * dc
-        while num and not num[-1]:
-            num.pop()
-    return q, num
-
-
-def _poly_mul_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1 if a and b else 0)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
 def cyclotomic_reduce(poly_coords: Sequence, field: FieldDescriptor) -> Scalar:
     """Canonical representative of a power-basis vector modulo Phi_N.
 
@@ -363,21 +314,26 @@ def cyclotomic_reduce(poly_coords: Sequence, field: FieldDescriptor) -> Scalar:
     the reduction table, so two scalars are equal iff coords coincide.
     """
     coords = [Fraction(c) for c in poly_coords]
-    n, d = field.conductor, field.degree
+    n = field.conductor
     if len(coords) > n:
         raise InvalidInputError(
             f"power-basis vector of length {len(coords)} exceeds conductor {n}"
         )
-    out = coords[:d] + [Fraction(0)] * max(d - len(coords), 0)
-    if len(coords) > d:
-        table = field.powers
-        for k in range(d, len(coords)):
-            ck = coords[k]
-            if ck:
-                row = table[k]
-                for i, ti in enumerate(row):
-                    if ti:
-                        out[i] += ck * ti
+    return _fold(coords, field)
+
+
+def _fold(coords: Sequence, field: FieldDescriptor) -> Scalar:
+    """The Scalar sum_k coords[k] zeta^k: each exponent k >= phi(N) is folded
+    through `field.powers[k]`, so len(coords) may be up to the table's length."""
+    d = field.degree
+    out = list(coords[:d]) + [Fraction(0)] * (d - len(coords))
+    table = field.powers
+    for k in range(d, len(coords)):
+        ck = coords[k]
+        if ck:
+            for i, ti in enumerate(table[k]):
+                if ti:
+                    out[i] += ck * ti
     return Scalar(field, tuple(out))
 
 

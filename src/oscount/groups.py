@@ -125,8 +125,19 @@ class MatrixGroup:
         exactly when g^L = 1.  Walking g, g^2, ... reaches 1 after ord(g) - 1
         products; when it has not within twice the bits of L, repeated
         squaring settles g^L.  Both form powers g^k with k <= L, whose entries
-        grow at most linearly in k, so the test runs when L <= cap; for a
-        larger L the cap bounds the enumeration instead."""
+        grow at most linearly in k, so the test runs when L <= cap.
+
+        Then each generator, and each element the BFS adds, passes a trace
+        test.  If g has finite order, t = tr g is a sum of dim roots of
+        unity.  So t is an algebraic integer of K = Q(zeta_N), and its
+        power-basis coordinates are integers, since the integers of K are
+        Z[zeta_N].  Every embedding sigma of K sends t to a sum of dim roots
+        of unity, so |sigma(t)| <= dim; K is abelian, so sigma commutes with
+        complex conjugation and T2(t) = Tr_{K/Q}(t conj(t)) = sum over sigma
+        of |sigma(t)|^2 <= phi(N) dim^2.  An element that fails either bound
+        has infinite order.  Tr_{K/Q}(x) = sum_j x_j Tr(zeta^j), where
+        Tr(zeta^j) = sum_{i < phi(N)} powers[i + j][i] is the trace of
+        multiplication by zeta^j."""
         if cap < 1:
             raise InvalidInputError("enumeration cap must be >= 1")
         if self.elements is not None:
@@ -142,6 +153,9 @@ class MatrixGroup:
                     raise InvalidInputError(
                         f"generator {k} has infinite order: its {exponent}th power is not 1"
                     )
+        for k, g in enumerate(self.generators):
+            if bad := _trace_test(g):
+                raise InvalidInputError(f"generator {k} has infinite order: it has {bad}")
         gens = list(enumerate(self.generators))
         m = len(gens)
         elements = [identity]
@@ -160,6 +174,11 @@ class MatrixGroup:
                     key = y.key()
                     products.append(key)
                     if key not in index and key not in frontier:
+                        if bad := _trace_test(y):
+                            raise InvalidInputError(
+                                f"the group is infinite: a product of {len(layer_sizes)} "
+                                f"generators has {bad}"
+                            )
                         frontier[key] = (y, i * m + k)
                         if len(index) + len(frontier) > cap:
                             raise ComputationCapError(
@@ -249,6 +268,21 @@ def _order_exponent(bound: int, cap: int) -> int | None:
             if exponent > cap:
                 return None
     return exponent
+
+
+def _trace_test(g: ExactMatrix) -> str | None:
+    """None when tr g passes the trace test of `enumerate_elements`, else
+    what fails it."""
+    f, dim = g.field, g.nrows
+    t = sum((row[i] for i, row in enumerate(g.rows)), f.zero())
+    d = f.degree
+    t2 = sum(
+        c * sum(f.powers[i + j][i] for i in range(d))
+        for j, c in enumerate((t * t.conjugate()).coords)
+    )
+    if t2 > d * dim * dim or any(c.denominator != 1 for c in t.coords):
+        return f"trace {t}, which is not a sum of {dim} roots of unity"
+    return None
 
 
 def _power(g: ExactMatrix, e: int) -> ExactMatrix:

@@ -285,6 +285,35 @@ def test_infinite_order_generator_is_invalid_input(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "field, generators, message",
+    [
+        # SL(2, Z) from elements of orders 4 and 6: each passes the L-test
+        (
+            "rational",
+            ("0 -1\n1 0", "0 -1\n1 1"),
+            "the group is infinite: a product of 5 generators has trace 3, "
+            "which is not a sum of 2 roots of unity",
+        ),
+        # hyperbolic, with L above the group cap over Q(zeta_60)
+        (
+            "cyclotomic 60",
+            ("2 1\n1 1",),
+            "generator 0 has infinite order: it has trace (3" + ",0" * 15 + "), "
+            "which is not a sum of 2 roots of unity",
+        ),
+    ],
+)
+def test_infinite_group_is_refused_by_the_trace_test(capsys, tmp_path, field, generators, message):
+    path = tmp_path / "infinite.grp"
+    gens = "".join(f"generator\n{rows}\n" for rows in generators)
+    path.write_text(f"field {field}\ndim 2\nsymplectic_form\n0 1\n-1 0\n{gens}")
+    start = time.perf_counter()
+    assert cli.main(["group", "analyze", str(path), "--json"]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["cone", data_path("g4.arr"), "--flat-cap", "0"],
@@ -293,9 +322,7 @@ def test_infinite_order_generator_is_invalid_input(capsys, tmp_path):
     ],
 )
 def test_cap_flags_are_refused_where_no_cap_is_read(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code != 0
+    assert cli.main(argv) == 1
     out, err = capsys.readouterr()
     assert out == "" and f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 

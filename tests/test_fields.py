@@ -1,5 +1,8 @@
+import cmath
+import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,6 +126,46 @@ def test_scalar_tokens_round_trip():
         parse_scalar("x", QQ)
     with pytest.raises(InvalidInputError):
         parse_scalar("(1,2,3)", Q3)
+
+
+def test_arithmetic_agrees_with_every_complex_embedding():
+    # Every quotient ring satisfies the field axioms, so only an embedding
+    # zeta -> e^(2 pi i k / N) can see a wrong modulus, power table or
+    # conjugation exponent.
+    rng = random.Random(20)
+
+    def close(x, y):
+        return abs(x - y) <= 1e-9 * max(1.0, abs(y))
+
+    def rationals(count):
+        return [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(count)]
+
+    for n in range(1, 31):
+        field = cyclotomic_field(n)
+        samples = [Scalar(field, tuple(rationals(field.degree))) for _ in range(6)]
+        cases = [
+            (a, b, a * b, a.conjugate(), a.inverse() if not a.is_zero() else None)
+            for a, b in zip(samples, samples[1:])
+        ]
+        vectors = [rationals(rng.randint(0, n)) for _ in range(5)]
+        reduced = [cyclotomic_reduce(v, field) for v in vectors]
+        for k in range(1, n + 1):
+            if gcd(k, n) != 1:
+                continue
+            z = cmath.exp(2j * cmath.pi * k / n)
+
+            def at(coords):
+                return sum(complex(c) * z**i for i, c in enumerate(coords))
+
+            assert abs(at(cyclotomic_polynomial(n))) < 1e-9
+            assert close(at(field.zeta().coords), z)
+            for a, b, product, conjugate, inverse in cases:
+                assert close(at(product.coords), at(a.coords) * at(b.coords))
+                assert close(at(conjugate.coords), at(a.coords).conjugate())
+                if inverse is not None:
+                    assert close(at(inverse.coords), 1 / at(a.coords))
+            for v, r in zip(vectors, reduced):
+                assert close(at(r.coords), at(v))
 
 
 # --- property tests ---------------------------------------------------------
