@@ -44,7 +44,7 @@ __all__ = ["main"]
 # flag, environment variable, default, help text
 _CAPS = (
     ("--flat-cap", "OSCOUNT_FLAT_CAP", DEFAULT_FLAT_CAP, "intersection-lattice flat cap"),
-    ("--subset-cap", "OSCOUNT_SUBSET_CAP", DEFAULT_SUBSET_CAP, "matroid subset-enumeration cap"),
+    ("--subset-cap", "OSCOUNT_SUBSET_CAP", DEFAULT_SUBSET_CAP, "cap on nbc sets visited"),
     ("--group-cap", "OSCOUNT_GROUP_CAP", DEFAULT_GROUP_CAP, "group enumeration cap"),
     ("--ff-cap", "OSCOUNT_FF_CAP", DEFAULT_FF_CAP, "finite-field enumeration cap on q^l"),
 )

@@ -137,7 +137,14 @@ class MatrixGroup:
         of |sigma(t)|^2 <= phi(N) dim^2.  An element that fails either bound
         has infinite order.  Tr_{K/Q}(x) = sum_j x_j Tr(zeta^j), where
         Tr(zeta^j) = sum_{i < phi(N)} powers[i + j][i] is the trace of
-        multiplication by zeta^j."""
+        multiplication by zeta^j.
+
+        Last, a generator g != 1 with (g - 1)^dim = 0 is refused.  An element
+        of finite order m is semisimple in characteristic 0, since its
+        minimal polynomial divides x^m - 1, which has distinct roots; a
+        semisimple g whose eigenvalues are all 1 is 1.  So such a g, which
+        passes both tests above when L > cap and tr g = dim, has infinite
+        order."""
         if cap < 1:
             raise InvalidInputError("enumeration cap must be >= 1")
         if self.elements is not None:
@@ -156,6 +163,11 @@ class MatrixGroup:
         for k, g in enumerate(self.generators):
             if bad := _trace_test(g):
                 raise InvalidInputError(f"generator {k} has infinite order: it has {bad}")
+        for k, g in enumerate(self.generators):
+            if g != identity and _power(g - identity, self.dim) == identity - identity:
+                raise InvalidInputError(
+                    f"generator {k} has infinite order: it is unipotent and not 1"
+                )
         gens = list(enumerate(self.generators))
         m = len(gens)
         elements = [identity]

@@ -15,9 +15,10 @@ when it joins the basis: integer arithmetic throughout, so it is exact
 with no bound to prove.  Over Q (N = 1) the rows are the primitive
 integer normals.  nbc shares nothing with the lattice code: not
 `_levels`, not the zeta -> omega map into F_p, not the Hadamard bound and
-not the prime.  Most of the walk's nodes are tails, chosen sets one rank
-short of full, and `nbc_betti` settles each with a loop of span tests and
-no new basis.
+not the prime.  The walk's nodes are exactly the nbc sets, whose counts
+by size are the Betti numbers (Orlik-Terao, Thm 3.55); a node's children
+are the minima of a partition of its smaller elements (Bjorner 1992,
+proof in `nbc_betti`).
 
 `finite_field_count` counts the points of F_q^l off the hyperplanes mod q
 on Python ints, one line {x'} x F_q per x' in F_q^(l-1).  Every row is
@@ -59,35 +60,30 @@ __all__ = [
 
 
 def nbc_betti(arrangement: Arrangement, subset_cap: int = DEFAULT_SUBSET_CAP) -> list[int]:
-    """Counts, by cardinality, of independent sets containing no broken circuit.
+    """Counts, by size, of the sets with no broken circuit: the Betti
+    numbers of the Orlik-Solomon algebra (Orlik-Terao, Arrangements of
+    Hyperplanes, Thm 3.55).  The walk's nodes are exactly these nbc sets
+    (Bjorner, The homology and shellability of matroids and geometric
+    lattices, 1992).
 
-    Walks elements in decreasing arrangement order keeping the chosen set's
-    row space; a branch dies exactly when the current element lies in the
-    span of the larger-indexed chosen ones (that membership is equivalent to
-    creating a broken circuit, taking the circuit's minimal element as the
-    element itself).  The counts are the Betti numbers of the Orlik-Solomon
-    algebra (Orlik-Terao, Arrangements of Hyperplanes, Thm 3.55).  Past
-    `subset_cap` visited sets it raises with the counts so far.
+    Let S be an nbc set with least element s (s = n at the root).  No y < s
+    lies in span(S), or S with y would hold a circuit with least element y
+    and S its broken circuit.  For x < s, a broken circuit in S with x
+    contains x, and its circuit's least element is a y < x in span(S with
+    x); such a y is not in span(S), so by exchange span(S with y) =
+    span(S with x).  So S with x is nbc exactly when x is the least y < s
+    in its class under the flat span(S with y), and the children of S are
+    the minima of these classes.  The walk scans x upward, reduces x's row 0 against
+    S's basis once, and tests the residual against the rows each minimum
+    found so far adds past S: `_reduce` eliminates in insertion order, so
+    that is the test against the joined basis.  At the root each hyperplane
+    is its own class (`build_arrangement` deduplicates), so it makes no
+    test.  A set with s > 0 one rank short of full has one class, so its
+    only child is S with 0, a leaf, counted with it and never joined.
 
-    Let r be the rank of all the expanded rows (the length of a `_join`
-    basis of them, the walk's own) and S the chosen set of a node at e.  A
-    branch whose chosen rows already span all r while elements remain would
-    die at its next visit, since every smaller element is then spanned; so
-    it is never walked, except that S with 0 is an nbc set and is counted.
-
-    Tails.  Call the node a tail when e = 0 or S's rows are phi short of r
-    (one short over K), so that they and the rows of any unspanned x <= e
-    span everything.  By the rule above, the branch choosing x is then
-    walked only for x = 0, so the subtree is the chain e, e - 1, ..., 0 of
-    branches without x, and its only nbc sets are S and S with 0, reached
-    exactly when no x <= e lies in the span of S.  The walk settles a tail in one loop of
-    span tests over x = e, ..., 0: each x is one visit, checked against
-    the cap, the loop stops at the first x in the span, and if there is
-    none it counts S and S with 0.  That is the chain's nodes in the
-    stack's order with the same sets counted at the same visit, so
-    `visited`, where the cap fires and the partial it reports are those of
-    the node-by-node walk.  The other nodes join e's rows and push both
-    branches: their chosen rows with e's stay below rank r.
+    `subset_cap` caps the nbc sets visited; past it the walk raises with
+    the counts so far, which sum to the cap.  A node makes at most n span
+    tests per child, so the work stays bounded by n times the cap.
     """
     if not arrangement.central:
         raise InvalidInputError(
@@ -100,47 +96,36 @@ def nbc_betti(arrangement: Arrangement, subset_cap: int = DEFAULT_SUBSET_CAP) ->
     for rows in expanded:
         for row in rows:
             full = _join(full, row) or full
-    rank = len(full)
     phi = arrangement.field.degree  # the rows of each element
     counts: dict[int, int] = {}
     visited = 0
-    # (element, basis of the chosen rows, chosen count); depth-first with an
-    # explicit stack, so the depth is not bounded by the recursion limit
-    stack = [(len(expanded) - 1, (), 0)]
+    # (basis of S's rows, |S|, least element of S), walked depth-first
+    stack: list = [((), 0, len(expanded))]
     while stack:
-        e, basis, size = stack.pop()
-        if e == 0 or len(basis) + phi == rank:
-            # a tail: its subtree is the chain e, e - 1, ..., 0 (docstring)
-            for x in range(e, -1, -1):
-                visited += 1
-                if visited > subset_cap:
-                    raise _cap_error(subset_cap, counts)
-                if _in_span(basis, expanded[x][0]):
-                    break
-            else:
-                counts[size] = counts.get(size, 0) + 1
-                counts[size + 1] = counts.get(size + 1, 0) + 1
+        basis, size, least = stack.pop()
+        short = least and len(basis) + phi == len(full)
+        for k in (size, size + 1) if short else (size,):
+            visited += 1
+            if visited > subset_cap:
+                raise ComputationCapError(
+                    f"subset cap {subset_cap} exceeded during nbc enumeration",
+                    partial={"nbc_counts": _by_size(counts), "sets_visited": subset_cap},
+                )
+            counts[k] = counts.get(k, 0) + 1
+        if short or not least:
             continue
-        visited += 1
-        if visited > subset_cap:
-            raise _cap_error(subset_cap, counts)
-        first, *others = expanded[e]
-        chosen = _join(basis, first)
-        if chosen is None:
-            continue  # e is spanned by the chosen larger-indexed elements
-        for row in others:
-            chosen = _join(chosen, row)  # never None: K v_e meets the span in 0
-        # pushed last, popped first: the branch without e is walked first
-        stack.append((e - 1, chosen, size + 1))
-        stack.append((e - 1, basis, size))
+        minima: list = []  # (x, S's basis joined with x's rows, the rows past S)
+        for x in range(least):
+            row = _reduce(basis, expanded[x][0])
+            if size and any(_in_span(extra, row) for _, _, extra in minima):
+                continue
+            joined = basis
+            for other in [row, *expanded[x][1:]]:
+                joined = _join(joined, other)  # never None: K v_x meets span(S) in 0
+            minima.append((x, joined, joined[len(basis):]))
+        # pushed largest first, so the least minimum is walked first
+        stack.extend((joined, size + 1, x) for x, joined, _ in reversed(minima))
     return _by_size(counts)
-
-
-def _cap_error(subset_cap: int, counts: dict[int, int]) -> ComputationCapError:
-    return ComputationCapError(
-        f"subset cap {subset_cap} exceeded during nbc enumeration",
-        partial={"nbc_counts": _by_size(counts), "sets_visited": subset_cap},
-    )
 
 
 def _by_size(counts: dict[int, int]) -> list[int]:

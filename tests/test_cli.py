@@ -301,6 +301,13 @@ def test_infinite_order_generator_is_invalid_input(capsys, tmp_path):
             "generator 0 has infinite order: it has trace (3" + ",0" * 15 + "), "
             "which is not a sum of 2 roots of unity",
         ),
+        # unipotent, with L above the cap and trace 2: it passes both tests
+        # and is refused after them, since (g - 1)^2 = 0 and g != 1
+        (
+            "cyclotomic 60",
+            ("1 1\n0 1",),
+            "generator 0 has infinite order: it is unipotent and not 1",
+        ),
     ],
 )
 def test_infinite_group_is_refused_by_the_trace_test(capsys, tmp_path, field, generators, message):

@@ -304,42 +304,77 @@ def test_whitney_oracle_matches_lattice(braid3):
     )
 
 
-# The sets the nbc walk visits on q8d8: the subset cap fires at the same set
-# only while the visit order stays the same.  The full-rank prune took it
-# from 11,407 to 9,143.
-Q8D8_NBC_VISITS = 9_143
-
-
-def test_subset_cap_boundary_on_q8d8():
-    a = catalog("q8d8").arrangement
-    assert nbc_betti(a, subset_cap=Q8D8_NBC_VISITS) == [1, 21, 170, 650, 1125, 625]
-    with pytest.raises(ComputationCapError, match=f"subset cap {Q8D8_NBC_VISITS - 1} ") as exc:
-        nbc_betti(a, subset_cap=Q8D8_NBC_VISITS - 1)
-    # the last visit is element 0 below a chosen 4-set; it ends the walk with
-    # two nbc sets, that 4-set and the 5-set with 0, which the partial lacks
+# The walk visits exactly the nbc sets, pi(1) of them, and its last visit
+# is a set of full rank: at cap pi(1) it returns pi, and at pi(1) - 1 it
+# stops with pi less that one set.
+@pytest.mark.parametrize(
+    "name, visits, betti",
+    [
+        ("q8d8", 2_592, [1, 21, 170, 650, 1125, 625]),
+        ("G(4,1,4)", 1_680, [1, 28, 254, 812, 585]),
+        ("wreath:D4:2", 19_200, [1, 37, 518, 3326, 9081, 6237]),
+    ],
+    ids=["q8d8", "G(4,1,4)", "wreath:D4:2"],
+)
+def test_subset_cap_boundary(name, visits, betti):
+    a = g414_arrangement() if name == "G(4,1,4)" else catalog(name).arrangement
+    assert sum(betti) == visits
+    assert nbc_betti(a, subset_cap=visits) == betti
+    with pytest.raises(ComputationCapError, match=f"subset cap {visits - 1} ") as exc:
+        nbc_betti(a, subset_cap=visits - 1)
     assert exc.value.partial == {
-        "nbc_counts": [1, 21, 170, 650, 1124, 624],
-        "sets_visited": Q8D8_NBC_VISITS - 1,
+        "nbc_counts": betti[:-1] + [betti[-1] - 1],
+        "sets_visited": visits - 1,
     }
 
 
-# `_join` calls of the node-by-node walk on G(4,1,4), which joined every
-# element's rows at every tail and pushed the two leaves below element 0.
-G414_NODE_BY_NODE_JOINS = 16_224
+def _calls(monkeypatch, name: str) -> list:
+    """Records each call of `matroid.<name>` while the test runs."""
+    calls = []
+    real = getattr(matroid, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(matroid, name, counted)
+    return calls
 
 
-def test_nbc_settles_tails_without_joining(monkeypatch):
-    calls = 0
-    join = matroid._join
+def test_nbc_root_makes_no_span_test(monkeypatch):
+    # at rank 2 every child of the root is one rank short of full, so each
+    # hyperplane x is settled as {x} and {0, x} with no span test
+    calls = _calls(monkeypatch, "_in_span")
+    lines = rational_arrangement(2, [[1, k] for k in range(1100)])
+    assert nbc_betti(lines) == [1, 1100, 1099]
+    assert nbc_betti(catalog("g4").arrangement) == [1, 3, 2]
+    assert calls == []
 
-    def counted(basis, row):
-        nonlocal calls
-        calls += 1
-        return join(basis, row)
 
-    monkeypatch.setattr(matroid, "_join", counted)
-    assert nbc_betti(g414_arrangement()) == [1, 28, 254, 812, 585]
-    assert calls <= G414_NODE_BY_NODE_JOINS // 2
+@pytest.mark.parametrize("name", ["G(4,1,4)", "q8d8"])
+def test_nbc_joins_at_most_phi_rows_per_set(monkeypatch, name):
+    # phi joins for each element's rows in the rank basis, and phi for each
+    # nbc set the walk pushes; a set with 0 below a set one short of full is
+    # never joined
+    a = g414_arrangement() if name == "G(4,1,4)" else catalog(name).arrangement
+    calls = _calls(monkeypatch, "_join")
+    betti = nbc_betti(a)
+    assert len(calls) <= a.field.degree * (sum(betti) + len(a.hyperplanes))
+
+
+# Athanasiadis: the wreath arrangement of a Weyl group with Coxeter number h
+# and exponents e_i has pi = (1 + t) prod (1 + ((n - 1) h + e_i) t), here
+# with n = 2.  h and the e_i are typed in, so no root data code is read.
+@pytest.mark.parametrize(
+    "name, h, exponents",
+    [("wreath:A2:2", 3, (1, 2)), ("wreath:A3:2", 4, (1, 2, 3)), ("wreath:D4:2", 6, (1, 3, 3, 5))],
+    ids=["A2", "A3", "D4"],
+)
+def test_nbc_matches_the_wreath_closed_form(name, h, exponents):
+    pi = [1, 1]
+    for e in exponents:
+        pi = [a + (h + e) * b for a, b in zip(pi + [0], [0] + pi)]
+    assert nbc_betti(catalog(name).arrangement) == pi
 
 
 def test_subset_cap_reports_the_counts_so_far(capsys):
@@ -349,5 +384,6 @@ def test_subset_cap_reports_the_counts_so_far(capsys):
     assert err == "error: subset cap 100 exceeded during nbc enumeration\n"
     assert json.loads(out) == {
         "error": "subset cap 100 exceeded during nbc enumeration",
-        "partial": {"nbc_counts": [1, 7, 20, 25, 11], "sets_visited": 100},
+        "partial": {"nbc_counts": [1, 8, 28, 42, 21], "sets_visited": 100},
     }
+    assert sum(json.loads(out)["partial"]["nbc_counts"]) == 100
