@@ -257,13 +257,13 @@ def intersection_lattice(
 
 def _integer_rows(arrangement: Arrangement) -> list[list[tuple[int, ...]]]:
     """Each hyperplane's row [normal | offset], every entry as its integer
-    power-basis coordinates: scaled by the lcm of all the row's denominators,
-    then divided by the gcd of all its coordinates."""
+    power-basis coordinates: the numerators scaled to the lcm of the row's
+    denominators, then divided by the gcd of all of them."""
     rows = []
     for h in arrangement.hyperplanes:
-        entries = [x.coords for x in h.row()]
-        scale = lcm(*(c.denominator for entry in entries for c in entry))
-        ints = [[int(c * scale) for c in entry] for entry in entries]
+        entries = h.row()
+        scale = lcm(*(x.den for x in entries))
+        ints = [[c * (scale // x.den) for c in x.num] for x in entries]
         g = gcd(*(c for entry in ints for c in entry))
         rows.append([tuple(c // g for c in entry) for entry in ints])
     return rows
@@ -286,9 +286,13 @@ def _lattice_prime(bound: int, field: FieldDescriptor) -> tuple[int, int]:
     twos = (conductor & -conductor).bit_length() - 1
     odd = conductor >> twos  # k is a multiple of the odd part of N
     m = max(twos, 1, (bound.bit_length() + 1) // 2)
-    # The odd primes below 2,000, multiplied: a candidate above 2,000 with a
-    # factor in common is composite, and one gcd rules it out before `is_prime`.
-    sieve = prod(q for q in range(3, 2000, 2) if all(q % d for d in range(3, isqrt(q) + 1, 2)))
+    # The odd primes below 2,000 (a sieve of Eratosthenes), multiplied: a
+    # candidate above 2,000 with a factor in common is composite, and one gcd
+    # rules it out before `is_prime`.
+    composite = bytearray(2000)
+    for q in range(3, 45, 2):  # 45^2 > 2,000
+        composite[q * q :: 2 * q] = b"\1" * len(range(q * q, 2000, 2 * q))
+    sieve = prod(q for q in range(3, 2000, 2) if not composite[q])
     while True:
         k = odd * max(1, -(-bound // (odd << m)))  # the first k with k 2^m >= bound
         while k < 1 << m:

@@ -1,18 +1,15 @@
 """Exact scalars over Q and cyclotomic fields Q(zeta_N).
 
-A scalar is a coordinate vector over Q in the power basis
-1, z, ..., z^{phi(N)-1} of Q[x]/Phi_N(x), stored in lowest terms, so
-equality is literal coordinate equality and all arithmetic is exact.
-The rational field is the case N = 1.  Mixed-field arithmetic is an
-error.  A FieldDescriptor computes Phi_N and the power table of zeta once,
-when it is made.
-
-Two private routines carry all of the arithmetic.  `_fold` reduces a
-power-basis vector modulo Phi_N by folding each exponent k >= phi(N)
-through the power table; a product, a conjugate and `cyclotomic_reduce`
-each end in it.  `_poly_divmod` is the one division in Q[x]: the divisor
-recursion for Phi_N runs through it, and so does `Scalar.inverse`, an
-extended Euclid against Phi_N whose Bezout cofactors are Scalars.
+A scalar (n_0 + n_1 z + ... + n_{d-1} z^{d-1}) / D in the power basis of
+Q[x]/Phi_N(x), d = phi(N), is stored as its integer numerators `num` over
+one denominator `den` = D > 0 with gcd(D, n_0, ..., n_{d-1}) = 1: the
+common-denominator form (Cohen, A Course in Computational Algebraic Number
+Theory, 4.2).  It is canonical, so equality is literal and all arithmetic
+is exact, on Python ints; `coords` derives the rational coordinates.  The
+rational field is the case N = 1.  Mixed-field arithmetic is an error.  A
+FieldDescriptor computes Phi_N and the power table of zeta once, when it
+is made; `_fold` reduces exponents k >= d through that table, and every
+result passes through `_scalar`, which divides out one gcd.
 
 The conductor is at most MAX_CONDUCTOR, checked before any work: Phi_N
 comes from a recursion over the divisors of N, arithmetic costs grow with
@@ -22,37 +19,27 @@ phi(N)^2 and the lattice prime exceeds H^phi(N) (see `arrangement`).
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import InvalidInputError, MathematicalInconsistencyError
 
 __all__ = [
-    "FieldDescriptor",
-    "Scalar",
-    "rational_field",
-    "cyclotomic_field",
-    "cyclotomic_polynomial",
-    "cyclotomic_reduce",
-    "is_prime",
-    "parse_scalar",
-    "MAX_CONDUCTOR",
+    "FieldDescriptor", "Scalar", "rational_field", "cyclotomic_field", "cyclotomic_polynomial",
+    "cyclotomic_reduce", "dot", "is_prime", "parse_scalar", "MAX_CONDUCTOR",
 ]
 
 MAX_CONDUCTOR = 100
 
 
 def is_prime(n: int) -> bool:
-    """Whether n is prime, by a proof, never a probable-prime guess.
-
-    Pocklington's theorem (Crandall & Pomerance, Prime Numbers, Thm 4.1.3):
-    if F divides n - 1, F^2 > n, and each prime f dividing F has a base a
+    """Whether n is prime, by a proof, never a probable-prime guess:
+    Pocklington's theorem (Crandall & Pomerance, Prime Numbers, Thm 4.1.3).
+    If F divides n - 1, F^2 > n, and each prime f dividing F has a base a
     with a^(n-1) = 1 (mod n) and gcd(a^((n-1)/f) - 1, n) = 1, then n is
     prime.  F is the part of n - 1 found by trial division, stopped as soon
     as F^2 > n.  For a Proth number n = k 2^m + 1 with k < 2^m, F = 2^m and
-    the base has a^((n-1)/2) = -1 (mod n): Proth's theorem.
-    """
+    the base has a^((n-1)/2) = -1 (mod n): Proth's theorem."""
     if n < 3 or n % 2 == 0:
         return n == 2
     factors, rest, f = [], n - 1, 2
@@ -76,34 +63,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _poly_divmod(num: Sequence, den: Sequence) -> tuple[list, list]:
-    """Quotient and remainder of num by den != 0 in Q[x], coefficients
-    ascending, Fractions or ints; the remainder has no zero leading
-    coefficient.  A monic den divides nothing, so Phi_N stays on ints."""
-    num = list(num)
-    den = list(den)
-    while not den[-1]:
-        den.pop()
-    d, lead = len(den) - 1, den[-1]
+def _poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list, list]:
+    """Quotient and remainder of num by a monic den in Z[x], ascending."""
+    num, d = list(num), len(den) - 1
     quot = [0] * max(len(num) - d, 0)
     for k in range(len(num) - 1, d - 1, -1):
-        c = num[k] if lead == 1 else num[k] / lead
-        if c:
-            quot[k - d] = c
-            for j, dj in enumerate(den):
-                num[k - d + j] -= c * dj
-    del num[d:]
-    while num and not num[-1]:
-        num.pop()
-    return quot, num
+        quot[k - d] = c = num[k]
+        for j, dj in enumerate(den):
+            num[k - d + j] -= c * dj
+    return quot, num[:d]
 
 
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, ascending.  Phi_1 = x - 1.
-
-    Computed by the recursion x^m - 1 = prod_{d | m} Phi_d, for the divisors
-    m of n in increasing order.
-    """
+    """Coefficients of Phi_n, ascending.  Phi_1 = x - 1.  Computed by the
+    recursion x^m - 1 = prod_{d | m} Phi_d, for the divisors m of n in
+    increasing order."""
     if n < 1:
         raise InvalidInputError(f"cyclotomic polynomial undefined for {n}")
     found: dict[int, tuple[int, ...]] = {}
@@ -113,30 +87,22 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
             for d, phi_d in found.items():
                 if m % d == 0:
                     poly, rem = _poly_divmod(poly, phi_d)
-                    if rem:
-                        raise MathematicalInconsistencyError(
-                            f"cyclotomic recursion left a remainder at m = {m}"
-                        )
+                    if any(rem):
+                        msg = f"cyclotomic recursion left a remainder at m = {m}"
+                        raise MathematicalInconsistencyError(msg)
             found[m] = tuple(poly)
     return found[n]
 
 
 def _power_table(conductor: int, phi: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Coordinates of zeta^k in the power basis mod Phi_N, for k up to
-    max(N, 2*phi(N) - 1) exclusive (products need exponents to 2d - 2)."""
+    """Coordinates of zeta^k mod Phi_N for k < max(N, 2d - 1), d = phi(N)
+    (products reach 2d - 2): zeta^(k+1) is zeta^k shifted up one power,
+    with zeta^d = -(phi_0 + ... + phi_{d-1} zeta^{d-1})."""
     d = len(phi) - 1
-    rows: list[tuple[int, ...]] = []
-    for k in range(d):
-        rows.append(tuple(1 if i == k else 0 for i in range(d)))
-    # zeta^d = -(phi_0 + phi_1 zeta + ... + phi_{d-1} zeta^{d-1})
-    top = tuple(-phi[i] for i in range(d))
+    rows = [tuple(int(i == k) for i in range(d)) for k in range(d)]
     for _ in range(d, max(conductor, 2 * d - 1)):
-        prev = rows[-1]
-        shifted = [0] + list(prev[: d - 1])
-        carry = prev[d - 1]
-        if carry:
-            shifted = [s + carry * t for s, t in zip(shifted, top)]
-        rows.append(tuple(shifted))
+        top = rows[-1][-1]
+        rows.append(tuple((rows[-1][i - 1] if i else 0) - top * phi[i] for i in range(d)))
     return tuple(rows)
 
 
@@ -177,18 +143,18 @@ class FieldDescriptor:
         return "rational" if self.conductor == 1 else "cyclotomic"
 
     def zero(self) -> "Scalar":
-        return Scalar(self, (Fraction(0),) * self.degree)
+        return self.from_rational(0)
 
     def one(self) -> "Scalar":
-        return Scalar(self, (Fraction(1),) + (Fraction(0),) * (self.degree - 1))
+        return self.from_rational(1)
 
     def from_rational(self, value) -> "Scalar":
-        c = Fraction(value)
-        return Scalar(self, (c,) + (Fraction(0),) * (self.degree - 1))
+        """The Scalar of an int or a Fraction."""
+        return _scalar(self, [value.numerator] + [0] * (self.degree - 1), value.denominator)
 
     def zeta(self) -> "Scalar":
         """A primitive N-th root of unity (the basis element z when N >= 3)."""
-        return Scalar(self, tuple(map(Fraction, self.powers[1 % self.conductor])))
+        return _scalar(self, list(self.powers[1 % self.conductor]), 1)
 
 
 def rational_field() -> FieldDescriptor:
@@ -200,180 +166,214 @@ def cyclotomic_field(conductor: int) -> FieldDescriptor:
 
 
 class Scalar:
-    """Exact element of a FieldDescriptor, immutable and hashable."""
+    """Exact element of a FieldDescriptor, immutable and hashable: `num` over
+    `den` (module docstring), made from phi(N) ints or Fractions."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: FieldDescriptor, coords: tuple[Fraction, ...]):
+    def __new__(cls, field: FieldDescriptor, coords: Sequence):
         if len(coords) != field.degree:
-            raise InvalidInputError(
-                f"coordinate vector of length {len(coords)} for a degree-{field.degree} field"
-            )
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coords", coords)
+            msg = f"coordinate vector of length {len(coords)} for a degree-{field.degree} field"
+            raise InvalidInputError(msg)
+        return cyclotomic_reduce(coords, field)
 
     def __setattr__(self, *_):
         raise AttributeError("Scalar is immutable")
 
+    @property
+    def coords(self) -> tuple:
+        """The rational power-basis coordinates, as Fractions."""
+        from fractions import Fraction
+        return tuple(Fraction(c, self.den) for c in self.num)
+
     def _same_field(self, other: "Scalar"):
-        if self.field.conductor != other.field.conductor:
-            raise InvalidInputError(
-                f"mixed-field arithmetic: conductor {self.field.conductor} vs "
-                f"{other.field.conductor}"
-            )
+        if (a := self.field.conductor) != (b := other.field.conductor):
+            raise InvalidInputError(f"mixed-field arithmetic: conductor {a} vs {b}")
 
     def __add__(self, other: "Scalar") -> "Scalar":
         self._same_field(other)
-        return Scalar(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        a, da, b, db = self.num, self.den, other.num, other.den
+        if da == db:
+            return _scalar(self.field, [x + y for x, y in zip(a, b)], da)
+        return _scalar(self.field, [x * db + y * da for x, y in zip(a, b)], da * db)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         self._same_field(other)
-        return Scalar(self.field, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        a, da, b, db = self.num, self.den, other.num, other.den
+        if da == db:
+            return _scalar(self.field, [x - y for x, y in zip(a, b)], da)
+        return _scalar(self.field, [x * db - y * da for x, y in zip(a, b)], da * db)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self.field, tuple(-a for a in self.coords))
+        return _scalar(self.field, [-x for x in self.num], self.den)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
+        if self.field.degree > 1:
+            return dot((self,), (other,))
         self._same_field(other)
-        a, b = self.coords, other.coords
-        if len(a) == 1:
-            return Scalar(self.field, (a[0] * b[0],))
-        conv = [Fraction(0)] * (2 * len(a) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        return _fold(conv, self.field)
+        return _scalar(self.field, [self.num[0] * other.num[0]], self.den * other.den)
 
     def inverse(self) -> "Scalar":
+        """1 / self, by the norm.  Phi_N is irreducible, so the automorphisms
+        of Q(zeta_N) are sigma_k: zeta -> zeta^k, k prime to N.  Each permutes
+        the factors of N(a) = prod_k sigma_k(a), so N(a) is rational, and
+        nonzero for a != 0 as each sigma_k is injective: 1/a = P(a) / N(a),
+        P(a) = prod_{k != 1} sigma_k(a).  For a = n / D, n integral, sigma_k
+        maps Z[zeta] to itself, so N(n) = n P(n) is an integer (checked)
+        and 1/a = D P(n) / N(n)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        f = self.field
-        if f.degree == 1:
-            return Scalar(f, (1 / self.coords[0],))
-        # Extended Euclid in Q[x] against Phi_N, irreducible over Q.  The
-        # cofactors s_i, with r_i = s_i * self mod Phi_N, are Scalars; a
-        # quotient has at most phi(N) + 1 <= N coefficients, so it folds.
-        r0, r1 = [Fraction(c) for c in f.cyclotomic], self.coords
-        s0, s1 = f.zero(), f.one()
-        while any(r1):
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - _fold(q, f) * s1
-        # r0 is a nonzero constant multiple of gcd = 1.
-        const = next(c for c in reversed(r0) if c)
-        return Scalar(f, tuple(c / const for c in s0.coords))
+        if self.field.degree == 1:
+            return _scalar(self.field, [self.den], self.num[0])
+        f, n, p = self.field, _scalar(self.field, list(self.num), 1), self.field.one()
+        for k in range(2, f.conductor):
+            if gcd(k, f.conductor) == 1:
+                p = p * n._galois(k)
+        if (norm := n * p).den != 1 or any(norm.num[1:]):
+            raise MathematicalInconsistencyError(f"the norm of {self} is not an integer")
+        return _scalar(f, [c * self.den for c in p.num], norm.num[0])
 
     def conjugate(self) -> "Scalar":
         """Complex conjugation, zeta -> zeta^{N-1}."""
-        n = self.field.conductor
-        moved = [Fraction(0)] * n
-        for k, ck in enumerate(self.coords):
-            moved[k * (n - 1) % n] = ck
-        return _fold(moved, self.field)
+        return self._galois(self.field.conductor - 1)
+
+    def _galois(self, k: int) -> "Scalar":
+        """sigma_k(self), zeta -> zeta^k, for k prime to N."""
+        n, moved = self.field.conductor, [0] * self.field.conductor
+        for i, c in enumerate(self.num):
+            moved[i * k % n] = c
+        return _scalar(self.field, _fold(moved, self.field), self.den)
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.coords[0] == 1 and not any(self.coords[1:])
+        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
     def is_real(self) -> bool:
         return self == self.conjugate()
 
-    def rational_value(self) -> Fraction:
-        if any(self.coords[1:]):
-            raise InvalidInputError(f"scalar {self} is not rational")
-        return self.coords[0]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Scalar)
+            and self.num == other.num
+            and self.den == other.den
             and self.field.conductor == other.field.conductor
-            and self.coords == other.coords
         )
 
     def __hash__(self):
-        return hash((self.field.conductor, self.coords))
+        return hash((self.field.conductor, self.num, self.den))
 
     def __str__(self) -> str:
         # The scalar token syntax used by all file formats.
-        if self.field.is_rational:
-            return str(self.coords[0])
-        return "(" + ",".join(str(c) for c in self.coords) + ")"
+        d = self.den
+        parts = [str(c // g) if (g := gcd(c, d)) == d else f"{c // g}/{d // g}" for c in self.num]
+        return parts[0] if self.field.is_rational else "(" + ",".join(parts) + ")"
 
     def __repr__(self) -> str:
         return f"Scalar[N={self.field.conductor}]({self})"
 
 
+_new, _set_field, _set_num, _set_den = (
+    object.__new__, Scalar.field.__set__, Scalar.num.__set__, Scalar.den.__set__
+)
+
+
+def _scalar(field: FieldDescriptor, num: list, den: int) -> Scalar:
+    """The Scalar num / den, den != 0, in canonical form by one gcd pass."""
+    g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    s = _new(Scalar)
+    _set_field(s, field)
+    _set_num(s, tuple(num))
+    _set_den(s, den)
+    return s
+
+
+def dot(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> Scalar:
+    """sum_i xs[i] ys[i] for nonempty xs and ys over one field: a sum of
+    convolutions over a common denominator, then one fold and one gcd."""
+    f, den = xs[0].field, 1
+    conv = [0] * (2 * f.degree - 1)
+    for x, y in zip(xs, ys):
+        if x.field is not f or y.field is not f:
+            xs[0]._same_field(x)
+            x._same_field(y)
+        a, b = x.num, y.num
+        if not any(a) or not any(b):
+            continue
+        if (d := x.den * y.den) != den:
+            common = lcm(den, d)
+            if common != den:
+                conv = [c * (common // den) for c in conv]
+                den = common
+            a = [c * (common // d) for c in a]
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        conv[i + j] += ai * bj
+    return _scalar(f, _fold(conv, f), den)
+
+
 def cyclotomic_reduce(poly_coords: Sequence, field: FieldDescriptor) -> Scalar:
-    """Canonical representative of a power-basis vector modulo Phi_N.
-
-    Input length may be at most N; exponents >= phi(N) are folded through
-    the reduction table, so two scalars are equal iff coords coincide.
-    """
-    coords = [Fraction(c) for c in poly_coords]
-    n = field.conductor
-    if len(coords) > n:
-        raise InvalidInputError(
-            f"power-basis vector of length {len(coords)} exceeds conductor {n}"
-        )
-    return _fold(coords, field)
+    """The Scalar sum_k poly_coords[k] zeta^k of at most N ints or Fractions."""
+    if len(poly_coords) > field.conductor:
+        msg = f"power-basis vector of length {len(poly_coords)} exceeds conductor {field.conductor}"
+        raise InvalidInputError(msg)
+    den = lcm(*(c.denominator for c in poly_coords))
+    vec = [c.numerator * (den // c.denominator) for c in poly_coords]
+    return _scalar(field, _fold(vec, field), den)
 
 
-def _fold(coords: Sequence, field: FieldDescriptor) -> Scalar:
-    """The Scalar sum_k coords[k] zeta^k: each exponent k >= phi(N) is folded
-    through `field.powers[k]`, so len(coords) may be up to the table's length."""
+def _fold(vec: list, field: FieldDescriptor) -> list:
+    """The integer coordinates of sum_k vec[k] zeta^k, ints vec[k], each
+    k >= phi(N) folded through `field.powers[k]` (so up to its length)."""
     d = field.degree
-    out = list(coords[:d]) + [Fraction(0)] * (d - len(coords))
-    table = field.powers
-    for k in range(d, len(coords)):
-        ck = coords[k]
+    out = vec[:d] + [0] * (d - len(vec))
+    for k in range(d, len(vec)):
+        ck = vec[k]
         if ck:
-            for i, ti in enumerate(table[k]):
+            for i, ti in enumerate(field.powers[k]):
                 if ti:
                     out[i] += ck * ti
-    return Scalar(field, tuple(out))
+    return out
 
 
-_RATIONAL_TOKEN = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL_TOKEN = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def _rational(text: str) -> Fraction:
-    # Fraction also reads decimals, `_` digit groups and exponents, and would
-    # expand 1e1000000 into an integer of a million digits; none of them is
-    # part of the token syntax.
+def _rational(text: str) -> tuple[int, int]:
+    """(p, q) of a token p or p/q, q > 0.  Decimals, `_` digit groups and
+    exponents (1e1000000 has a million digits) are not token syntax."""
     if "e" in text or "E" in text:
         raise ValueError("exponent notation is not allowed")
-    if not _RATIONAL_TOKEN.fullmatch(text):
+    match = _RATIONAL_TOKEN.fullmatch(text)
+    if not match:
         raise ValueError("expected an integer p or a fraction p/q")
-    return Fraction(text)
+    if match[2] and not int(match[2]):
+        raise ValueError("zero denominator")
+    return int(match[1]), int(match[2] or 1)
 
 
 def parse_scalar(token: str, field: FieldDescriptor) -> Scalar:
     """Parse a scalar token: `p/q`, `p`, or `(a0,a1,...)` per the field."""
     token = token.strip()
+    kind, parts = "rational", [token]
     if token.startswith("("):
         if field.is_rational:
-            raise InvalidInputError(
-                f"cyclotomic token {token!r} in a rational-field context"
-            )
+            raise InvalidInputError(f"cyclotomic token {token!r} in a rational-field context")
         if not token.endswith(")"):
             raise InvalidInputError(f"unterminated cyclotomic token {token!r}")
-        parts = token[1:-1].split(",")
-        try:
-            coords = [_rational(p.strip()) for p in parts]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidInputError(f"bad cyclotomic token {token!r}: {exc}") from None
-        if len(coords) > field.degree:
-            raise InvalidInputError(
-                f"token {token!r} has {len(coords)} coordinates; field degree is {field.degree}"
-            )
-        coords += [Fraction(0)] * (field.degree - len(coords))
-        return Scalar(field, tuple(coords))
+        kind, parts = "cyclotomic", token[1:-1].split(",")
     try:
-        value = _rational(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidInputError(f"bad rational token {token!r}: {exc}") from None
-    return field.from_rational(value)
+        coords = [_rational(p.strip()) for p in parts]
+    except ValueError as exc:
+        raise InvalidInputError(f"bad {kind} token {token!r}: {exc}") from None
+    if len(coords) > field.degree:
+        msg = f"token {token!r} has {len(coords)} coordinates; field degree is {field.degree}"
+        raise InvalidInputError(msg)
+    den = lcm(*(q for _, q in coords))
+    return _scalar(field, _fold([p * (den // q) for p, q in coords], field), den)

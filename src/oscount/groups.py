@@ -288,11 +288,9 @@ def _trace_test(g: ExactMatrix) -> str | None:
     f, dim = g.field, g.nrows
     t = sum((row[i] for i, row in enumerate(g.rows)), f.zero())
     d = f.degree
-    t2 = sum(
-        c * sum(f.powers[i + j][i] for i in range(d))
-        for j, c in enumerate((t * t.conjugate()).coords)
-    )
-    if t2 > d * dim * dim or any(c.denominator != 1 for c in t.coords):
+    square = t * t.conjugate()
+    t2 = sum(c * sum(f.powers[i + j][i] for i in range(d)) for j, c in enumerate(square.num))
+    if t2 > d * dim * dim * square.den or t.den != 1:
         return f"trace {t}, which is not a sum of {dim} roots of unity"
     return None
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import InvalidInputError
-from .fields import FieldDescriptor, Scalar
+from .fields import FieldDescriptor, Scalar, dot
 
 __all__ = ["ExactMatrix", "rref_rows", "reduce_row", "rank_of_rows"]
 
@@ -113,18 +113,7 @@ class ExactMatrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
         cols = list(zip(*other.rows)) if other.rows else []
-        zero = self.field.zero()
-        out = []
-        for row in self.rows:
-            new_row = []
-            for col in cols:
-                acc = zero
-                for a, b in zip(row, col):
-                    if not (a.is_zero() or b.is_zero()):
-                        acc = acc + a * b
-                new_row.append(acc)
-            out.append(new_row)
-        return ExactMatrix(self.field, out)
+        return ExactMatrix(self.field, [[dot(row, col) for col in cols] for row in self.rows])
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):

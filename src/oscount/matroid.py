@@ -6,16 +6,15 @@ with basis 1, zeta, ..., zeta^(phi-1), so the K-span of a set S of
 vectors in K^l is, as a Q-space, the Q-span of the zeta^j s for s in S and
 j < phi.  Each normal v therefore becomes phi rational rows of length
 l phi, the power-basis coordinates of zeta^j v (from the `Scalar`
-coordinates of v by integer shifts), each scaled to a primitive integer
-row.  "v_e lies in the K-span of the chosen normals" is then "row 0 of e
-reduces to zero against the Q-basis of the chosen rows", and choosing e
-adds all phi of its rows.  Reduction is fraction-free, v <- d v - v[col]
-row with d the basis row's pivot entry, and a row is divided by its gcd
-when it joins the basis: integer arithmetic throughout, so it is exact
-with no bound to prove.  Over Q (N = 1) the rows are the primitive
-integer normals.  nbc shares nothing with the lattice code: not
-`_levels`, not the zeta -> omega map into F_p, not the Hadamard bound and
-not the prime.  The walk's nodes are exactly the nbc sets, whose counts
+numerators of v by integer shifts), scaled to integer rows.  "v_e lies
+in the K-span of the chosen normals" is then "row 0 of e reduces to zero
+against the Q-basis of the chosen rows", and choosing e adds all phi of
+its rows.  Reduction is fraction-free, v <- d v - v[col] row with d the
+basis row's pivot entry, and a row is divided by its gcd when it joins
+the basis: integer arithmetic throughout, so it is exact with no bound to
+prove.  Over Q (N = 1) the rows are the integer normals.  nbc shares
+nothing with the lattice code: not its integer rows, not `_levels`, not
+the zeta -> omega map into F_p, not the Hadamard bound and not the prime.  The walk's nodes are exactly the nbc sets, whose counts
 by size are the Betti numbers (Orlik-Terao, Thm 3.55); a node's children
 are the minima of a partition of its smaller elements (Bjorner 1992,
 proof in `nbc_betti`).
@@ -31,22 +30,22 @@ chi(A, q) when reduction mod q keeps the intersection lattice (Athanasiadis,
 Adv. Math. 122, 1996).
 `find_good_primes` decides that with the lattice engine itself: equal
 `contains` families mod q and over the field, level by level, are the same
-lattice, so chi(A mod q) = chi(A).  Only the choice of q shares code with
-the route under test: `_levels`, and the primality proof `fields.is_prime`
+lattice, so chi(A mod q) = chi(A).  The choice of q shares code with the
+route under test: `_levels`, and the primality proof `fields.is_prime`
 that also picks the prime the exact lattice is built modulo.  A fault
 common to both builds can misjudge q, but the count reads no lattice, so a
 bad q shows as a disagreement with chi(q) (exit 3), not as a confirmation
-of a wrong chi.
+of a wrong chi.  The count does read the lattice's primitive integer rows
+(`arrangement._integer_rows`), so a fault in those rows is left to nbc.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .arrangement import Arrangement, IntersectionLattice, _levels
+from .arrangement import Arrangement, IntersectionLattice, _integer_rows, _levels
 from .errors import DEFAULT_FF_CAP, DEFAULT_SUBSET_CAP, ComputationCapError, InvalidInputError
 from .fields import FieldDescriptor, Scalar, is_prime
 
@@ -133,17 +132,19 @@ def _by_size(counts: dict[int, int]) -> list[int]:
 
 
 def _zeta_rows(normal: Sequence[Scalar], field: FieldDescriptor) -> list[list[int]]:
-    """The primitive integer rows of zeta^j v, j < phi(N): v's entries
-    multiplied by zeta^j, each written as its phi(N) power-basis coordinates.
+    """The integer rows of zeta^j v, j < phi(N): v's entries multiplied by
+    zeta^j, each written as its phi(N) power-basis coordinates.
 
-    Row 0 is v's coordinates made primitive.  Multiplying an entry by zeta
-    shifts its coordinates up one power and rewrites zeta^phi as
-    -(c_0 + c_1 zeta + ... + c_(phi-1) zeta^(phi-1)), the c_i the lower
-    coefficients of Phi_N: an integer map of determinant +-Phi_N(0) = +-1
-    for N >= 2, so each next row is integral and primitive again."""
+    Row 0 is v's numerators brought to the lcm of v's denominators; the
+    walk needs only integral rows, as `_join` divides each basis row by its
+    gcd.  Multiplying an entry by zeta shifts its coordinates up one power
+    and rewrites zeta^phi as -(c_0 + c_1 zeta + ... + c_(phi-1)
+    zeta^(phi-1)), the c_i the lower coefficients of Phi_N: an integer map,
+    so each next row is integral again."""
     d = field.degree
     low = field.cyclotomic[:d]
-    row = _primitive([c for x in normal for c in x.coords])
+    scale = lcm(*(x.den for x in normal))
+    row = [c * (scale // x.den) for x in normal for c in x.num]
     rows = [row]
     for _ in range(d - 1):
         row = [
@@ -189,21 +190,14 @@ def _in_span(basis: tuple, row: Sequence[int]) -> bool:
     return not any(_reduce(basis, row))
 
 
-def _primitive(fracs: Sequence[Fraction]) -> list[int]:
-    """The integer multiple of a nonzero rational vector with no common factor."""
-    scale = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * scale) for f in fracs]
-    g = gcd(*ints)
-    return [v // g for v in ints]
-
-
-def _integer_rows(arrangement: Arrangement) -> list[list[int]]:
-    """Primitive integer rows (normal | offset) for a rational arrangement."""
+def _rational_rows(arrangement: Arrangement) -> list[list[int]]:
+    """Primitive integer rows (normal | offset) for a rational arrangement,
+    from `arrangement._integer_rows`."""
     if not arrangement.field.is_rational:
         raise InvalidInputError(
             "finite-field counting requires rational coefficients"
         )
-    return [_primitive([x.rational_value() for x in h.row()]) for h in arrangement.hyperplanes]
+    return [[c for (c,) in row] for row in _integer_rows(arrangement)]
 
 
 def finite_field_count(
@@ -216,7 +210,7 @@ def finite_field_count(
     """
     if not is_prime(q):
         raise InvalidInputError(f"{q} is not prime")
-    rows = _integer_rows(arrangement)
+    rows = _rational_rows(arrangement)
     ell = arrangement.ambient_dim
     npoints = q**ell
     if npoints > ff_cap:
@@ -257,7 +251,7 @@ def find_good_primes(
     lattice: IntersectionLattice, how_many: int = 2, ff_cap: int = DEFAULT_FF_CAP
 ) -> list[int]:
     """The `how_many` smallest good primes q, searched while q^l <= ff_cap."""
-    rows = _integer_rows(lattice.arrangement)
+    rows = _rational_rows(lattice.arrangement)
     ell = lattice.arrangement.ambient_dim
     exact = [[flat.mask for flat in level] for level in lattice.levels]
     good: list[int] = []

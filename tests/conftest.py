@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -244,6 +245,83 @@ def pointwise_stabilizer(group: MatrixGroup, s: int) -> tuple[int, ...]:
             for r in (identity - g).rows
         )
     )
+
+class ReferenceField:
+    """Q(zeta_n) on lists of Fraction coordinates in the power basis, for
+    checking `fields`: Phi_n from the Moebius product prod_{d | n}
+    (x^d - 1)^mu(n/d), reduction by long division by Phi_n, and
+    zeta -> zeta^k through zeta^n = 1.  Shares no code with `fields`."""
+
+    def __init__(self, n: int):
+        num, den = [1], [1]
+        for d in range(1, n + 1):
+            if n % d == 0 and _moebius(n // d):
+                factor = [-1] + [0] * (d - 1) + [1]
+                if _moebius(n // d) == 1:
+                    num = _poly_mul(num, factor)
+                else:
+                    den = _poly_mul(den, factor)
+        self.n, self.phi = n, _exact_quotient(num, den)
+        self.degree = len(self.phi) - 1
+
+    def reduce(self, poly) -> list:
+        poly, d = [Fraction(c) for c in poly], self.degree
+        for k in range(len(poly) - 1, d - 1, -1):
+            c = poly[k]
+            for j, pj in enumerate(self.phi):
+                poly[k - d + j] -= c * pj
+        return (poly + [Fraction(0)] * d)[:d]
+
+    def add(self, a, b) -> list:
+        return [x + y for x, y in zip(a, b)]
+
+    def sub(self, a, b) -> list:
+        return [x - y for x, y in zip(a, b)]
+
+    def mul(self, a, b) -> list:
+        return self.reduce(_poly_mul(a, b))
+
+    def galois(self, a, k: int) -> list:
+        poly = [Fraction(0)] * self.n
+        for i, c in enumerate(a):
+            poly[i * k % self.n] += c
+        return self.reduce(poly)
+
+    def one(self) -> list:
+        return self.reduce([1])
+
+
+def _moebius(m: int) -> int:
+    sign, p = 1, 2
+    while m > 1:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return sign
+
+
+def _poly_mul(a, b) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _exact_quotient(num, den) -> list:
+    """num / den for a monic den dividing num, coefficients ascending."""
+    num, d = list(num), len(den) - 1
+    quot = [0] * (len(num) - d)
+    for k in range(len(num) - 1, d - 1, -1):
+        quot[k - d] = c = num[k]
+        for j, dj in enumerate(den):
+            num[k - d + j] -= c * dj
+    assert not any(num[:d]), "the Moebius product left a remainder"
+    return quot
+
 
 def check_symplectic_all(group: MatrixGroup) -> bool:
     group._require_enumerated()

@@ -295,7 +295,7 @@ def test_q8d8_lattice_prime_is_above_the_bound_and_proven():
     assert p == 193
     # p exceeds H, the product of the six (l + 1) largest row norms, taken
     # from the rows directly: the q8d8 rows are primitive integer rows
-    rows = [[x.rational_value() for x in h.row()] for h in a.hyperplanes]
+    rows = [[x.coords[0] for x in h.row()] for h in a.hyperplanes]
     assert all(x.denominator == 1 for row in rows for x in row)
     squares = sorted((sum(x * x for x in row) for row in rows), reverse=True)
     product = 1
@@ -306,6 +306,19 @@ def test_q8d8_lattice_prime_is_above_the_bound_and_proven():
     m = ((p - 1) & (1 - p)).bit_length() - 1
     assert (p - 1) >> m < 2**m
     assert any(pow(b, (p - 1) // 2, p) == p - 1 for b in range(2, 10))
+
+
+@pytest.mark.parametrize("label, p", [("q8d8", 193), ("g4", 97), ("wreath:D4:2", 41)])
+def test_lattice_prime_of_each_catalog_entry(label, p):
+    assert _rows_mod_prime(catalog(label).arrangement)[1] == p
+
+
+def test_lattice_prime_above_the_small_prime_sieve():
+    # candidates above 2,000 are screened by a gcd with the odd primes below it
+    assert _lattice_prime(3000, cyclotomic_field(3)) == (3457, 722)
+    assert _lattice_prime(2**64, rational_field()) == (18446744099479355393, 1)
+    p, _ = _lattice_prime(10**30, cyclotomic_field(12))
+    assert p == 1000000000000016626908250767361
 
 
 def test_lattice_prime_search_near_the_bit_limit_is_fast():

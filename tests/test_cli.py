@@ -39,7 +39,7 @@ def test_shipped_q8d8_file():
     assert arr.ambient_dim == 5
     assert arr.field.is_rational
     assert arr.central
-    normals = [tuple(x.rational_value() for x in h.normal) for h in arr.hyperplanes]
+    normals = [tuple(x.coords[0] for x in h.normal) for h in arr.hyperplanes]
     assert normals == Q8D8_NORMALS
     assert arr.hyperplanes == catalog("q8d8").arrangement.hyperplanes
 
@@ -236,6 +236,19 @@ def test_decimal_and_digit_group_tokens_are_refused(capsys, tmp_path):
             parse_arrangement_text(text)
     with pytest.raises(InvalidInputError, match="line 4: .*expected an integer"):
         parse_group_text("field rational\ndim 2\nsymplectic_form\n0 1.0\n-1 0\n")
+
+
+def test_zero_denominator_token_is_refused_by_name(capsys, tmp_path):
+    path = tmp_path / "zero.arr"
+    for text, message in (
+        ("field rational\ndim 2\n\nhyperplane 1/0 1\n", "bad rational token '1/0'"),
+        ("field cyclotomic 3\ndim 1\n\nhyperplane (1/0,1)\n", "bad cyclotomic token '(1/0,1)'"),
+    ):
+        path.write_text(text)
+        assert cli.main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: line 4: hyperplane 1: {message}: zero denominator\n"
+        )
 
 
 def test_dimension_above_the_limit_is_invalid_input(capsys, tmp_path):
