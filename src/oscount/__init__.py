@@ -51,7 +51,6 @@ _SUBMODULE_NAMES = {
         "Scalar",
         "cyclotomic_field",
         "cyclotomic_polynomial",
-        "cyclotomic_reduce",
         "rational_field",
     ),
     "groups": (

@@ -4,8 +4,8 @@ Canonical hyperplanes, the intersection lattice of flats with its Moebius
 function, characteristic and Poincare polynomials, Zaslavsky region counts,
 coning, and deletion/restriction.
 
-A flat X is its codimension, `contains(X)` (the maximal set of hyperplanes
-through it) and mu(X); the lattice is built one codimension at a time.
+A flat X is `contains(X)` (the maximal set of hyperplanes through it) and
+mu(X); the lattice is built one level, one codimension, at a time.
 `contains(X)` is kept as an int bitmask, bit h for hyperplane h: a union
 is `|`, the least member is the lowest set bit, and a level is sorted by
 the int.
@@ -202,11 +202,10 @@ def build_arrangement(
 
 
 class Flat(NamedTuple):
-    """A nonempty intersection of hyperplanes: its codimension, the maximal
-    set of hyperplanes containing it as a bitmask (bit h for hyperplane h),
-    and mu(ambient, X)."""
+    """A nonempty intersection of hyperplanes: the maximal set of hyperplanes
+    containing it as a bitmask (bit h for hyperplane h), and mu(ambient, X).
+    Its codimension is the index of its level in `IntersectionLattice`."""
 
-    codim: int
     mask: int
     mu: int
 
@@ -378,7 +377,7 @@ def _levels(
         atoms[r] = atoms.get(r, 0) | 1 << h
     # (d): via id -> {residual id: its step}; None, the ambient's, is the identity
     steps: dict[Optional[int], dict[int, int]] = {None: {r: r for r in atoms}}
-    level = [Flat(codim=0, mask=0, mu=1)]
+    level = [Flat(mask=0, mu=1)]
     # mask -> (its parent's group ids and members masks, its own group's id)
     sources = {0: (tuple(atoms), tuple(atoms.values()), None)}
     sizes: list[int] = []  # the completed levels' sizes
@@ -392,7 +391,6 @@ def _levels(
         yield level
         sizes.append(len(level))
         below += sum(flat.mu for flat in level)
-        codim = len(sizes)
         mus, found = {}, {}  # the next level's mu and sources
         for flat in level:
             keys, parts, v = sources.pop(flat.mask)
@@ -411,7 +409,7 @@ def _levels(
             if central and len(groups) == 1:  # (c): this level is the one below the center
                 if total >= flat_cap:
                     raise capped()
-                yield [Flat(codim, (1 << n) - 1, -below)]
+                yield [Flat((1 << n) - 1, -below)]
                 return
             low = flat.mask & -flat.mask or 1 << n
             keys, parts = tuple(groups), tuple(groups.values())
@@ -428,7 +426,7 @@ def _levels(
                 if members & -members < low:
                     mus[mask] -= flat.mu
         sources = found
-        level = [Flat(codim, mask, mus[mask]) for mask in sorted(mus)]
+        level = [Flat(mask, mus[mask]) for mask in sorted(mus)]
 
 
 def characteristic_polynomial(lattice: IntersectionLattice) -> IntegerPolynomial:

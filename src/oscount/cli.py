@@ -243,9 +243,9 @@ def _cmd_count(args) -> int:
         if args.weyl_order is not None:
             raise InvalidInputError("give --weyl-order with --arrangement, not with --catalog")
         entry = catalog(args.catalog)
-        report = count_resolutions(entry.arrangement, entry.weyl_data.total_order, caps["flat_cap"])
-        expected = entry.expected.get("count")
-        if expected is not None and report.resolution_count != expected:
+        report = count_resolutions(entry.arrangement, entry.weyl_order, caps["flat_cap"])
+        expected = entry.expected["count"]
+        if report.resolution_count != expected:
             raise MathematicalInconsistencyError(
                 f"catalog {entry.name}: computed count {report.resolution_count} "
                 f"!= published {expected}"

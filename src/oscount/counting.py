@@ -30,8 +30,7 @@ from .errors import InvalidInputError, MathematicalInconsistencyError, OracleDis
 from .polynomial import IntegerPolynomial
 
 if TYPE_CHECKING:
-    from .groups import MatrixGroup, NamikawaWeylData
-    from .rootdata import WeylTypeData
+    from .groups import MatrixGroup
 
 __all__ = [
     "CountReport",
@@ -76,7 +75,7 @@ def count_resolutions(
     arrangement: Arrangement, weyl_order: int, flat_cap: int = DEFAULT_FLAT_CAP
 ) -> CountReport:
     """Total OS dimension of a central arrangement divided by the Namikawa
-    Weyl order |W| (a catalog entry's `weyl_data.total_order`), as an exact
+    Weyl order |W| (a catalog entry's `weyl_order`), as an exact
     integer; non-divisibility is reported as an inconsistency, never
     rounded.  For real arrangements the report also carries the region
     count, which is |W| * resolution_count by Zaslavsky's theorem: both are
@@ -129,80 +128,64 @@ def run_oracle(report: CountReport, which: str, caps: dict) -> dict:
     return results
 
 
-def wreath_weyl_data(type_data: WeylTypeData, n: int) -> NamikawaWeylData:
-    """|W| = 2 * |W_G| for n >= 2 (an A1 factor for the diagonal leaf and the
-    full W_G factor), |W_G| for n = 1."""
-    from .groups import NamikawaWeylData
-
-    if n >= 2:
-        return NamikawaWeylData([("A1", 2), (type_data.full_label, type_data.weyl_order)])
-    return NamikawaWeylData([(type_data.full_label, type_data.weyl_order)])
-
-
 # The q8d8 and g4 arrangements and groups are read from the shipped data
 # files, whose headers say how each was built.
 _DATA = Path(__file__).with_name("data")
 
 
 class CatalogEntry:
-    """A worked example: its arrangement, Namikawa Weyl data, matrix group
-    (None for the wreath family) and published values."""
+    """A worked example: its arrangement, its published Namikawa Weyl order
+    |W| (the one copy: `count --catalog` divides by it, and `selftest`
+    checks it against the group route), its matrix group (None for the
+    wreath family) and its other published values."""
 
-    __slots__ = ("name", "arrangement", "weyl_data", "group", "expected")
+    __slots__ = ("name", "arrangement", "weyl_order", "group", "expected")
 
     def __init__(
         self,
         name: str,
         arrangement: Arrangement,
-        weyl_data: NamikawaWeylData,
+        weyl_order: int,
         group: MatrixGroup | None,
         expected: dict,
     ):
         self.name = name
         self.arrangement = arrangement
-        self.weyl_data = weyl_data
+        self.weyl_order = weyl_order
         self.group = group
         self.expected = expected
 
 
 def catalog(name: str) -> CatalogEntry:
     from .fileio import parse_arrangement_file, parse_group_file
-    from .groups import NamikawaWeylData
 
     name = name.strip().lower()
     if name == "q8d8":
         return CatalogEntry(
             name="q8d8",
             arrangement=parse_arrangement_file(str(_DATA / "q8d8.arr")),
-            weyl_data=NamikawaWeylData([("A1", 2)] * 5),
+            weyl_order=32,
             group=parse_group_file(str(_DATA / "q8d8.grp")),
             expected={
                 "poincare": (1, 21, 170, 650, 1125, 625),
-                "os_dimension": 2592,
-                "regions": 2592,
                 "count": 81,
                 "group_order": 32,
                 "reflection_classes": 5,
-                "parabolic_classes": 5,
                 "parabolic_labels": ("A1",) * 5,
-                "weyl_order": 32,
             },
         )
     if name == "g4":
         return CatalogEntry(
             name="g4",
             arrangement=parse_arrangement_file(str(_DATA / "g4.arr")),
-            weyl_data=NamikawaWeylData([("A2", 3)]),
+            weyl_order=3,
             group=parse_group_file(str(_DATA / "g4.grp")),
             expected={
                 "poincare": (1, 3, 2),
-                "os_dimension": 6,
                 "count": 2,
                 "group_order": 24,
                 "reflection_classes": 2,
-                "parabolic_classes": 1,
                 "parabolic_labels": ("A2",),
-                "weyl_order": 3,
             },
         )
     if name.startswith("wreath:"):
@@ -220,19 +203,20 @@ def catalog(name: str) -> CatalogEntry:
         except ValueError:
             raise InvalidInputError(f"bad wreath parameter in {name!r}") from None
         wdata = weyl_data(letter, rank)
-        spec = CatalanSpec(wdata, n)
-        count = wreath_count_closed_form(wdata, n) if n >= 2 else None
-        weyl = wreath_weyl_data(wdata, n)
-        expected = {"num_hyperplanes": len(wdata.positive_roots) * (2 * n - 1) + 1}
-        if count is not None:
-            expected["count"] = count
-            expected["os_dimension"] = count * weyl.total_order
+        if n == 1:
+            # S_1 wr G is G, with one resolution; the coned n = 1 arrangement
+            # keeps a = 0, and the A1 factor of |W| below needs n >= 2.
+            raise InvalidInputError(
+                f"catalog {name!r}: the wreath entries need n >= 2; "
+                f"for n = 1 run `oscount wreath-formula --type {wdata.full_label} --n 1`"
+            )
         return CatalogEntry(
             name=name,
-            arrangement=catalan_arrangement(spec),
-            weyl_data=weyl,
+            arrangement=catalan_arrangement(CatalanSpec(wdata, n)),
+            # an A1 factor for the diagonal leaf and the full W_G factor
+            weyl_order=2 * wdata.weyl_order,
             group=None,
-            expected=expected,
+            expected={"count": wreath_count_closed_form(wdata, n)},
         )
     raise InvalidInputError(
         f"unknown catalog name {name!r}; available: q8d8, g4, wreath:<type>:<n>"

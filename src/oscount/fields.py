@@ -5,8 +5,9 @@ Q[x]/Phi_N(x), d = phi(N), is stored as its integer numerators `num` over
 one denominator `den` = D > 0 with gcd(D, n_0, ..., n_{d-1}) = 1: the
 common-denominator form (Cohen, A Course in Computational Algebraic Number
 Theory, 4.2).  It is canonical, so equality is literal and all arithmetic
-is exact, on Python ints; `coords` derives the rational coordinates.  The
-rational field is the case N = 1.  Mixed-field arithmetic is an error.  A
+is exact, on Python ints.  A Scalar is made only by `_scalar`: behind
+`parse_scalar`, `from_rational`, `zeta` and arithmetic.  The rational field
+is the case N = 1.  Mixed-field arithmetic is an error.  A
 FieldDescriptor computes Phi_N and the power table of zeta once, when it
 is made; `_fold` reduces exponents k >= d through that table, and every
 result passes through `_scalar`, which divides out one gcd.
@@ -26,7 +27,7 @@ from .errors import InvalidInputError, MathematicalInconsistencyError
 
 __all__ = [
     "FieldDescriptor", "Scalar", "rational_field", "cyclotomic_field", "cyclotomic_polynomial",
-    "cyclotomic_reduce", "dot", "is_prime", "parse_scalar", "MAX_CONDUCTOR",
+    "dot", "is_prime", "parse_scalar", "MAX_CONDUCTOR",
 ]
 
 MAX_CONDUCTOR = 100
@@ -167,24 +168,12 @@ def cyclotomic_field(conductor: int) -> FieldDescriptor:
 
 class Scalar:
     """Exact element of a FieldDescriptor, immutable and hashable: `num` over
-    `den` (module docstring), made from phi(N) ints or Fractions."""
+    `den` (module docstring)."""
 
     __slots__ = ("field", "num", "den")
 
-    def __new__(cls, field: FieldDescriptor, coords: Sequence):
-        if len(coords) != field.degree:
-            msg = f"coordinate vector of length {len(coords)} for a degree-{field.degree} field"
-            raise InvalidInputError(msg)
-        return cyclotomic_reduce(coords, field)
-
     def __setattr__(self, *_):
         raise AttributeError("Scalar is immutable")
-
-    @property
-    def coords(self) -> tuple:
-        """The rational power-basis coordinates, as Fractions."""
-        from fractions import Fraction
-        return tuple(Fraction(c, self.den) for c in self.num)
 
     def _same_field(self, other: "Scalar"):
         if (a := self.field.conductor) != (b := other.field.conductor):
@@ -316,16 +305,6 @@ def dot(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> Scalar:
                     if bj:
                         conv[i + j] += ai * bj
     return _scalar(f, _fold(conv, f), den)
-
-
-def cyclotomic_reduce(poly_coords: Sequence, field: FieldDescriptor) -> Scalar:
-    """The Scalar sum_k poly_coords[k] zeta^k of at most N ints or Fractions."""
-    if len(poly_coords) > field.conductor:
-        msg = f"power-basis vector of length {len(poly_coords)} exceeds conductor {field.conductor}"
-        raise InvalidInputError(msg)
-    den = lcm(*(c.denominator for c in poly_coords))
-    vec = [c.numerator * (den // c.denominator) for c in poly_coords]
-    return _scalar(field, _fold(vec, field), den)
 
 
 def _fold(vec: list, field: FieldDescriptor) -> list:

@@ -322,7 +322,6 @@ def _orbits(group: MatrixGroup, items, orbit_of) -> dict[int, frozenset[int]]:
 class ReflectionClass(NamedTuple):
     """A conjugacy class of symplectic reflections (rank(1 - s) = 2)."""
 
-    representative: int
     members: frozenset[int]
     size: int
     fixed_spaces: dict[int, tuple[Row, ...]]  # member s -> rref equations of V^s
@@ -339,21 +338,19 @@ def symplectic_reflections(group: MatrixGroup) -> list[ReflectionClass]:
         if len(rows) == 2:
             fixed[i] = rows
     classes = []
-    for seed, members in _orbits(group, fixed, group.conjugacy_class_of).items():
+    for members in _orbits(group, fixed, group.conjugacy_class_of).values():
         if not members <= fixed.keys():
             raise InvalidInputError("conjugacy class of a reflection left the reflection set")
-        classes.append(
-            ReflectionClass(seed, members, len(members), {s: fixed[s] for s in members})
-        )
+        classes.append(ReflectionClass(members, len(members), {s: fixed[s] for s in members}))
     return classes
 
 
 class ParabolicClass(NamedTuple):
     """A conjugacy class of minimal parabolic subgroups.
 
-    `class_action_perms` are the distinct permutations induced by the
-    normalizer on the nontrivial conjugacy classes of the subgroup itself;
-    `orbits` are the normalizer-orbits on the nontrivial elements.
+    `class_action_trivial` says whether the normalizer fixes each nontrivial
+    conjugacy class of the subgroup itself; `orbits` are the
+    normalizer-orbits on the nontrivial elements.
     """
 
     subgroup: tuple[int, ...]  # element indices of the representative, sorted
@@ -362,11 +359,9 @@ class ParabolicClass(NamedTuple):
     num_conjugates: int
     normalizer_order: int
     xi_order: int
-    class_action_perms: tuple[tuple[int, ...], ...]
     class_action_trivial: bool
     orbit_count: int
     orbits: tuple[frozenset[int], ...]
-    fixed_space: tuple[Row, ...]
 
 
 def kleinian_label(group: MatrixGroup, members: Sequence[int]) -> str:
@@ -425,8 +420,8 @@ def minimal_parabolics(
     """Pointwise stabilizers P_s of the fixed spaces of `reflections` (the
     group's `symplectic_reflections`), up to conjugacy.
 
-    For each class: the normalizer, its quotient order, the permutation
-    action on the subgroup's nontrivial conjugacy classes, and the
+    For each class: the normalizer, its quotient order, whether it fixes
+    each of the subgroup's nontrivial conjugacy classes, and the
     normalizer-orbits on the nontrivial elements.
 
     Stabilizers: P_s is 1 plus the reflections t with V^t = V^s.  Let g in
@@ -452,10 +447,8 @@ def minimal_parabolics(
         for s, rows in cls.fixed_spaces.items():
             spaces.setdefault(rows, [0]).append(s)
     parabolic = {}  # reflection -> its P_s, sorted; 0 is the identity
-    fixed_space = {}
-    for rows, members in spaces.items():
+    for members in spaces.values():
         members = tuple(sorted(members))
-        fixed_space[members] = rows
         parabolic.update((s, members) for s in members[1:])
 
     classes: list[ParabolicClass] = []
@@ -469,13 +462,11 @@ def minimal_parabolics(
             g for g in range(group.order) if group.conjugate(g, members[1]) in member_set
         ]
 
-        # Action of the normalizer on the nontrivial H-classes.
+        # The normalizer fixes a class of H when it maps one member into it.
         nontrivial = [c for c in _subgroup_classes_within(group, members) if 0 not in c]
-        class_of = {i: k for k, c in enumerate(nontrivial) for i in c}
-        perms = {
-            tuple(class_of[group.conjugate(g, next(iter(c)))] for c in nontrivial)
-            for g in normalizer
-        }
+        trivial = all(
+            group.conjugate(g, next(iter(c))) in c for g in normalizer for c in nontrivial
+        )
 
         # Normalizer-orbits on the nontrivial elements of H.
         orbits = _orbits(
@@ -490,11 +481,9 @@ def minimal_parabolics(
                 num_conjugates=len(conjugates),
                 normalizer_order=len(normalizer),
                 xi_order=len(normalizer) // len(members),
-                class_action_perms=tuple(sorted(perms)),
-                class_action_trivial=all(p == tuple(range(len(nontrivial))) for p in perms),
+                class_action_trivial=trivial,
                 orbit_count=len(orbits),
                 orbits=tuple(orbits),
-                fixed_space=fixed_space[members],
             )
         )
     classes.sort(key=lambda c: c.subgroup)
@@ -510,7 +499,7 @@ def verify_zeta_bijection(
     Both lists are of one group, from `symplectic_reflections` and
     `minimal_parabolics`.
 
-    Returns (ok, report) where report lists the matching.
+    Returns the report of the matching; its `bijective` is the verdict.
     """
     class_of: dict[int, int] = {}
     for k, cls in enumerate(reflections):
@@ -539,13 +528,12 @@ def verify_zeta_bijection(
             matching.append({"parabolic": b, "orbit": o, "reflection_class": target})
     if len(hit) != len(reflections):
         ok = False  # not surjective
-    report = {
+    return {
         "num_reflection_classes": len(reflections),
         "num_parabolic_orbits": sum(pc.orbit_count for pc in parabolics),
         "matching": matching,
         "bijective": ok,
     }
-    return ok, report
 
 
 class NamikawaWeylData:
@@ -626,7 +614,7 @@ def analyze_group(group: MatrixGroup, group_cap: int = DEFAULT_GROUP_CAP):
     group.enumerate_elements(group_cap)
     reflections = symplectic_reflections(group)
     parabolics = minimal_parabolics(group, reflections)
-    _, zeta_report = verify_zeta_bijection(reflections, parabolics)
+    zeta_report = verify_zeta_bijection(reflections, parabolics)
     try:
         weyl, note = namikawa_weyl_from_group(parabolics), None
     except UnsupportedFoldingError as exc:

@@ -246,6 +246,19 @@ def pointwise_stabilizer(group: MatrixGroup, s: int) -> tuple[int, ...]:
         )
     )
 
+
+def scalar_token(field, coords) -> str:
+    """The `parse_scalar` token of power-basis coordinates (ints or
+    Fractions): `p/q` over Q, `(a0,a1,...)` over Q(zeta_N)."""
+    text = ",".join(str(Fraction(c)) for c in coords)
+    return text if field.is_rational else f"({text})"
+
+
+def fraction_coords(x) -> tuple:
+    """The rational power-basis coordinates of a Scalar, `num` over `den`."""
+    return tuple(Fraction(c, x.den) for c in x.num)
+
+
 class ReferenceField:
     """Q(zeta_n) on lists of Fraction coordinates in the power basis, for
     checking `fields`: Phi_n from the Moebius product prod_{d | n}

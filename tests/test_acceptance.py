@@ -7,6 +7,8 @@ lines, or via the CLI as `oscount selftest`.
 import time
 from contextlib import contextmanager
 
+import pytest
+
 from conftest import rational_arrangement
 
 from oscount.arrangement import (
@@ -15,6 +17,7 @@ from oscount.arrangement import (
     poincare_polynomial,
 )
 from oscount.counting import catalog, count_resolutions
+from oscount.errors import InvalidInputError
 from oscount.groups import (
     minimal_parabolics,
     namikawa_weyl_from_group,
@@ -54,7 +57,7 @@ def test_criterion_1_q8d8_poincare_and_nbc_oracle():
 def test_criterion_2_q8d8_count():
     with criterion(2, "q8d8 count 2592/32 = 81"):
         entry = catalog("q8d8")
-        report = count_resolutions(entry.arrangement, entry.weyl_data.total_order)
+        report = count_resolutions(entry.arrangement, entry.weyl_order)
         assert report.os_dimension == 2592
         assert report.weyl_order == 32
         assert report.os_dimension % report.weyl_order == 0
@@ -69,7 +72,7 @@ def test_criterion_3_g4():
         assert pi.coefficients == (1, 3, 2)
         assert pi(1) == 6
         assert nbc_betti(entry.arrangement) == [1, 3, 2]
-        report = count_resolutions(entry.arrangement, entry.weyl_data.total_order)
+        report = count_resolutions(entry.arrangement, entry.weyl_order)
         assert report.weyl_order == 3 and report.resolution_count == 2
 
 
@@ -82,7 +85,7 @@ def test_criterion_4_wreath_two_route_agreement():
             t0 = time.perf_counter()
             closed = wreath_count_closed_form(wdata, n)
             entry = catalog(f"wreath:{label}:{n}")
-            report = count_resolutions(entry.arrangement, entry.weyl_data.total_order)
+            report = count_resolutions(entry.arrangement, entry.weyl_order)
             elapsed = time.perf_counter() - t0
             assert closed == count == entry.expected["count"]
             assert report.resolution_count == count
@@ -97,14 +100,11 @@ def test_criterion_5_n1_degeneracy():
         for label in ("A1", "A2", "A3", "A5", "D4", "D5", "E6", "E7", "E8"):
             letter, rank = parse_type_label(label)
             assert wreath_count_closed_form(weyl_data(letter, rank), 1) == 1
-        # the n = 1 arrangement measures a different object: {a=0, x=0} for A1
-        # with |W| = prod(e_i + 1) = 2 gives count 2, and is deliberately not
-        # compared against the closed form
-        entry = catalog("wreath:A1:1")
-        assert "count" not in entry.expected
-        report = count_resolutions(entry.arrangement, entry.weyl_data.total_order)
-        assert report.os_dimension == 4 and report.weyl_order == 2
-        assert report.resolution_count == 2
+        # the coned n = 1 Catalan arrangement is not the singular locus of
+        # C^2/G (it keeps a = 0), so the catalog refuses it
+        for label in ("A1", "A2", "D4"):
+            with pytest.raises(InvalidInputError, match=f"--type {label} --n 1"):
+                catalog(f"wreath:{label}:1")
 
 
 def test_criterion_6_finite_field_oracle():
@@ -134,8 +134,7 @@ def test_criterion_7_group_pipeline():
         assert len(paras) == 5
         assert all(p.kleinian_label == "A1" for p in paras)
         assert all(p.class_action_trivial for p in paras)
-        ok, _ = verify_zeta_bijection(refl, paras)
-        assert ok
+        assert verify_zeta_bijection(refl, paras)["bijective"]
         assert namikawa_weyl_from_group(paras).total_order == 32
 
         g4 = catalog("g4")
@@ -144,8 +143,7 @@ def test_criterion_7_group_pipeline():
         assert group.order == 24
         assert len(symplectic_reflections(group)) == 2
         paras = minimal_parabolics(group, symplectic_reflections(group))
-        ok, _ = verify_zeta_bijection(symplectic_reflections(group), paras)
-        assert ok
+        assert verify_zeta_bijection(symplectic_reflections(group), paras)["bijective"]
         assert namikawa_weyl_from_group(paras).total_order == 3  # via override
 
 

@@ -4,6 +4,8 @@ from importlib import resources
 
 import pytest
 
+from conftest import fraction_coords
+
 from oscount import cli, counting
 from oscount.arrangement import MAX_BOUND_BITS
 from oscount.counting import catalog
@@ -39,7 +41,7 @@ def test_shipped_q8d8_file():
     assert arr.ambient_dim == 5
     assert arr.field.is_rational
     assert arr.central
-    normals = [tuple(x.coords[0] for x in h.normal) for h in arr.hyperplanes]
+    normals = [tuple(fraction_coords(x)[0] for x in h.normal) for h in arr.hyperplanes]
     assert normals == Q8D8_NORMALS
     assert arr.hyperplanes == catalog("q8d8").arrangement.hyperplanes
 

@@ -344,6 +344,35 @@ def test_selftest_fails_a_tampered_count_under_python_O():
     assert failed == [("q8d8 arrangement + count 82", "count 81")]
 
 
+def test_the_one_copy_of_the_weyl_order_is_checked_twice(capsys, monkeypatch):
+    # count --catalog divides by entry.weyl_order and checks the published
+    # count; selftest also compares it with the group route's |W|
+    real = counting.catalog
+    doubled = {"q8d8": 64, "g4": 6}
+
+    def tampered(name):
+        entry = real(name)
+        entry.weyl_order = doubled.get(entry.name, entry.weyl_order)
+        return entry
+
+    monkeypatch.setattr(counting, "catalog", tampered)
+    assert cli.main(["selftest", "--skip", "ff", "--skip", "nbc", "--json"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    failed = [(c["name"], c["detail"]) for c in doc["checks"] if c["status"] == "FAIL"]
+    assert failed == [
+        (
+            "q8d8 arrangement + count 81",
+            "OS dimension 2592 is not divisible by |W| = 64; wrong Weyl order or wrong arrangement",
+        ),
+        ("q8d8 group pipeline", "|W| = 32"),
+        ("g4 arrangement + count 2", "count 1"),
+        ("g4 group pipeline", "|W| = 3"),
+    ]
+    assert cli.main(["count", "--catalog", "q8d8"]) == 3
+    assert cli.main(["count", "--catalog", "g4"]) == 3
+    assert "computed count 1 != published 2" in capsys.readouterr().err
+
+
 def test_ff_oracle_runs_with_numpy_unimportable():
     src = str(Path(oscount.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

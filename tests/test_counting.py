@@ -3,7 +3,7 @@ import pytest
 from conftest import rational_arrangement
 
 from oscount import groups
-from oscount.counting import catalog, count_resolutions, wreath_weyl_data
+from oscount.counting import catalog, count_resolutions
 from oscount.errors import (
     InvalidInputError,
     MathematicalInconsistencyError,
@@ -22,7 +22,7 @@ from oscount.rootdata import weyl_data, wreath_count_closed_form
 
 def test_count_q8d8():
     entry = catalog("q8d8")
-    report = count_resolutions(entry.arrangement, entry.weyl_data.total_order)
+    report = count_resolutions(entry.arrangement, entry.weyl_order)
     assert report.os_dimension == 2592
     assert report.weyl_order == 32
     assert report.resolution_count == 81
@@ -31,7 +31,7 @@ def test_count_q8d8():
 
 def test_count_g4():
     entry = catalog("g4")
-    report = count_resolutions(entry.arrangement, entry.weyl_data.total_order)
+    report = count_resolutions(entry.arrangement, entry.weyl_order)
     assert report.os_dimension == 6
     assert report.resolution_count == 2
     assert report.regions is None  # not a real arrangement
@@ -77,28 +77,27 @@ def test_wreath_direct_routes_agree():
     cases = [("A", 1, 2, 8, 2), ("A", 1, 3, 12, 3), ("A", 2, 2, 60, 5)]
     for label, rank, n, pi1, count in cases:
         entry = catalog(f"wreath:{label}{rank}:{n}")
-        report = count_resolutions(entry.arrangement, entry.weyl_data.total_order)
+        report = count_resolutions(entry.arrangement, entry.weyl_order)
         assert report.os_dimension == pi1
         assert report.resolution_count == count == entry.expected["count"]
         assert report.resolution_count == wreath_count_closed_form(weyl_data(label, rank), n)
         assert report.weyl_order == 2 * weyl_data(label, rank).weyl_order
 
 
-def test_wreath_direct_n1_uses_plain_weyl_order():
-    # the n = 1 arrangement is a different object; no closed-form comparison
-    entry = catalog("wreath:A1:1")
-    assert "count" not in entry.expected
-    report = count_resolutions(entry.arrangement, entry.weyl_data.total_order)
-    assert report.weyl_order == 2
-    assert report.os_dimension == 4
-    assert report.resolution_count == 2
+def test_wreath_catalog_refuses_n1():
+    # S_1 wr G is G, whose one resolution `wreath-formula --n 1` gives; the
+    # coned n = 1 arrangement keeps a = 0 and would count 2 for A1
+    with pytest.raises(InvalidInputError, match=r"need n >= 2; .*wreath-formula --type A1 --n 1"):
+        catalog("wreath:A1:1")
+    with pytest.raises(InvalidInputError, match="^wreath parameter n must be >= 1$"):
+        catalog("wreath:A1:0")
 
 
 def test_wreath_weyl_data_factors():
-    w = wreath_weyl_data(weyl_data("A", 2), 2)
-    assert w.factors == (("A1", 2), ("A2", 6)) and w.total_order == 12
-    w1 = wreath_weyl_data(weyl_data("A", 2), 1)
-    assert w1.total_order == 6
+    # |W| = 2 |W_G|: an A1 factor for the diagonal leaf and the full W_G
+    for label, rank, order in (("A", 2, 12), ("D", 4, 384), ("E", 6, 103_680)):
+        assert catalog(f"wreath:{label}{rank}:2").weyl_order == order
+        assert order == 2 * weyl_data(label, rank).weyl_order
 
 
 def test_diagram_automorphism_orders():
@@ -147,11 +146,12 @@ def test_catalog_expected_values():
     q8 = catalog("q8d8")
     assert q8.expected["count"] == 81
     assert q8.expected["poincare"] == (1, 21, 170, 650, 1125, 625)
+    assert q8.weyl_order == 32
     g4 = catalog("g4")
-    assert g4.expected["os_dimension"] == 6 and g4.expected["count"] == 2
+    assert g4.expected["count"] == 2 and g4.weyl_order == 3
     w = catalog("wreath:A1:2")
-    assert w.expected["count"] == 2
-    assert len(w.arrangement.hyperplanes) == w.expected["num_hyperplanes"] == 4
+    assert w.expected == {"count": 2} and w.weyl_order == 4
+    assert len(w.arrangement.hyperplanes) == 4
 
 
 def test_catalog_unknown_name():

@@ -174,8 +174,8 @@ def test_pm_identity_reflections_and_parabolics():
     assert len(paras) == 1
     p = paras[0]
     assert p.subgroup_order == 2 and p.kleinian_label == "A1" and p.xi_order == 1
-    ok, report = verify_zeta_bijection(refl, paras)
-    assert ok and report["num_parabolic_orbits"] == 1
+    report = verify_zeta_bijection(refl, paras)
+    assert report["bijective"] and report["num_parabolic_orbits"] == 1
 
 
 def test_q8d8_parabolics():
@@ -188,8 +188,8 @@ def test_q8d8_parabolics():
         assert p.kleinian_label == "A1"
         assert p.class_action_trivial
         assert p.orbit_count == 1
-    ok, report = verify_zeta_bijection(symplectic_reflections(g), paras)
-    assert ok
+    report = verify_zeta_bijection(symplectic_reflections(g), paras)
+    assert report["bijective"]
     assert report["num_parabolic_orbits"] == 5 == report["num_reflection_classes"]
 
 
@@ -204,8 +204,8 @@ def test_g4_parabolics():
     assert p.xi_order == 2  # the center and the subgroup itself normalize it
     assert p.class_action_trivial  # nothing conjugates s to s^2
     assert p.orbit_count == 2
-    ok, report = verify_zeta_bijection(symplectic_reflections(g), paras)
-    assert ok
+    report = verify_zeta_bijection(symplectic_reflections(g), paras)
+    assert report["bijective"]
     assert report["num_parabolic_orbits"] == 2 == report["num_reflection_classes"]
 
 
@@ -340,8 +340,7 @@ def test_no_matrix_arithmetic_after_enumeration(name, monkeypatch):
         monkeypatch.setattr(ExactMatrix, method, counted)
     reflections = symplectic_reflections(g)
     parabolics = minimal_parabolics(g, reflections)
-    ok, _ = verify_zeta_bijection(reflections, parabolics)
-    assert ok
+    assert verify_zeta_bijection(reflections, parabolics)["bijective"]
     assert calls == []
 
 

@@ -1,7 +1,8 @@
 """Every public name resolves: each module's `__all__` and every name the
-package imports, so a deleted function cannot leave a dangling export.  The
-README's library sketch runs as written, and no module uses `assert`, which
-`python -O` removes."""
+package imports, so a deleted function cannot leave a dangling export.  Every
+field of the package's records is read by the package or the bench harness.
+The README's library sketch runs as written, and no module uses `assert`,
+which `python -O` removes."""
 
 import ast
 import importlib
@@ -15,6 +16,10 @@ import oscount
 
 PACKAGE = Path(oscount.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+RECORDS = (
+    "Flat", "ReflectionClass", "ParabolicClass", "CountReport", "CatalogEntry",
+    "WeylTypeData", "NamikawaWeylData",
+)
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -33,6 +38,23 @@ def test_every_name_the_package_imports_resolves():
         assert hasattr(submodule, name), (module, name)
         assert getattr(oscount, name) is getattr(submodule, name), (module, name)
         assert name in dir(oscount), name
+
+
+def test_every_record_field_is_read_outside_the_tests():
+    # A field that only the tests read is a second copy of a fact, or dead.
+    sources = [*PACKAGE.glob("*.py"), *(PACKAGE.parents[1] / "perfbench").glob("*.py")]
+    read = {
+        node.attr
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for name in RECORDS:
+        record = getattr(oscount, name)
+        fields = getattr(record, "_fields", None) or record.__slots__
+        unread += [f"{name}.{field}" for field in fields if field not in read]
+    assert unread == []
 
 
 def test_readme_library_sketch_runs_and_shows_its_values():
