@@ -160,16 +160,6 @@ class Arrangement:
         self.hyperplanes = hyperplanes
         self.central = central
 
-    def hyperplane_set(self) -> frozenset:
-        return frozenset(h.row() for h in self.hyperplanes)
-
-    def same_hyperplanes(self, other: "Arrangement") -> bool:
-        return (
-            self.field.conductor == other.field.conductor
-            and self.ambient_dim == other.ambient_dim
-            and self.hyperplane_set() == other.hyperplane_set()
-        )
-
 
 def build_arrangement(
     field: FieldDescriptor,
@@ -208,12 +198,6 @@ class Flat(NamedTuple):
 
     mask: int
     mu: int
-
-    @property
-    def contains(self) -> frozenset[int]:
-        """The hyperplane indices of the set bits of `mask`."""
-        mask = self.mask
-        return frozenset(h for h in range(mask.bit_length()) if mask >> h & 1)
 
 
 class IntersectionLattice:
@@ -460,7 +444,8 @@ def essential_rank(arrangement: Arrangement) -> int:
 
 def region_count(lattice: IntersectionLattice) -> tuple[int, int]:
     """Zaslavsky counts for a real arrangement, read off its lattice:
-    regions = (-1)^l chi(-1), bounded = (-1)^rank chi(1)."""
+    regions = (-1)^l chi(-1), relatively bounded = (-1)^rank chi(1): bounded
+    modulo the directions in every hyperplane, so bounded when rank = l."""
     arrangement = lattice.arrangement
     for i, h in enumerate(arrangement.hyperplanes):
         if not h.is_real():

@@ -44,6 +44,7 @@ __all__ = [
 
 class CountReport(NamedTuple):
     """Arrangement invariants and the lattice they were read from;
+    `bounded_regions` counts the relatively bounded regions (`region_count`).
     `count_resolutions` adds the Weyl order and the resolution count."""
 
     lattice: IntersectionLattice
@@ -128,9 +129,26 @@ def run_oracle(report: CountReport, which: str, caps: dict) -> dict:
     return results
 
 
-# The q8d8 and g4 arrangements and groups are read from the shipped data
-# files, whose headers say how each was built.
+# The one list of shipped entries, name -> (published |W|, expected values);
+# data/<name>.arr and .grp hold each one's arrangement and group, and say
+# in their headers how they were built.
 _DATA = Path(__file__).with_name("data")
+_SHIPPED = {
+    "q8d8": (32, {
+        "poincare": (1, 21, 170, 650, 1125, 625),
+        "count": 81,
+        "group_order": 32,
+        "reflection_classes": 5,
+        "parabolic_labels": ("A1",) * 5,
+    }),
+    "g4": (3, {
+        "poincare": (1, 3, 2),
+        "count": 2,
+        "group_order": 24,
+        "reflection_classes": 2,
+        "parabolic_labels": ("A2",),
+    }),
+}
 
 
 class CatalogEntry:
@@ -157,37 +175,14 @@ class CatalogEntry:
 
 
 def catalog(name: str) -> CatalogEntry:
-    from .fileio import parse_arrangement_file, parse_group_file
-
     name = name.strip().lower()
-    if name == "q8d8":
-        return CatalogEntry(
-            name="q8d8",
-            arrangement=parse_arrangement_file(str(_DATA / "q8d8.arr")),
-            weyl_order=32,
-            group=parse_group_file(str(_DATA / "q8d8.grp")),
-            expected={
-                "poincare": (1, 21, 170, 650, 1125, 625),
-                "count": 81,
-                "group_order": 32,
-                "reflection_classes": 5,
-                "parabolic_labels": ("A1",) * 5,
-            },
-        )
-    if name == "g4":
-        return CatalogEntry(
-            name="g4",
-            arrangement=parse_arrangement_file(str(_DATA / "g4.arr")),
-            weyl_order=3,
-            group=parse_group_file(str(_DATA / "g4.grp")),
-            expected={
-                "poincare": (1, 3, 2),
-                "count": 2,
-                "group_order": 24,
-                "reflection_classes": 2,
-                "parabolic_labels": ("A2",),
-            },
-        )
+    if name in _SHIPPED:
+        from .fileio import parse_arrangement_file, parse_group_file
+
+        weyl_order, expected = _SHIPPED[name]
+        arrangement = parse_arrangement_file(str(_DATA / f"{name}.arr"))
+        group = parse_group_file(str(_DATA / f"{name}.grp"))
+        return CatalogEntry(name, arrangement, weyl_order, group, expected)
     if name.startswith("wreath:"):
         from .rootdata import CatalanSpec, catalan_arrangement, parse_type_label, weyl_data
         from .rootdata import wreath_count_closed_form
@@ -219,5 +214,5 @@ def catalog(name: str) -> CatalogEntry:
             expected={"count": wreath_count_closed_form(wdata, n)},
         )
     raise InvalidInputError(
-        f"unknown catalog name {name!r}; available: q8d8, g4, wreath:<type>:<n>"
+        f"unknown catalog name {name!r}; available: {', '.join(_SHIPPED)}, wreath:<type>:<n>"
     )

@@ -60,7 +60,9 @@ __all__ = [
 
 class MatrixGroup:
     """A finite subgroup of Sp(2n) given by generators s_0, ..., s_{m-1};
-    its field and its dimension 2n are those of the symplectic form.
+    its field and its dimension 2n are those of the symplectic form.  A
+    generator preserving the form is invertible: g^T omega g = omega gives
+    det(g)^2 det(omega) = det(omega) != 0, so det(g) = +-1.
 
     `enumerate_elements` fills the canonical element store g_0 = 1, g_1, ...
     (BFS layer, then serialization key) and keeps two flat arrays from the
@@ -97,10 +99,6 @@ class MatrixGroup:
         for k, g in enumerate(generators):
             if g.nrows != dim or g.ncols != dim:
                 raise InvalidInputError(f"generator {k} has the wrong shape")
-            try:
-                g.inverse()
-            except InvalidInputError:
-                raise InvalidInputError(f"generator {k} is not invertible") from None
             if g.transpose() * omega * g != omega:
                 raise InvalidInputError(f"generator {k} does not preserve the symplectic form")
         self.field = omega.field

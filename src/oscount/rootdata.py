@@ -1,4 +1,5 @@
-"""ADE root-system data, the wreath closed form and the Catalan arrangements.
+"""ADE root-system data, the wreath closed form and the Catalan arrangements:
+the affine one, and the central one, which is its cone.
 
 Realizations (recorded on each table entry, any exact one is acceptable
 since only the matroid of the (m, root) vectors matters):
@@ -198,35 +199,24 @@ class CatalanSpec:
 
 
 def catalan_arrangement(spec: CatalanSpec) -> Arrangement:
-    """Central arrangement over Q in l+1 coordinates (a, x_1..x_l):
-    root . x + m a = 0 for positive roots and |m| <= n-1, plus a = 0;
-    the hyperplane count is |R+| (2n - 1) + 1."""
-    from .arrangement import build_arrangement
-    from .fields import rational_field
+    """The cone of `affine_catalan(spec)`: the central arrangement in l+1
+    coordinates (a, x_1..x_l) of root . x + m a = 0 for positive roots and
+    |m| <= n-1, plus a = 0; the hyperplane count is |R+| (2n - 1) + 1."""
+    from .arrangement import cone
 
-    f = rational_field()
-    ell = spec.type.rank
-    raw = []
-    for root in spec.type.positive_roots:
-        for m in range(1 - spec.n, spec.n):
-            normal = tuple(f.from_rational(c) for c in (m,) + root)
-            raw.append((normal, f.zero()))
-    alpha = tuple(f.from_rational(1 if i == 0 else 0) for i in range(ell + 1))
-    raw.append((alpha, f.zero()))
-    return build_arrangement(f, ell + 1, raw)
+    return cone(affine_catalan(spec))
 
 
 def affine_catalan(spec: CatalanSpec) -> Arrangement:
-    """The affine arrangement root . x + m = 0 in l variables whose cone is
-    catalan_arrangement(spec)."""
+    """The affine arrangement root . x + m = 0 in l variables, for positive
+    roots and |m| <= n-1."""
     from .arrangement import build_arrangement
     from .fields import rational_field
 
     f = rational_field()
-    ell = spec.type.rank
     raw = []
     for root in spec.type.positive_roots:
         for m in range(1 - spec.n, spec.n):
             normal = tuple(f.from_rational(c) for c in root)
             raw.append((normal, f.from_rational(-m)))
-    return build_arrangement(f, ell, raw)
+    return build_arrangement(f, spec.type.rank, raw)

@@ -254,6 +254,11 @@ def scalar_token(field, coords) -> str:
     return text if field.is_rational else f"({text})"
 
 
+def members(mask: int) -> frozenset[int]:
+    """The hyperplane indices of the set bits of a flat's `mask`."""
+    return frozenset(h for h in range(mask.bit_length()) if mask >> h & 1)
+
+
 def fraction_coords(x) -> tuple:
     """The rational power-basis coordinates of a Scalar, `num` over `den`."""
     return tuple(Fraction(c, x.den) for c in x.num)

@@ -55,7 +55,9 @@ hyperplane (0,1) (-1,-1)
 hyperplane (-1,-1) (0,1)
 """
     arr = parse_arrangement_text(text)
-    assert arr.same_hyperplanes(catalog("g4").arrangement)
+    g4 = catalog("g4").arrangement
+    assert (arr.field.conductor, arr.ambient_dim) == (g4.field.conductor, g4.ambient_dim)
+    assert {h.row() for h in arr.hyperplanes} == {h.row() for h in g4.hyperplanes}
 
 
 def test_empty_hyperplane_list_is_valid():

@@ -16,6 +16,7 @@ import random
 from conftest import (
     brute_force_flats,
     brute_force_moebius,
+    members,
     rank_mod,
     rational_arrangement,
     subset_flats,
@@ -78,7 +79,7 @@ def test_randomized_invariant_suite():
                 assert f.mu != 0, f"case {case}: zero Moebius value"
                 assert f.mu * (-1) ** codim > 0, f"case {case}: Moebius sign pattern"
                 if codim > 0:
-                    total = sum(m for g, m in flats if g.contains <= f.contains)
+                    total = sum(m for g, m in flats if members(g.mask) <= members(f.mask))
                     assert total == 0, f"case {case}: Moebius row sum"
 
         # Zaslavsky: regions equal the total OS dimension (rational => real)
@@ -109,7 +110,9 @@ def test_flat_family_matches_subset_ranks():
             continue
         lattice = intersection_lattice(arr)
         flats = {
-            (f.contains, codim, f.mu) for codim, level in enumerate(lattice.levels) for f in level
+            (members(f.mask), codim, f.mu)
+            for codim, level in enumerate(lattice.levels)
+            for f in level
         }
         assert flats == _with_moebius(brute_force_flats(arr)), f"case {case}: flat family"
         checked += 1
@@ -151,7 +154,9 @@ def random_rows_mod_q():
 def test_levels_mod_q_match_subset_ranks():
     for case, q, dim, rows in random_rows_mod_q():
         levels = list(_levels(rows, dim, q, 10**6))
-        flats = {(f.contains, codim, f.mu) for codim, level in enumerate(levels) for f in level}
+        flats = {
+            (members(f.mask), codim, f.mu) for codim, level in enumerate(levels) for f in level
+        }
         expected = _with_moebius(subset_flats(rows, rank_mod(q)))
         assert flats == expected, f"case {case}: q = {q}, rows {rows}"
 
@@ -162,8 +167,7 @@ def test_levels_mod_q_masks_are_contains_and_sort_each_level():
             masks = [f.mask for f in level]
             assert masks == sorted(masks), f"case {case}"
             for f in level:
-                assert f.contains <= set(range(len(rows))), f"case {case}"
-                assert sum(1 << h for h in f.contains) == f.mask, f"case {case}"
+                assert members(f.mask) <= set(range(len(rows))), f"case {case}"
 
 
 def test_lattice_rank_is_essential_rank():

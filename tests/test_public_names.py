@@ -1,8 +1,8 @@
 """Every public name resolves: each module's `__all__` and every name the
 package imports, so a deleted function cannot leave a dangling export.  Every
-field of the package's records is read by the package or the bench harness.
-The README's library sketch runs as written, and no module uses `assert`,
-which `python -O` removes."""
+field and property of the package's records is read by the package or the
+bench harness.  The README's library sketch runs as written, and no module
+uses `assert`, which `python -O` removes."""
 
 import ast
 import importlib
@@ -41,7 +41,8 @@ def test_every_name_the_package_imports_resolves():
 
 
 def test_every_record_field_is_read_outside_the_tests():
-    # A field that only the tests read is a second copy of a fact, or dead.
+    # A field or property that only the tests read is a second copy of a
+    # fact, or dead.
     sources = [*PACKAGE.glob("*.py"), *(PACKAGE.parents[1] / "perfbench").glob("*.py")]
     read = {
         node.attr
@@ -53,7 +54,8 @@ def test_every_record_field_is_read_outside_the_tests():
     for name in RECORDS:
         record = getattr(oscount, name)
         fields = getattr(record, "_fields", None) or record.__slots__
-        unread += [f"{name}.{field}" for field in fields if field not in read]
+        properties = [k for k, v in vars(record).items() if isinstance(v, property)]
+        unread += [f"{name}.{field}" for field in [*fields, *properties] if field not in read]
     assert unread == []
 
 

@@ -1,8 +1,12 @@
+import hashlib
+from itertools import product
+
 import pytest
 
 from oscount.arrangement import build_arrangement, cone, intersection_lattice, poincare_polynomial
 from oscount.errors import InvalidInputError
 from oscount.fields import rational_field
+from oscount.fileio import serialize_arrangement
 from oscount.rootdata import (
     CatalanSpec,
     affine_catalan,
@@ -13,6 +17,7 @@ from oscount.rootdata import (
 
 ALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 5), ("D", 4), ("D", 5), ("D", 6),
              ("E", 6), ("E", 7), ("E", 8)]
+FULL_RANGE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("D", 4), ("D", 5), ("E", 6)]
 
 
 def test_parse_type_label():
@@ -101,7 +106,7 @@ def test_catalan_counts_and_cone_equality(label, rank, n):
     assert len(cat.hyperplanes) == len(w.positive_roots) * (2 * n - 1) + 1
     assert len(aff.hyperplanes) == len(w.positive_roots) * (2 * n - 1)
     coned = cone(aff)
-    assert coned.same_hyperplanes(cat)
+    assert {h.row() for h in coned.hyperplanes} == {h.row() for h in cat.hyperplanes}
     assert coned.hyperplanes == cat.hyperplanes  # same construction order too
 
 
@@ -110,13 +115,20 @@ def test_affine_a1_n2_rows():
     assert {h.key() for h in aff.hyperplanes} == {"1 0", "1 1", "1 -1"}
 
 
+def test_wreath_d4_2_serialization_is_pinned():
+    # the bench's wreath-D4-2 input is this file, permuted
+    text = serialize_arrangement(catalan_arrangement(CatalanSpec(weyl_data("D", 4), 2)))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == "b62267b71040ac4080d094607c1eab6189d94ca025cb0886e7de5de3236f26b7"
+
+
 def test_full_root_range_gives_same_hyperplanes():
-    # generating over all roots (R+ and -R+) with the symmetric m-range must
-    # canonicalize to the same hyperplane set
+    # generating the central arrangement directly, over all roots (R+ and
+    # -R+) with the symmetric m-range, must canonicalize to the hyperplanes
+    # of the coned affine arrangement
     f = rational_field()
-    for label, rank, n in [("A", 2, 2), ("D", 4, 2)]:
+    for (label, rank), n in product(FULL_RANGE_TYPES, (1, 2, 3)):
         w = weyl_data(label, rank)
-        spec = CatalanSpec(w, n)
         raw = []
         for root in w.positive_roots:
             for sign in (1, -1):
@@ -126,7 +138,9 @@ def test_full_root_range_gives_same_hyperplanes():
         alpha = tuple(f.from_rational(1 if i == 0 else 0) for i in range(rank + 1))
         raw.append((alpha, f.zero()))
         full = build_arrangement(f, rank + 1, raw)
-        assert full.same_hyperplanes(catalan_arrangement(spec))
+        cat = catalan_arrangement(CatalanSpec(w, n))
+        assert cat.ambient_dim == rank + 1
+        assert {h.row() for h in full.hyperplanes} == {h.row() for h in cat.hyperplanes}
 
 
 @pytest.mark.parametrize("label,rank,n", [("A", 1, 2), ("A", 1, 3), ("A", 2, 2)])
