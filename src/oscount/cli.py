@@ -7,11 +7,10 @@ Exit codes: 0 success, 1 invalid input, 2 computation cap exceeded,
 a single document with stable key order (the timing field excepted from
 determinism guarantees).
 
-Caps may be set by flags or environment variables (OSCOUNT_FLAT_CAP,
-OSCOUNT_SUBSET_CAP, OSCOUNT_GROUP_CAP, OSCOUNT_FF_CAP); only the commands
-that read caps (analyze, count, group analyze, selftest) take the flags.
-Any other failure is one `error: internal error: ...` line and exit code 3;
-OSCOUNT_DEBUG=1 adds its traceback.
+Caps are set by flags only, and only the commands that read caps (analyze,
+count, group analyze, selftest) take them.  Any other failure is one
+`error: internal error: ...` line and exit code 3; OSCOUNT_DEBUG=1, the one
+environment variable read, adds its traceback.
 
 Startup: a command imports only the modules it runs, inside its handler, so
 `group analyze` loads no arrangement code and `count --arrangement` no group
@@ -41,12 +40,12 @@ from .errors import (
 
 __all__ = ["main"]
 
-# flag, environment variable, default, help text
+# flag, default, help text
 _CAPS = (
-    ("--flat-cap", "OSCOUNT_FLAT_CAP", DEFAULT_FLAT_CAP, "intersection-lattice flat cap"),
-    ("--subset-cap", "OSCOUNT_SUBSET_CAP", DEFAULT_SUBSET_CAP, "cap on nbc sets visited"),
-    ("--group-cap", "OSCOUNT_GROUP_CAP", DEFAULT_GROUP_CAP, "group enumeration cap"),
-    ("--ff-cap", "OSCOUNT_FF_CAP", DEFAULT_FF_CAP, "finite-field enumeration cap on q^l"),
+    ("--flat-cap", DEFAULT_FLAT_CAP, "intersection-lattice flat cap"),
+    ("--subset-cap", DEFAULT_SUBSET_CAP, "cap on nbc sets visited"),
+    ("--group-cap", DEFAULT_GROUP_CAP, "group enumeration cap"),
+    ("--ff-cap", DEFAULT_FF_CAP, "finite-field enumeration cap on q^l"),
 )
 
 
@@ -54,27 +53,19 @@ def _add_common(parser: argparse.ArgumentParser, caps: bool = True):
     """--json, and the cap flags on the commands that read caps."""
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     if caps:
-        for flag, _, default, text in _CAPS:
-            parser.add_argument(flag, type=int, default=None, help=f"{text} (default {default})")
+        for flag, default, text in _CAPS:
+            parser.add_argument(flag, type=int, default=default, help=f"{text} (default {default})")
 
 
 def _caps(args) -> dict:
-    """Each cap from its flag, else its environment variable, else its
-    default; a cap below 1 is invalid input."""
+    """Each cap from its flag, which defaults to the cap's default; a cap
+    below 1 is invalid input."""
     caps = {}
-    for flag, env, default, _ in _CAPS:
+    for flag, _, _ in _CAPS:
         name = flag[2:].replace("-", "_")
-        value, source = getattr(args, name), flag
-        if value is None and env in os.environ:
-            source = f"environment variable {env}"
-            try:
-                value = int(os.environ[env])
-            except ValueError:
-                raise InvalidInputError(f"{source} must be an integer") from None
-        if value is None:
-            value = default
+        value = getattr(args, name)
         if value < 1:
-            raise InvalidInputError(f"{source} must be >= 1, got {value}")
+            raise InvalidInputError(f"{flag} must be >= 1, got {value}")
         caps[name] = value
     return caps
 
@@ -394,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_catalan)
 
     p = sub.add_parser("count", help="count resolutions")
-    p.add_argument("--catalog", default=None, help="q8d8 | g4 | wreath:TYPE:N")
+    p.add_argument("--catalog", default=None, help="a shipped entry or wreath:TYPE:N")
     p.add_argument("--arrangement", default=None, help="arrangement file")
     p.add_argument("--weyl-order", type=int, default=None)
     p.add_argument("--oracle", choices=["nbc", "ff", "none"], default="none")

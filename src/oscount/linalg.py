@@ -132,20 +132,6 @@ class ExactMatrix:
     def rank(self) -> int:
         return rank_of_rows(self.rows)
 
-    def inverse(self) -> "ExactMatrix":
-        if self.nrows != self.ncols:
-            raise InvalidInputError("inverse of a non-square matrix")
-        n = self.nrows
-        one, zero = self.field.one(), self.field.zero()
-        aug = [
-            list(row) + [one if i == j else zero for j in range(n)]
-            for i, row in enumerate(self.rows)
-        ]
-        reduced, pivots = rref_rows(aug)
-        if len(reduced) < n or any(p >= n for p in pivots):
-            raise InvalidInputError("matrix is singular")
-        return ExactMatrix(self.field, [row[n:] for row in reduced])
-
     def key(self) -> str:
         """Deterministic serialization used for dedup and canonical ordering."""
         return ";".join(" ".join(str(x) for x in row) for row in self.rows)

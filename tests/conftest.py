@@ -198,6 +198,27 @@ def from_rationals(field, rows) -> ExactMatrix:
     return ExactMatrix(field, [[field.from_rational(x) for x in row] for row in rows])
 
 
+def inverse(matrix: ExactMatrix) -> ExactMatrix:
+    """The inverse of an invertible square matrix by Gauss-Jordan elimination
+    on [matrix | 1], one column at a time, in Scalar arithmetic; runs no
+    `linalg` routine."""
+    n, one, zero = matrix.nrows, matrix.field.one(), matrix.field.zero()
+    rows = [
+        list(row) + [one if j == i else zero for j in range(n)]
+        for i, row in enumerate(matrix.rows)
+    ]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if not rows[i][col].is_zero())
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = rows[col][col].inverse()
+        rows[col] = [inv * x for x in rows[col]]
+        for i in range(n):
+            if i != col and not rows[i][col].is_zero():
+                c = rows[i][col]
+                rows[i] = [a - c * b for a, b in zip(rows[i], rows[col])]
+    return ExactMatrix(matrix.field, [row[n:] for row in rows])
+
+
 def kernel_basis(matrix: ExactMatrix) -> list[Row]:
     """Basis of the right null space, parametrized by non-pivot columns."""
     pivot_rows, pivots = rref_rows(matrix.rows)

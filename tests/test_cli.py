@@ -433,13 +433,15 @@ def test_cli_catalan_json_mode(capsys):
     assert parse_arrangement_text(doc["arrangement_text"]).central
 
 
-def test_cli_cap_env_override(capsys, tmp_path, monkeypatch):
-    path = tmp_path / "q8.arr"
-    path.write_text(serialize_arrangement(catalog("q8d8").arrangement))
+def test_cli_cap_environment_variable_is_not_read(capsys, monkeypatch):
+    # caps are flags only; a flat cap of 10 would stop the q8d8 lattice
+    argv = ["analyze", data_path("q8d8.arr")]
+    monkeypatch.delenv("OSCOUNT_FLAT_CAP", raising=False)
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out
     monkeypatch.setenv("OSCOUNT_FLAT_CAP", "10")
-    assert cli.main(["analyze", str(path)]) == 2
-    monkeypatch.setenv("OSCOUNT_FLAT_CAP", "junk")
-    assert cli.main(["analyze", str(path)]) == 1
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_cli_group_analyze(capsys):

@@ -1,18 +1,24 @@
-"""Every public name resolves: each module's `__all__` and every name the
-package imports, so a deleted function cannot leave a dangling export.  Every
-field and property of the package's records is read by the package or the
-bench harness.  The README's library sketch runs as written, and no module
-uses `assert`, which `python -O` removes."""
+"""Every public name resolves and has a caller.
+
+Each module's `__all__` and every name the package imports resolve, so a
+deleted function cannot leave a dangling export.  Every field and property
+of the package's records is read by the package or the bench harness.
+Every public function, method and property is entered by some CLI command
+or by the README's library sketch, which runs as written; the few that only
+the bench harness calls are listed with the reason.  No module uses
+`assert`, which `python -O` removes."""
 
 import ast
 import importlib
 import io
+import sys
 import tokenize
 from pathlib import Path
 
 import pytest
 
 import oscount
+from oscount import cli
 
 PACKAGE = Path(oscount.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
@@ -59,12 +65,16 @@ def test_every_record_field_is_read_outside_the_tests():
     assert unread == []
 
 
+def readme_sketch() -> str:
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1]
+    return block.split("```", 1)[0]
+
+
 def test_readme_library_sketch_runs_and_shows_its_values():
     # Each expression line of the sketch ends in a comment that starts with
     # the value it shows; a changed signature or value fails here.
-    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1]
-    block = block.split("```", 1)[0]
+    block = readme_sketch()
     comments = {
         tok.start[0]: tok.string.lstrip("#").strip()
         for tok in tokenize.generate_tokens(io.StringIO(block).readline)
@@ -91,3 +101,78 @@ def test_readme_library_sketch_runs_and_shows_its_values():
 def test_no_assert_statement_in_the_package(name):
     tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
     assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)] == []
+
+
+# Public names that no command enters, each called by the bench harness,
+# whose files change only with the benchmark.
+BENCH_ONLY = {
+    "IntersectionLattice.num_flats": "perfbench/traced.py FACTS reads the flat count",
+    "linalg.reduce_row": "perfbench/traced.py --micro times it",
+    "arrangement.essential_rank": "perfbench/traced.py LAYER_FUNCTIONS lists it",
+    "FieldDescriptor.zeta": "perfbench/workloads.py builds G(4,1,4) with it",
+}
+
+
+def public_code() -> dict:
+    """{code object: qualified name} of every public module-level function
+    and every public method and property of a module-level class."""
+    code = {}
+    for name in MODULES:
+        module = importlib.import_module(f"oscount.{name}")
+        for attr, obj in vars(module).items():
+            if attr.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if isinstance(obj, type):
+                for member, value in vars(obj).items():
+                    if member.startswith("_"):
+                        continue
+                    value = value.fget if isinstance(value, property) else value
+                    value = getattr(value, "__func__", value)  # classmethod, staticmethod
+                    if hasattr(value, "__code__"):
+                        code[value.__code__] = f"{attr}.{member}"
+            elif hasattr(obj, "__code__"):
+                code[obj.__code__] = f"{name}.{attr}"
+    return code
+
+
+def test_every_public_function_is_entered_by_a_command(capsys, tmp_path):
+    # A public name that no command enters is dead code, or a second route
+    # that only its tests keep alive.
+    data = PACKAGE / "data"
+    q8d8_arr = str(data / "q8d8.arr")
+    affine = str(tmp_path / "affine.arr")
+    commands = [
+        (["analyze", q8d8_arr, "--oracle", "nbc", "--json"], 0),
+        (["analyze", q8d8_arr, "--oracle", "ff"], 0),
+        (["catalan", "--type", "A2", "--n", "2"], 0),
+        (["catalan", "--type", "A2", "--n", "2", "--affine", "--out", affine], 0),
+        (["cone", affine, "--json"], 0),
+        (["count", "--catalog", "q8d8", "--json"], 0),
+        (["count", "--catalog", "g4"], 0),
+        (["count", "--catalog", "wreath:A2:2", "--oracle", "nbc"], 0),
+        (["count", "--catalog", "wreath:A3:2", "--flat-cap", "100", "--json"], 2),
+        (["count", "--catalog", "q8d8", "--oracle", "ff"], 0),
+        (["count", "--arrangement", q8d8_arr, "--weyl-order", "32"], 0),
+        (["wreath-formula", "--type", "D4", "--n", "3", "--json"], 0),
+        (["group", "analyze", str(data / "q8d8.grp")], 0),
+        (["group", "analyze", str(data / "g4.grp"), "--json"], 0),
+        (["selftest"], 0),
+        (["selftest", "--json"], 0),
+    ]
+    public = public_code()
+    entered = set()
+
+    def profile(frame, event, _):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main(argv) for argv, _ in commands]
+        exec(compile(readme_sketch(), "README.md", "exec"), {})
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    assert codes == [code for _, code in commands]
+    assert {public[c] for c in public.keys() - entered} == set(BENCH_ONLY)
