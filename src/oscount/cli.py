@@ -3,9 +3,10 @@ computes (`counting`, `groups.analyze_group`, `rootdata`, `selftest`).
 
 Commands: analyze, cone, catalan, count, wreath-formula, group, selftest.
 Exit codes: 0 success, 1 invalid input, 2 computation cap exceeded,
-3 internal/oracle inconsistency.  Every command has a --json mode emitting
-a single document with stable key order (the timing field excepted from
-determinism guarantees).
+3 internal/oracle inconsistency, or a `count --catalog` value that differs
+from the published one (`counting.check_published`).  Every command has a
+--json mode emitting a single document with stable key order (the timing
+field excepted from determinism guarantees).
 
 Caps are set by flags only, and only the commands that read caps (analyze,
 count, group analyze, selftest) take them.  Any other failure is one
@@ -223,7 +224,7 @@ def _count_lines(doc: dict) -> list[str]:
 
 
 def _cmd_count(args) -> int:
-    from .counting import catalog, count_resolutions
+    from .counting import catalog, check_published, count_resolutions
     from .fileio import parse_arrangement_file
 
     caps = _caps(args)
@@ -235,12 +236,7 @@ def _cmd_count(args) -> int:
             raise InvalidInputError("give --weyl-order with --arrangement, not with --catalog")
         entry = catalog(args.catalog)
         report = count_resolutions(entry.arrangement, entry.weyl_order, caps["flat_cap"])
-        expected = entry.expected["count"]
-        if report.resolution_count != expected:
-            raise MathematicalInconsistencyError(
-                f"catalog {entry.name}: computed count {report.resolution_count} "
-                f"!= published {expected}"
-            )
+        check_published(entry, report)
     elif args.arrangement:
         if args.weyl_order is None:
             raise InvalidInputError("--arrangement requires --weyl-order K")
@@ -294,16 +290,16 @@ def _cmd_group_analyze(args) -> int:
         "dim": group.dim,
         "order": group.order,
         "num_reflection_classes": len(reflections),
-        "reflection_class_sizes": [c.size for c in reflections],
+        "reflection_class_sizes": [len(c.members) for c in reflections],
         "parabolic_classes": [
             {
-                "subgroup_order": p.subgroup_order,
+                "subgroup_order": len(p.subgroup),
                 "kleinian_label": p.kleinian_label,
                 "num_conjugates": p.num_conjugates,
                 "normalizer_order": p.normalizer_order,
                 "xi_order": p.xi_order,
                 "xi_class_action_trivial": p.class_action_trivial,
-                "orbit_count": p.orbit_count,
+                "orbit_count": len(p.orbits),
             }
             for p in parabolics
         ],

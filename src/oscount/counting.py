@@ -7,13 +7,15 @@ form `rootdata.wreath_count_closed_form`, giving two independent routes that
 must agree exactly.
 
 Counting needs only the arrangement layer, and `run_oracle` imports the
-matroid oracles when it runs.  The catalog's entries also read the shipped
-data files, matrix groups and root data, which `catalog` imports when it
-builds an entry.
+matroid oracles when it runs.  `check_published`, which `count --catalog`
+and `selftest` run, is the one comparison with an entry's published values.
+The catalog's entries also read the shipped data files, matrix groups and
+root data, which `catalog` imports when it builds an entry.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -39,6 +41,7 @@ __all__ = [
     "count_resolutions",
     "run_oracle",
     "catalog",
+    "check_published",
 ]
 
 
@@ -172,6 +175,25 @@ class CatalogEntry:
         self.weyl_order = weyl_order
         self.group = group
         self.expected = expected
+
+
+def check_published(entry: CatalogEntry, report: CountReport):
+    """Compare a report of `entry` with each value the entry publishes: its
+    Poincare coefficients, then pi(1) regions for real input, then the count;
+    the first mismatch raises MathematicalInconsistencyError."""
+    e = entry.expected
+    checks = []
+    if "poincare" in e:
+        pairs = zip_longest(report.poincare_poly.coefficients, e["poincare"], fillvalue=0)
+        checks += [(f"Poincare t^{k} coefficient", c, p) for k, (c, p) in enumerate(pairs)]
+        if report.regions is not None:
+            checks.append(("regions", report.regions, sum(e["poincare"])))
+    checks.append(("count", report.resolution_count, e["count"]))
+    for what, computed, published in checks:
+        if computed != published:
+            raise MathematicalInconsistencyError(
+                f"catalog {entry.name}: computed {what} {computed} != published {published}"
+            )
 
 
 def catalog(name: str) -> CatalogEntry:

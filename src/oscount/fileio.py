@@ -48,6 +48,15 @@ __all__ = [
 MAX_DIM = 1000
 
 
+def _read_file(path: str, kind: str) -> str:
+    """A file that cannot be opened or is not UTF-8 is invalid input."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"cannot read {kind} file {path}: {exc}") from None
+
+
 def _logical_lines(text: str):
     """(line_number, tokens) for nonblank, noncomment lines."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -137,12 +146,7 @@ def parse_arrangement_text(text: str) -> Arrangement:
 
 
 def parse_arrangement_file(path: str) -> Arrangement:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read arrangement file {path}: {exc}") from None
-    return parse_arrangement_text(text)
+    return parse_arrangement_text(_read_file(path, "arrangement"))
 
 
 def serialize_arrangement(arrangement: Arrangement) -> str:
@@ -228,9 +232,4 @@ def parse_group_text(text: str) -> MatrixGroup:
 
 
 def parse_group_file(path: str) -> MatrixGroup:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read group file {path}: {exc}") from None
-    return parse_group_text(text)
+    return parse_group_text(_read_file(path, "group"))

@@ -167,6 +167,25 @@ def test_cli_exit_code_invalid_input(capsys):
     assert cli.main(["count", "--arrangement", "/nonexistent.arr"]) == 1
 
 
+@pytest.mark.parametrize(
+    "command, suffix, data",
+    [
+        (["analyze"], ".arr", b"\x00\xff\xfe"),
+        (["analyze"], ".arr", "field rational\ndim 1\nhyperplane 1 # \u00e9\n".encode("latin-1")),
+        (["cone"], ".arr", b"\x00\xff\xfe"),
+        (["group", "analyze"], ".grp", b"\x00\xff\xfe"),
+    ],
+    ids=["analyze-binary", "analyze-latin1", "cone-binary", "group-analyze-binary"],
+)
+def test_non_utf8_file_is_unreadable_input(capsys, tmp_path, command, suffix, data):
+    path = tmp_path / f"bad{suffix}"
+    path.write_bytes(data)
+    assert cli.main([*command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ") and f" file {path}: " in err
+    assert err.count("error:") == 1 and err.count("\n") == 1
+
+
 def test_conductor_above_the_limit_is_refused_before_any_work(capsys, tmp_path):
     # Phi_N for N = 99999999 would take a recursion over its divisors
     path = tmp_path / "big.arr"

@@ -14,6 +14,7 @@ import pytest
 import oscount
 from oscount import arrangement, cli, counting, groups
 from oscount.fileio import parse_arrangement_file
+from oscount.polynomial import IntegerPolynomial
 
 CAPS = {"flat_cap": 2000000, "subset_cap": 2000000, "group_cap": 200000, "ff_cap": 100000000}
 
@@ -337,7 +338,9 @@ def test_selftest_fails_a_tampered_count_under_python_O():
     assert proc.returncode == 3, proc.stderr
     doc = json.loads(proc.stdout)
     failed = [(c["name"], c["detail"]) for c in doc["checks"] if c["status"] == "FAIL"]
-    assert failed == [("q8d8 arrangement + count 82", "count 81")]
+    assert failed == [
+        ("q8d8 arrangement + count 82", "catalog q8d8: computed count 81 != published 82")
+    ]
 
 
 def test_the_one_copy_of_the_weyl_order_is_checked_twice(capsys, monkeypatch):
@@ -361,12 +364,33 @@ def test_the_one_copy_of_the_weyl_order_is_checked_twice(capsys, monkeypatch):
             "OS dimension 2592 is not divisible by |W| = 64; wrong Weyl order or wrong arrangement",
         ),
         ("q8d8 group pipeline", "|W| = 32"),
-        ("g4 arrangement + count 2", "count 1"),
+        ("g4 arrangement + count 2", "catalog g4: computed count 1 != published 2"),
         ("g4 group pipeline", "|W| = 3"),
     ]
     assert cli.main(["count", "--catalog", "q8d8"]) == 3
     assert cli.main(["count", "--catalog", "g4"]) == 3
     assert "computed count 1 != published 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("q8d8", "catalog q8d8: computed Poincare t^1 coefficient 22 != published 21"),
+        ("g4", "catalog g4: computed Poincare t^1 coefficient 4 != published 3"),
+    ],
+)
+def test_count_catalog_fails_a_fault_that_keeps_pi_at_one(capsys, monkeypatch, name, message):
+    # pi_1 + 1 and pi_2 - 1 keep pi(1), so the count alone cannot see it
+    real = counting.poincare_polynomial
+
+    def swapped(lattice):
+        c = list(real(lattice).coefficients)
+        c[1], c[2] = c[1] + 1, c[2] - 1
+        return IntegerPolynomial(c)
+
+    monkeypatch.setattr(counting, "poincare_polynomial", swapped)
+    assert cli.main(["count", "--catalog", name]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_ff_oracle_runs_with_numpy_unimportable():

@@ -153,7 +153,7 @@ def test_q8d8_group_order_and_reflections():
     assert check_symplectic_all(g)
     refl = symplectic_reflections(g)
     assert len(refl) == 5
-    assert [c.size for c in refl] == [2, 2, 2, 2, 2]
+    assert [len(c.members) for c in refl] == [2, 2, 2, 2, 2]
 
 
 def test_g4_group_order_and_reflections():
@@ -163,18 +163,18 @@ def test_g4_group_order_and_reflections():
     assert check_symplectic_all(g)
     refl = symplectic_reflections(g)
     assert len(refl) == 2
-    assert [c.size for c in refl] == [4, 4]
+    assert [len(c.members) for c in refl] == [4, 4]
 
 
 def test_pm_identity_reflections_and_parabolics():
     g = pm_identity_group()
     g.enumerate_elements()
     refl = symplectic_reflections(g)
-    assert len(refl) == 1 and refl[0].size == 1
+    assert len(refl) == 1 and len(refl[0].members) == 1
     paras = minimal_parabolics(g, refl)
     assert len(paras) == 1
     p = paras[0]
-    assert p.subgroup_order == 2 and p.kleinian_label == "A1" and p.xi_order == 1
+    assert len(p.subgroup) == 2 and p.kleinian_label == "A1" and p.xi_order == 1
     report = verify_zeta_bijection(refl, paras)
     assert report["bijective"] and report["num_parabolic_orbits"] == 1
 
@@ -185,10 +185,10 @@ def test_q8d8_parabolics():
     paras = minimal_parabolics(g, symplectic_reflections(g))
     assert len(paras) == 5
     for p in paras:
-        assert p.subgroup_order == 2
+        assert len(p.subgroup) == 2
         assert p.kleinian_label == "A1"
         assert p.class_action_trivial
-        assert p.orbit_count == 1
+        assert len(p.orbits) == 1
     report = verify_zeta_bijection(symplectic_reflections(g), paras)
     assert report["bijective"]
     assert report["num_parabolic_orbits"] == 5 == report["num_reflection_classes"]
@@ -200,11 +200,11 @@ def test_g4_parabolics():
     paras = minimal_parabolics(g, symplectic_reflections(g))
     assert len(paras) == 1
     p = paras[0]
-    assert p.subgroup_order == 3
+    assert len(p.subgroup) == 3
     assert p.kleinian_label == "A2"
     assert p.xi_order == 2  # the center and the subgroup itself normalize it
     assert p.class_action_trivial  # nothing conjugates s to s^2
-    assert p.orbit_count == 2
+    assert len(p.orbits) == 2
     report = verify_zeta_bijection(symplectic_reflections(g), paras)
     assert report["bijective"]
     assert report["num_parabolic_orbits"] == 2 == report["num_reflection_classes"]
