@@ -174,8 +174,6 @@ def build_arrangement(
     planes: list[Hyperplane] = []
     for normal, offset in raw_hyperplanes:  # a Hyperplane is a (normal, offset) pair too
         normal = tuple(normal)
-        if offset is None:
-            offset = field.zero()
         if len(normal) != ambient_dim:
             raise InvalidInputError(
                 f"hyperplane normal of length {len(normal)}; ambient dimension is {ambient_dim}"

@@ -17,9 +17,18 @@ arithmetic is exact (details in `MatrixGroup`).
 
 A minimal parabolic P_s, the pointwise stabilizer of the fixed space V^s
 of a reflection s, is 1 plus the reflections t with V^t = V^s, since V^g
-is symplectic for every g of finite order (proof in `minimal_parabolics`).  Fixed spaces
-are compared as canonical rref rows of 1 - s, one rref per element, so P_s
-is exact, and conjugacy and normalizers follow from g P_s g^-1 = P_{g s g^-1}.
+is symplectic for every g of finite order (proof in `minimal_parabolics`).
+Fixed spaces are compared as canonical rref rows of 1 - s, one rref per
+element, so P_s is exact, and g P_s g^-1 = P_{g s g^-1}.  The Xi(B) data
+of B = P_s, Xi(B) = N(B)/B, follow without listing N(B):
+
+- |N(B)| = |G| / (number of conjugates of B), by orbit-stabilizer;
+- the N(B)-orbits on B minus 1 are the sets (reflection class) meet B: if
+  g t g^-1 lies in B for a reflection t of B, then g V^s = V^s, so g
+  normalizes B;
+- N(B) fixes each class of B exactly when there are as many orbits as
+  nontrivial classes of B, since B lies in N(B) and each orbit is a union
+  of classes of B.
 
 The Namikawa Weyl group is read off the minimal parabolics: one ADE Weyl
 group factor per parabolic class (`namikawa_weyl_from_group`).
@@ -52,7 +61,6 @@ __all__ = [
     "NamikawaWeylData",
     "namikawa_weyl_from_group",
     "analyze_group",
-    "diagram_automorphism_order",
     "FOLDING_OVERRIDES",
     "DEFAULT_GROUP_CAP",
 ]
@@ -120,10 +128,9 @@ class MatrixGroup:
         g has finite order m, it is semisimple and each eigenvalue has an
         order m_i with phi(m_i) <= [Q(zeta_N, lambda) : Q] <= dim phi(N), so
         m divides L = lcm{m : phi(m) <= dim phi(N)}: g has finite order
-        exactly when g^L = 1.  Walking g, g^2, ... reaches 1 after ord(g) - 1
-        products; when it has not within twice the bits of L, repeated
-        squaring settles g^L.  Both form powers g^k with k <= L, whose entries
-        grow at most linearly in k, so the test runs when L <= cap.
+        exactly when g^L = 1.  Repeated squaring forms powers g^k with
+        k <= L, whose entries grow at most linearly in k, so the test runs
+        when L <= cap.
 
         Then each generator, and each element the BFS adds, passes a trace
         test.  If g has finite order, t = tr g is a sum of dim roots of
@@ -151,10 +158,7 @@ class MatrixGroup:
         exponent = _order_exponent(self.dim * self.field.degree, cap)
         if exponent is not None:
             for k, g in enumerate(self.generators):
-                power, steps = g, 2 * exponent.bit_length()
-                while power != identity and steps:
-                    power, steps = power * g, steps - 1
-                if power != identity and _power(g, exponent) != identity:
+                if _power(g, exponent) != identity:
                     raise InvalidInputError(
                         f"generator {k} has infinite order: its {exponent}th power is not 1"
                     )
@@ -343,20 +347,23 @@ def symplectic_reflections(group: MatrixGroup) -> list[ReflectionClass]:
 
 
 class ParabolicClass(NamedTuple):
-    """A conjugacy class of minimal parabolic subgroups.
+    """A conjugacy class of minimal parabolic subgroups B.
 
-    `class_action_trivial` says whether the normalizer fixes each nontrivial
-    conjugacy class of the subgroup itself; `orbits` are the
-    normalizer-orbits on the nontrivial elements.
+    `class_action_trivial` says whether N(B) fixes each nontrivial conjugacy
+    class of B itself; `orbits` are the N(B)-orbits on B minus 1.
     """
 
     subgroup: tuple[int, ...]  # element indices of the representative, sorted
     kleinian_label: str
     num_conjugates: int
     normalizer_order: int
-    xi_order: int
     class_action_trivial: bool
     orbits: tuple[frozenset[int], ...]
+
+    @property
+    def xi_order(self) -> int:
+        """|Xi(B)| = |N(B) / B|."""
+        return self.normalizer_order // len(self.subgroup)
 
 
 def kleinian_label(group: MatrixGroup, members: Sequence[int]) -> str:
@@ -402,22 +409,15 @@ def kleinian_label(group: MatrixGroup, members: Sequence[int]) -> str:
     )
 
 
-def _subgroup_classes_within(group: MatrixGroup, members: tuple[int, ...]):
-    """Conjugacy classes of the subgroup H as a group in its own right."""
-    return _orbits(
-        group, members, lambda s: {group.conjugate(h, s) for h in members}
-    ).values()
-
-
 def minimal_parabolics(
     group: MatrixGroup, reflections: list[ReflectionClass]
 ) -> list[ParabolicClass]:
     """Pointwise stabilizers P_s of the fixed spaces of `reflections` (the
     group's `symplectic_reflections`), up to conjugacy.
 
-    For each class: the normalizer, its quotient order, whether it fixes
-    each of the subgroup's nontrivial conjugacy classes, and the
-    normalizer-orbits on the nontrivial elements.
+    For each class: |N(B)|, whether N(B) fixes each of B's nontrivial
+    conjugacy classes, and the N(B)-orbits on B minus 1, all read off the
+    reflection classes and the conjugates of B; no element of N(B) is listed.
 
     Stabilizers: P_s is 1 plus the reflections t with V^t = V^s.  Let g in
     Sp(V) have finite order.  For v in V^g, w(v, u - gu) = w(gv, gu) -
@@ -430,17 +430,29 @@ def minimal_parabolics(
     the canonical rref rows of 1 - t and 1 - s, which span V^s's annihilator.
 
     Conjugacy.  g P_s g^-1 = P_{g s g^-1}, so P_s and P_t are conjugate
-    exactly when some reflection of P_t is conjugate to s: the class of P_s
-    is {P_t : t conjugate to s}, one per reflection class.
+    exactly when some reflection of P_t is conjugate to s: the class of
+    B = P_s is {P_t : t conjugate to s}, one per reflection class.
 
-    Normalizers.  P_{g s g^-1} = P_s exactly when g s g^-1 lies in P_s, so g
-    normalizes P_s iff it conjugates one reflection s of P_s into P_s.
+    |N(B)| = |G| / num_conjugates: G permutes the conjugates of B
+    transitively, and N(B) is the stabilizer of B (orbit-stabilizer).
+
+    The N(B)-orbit of t in B minus 1 is (the reflection class of t) meet B.
+    An N(B)-conjugate of t lies in both.  Conversely, let u = g t g^-1 lie
+    in B.  Then V^u = g V^t, and V^u = V^t = V^s since u and t are
+    reflections of B, so g V^s = V^s and g P_s g^-1 = P_{g s g^-1} = P_s:
+    g normalizes B.
+
+    `class_action_trivial` is (number of orbits) == (number of nontrivial
+    classes of B): B lies in N(B), so each N(B)-orbit is a union of classes
+    of B, and N(B) fixes every class exactly when each orbit is one class.
     """
     group._require_enumerated()
     spaces: dict[tuple[Row, ...], list[int]] = {}  # fixed space -> P_s
+    class_of: dict[int, frozenset[int]] = {}  # reflection -> its class
     for cls in reflections:
         for s, rows in cls.fixed_spaces.items():
             spaces.setdefault(rows, [0]).append(s)
+            class_of[s] = cls.members
     parabolic = {}  # reflection -> its P_s, sorted; 0 is the identity
     for members in spaces.values():
         members = tuple(sorted(members))
@@ -453,29 +465,15 @@ def minimal_parabolics(
         if any(c.subgroup == members for c in classes):
             continue  # another reflection class of the same parabolics
         member_set = frozenset(members)
-        normalizer = [
-            g for g in range(group.order) if group.conjugate(g, members[1]) in member_set
-        ]
-
-        # The normalizer fixes a class of H when it maps one member into it.
-        nontrivial = [c for c in _subgroup_classes_within(group, members) if 0 not in c]
-        trivial = all(
-            group.conjugate(g, next(iter(c))) in c for g in normalizer for c in nontrivial
-        )
-
-        # Normalizer-orbits on the nontrivial elements of H.
-        orbits = _orbits(
-            group, members[1:], lambda e: {group.conjugate(g, e) for g in normalizer}
-        ).values()
-
+        orbits = _orbits(group, members[1:], lambda t: class_of[t] & member_set).values()
+        classes_in_b = {frozenset(group.conjugate(h, t) for h in members) for t in members[1:]}
         classes.append(
             ParabolicClass(
                 subgroup=members,
                 kleinian_label=kleinian_label(group, members),
                 num_conjugates=len(conjugates),
-                normalizer_order=len(normalizer),
-                xi_order=len(normalizer) // len(members),
-                class_action_trivial=trivial,
+                normalizer_order=group.order // len(conjugates),
+                class_action_trivial=len(orbits) == len(classes_in_b),
                 orbits=tuple(orbits),
             )
         )
@@ -542,16 +540,6 @@ class NamikawaWeylData:
             raise InvalidInputError("Namikawa Weyl order must be >= 1")
 
 
-def diagram_automorphism_order(label: str) -> int:
-    """Order of the Dynkin-diagram automorphism group of an ADE label."""
-    letter, rank = label[0], int(label[1:])
-    if letter == "A":
-        return 1 if rank == 1 else 2
-    if letter == "D":
-        return 6 if rank == 4 else 2
-    return 2 if rank == 6 else 1
-
-
 def _weyl_order(label: str) -> int:
     """|W| of an ADE label: (l+1)! for A_l, 2^(l-1) l! for D_l, and
     prod(e_i + 1) over the exponents for E_6, E_7, E_8."""
@@ -587,7 +575,7 @@ def namikawa_weyl_from_group(parabolics: list[ParabolicClass]) -> NamikawaWeylDa
     for pc in parabolics:
         label = pc.kleinian_label
         full_order = _weyl_order(label)
-        if pc.xi_order == 1 or diagram_automorphism_order(label) == 1:
+        if pc.xi_order == 1 or label in ("A1", "E7", "E8"):
             factor = full_order
         elif (label, pc.xi_order) in FOLDING_OVERRIDES:
             factor = FOLDING_OVERRIDES[(label, pc.xi_order)]

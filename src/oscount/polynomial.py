@@ -41,17 +41,13 @@ class IntegerPolynomial:
             (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)
         )
 
-    def __mul__(self, other) -> "IntegerPolynomial":
-        if isinstance(other, int):
-            return IntegerPolynomial(c * other for c in self.coefficients)
+    def __mul__(self, other: "IntegerPolynomial") -> "IntegerPolynomial":
         out = [0] * (len(self.coefficients) + len(other.coefficients))
         for i, a in enumerate(self.coefficients):
             if a:
                 for j, b in enumerate(other.coefficients):
                     out[i + j] += a * b
         return IntegerPolynomial(out)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         return (

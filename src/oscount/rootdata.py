@@ -68,35 +68,23 @@ def parse_type_label(text: str) -> tuple[str, int]:
     return text[0], rank
 
 
-def _cartan_matrix(label: str, rank: int) -> list[list[int]]:
+def _cartan_matrix(rank: int) -> list[list[int]]:
+    """The Cartan matrix of E_rank, Bourbaki numbering: the chain
+    1-3-4-5-6(-7)(-8) with node 2 on node 4."""
     c = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-
-    def join(i, j):
-        c[i][j] = c[j][i] = -1
-
-    if label == "A":
-        for i in range(rank - 1):
-            join(i, i + 1)
-    elif label == "D":
-        for i in range(rank - 3):
-            join(i, i + 1)
-        join(rank - 3, rank - 2)
-        join(rank - 3, rank - 1)
-    else:  # E types, Bourbaki numbering: chain 1-3-4-5-6(-7)(-8), node 2 on 4
-        chain = [0, 2, 3, 4, 5, 6, 7][: rank - 1]
-        for a, b in zip(chain, chain[1:]):
-            join(a, b)
-        join(1, 3)
+    chain = [0, 2, 3, 4, 5, 6, 7][: rank - 1]
+    for a, b in [*zip(chain, chain[1:]), (1, 3)]:
+        c[a][b] = c[b][a] = -1
     return c
 
 
-def _roots_by_height(label: str, rank: int) -> list[tuple[int, ...]]:
-    """Positive roots in simple-root coordinates, generated by height.
+def _roots_by_height(rank: int) -> list[tuple[int, ...]]:
+    """Positive roots of E_rank in simple-root coordinates, generated by height.
 
     In a simply laced system r + a_i is a root iff the pairing (r, a_i)
     equals -1, and every non-simple positive root arises this way.
     """
-    cartan = _cartan_matrix(label, rank)
+    cartan = _cartan_matrix(rank)
     simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
     roots = set(simple)
     frontier = list(simple)
@@ -149,7 +137,7 @@ def weyl_data(label: str, rank: int) -> WeylTypeData:
             raise InvalidInputError("E types exist for rank 6, 7, 8 only")
         exponents = _EXPONENTS_E[rank]
         h = exponents[-1] + 1
-        roots = _roots_by_height("E", rank)
+        roots = _roots_by_height(rank)
         realization = "integer coordinates with respect to the simple roots"
     else:
         raise InvalidInputError(f"unsupported label {label!r}; expected A, D or E")

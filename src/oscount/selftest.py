@@ -109,10 +109,10 @@ def _checks(caps, skip: set[str]):
         results = run_oracle(report, "ff", caps)
         return f"q={[c['q'] for c in results['finite_field']]} agree with chi"
 
-    if "ff" in skip:
-        yield ("finite-field oracle", "SKIP", "--skip ff")
-    else:
-        for name in ("q8d8", "wreath:a1:2", "wreath:a1:3", "wreath:a2:2"):
+    for name in ("q8d8", "wreath:a1:2", "wreath:a1:3", "wreath:a2:2"):
+        if "ff" in skip:
+            yield (f"finite-field oracle ({name})", "SKIP", "--skip ff")
+        else:
             yield check(f"finite-field oracle ({name})", ff_check, catalog(name))
 
     def cone_check():

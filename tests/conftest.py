@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from oscount.arrangement import Arrangement, build_arrangement
-from oscount.fields import cyclotomic_field, rational_field
+from oscount.fields import Scalar, cyclotomic_field, rational_field
 from oscount.groups import MatrixGroup
 from oscount.linalg import ExactMatrix, Row, rank_of_rows, reduce_row, rref_rows
 from oscount.polynomial import IntegerPolynomial
@@ -238,6 +238,65 @@ def index_by_key(group: MatrixGroup) -> dict[str, int]:
     """{ExactMatrix.key(): index} over the enumerated elements; reads the
     element list only, never the group's multiplication table."""
     return {m.key(): i for i, m in enumerate(group.elements)}
+
+
+def quaternion_matrix(field, q) -> ExactMatrix:
+    """The unit quaternion a + bi + cj + dk, q = (a, b, c, d) as Scalars,
+    ints or Fractions, as [[a + bi, c + di], [-c + di, a - bi]] in SL(2)
+    over Q(zeta_N), 4 | N, with i = zeta_N^(N/4)."""
+    a, b, c, d = (x if isinstance(x, Scalar) else field.from_rational(x) for x in q)
+    i_ = field.one()
+    for _ in range(field.conductor // 4):
+        i_ = i_ * field.zeta()
+    return ExactMatrix(field, [[a + b * i_, c + d * i_], [-c + d * i_, a - b * i_]])
+
+
+def sl2_group(field, quaternions) -> MatrixGroup:
+    """The subgroup of SL(2) = Sp(2) generated by unit quaternions."""
+    one, zero = field.one(), field.zero()
+    omega = ExactMatrix(field, [[zero, one], [-one, zero]])
+    return MatrixGroup([quaternion_matrix(field, q) for q in quaternions], omega)
+
+
+def quaternion_group() -> MatrixGroup:
+    """Q8 = <i, j> over Q(zeta_4)."""
+    return sl2_group(cyclotomic_field(4), [(0, 1, 0, 0), (0, 0, 1, 0)])
+
+
+def wreath2(gamma: MatrixGroup) -> MatrixGroup:
+    """S_2 wr Gamma in Sp(4) for Gamma in Sp(2): V = C^2 + C^2 with Gamma's
+    form on each block; generated by Gamma's generators on block 0 and the
+    swap of the blocks."""
+    f, zero, one = gamma.field, gamma.field.zero(), gamma.field.one()
+
+    def blocks(a: ExactMatrix, b: ExactMatrix, swap: bool = False) -> ExactMatrix:
+        rows = [[zero] * 4 for _ in range(4)]
+        for r in range(2):
+            for c in range(2):
+                rows[r][c + 2 * swap] = a.rows[r][c]
+                rows[r + 2][c + 2 * (not swap)] = b.rows[r][c]
+        return ExactMatrix(f, rows)
+
+    identity = ExactMatrix.identity(f, 2)
+    omega = gamma.symplectic_form
+    generators = [blocks(g, identity) for g in gamma.generators]
+    generators.append(blocks(identity, identity, swap=True))
+    return MatrixGroup(generators, blocks(omega, omega))
+
+
+def group_text(group: MatrixGroup) -> str:
+    """The `.grp` text of a group: its field, dim, form and generators."""
+    f = group.field
+    lines = ["field rational" if f.is_rational else f"field cyclotomic {f.conductor}"]
+    lines.append(f"dim {group.dim}")
+    for head, matrix in [("symplectic_form", group.symplectic_form)] + [
+        ("generator", g) for g in group.generators
+    ]:
+        lines.append(head)
+        lines.extend(
+            " ".join(scalar_token(f, fraction_coords(x)) for x in row) for row in matrix.rows
+        )
+    return "\n".join(lines) + "\n"
 
 
 def conjugacy_classes(group: MatrixGroup) -> list[frozenset[int]]:

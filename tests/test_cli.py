@@ -4,9 +4,9 @@ from importlib import resources
 
 import pytest
 
-from conftest import fraction_coords
+from conftest import fraction_coords, group_text, quaternion_group, wreath2
 
-from oscount import cli, counting
+from oscount import cli, counting, groups
 from oscount.arrangement import MAX_BOUND_BITS
 from oscount.counting import catalog
 from oscount.errors import InvalidInputError
@@ -479,13 +479,47 @@ def test_cli_group_analyze_g4(capsys):
     assert doc["namikawa_weyl"]["total_order"] == 3
 
 
+def test_cli_group_analyze_wreath_q8_is_undetermined(capsys, tmp_path):
+    # S2 wr Q8: the Q8 parabolic is D4 with |Xi| = 8, a label with diagram
+    # automorphisms, so the class data cannot fix its folding
+    path = tmp_path / "s2q8.grp"
+    path.write_text(group_text(wreath2(quaternion_group())), encoding="utf-8")
+    assert cli.main(["group", "analyze", str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["order"] == 128
+    assert doc["zeta_bijection"]["bijective"] is True
+    assert doc["namikawa_weyl"] is None
+    assert "label D4 and |Xi| = 8" in doc["namikawa_weyl_note"]
+    assert cli.main(["group", "analyze", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("Namikawa Weyl order: undetermined (parabolic class with label D4")
+
+
+def test_cli_group_analyze_exits_3_when_the_zeta_bijection_fails(capsys, monkeypatch):
+    real = groups.verify_zeta_bijection
+    monkeypatch.setattr(
+        groups, "verify_zeta_bijection", lambda *args: {**real(*args), "bijective": False}
+    )
+    assert cli.main(["group", "analyze", data_path("g4.grp"), "--json"]) == 3
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)  # the document is still printed
+    assert doc["order"] == 24 and doc["zeta_bijection"]["bijective"] is False
+    assert captured.err.splitlines() == [
+        "error: reflection classes and parabolic orbits are not in bijection"
+    ]
+
+
 def test_selftest_skip_ff(capsys):
     assert cli.main(["selftest", "--skip", "ff", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["failed"] == 0
-    assert doc["skipped"] >= 1
-    names = {c["name"]: c["status"] for c in doc["checks"]}
-    assert names["finite-field oracle"] == "SKIP"
+    assert doc["skipped"] == 4
+    skipped = [c["name"] for c in doc["checks"] if c["status"] == "SKIP"]
+    assert skipped == [
+        f"finite-field oracle ({name})"
+        for name in ("q8d8", "wreath:a1:2", "wreath:a1:3", "wreath:a2:2")
+    ]
+    assert len(doc["checks"]) == 16
 
 
 def test_selftest_detects_tampered_catalog(capsys, monkeypatch):

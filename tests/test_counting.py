@@ -12,7 +12,6 @@ from oscount.errors import (
 from oscount.groups import (
     FOLDING_OVERRIDES,
     NamikawaWeylData,
-    diagram_automorphism_order,
     minimal_parabolics,
     namikawa_weyl_from_group,
     symplectic_reflections,
@@ -98,16 +97,6 @@ def test_wreath_weyl_data_factors():
     for label, rank, order in (("A", 2, 12), ("D", 4, 384), ("E", 6, 103_680)):
         assert catalog(f"wreath:{label}{rank}:2").weyl_order == order
         assert order == 2 * weyl_data(label, rank).weyl_order
-
-
-def test_diagram_automorphism_orders():
-    assert diagram_automorphism_order("A1") == 1
-    assert diagram_automorphism_order("A2") == 2
-    assert diagram_automorphism_order("D4") == 6
-    assert diagram_automorphism_order("D5") == 2
-    assert diagram_automorphism_order("E6") == 2
-    assert diagram_automorphism_order("E7") == 1
-    assert diagram_automorphism_order("E8") == 1
 
 
 def test_weyl_orders_of_kleinian_labels_match_the_root_data():

@@ -9,6 +9,9 @@ from conftest import (
     inverse,
     kernel_basis,
     pointwise_stabilizer,
+    quaternion_group,
+    sl2_group,
+    wreath2,
 )
 
 from oscount.counting import catalog
@@ -16,6 +19,8 @@ from oscount.errors import ComputationCapError, InvalidInputError
 from oscount.fields import cyclotomic_field, rational_field
 from oscount.groups import (
     MatrixGroup,
+    ParabolicClass,
+    ReflectionClass,
     kleinian_label,
     minimal_parabolics,
     symplectic_reflections,
@@ -33,29 +38,32 @@ def pm_identity_group() -> MatrixGroup:
     return MatrixGroup([neg], omega)
 
 
-def quaternion_group() -> MatrixGroup:
-    f = cyclotomic_field(4)
-    i_ = f.zeta()
-    one, zero = f.one(), f.zero()
-    omega = ExactMatrix(f, [[zero, one], [-one, zero]])
-    qi = ExactMatrix(f, [[i_, zero], [zero, -i_]])
-    qj = ExactMatrix(f, [[zero, one], [-one, zero]])
-    return MatrixGroup([qi, qj], omega)
+# the unit quaternions i, j and (-1 + i + j + k)/2, which generate 2T
+I, J, W = (0, 1, 0, 0), (0, 0, 1, 0), (Fraction(-1, 2),) + (Fraction(1, 2),) * 3
 
 
 def binary_tetrahedral_group() -> MatrixGroup:
-    f = cyclotomic_field(4)
-    i_ = f.zeta()
-    one, zero = f.one(), f.zero()
-    half = f.from_rational(Fraction(1, 2))
-    omega = ExactMatrix(f, [[zero, one], [-one, zero]])
-    qi = ExactMatrix(f, [[i_, zero], [zero, -i_]])
-    qj = ExactMatrix(f, [[zero, one], [-one, zero]])
-    w = ExactMatrix(
-        f,
-        [[half * (-one + i_), half * (one + i_)], [half * (-one + i_), half * (-one - i_)]],
-    )
-    return MatrixGroup([qi, qj, w], omega)
+    return sl2_group(cyclotomic_field(4), [I, J, W])
+
+
+def binary_octahedral_group() -> MatrixGroup:
+    """2O = <2T, (1 + i)/sqrt2> over Q(zeta_8), sqrt2 = zeta - zeta^3."""
+    f = cyclotomic_field(8)
+    z = f.zeta()
+    c = (z - z * z * z) * f.from_rational(Fraction(1, 2))  # 1/sqrt2
+    return sl2_group(f, [I, J, W, (c, c, 0, 0)])
+
+
+def binary_icosahedral_group() -> MatrixGroup:
+    """2I = <2T, (phi + phi^-1 i + j)/2> over Q(zeta_20), phi the golden
+    ratio, with sqrt5 = z - z^2 - z^3 + z^4 for z = zeta_20^4 = zeta_5."""
+    f = cyclotomic_field(20)
+    z = f.zeta() * f.zeta() * f.zeta() * f.zeta()
+    z2 = z * z
+    sqrt5 = z - z2 - z2 * z + z2 * z2
+    quarter = f.from_rational(Fraction(1, 4))
+    half_phi, half_phi_inv = (sqrt5 + f.one()) * quarter, (sqrt5 - f.one()) * quarter
+    return sl2_group(f, [I, J, W, (half_phi, half_phi_inv, Fraction(1, 2), 0)])
 
 
 def cyclic5_group() -> MatrixGroup:
@@ -73,6 +81,8 @@ GROUPS = {
     "2T": binary_tetrahedral_group,
     "C5": cyclic5_group,
 }
+# S2 wr Q8 has 128 elements: too many for the all-pairs product test
+WITH_WREATH = {**GROUPS, "S2wrQ8": lambda: wreath2(quaternion_group())}
 
 
 def test_pm_identity_enumeration():
@@ -97,9 +107,9 @@ def test_finite_order_exponent():
         assert groups._order_exponent(g.dim * g.field.degree, 10**6) == 5040
 
 
-def test_finite_order_beyond_the_walk_is_settled_by_the_power():
+def test_finite_order_is_settled_by_the_power():
     # blocks of orders 6 and 5 (the companion matrix of Phi_5 and a form it
-    # keeps) in Sp(6, Q): order 30, past the 24-step walk for L = 2520
+    # keeps) in Sp(6, Q): order 30, a proper divisor of L = 2520
     f = rational_field()
     form = [[0, 1], [-1, 0]], [[0, -1, -1, 1], [1, 0, -1, -1], [1, 1, 0, -1], [-1, 1, 1, 0]]
     gen = [[0, 1], [-1, 1]], [[0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]]
@@ -179,6 +189,34 @@ def test_pm_identity_reflections_and_parabolics():
     assert report["bijective"] and report["num_parabolic_orbits"] == 1
 
 
+def hand_built(reflection_classes, orbits):
+    """Reflection classes and one parabolic class with the given orbits, as
+    sets of element indices; only what `verify_zeta_bijection` reads."""
+    reflections = [ReflectionClass(frozenset(c), {}) for c in reflection_classes]
+    members = tuple(sorted({0}.union(*orbits)))
+    orbits = tuple(frozenset(o) for o in orbits)
+    return reflections, [ParabolicClass(members, "A1", 1, len(members), True, orbits)]
+
+
+@pytest.mark.parametrize(
+    "classes, orbits, bijective",
+    [
+        ([{1}, {2}], [{1}, {2}], True),
+        ([{1, 2}], [{1, 2, 3}], False),  # 3 is not a reflection
+        ([{1}, {2}], [{1, 2}], False),  # an orbit across two classes
+        ([{1, 2}], [{1}, {2}], False),  # two orbits on one class
+        ([{1}, {2}], [{1}], False),  # a class with no orbit
+    ],
+    ids=["bijection", "non-reflection", "orbit-across-classes", "two-orbits-one-class",
+         "class-without-orbit"],
+)
+def test_zeta_bijection_verdicts(classes, orbits, bijective):
+    report = verify_zeta_bijection(*hand_built(classes, orbits))
+    assert report["bijective"] is bijective
+    assert report["num_reflection_classes"] == len(classes)
+    assert report["num_parabolic_orbits"] == len(orbits)
+
+
 def test_q8d8_parabolics():
     g = catalog("q8d8").group
     g.enumerate_elements()
@@ -252,25 +290,37 @@ def test_subgroup_depends_only_on_fixed_space():
     assert len(by_space) == 4  # four subgroups in one conjugacy class
 
 
-@pytest.mark.parametrize("name", ["q8d8", "g4", "Q8", "2T"])
+@pytest.mark.parametrize("name", ["q8d8", "g4", "Q8", "2T", "S2wrQ8"])
 def test_parabolics_are_the_pointwise_stabilizers(name):
-    g = GROUPS[name]()
+    # the conjugates of each parabolic B, N(B), its orbits on B minus 1 and
+    # its action on the classes of B, from their definitions by matrix
+    # products; the multiplication table is not read
+    g = WITH_WREATH[name]()
     g.enumerate_elements()
     reflections = symplectic_reflections(g)
     stabilizers = {pointwise_stabilizer(g, s) for c in reflections for s in c.members}
     index = index_by_key(g)
+    inverses = [inverse(x) for x in g.elements]
     covered = []
     for p in minimal_parabolics(g, reflections):
-        conjugates = set()
-        for x in g.elements:
-            x_inv = inverse(x)
-            conjugates.add(
-                tuple(sorted(index[(x * g.elements[i] * x_inv).key()] for i in p.subgroup))
-            )
+        # conj[x][e] is the index of g_x g_e g_x^-1, for e in B
+        conj = [
+            {e: index[(x * g.elements[e] * x_inv).key()] for e in p.subgroup}
+            for x, x_inv in zip(g.elements, inverses)
+        ]
+        conjugates = {tuple(sorted(c.values())) for c in conj}
         for sub in conjugates:
             assert sub == pointwise_stabilizer(g, sub[1])  # sub[0] is the identity
         assert len(conjugates) == p.num_conjugates
-        assert p.normalizer_order * p.num_conjugates == g.order
+        normalizer = [c for c in conj if tuple(sorted(c.values())) == p.subgroup]
+        assert len(normalizer) == p.normalizer_order
+        assert len(normalizer) == p.xi_order * len(p.subgroup)
+        nontrivial = p.subgroup[1:]
+        assert set(p.orbits) == {frozenset(c[e] for c in normalizer) for e in nontrivial}
+        assert len(p.orbits) == len(set(p.orbits))
+        class_in_b = {e: {conj[h][e] for h in p.subgroup} for e in nontrivial}
+        fixes_classes = all(c[e] in class_in_b[e] for c in normalizer for e in nontrivial)
+        assert p.class_action_trivial == fixes_classes
         covered.extend(conjugates)
     # the classes are disjoint and cover the stabilizer of every reflection
     assert sorted(covered) == sorted(stabilizers)
@@ -284,10 +334,15 @@ def test_kleinian_labels():
     q8.enumerate_elements()
     assert q8.order == 8
     assert kleinian_label(q8, range(q8.order)) == "D4"
-    bt = binary_tetrahedral_group()
-    bt.enumerate_elements()
-    assert bt.order == 24
-    assert kleinian_label(bt, range(bt.order)) == "E6"
+    for build, order, label in (
+        (binary_tetrahedral_group, 24, "E6"),
+        (binary_octahedral_group, 48, "E7"),
+        (binary_icosahedral_group, 120, "E8"),
+    ):
+        g = build()
+        g.enumerate_elements()
+        assert g.order == order
+        assert kleinian_label(g, range(g.order)) == label
 
 
 def test_cyclic_labels():
