@@ -76,6 +76,7 @@ _SUBMODULE_NAMES = {
         "parse_type_label",
         "weyl_data",
         "wreath_count_closed_form",
+        "wreath_poincare",
     ),
 }
 _EXPORTS = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}

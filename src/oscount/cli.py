@@ -8,16 +8,17 @@ from the published one (`counting.check_published`).  Every command has a
 --json mode emitting a single document with stable key order (the timing
 field excepted from determinism guarantees).
 
-Caps are set by flags only, and only the commands that read caps (analyze,
-count, group analyze, selftest) take them.  Any other failure is one
-`error: internal error: ...` line and exit code 3; OSCOUNT_DEBUG=1, the one
-environment variable read, adds its traceback.
+Caps are set by flags only, and a command takes only the caps it reads:
+analyze and count the flat, subset and ff caps, group analyze the group
+cap, selftest all four.  Any other failure is one `error: internal error:
+...` line and exit code 3; OSCOUNT_DEBUG=1, the one environment variable
+read, adds its traceback.
 
 Startup: a command imports only the modules it runs, inside its handler, so
-`group analyze` loads no arrangement code and `count --arrangement` no group
-code, `wreath-formula` only `rootdata`, and no module imports `dataclasses`
-(or, through it, `inspect`).  At module level this file imports the
-standard library and `errors` alone.
+`group analyze` loads no arrangement code, `count` no group code (with
+--catalog too), `wreath-formula` only `rootdata`, and no module imports
+`dataclasses` (or, through it, `inspect`).  At module level this file
+imports the standard library and `errors` alone.
 The traceback module is imported only when OSCOUNT_DEBUG asks for it.
 """
 
@@ -41,30 +42,31 @@ from .errors import (
 
 __all__ = ["main"]
 
-# flag, default, help text
-_CAPS = (
-    ("--flat-cap", DEFAULT_FLAT_CAP, "intersection-lattice flat cap"),
-    ("--subset-cap", DEFAULT_SUBSET_CAP, "cap on nbc sets visited"),
-    ("--group-cap", DEFAULT_GROUP_CAP, "group enumeration cap"),
-    ("--ff-cap", DEFAULT_FF_CAP, "finite-field enumeration cap on q^l"),
-)
+# flag -> default, help text
+_CAPS = {
+    "--flat-cap": (DEFAULT_FLAT_CAP, "intersection-lattice flat cap"),
+    "--subset-cap": (DEFAULT_SUBSET_CAP, "cap on nbc sets visited"),
+    "--group-cap": (DEFAULT_GROUP_CAP, "group enumeration cap"),
+    "--ff-cap": (DEFAULT_FF_CAP, "finite-field enumeration cap on q^l"),
+}
+_ARRANGEMENT_CAPS = ("--flat-cap", "--subset-cap", "--ff-cap")
 
 
-def _add_common(parser: argparse.ArgumentParser, caps: bool = True):
-    """--json, and the cap flags on the commands that read caps."""
+def _add_common(parser: argparse.ArgumentParser, caps=()):
+    """--json, and the flags of the caps the command reads."""
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    if caps:
-        for flag, default, text in _CAPS:
-            parser.add_argument(flag, type=int, default=default, help=f"{text} (default {default})")
+    for flag in caps:
+        default, text = _CAPS[flag]
+        parser.add_argument(flag, type=int, default=default, help=f"{text} (default {default})")
 
 
 def _caps(args) -> dict:
-    """Each cap from its flag, which defaults to the cap's default; a cap
-    below 1 is invalid input."""
+    """Each cap from its flag, or its default where the command has no such
+    flag, so `caps` lists all four; a cap below 1 is invalid input."""
     caps = {}
-    for flag, _, _ in _CAPS:
+    for flag, (default, _) in _CAPS.items():
         name = flag[2:].replace("-", "_")
-        value = getattr(args, name)
+        value = getattr(args, name, default)
         if value < 1:
             raise InvalidInputError(f"{flag} must be >= 1, got {value}")
         caps[name] = value
@@ -363,13 +365,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="arrangement invariants from a file")
     p.add_argument("file")
     p.add_argument("--oracle", choices=["nbc", "ff", "none"], default="none")
-    _add_common(p)
+    _add_common(p, _ARRANGEMENT_CAPS)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("cone", help="cone an affine arrangement file")
     p.add_argument("file")
     p.add_argument("--out", default=None)
-    _add_common(p, caps=False)
+    _add_common(p)
     p.set_defaults(func=_cmd_cone)
 
     p = sub.add_parser("catalan", help="emit a Catalan-type arrangement")
@@ -377,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--affine", action="store_true", help="emit the affine arrangement")
     p.add_argument("--out", default=None)
-    _add_common(p, caps=False)
+    _add_common(p)
     p.set_defaults(func=_cmd_catalan)
 
     p = sub.add_parser("count", help="count resolutions")
@@ -385,20 +387,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arrangement", default=None, help="arrangement file")
     p.add_argument("--weyl-order", type=int, default=None)
     p.add_argument("--oracle", choices=["nbc", "ff", "none"], default="none")
-    _add_common(p)
+    _add_common(p, _ARRANGEMENT_CAPS)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("wreath-formula", help="closed-form wreath count")
     p.add_argument("--type", required=True)
     p.add_argument("--n", type=int, required=True)
-    _add_common(p, caps=False)
+    _add_common(p)
     p.set_defaults(func=_cmd_wreath_formula)
 
     p = sub.add_parser("group", help="matrix group commands")
     gsub = p.add_subparsers(dest="group_verb", required=True)
     g = gsub.add_parser("analyze", help="analyze a group file")
     g.add_argument("file")
-    _add_common(g)
+    _add_common(g, ("--group-cap",))
     g.set_defaults(func=_cmd_group_analyze)
 
     p = sub.add_parser("selftest", help="run every catalog check")
@@ -408,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["nbc", "ff"],
         help="skip an oracle family (repeatable)",
     )
-    _add_common(p)
+    _add_common(p, _CAPS)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

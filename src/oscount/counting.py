@@ -2,22 +2,23 @@
 
 The count of Q-factorial terminalizations of a symplectic quotient is the
 total Orlik-Solomon dimension of the singular-locus arrangement divided by
-the order of the Namikawa Weyl group; the wreath family also has the closed
-form `rootdata.wreath_count_closed_form`, giving two independent routes that
+the order of the Namikawa Weyl group; a wreath entry publishes pi and the
+count from one product (`rootdata.wreath_poincare`), a second route that
 must agree exactly.
 
 Counting needs only the arrangement layer, and `run_oracle` imports the
 matroid oracles when it runs.  `check_published`, which `count --catalog`
 and `selftest` run, is the one comparison with an entry's published values.
-The catalog's entries also read the shipped data files, matrix groups and
-root data, which `catalog` imports when it builds an entry.
+`catalog` parses a shipped entry's arrangement, or builds a wreath entry from
+the root data, when it builds the entry; a shipped entry names its group
+file but does not parse it, so `count --catalog` loads no group code.
 """
 
 from __future__ import annotations
 
 from itertools import zip_longest
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .arrangement import (
     Arrangement,
@@ -30,9 +31,6 @@ from .arrangement import (
 )
 from .errors import InvalidInputError, MathematicalInconsistencyError, OracleDisagreementError
 from .polynomial import IntegerPolynomial
-
-if TYPE_CHECKING:
-    from .groups import MatrixGroup
 
 __all__ = [
     "CountReport",
@@ -154,27 +152,18 @@ _SHIPPED = {
 }
 
 
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """A worked example: its arrangement, its published Namikawa Weyl order
     |W| (the one copy: `count --catalog` divides by it, and `selftest`
-    checks it against the group route), its matrix group (None for the
-    wreath family) and its other published values."""
+    checks it against the group route), the path of its `.grp` file (None
+    for the wreath family; `selftest` parses it, `count` never reads it)
+    and its other published values, each with its Poincare coefficients."""
 
-    __slots__ = ("name", "arrangement", "weyl_order", "group", "expected")
-
-    def __init__(
-        self,
-        name: str,
-        arrangement: Arrangement,
-        weyl_order: int,
-        group: MatrixGroup | None,
-        expected: dict,
-    ):
-        self.name = name
-        self.arrangement = arrangement
-        self.weyl_order = weyl_order
-        self.group = group
-        self.expected = expected
+    name: str
+    arrangement: Arrangement
+    weyl_order: int
+    group_file: str | None
+    expected: dict
 
 
 def check_published(entry: CatalogEntry, report: CountReport):
@@ -182,12 +171,10 @@ def check_published(entry: CatalogEntry, report: CountReport):
     Poincare coefficients, then pi(1) regions for real input, then the count;
     the first mismatch raises MathematicalInconsistencyError."""
     e = entry.expected
-    checks = []
-    if "poincare" in e:
-        pairs = zip_longest(report.poincare_poly.coefficients, e["poincare"], fillvalue=0)
-        checks += [(f"Poincare t^{k} coefficient", c, p) for k, (c, p) in enumerate(pairs)]
-        if report.regions is not None:
-            checks.append(("regions", report.regions, sum(e["poincare"])))
+    pairs = zip_longest(report.poincare_poly.coefficients, e["poincare"], fillvalue=0)
+    checks = [(f"Poincare t^{k} coefficient", c, p) for k, (c, p) in enumerate(pairs)]
+    if report.regions is not None:
+        checks.append(("regions", report.regions, sum(e["poincare"])))
     checks.append(("count", report.resolution_count, e["count"]))
     for what, computed, published in checks:
         if computed != published:
@@ -199,15 +186,14 @@ def check_published(entry: CatalogEntry, report: CountReport):
 def catalog(name: str) -> CatalogEntry:
     name = name.strip().lower()
     if name in _SHIPPED:
-        from .fileio import parse_arrangement_file, parse_group_file
+        from .fileio import parse_arrangement_file
 
         weyl_order, expected = _SHIPPED[name]
         arrangement = parse_arrangement_file(str(_DATA / f"{name}.arr"))
-        group = parse_group_file(str(_DATA / f"{name}.grp"))
-        return CatalogEntry(name, arrangement, weyl_order, group, expected)
+        return CatalogEntry(name, arrangement, weyl_order, str(_DATA / f"{name}.grp"), expected)
     if name.startswith("wreath:"):
         from .rootdata import CatalanSpec, catalan_arrangement, parse_type_label, weyl_data
-        from .rootdata import wreath_count_closed_form
+        from .rootdata import wreath_count_closed_form, wreath_poincare
 
         parts = name.split(":")
         if len(parts) != 3:
@@ -232,8 +218,11 @@ def catalog(name: str) -> CatalogEntry:
             arrangement=catalan_arrangement(CatalanSpec(wdata, n)),
             # an A1 factor for the diagonal leaf and the full W_G factor
             weyl_order=2 * wdata.weyl_order,
-            group=None,
-            expected={"count": wreath_count_closed_form(wdata, n)},
+            group_file=None,
+            expected={
+                "poincare": wreath_poincare(wdata, n),
+                "count": wreath_count_closed_form(wdata, n),
+            },
         )
     raise InvalidInputError(
         f"unknown catalog name {name!r}; available: {', '.join(_SHIPPED)}, wreath:<type>:<n>"

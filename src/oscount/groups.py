@@ -12,7 +12,7 @@ g_i as a word in the generators.  A product g_i g_j walks g_j's word from
 i through the table; s_k^-1 is the element before 1 on the cycle of column
 k and (x s_k)^-1 = s_k^-1 x^-1; a conjugation is two products and an
 inverse.  Every table entry is an exact product identified by its
-canonical key and every element is the product of its word, so this index
+canonical rows and every element is the product of its word, so this index
 arithmetic is exact (details in `MatrixGroup`).
 
 A minimal parabolic P_s, the pointwise stabilizer of the fixed space V^s
@@ -88,7 +88,7 @@ class MatrixGroup:
     - `conjugate(i, j)` is `multiply(multiply(i, j), inverse_index(i))`.
 
     Exactness: every table entry is the index of an exact matrix product,
-    identified by its canonical key, and every element is the product of its
+    identified by its canonical rows, and every element is the product of its
     BFS word, so each index these operations return is that of the exact
     matrix the product names.  No matrix is multiplied after enumeration.
     """
@@ -115,7 +115,6 @@ class MatrixGroup:
         self.symplectic_form = omega
         self.elements: list[ExactMatrix] | None = None
         self.order: int | None = None
-        self._keys: list[str] = []  # serialization key of each element
         self._right = array("q")
         self._parent = array("q")
         self._inverse = array("q")
@@ -173,45 +172,41 @@ class MatrixGroup:
         gens = list(enumerate(self.generators))
         m = len(gens)
         elements = [identity]
-        keys = [identity.key()]
-        index = {keys[0]: 0}
+        index = {identity: 0}
         right, parent = array("q"), array("q", [0])
         layer_sizes = [1]
         start = 0
         while start < len(elements):
-            frontier: dict[str, tuple[ExactMatrix, int]] = {}
-            products: list[str] = []  # key of g_i s_k, in table order
+            frontier: dict[ExactMatrix, int] = {}  # new element -> its parent product
+            products: list[ExactMatrix] = []  # g_i s_k, in table order
             for i in range(start, len(elements)):
                 x = elements[i]
                 for k, g in gens:
                     y = x * g
-                    key = y.key()
-                    products.append(key)
-                    if key not in index and key not in frontier:
+                    products.append(y)
+                    if y not in index and y not in frontier:
                         if bad := _trace_test(y):
                             raise InvalidInputError(
                                 f"the group is infinite: a product of {len(layer_sizes)} "
                                 f"generators has {bad}"
                             )
-                        frontier[key] = (y, i * m + k)
+                        frontier[y] = i * m + k
                         if len(index) + len(frontier) > cap:
                             raise ComputationCapError(
                                 f"group enumeration cap {cap} exceeded",
                                 partial={"elements_per_layer": layer_sizes},
                             )
             start = len(elements)
-            for key in sorted(frontier):
-                y, p = frontier[key]
-                index[key] = len(elements)
+            for y in sorted(frontier, key=ExactMatrix.key):
+                index[y] = len(elements)
                 elements.append(y)
-                keys.append(key)
-                parent.append(p)
+                parent.append(frontier[y])
             right.extend(map(index.__getitem__, products))
             if frontier:
                 layer_sizes.append(len(frontier))
         self.elements = elements
         self.order = len(elements)
-        self._keys, self._right, self._parent = keys, right, parent
+        self._right, self._parent = right, parent
         gen_inverse = []
         for k in range(m):
             before, x = 0, right[k]
@@ -314,7 +309,7 @@ def _orbits(group: MatrixGroup, items, orbit_of) -> dict[int, frozenset[int]]:
     its least element key; the seeds come in increasing key order."""
     orbits: dict[int, frozenset[int]] = {}
     done: set[int] = set()
-    for seed in sorted(items, key=group._keys.__getitem__):
+    for seed in sorted(items, key=lambda i: group.elements[i].key()):
         if seed not in done:
             orbits[seed] = frozenset(orbit_of(seed))
             done |= orbits[seed]

@@ -1,4 +1,4 @@
-"""ADE root-system data, the wreath closed form and the Catalan arrangements:
+"""ADE root-system data, the wreath closed forms and the Catalan arrangements:
 the affine one, and the central one, which is its cone.
 
 Realizations (recorded on each table entry, any exact one is acceptable
@@ -29,6 +29,7 @@ __all__ = [
     "CatalanSpec",
     "weyl_data",
     "parse_type_label",
+    "wreath_poincare",
     "wreath_count_closed_form",
     "catalan_arrangement",
     "affine_catalan",
@@ -159,13 +160,23 @@ def weyl_data(label: str, rank: int) -> WeylTypeData:
     )
 
 
-def wreath_count_closed_form(type_data: WeylTypeData, n: int) -> int:
-    """prod_i ((n-1) h + e_i + 1) / (e_i + 1), checked integral; 1 at n = 1."""
+def wreath_poincare(type_data: WeylTypeData, n: int) -> tuple[int, ...]:
+    """pi(t) = (1 + t) prod_i (1 + ((n-1) h + e_i) t), the Poincare polynomial of
+    `catalan_arrangement` (Athanasiadis, Bull. LMS 36, 2004; Yoshinaga,
+    Invent. Math. 157, 2004), as its coefficients."""
     if n < 1:
         raise InvalidInputError("wreath parameter n must be >= 1")
-    h = type_data.coxeter_number
-    num = prod((n - 1) * h + e + 1 for e in type_data.exponents)
-    den = prod(e + 1 for e in type_data.exponents)
+    pi = [1, 1]
+    for a in ((n - 1) * type_data.coxeter_number + e for e in type_data.exponents):
+        pi = [c + a * b for c, b in zip(pi + [0], [0] + pi)]
+    return tuple(pi)
+
+
+def wreath_count_closed_form(type_data: WeylTypeData, n: int) -> int:
+    """pi(1) of `wreath_poincare` over |A1 x W| = 2 prod_i (e_i + 1), that is
+    prod_i ((n-1) h + e_i + 1) / (e_i + 1); checked integral, 1 at n = 1."""
+    num = sum(wreath_poincare(type_data, n))
+    den = 2 * prod(e + 1 for e in type_data.exponents)
     if num % den != 0:
         g = gcd(num, den)
         raise MathematicalInconsistencyError(

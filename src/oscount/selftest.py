@@ -3,7 +3,7 @@ pipelines that `count`, `analyze` and `group analyze` run.
 
 The CLI imports this module only for the `selftest` command, so no other
 command compiles the checks.  A count row runs `counting.check_published`,
-as `count --catalog` does.  A failed check raises
+as `count --catalog` does; a group row parses the entry's `.grp` file.  A failed check raises
 MathematicalInconsistencyError, never `assert`, which `python -O` drops.
 """
 
@@ -55,6 +55,7 @@ def _checks(caps, skip: set[str]):
     from .arrangement import cone, deletion_restriction
     from .counting import _SHIPPED, analyze_arrangement, catalog, check_published
     from .counting import count_resolutions, run_oracle
+    from .fileio import parse_group_file
     from .groups import analyze_group
     from .matroid import nbc_betti
     from .polynomial import IntegerPolynomial
@@ -77,7 +78,7 @@ def _checks(caps, skip: set[str]):
         return f"betti {betti}"
 
     def group_check(entry):
-        e, group = entry.expected, entry.group
+        e, group = entry.expected, parse_group_file(entry.group_file)
         reflections, parabolics, zeta_report, weyl, note = analyze_group(group, caps["group_cap"])
         _require(group.order == e["group_order"], f"order {group.order}")
         r = len(reflections)

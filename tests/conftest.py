@@ -6,7 +6,9 @@ from itertools import combinations, product
 import pytest
 
 from oscount.arrangement import Arrangement, build_arrangement
+from oscount.counting import catalog
 from oscount.fields import Scalar, cyclotomic_field, rational_field
+from oscount.fileio import parse_group_file
 from oscount.groups import MatrixGroup
 from oscount.linalg import ExactMatrix, Row, rank_of_rows, reduce_row, rref_rows
 from oscount.polynomial import IntegerPolynomial
@@ -232,6 +234,11 @@ def kernel_basis(matrix: ExactMatrix) -> list[Row]:
             vec[p] = -prow[j]
         basis.append(tuple(vec))
     return basis
+
+
+def catalog_group(name: str) -> MatrixGroup:
+    """The matrix group of a shipped catalog entry, parsed from its file."""
+    return parse_group_file(catalog(name).group_file)
 
 
 def index_by_key(group: MatrixGroup) -> dict[str, int]:

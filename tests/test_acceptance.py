@@ -9,7 +9,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import rational_arrangement
+from conftest import catalog_group, rational_arrangement
 
 from oscount.arrangement import (
     characteristic_polynomial,
@@ -124,8 +124,7 @@ def test_criterion_6_finite_field_oracle():
 
 def test_criterion_7_group_pipeline():
     with criterion(7, "group pipeline: orders, classes, zeta, Weyl orders"):
-        q8 = catalog("q8d8")
-        group = q8.group
+        group = catalog_group("q8d8")
         group.enumerate_elements()
         assert group.order == 32
         refl = symplectic_reflections(group)
@@ -137,8 +136,7 @@ def test_criterion_7_group_pipeline():
         assert verify_zeta_bijection(refl, paras)["bijective"]
         assert namikawa_weyl_from_group(paras).total_order == 32
 
-        g4 = catalog("g4")
-        group = g4.group
+        group = catalog_group("g4")
         group.enumerate_elements()
         assert group.order == 24
         assert len(symplectic_reflections(group)) == 2

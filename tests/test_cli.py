@@ -362,6 +362,11 @@ def test_infinite_group_is_refused_by_the_trace_test(capsys, tmp_path, field, ge
         ["cone", data_path("g4.arr"), "--flat-cap", "0"],
         ["catalan", "--type", "A1", "--n", "2", "--ff-cap", "0"],
         ["wreath-formula", "--type", "A1", "--n", "2", "--group-cap", "-5"],
+        ["group", "analyze", data_path("g4.grp"), "--flat-cap", "5"],
+        ["group", "analyze", data_path("g4.grp"), "--subset-cap", "5"],
+        ["group", "analyze", data_path("g4.grp"), "--ff-cap", "5"],
+        ["analyze", data_path("g4.arr"), "--group-cap", "5"],
+        ["count", "--catalog", "g4", "--group-cap", "5"],
     ],
 )
 def test_cap_flags_are_refused_where_no_cap_is_read(capsys, argv):
@@ -538,7 +543,7 @@ def test_selftest_detects_tampered_catalog(capsys, monkeypatch):
             bad_normal = (first.normal[0], -first.normal[1]) + first.normal[2:]
             planes[0] = (bad_normal, first.offset)
             rest = [(h.normal, h.offset) for h in planes[1:]]
-            entry.arrangement = build_arrangement(f, 5, [planes[0]] + rest)
+            entry = entry._replace(arrangement=build_arrangement(f, 5, [planes[0]] + rest))
         return entry
 
     monkeypatch.setattr(counting, "catalog", tampered)

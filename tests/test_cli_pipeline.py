@@ -251,10 +251,17 @@ def test_count_and_analyze_build_the_lattice_once(capsys, braid3_file, monkeypat
 
 
 @pytest.mark.parametrize(
-    "flag", ["--flat-cap", "--subset-cap", "--group-cap", "--ff-cap"], ids=lambda f: f"flag-{f}"
+    "argv",
+    [
+        ["count", "--catalog", "g4", "--flat-cap"],
+        ["count", "--catalog", "g4", "--subset-cap"],
+        ["group", "analyze", str(resources.files("oscount.data") / "g4.grp"), "--group-cap"],
+        ["count", "--catalog", "g4", "--ff-cap"],
+    ],
+    ids=lambda argv: f"flag-{argv[-1]}",
 )
-def test_cap_below_one_is_invalid_input(capsys, flag):
-    assert cli.main(["count", "--catalog", "g4", flag, "0"]) == 1
+def test_cap_below_one_is_invalid_input(capsys, argv):
+    assert cli.main([*argv, "0"]) == 1
     assert "must be >= 1" in capsys.readouterr().err
 
 
@@ -291,8 +298,18 @@ Q8D8_GRP = str(resources.files("oscount.data") / "q8d8.grp")
                 "fractions",
             ],
         ),
+        (
+            ["count", "--catalog", "q8d8", "--json"],
+            ["oscount.arrangement", "oscount.counting"],
+            ["oscount.groups", "oscount.linalg"],
+        ),
+        (
+            ["count", "--catalog", "g4"],
+            ["oscount.arrangement", "oscount.counting"],
+            ["oscount.groups", "oscount.linalg"],
+        ),
     ],
-    ids=["group-analyze", "count-nbc", "analyze-ff", "wreath-formula"],
+    ids=["group-analyze", "count-nbc", "analyze-ff", "wreath-formula", "count-q8d8", "count-g4"],
 )
 def test_a_command_imports_only_what_it_runs(argv, needed, unneeded):
     # a fresh interpreter runs the command, then reports which of the named
@@ -351,8 +368,7 @@ def test_the_one_copy_of_the_weyl_order_is_checked_twice(capsys, monkeypatch):
 
     def tampered(name):
         entry = real(name)
-        entry.weyl_order = doubled.get(entry.name, entry.weyl_order)
-        return entry
+        return entry._replace(weyl_order=doubled.get(entry.name, entry.weyl_order))
 
     monkeypatch.setattr(counting, "catalog", tampered)
     assert cli.main(["selftest", "--skip", "ff", "--skip", "nbc", "--json"]) == 3
@@ -377,6 +393,10 @@ def test_the_one_copy_of_the_weyl_order_is_checked_twice(capsys, monkeypatch):
     [
         ("q8d8", "catalog q8d8: computed Poincare t^1 coefficient 22 != published 21"),
         ("g4", "catalog g4: computed Poincare t^1 coefficient 4 != published 3"),
+        (
+            "wreath:D4:2",
+            "catalog wreath:d4:2: computed Poincare t^1 coefficient 38 != published 37",
+        ),
     ],
 )
 def test_count_catalog_fails_a_fault_that_keeps_pi_at_one(capsys, monkeypatch, name, message):

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import rational_arrangement
+from conftest import catalog_group, rational_arrangement
 
 from oscount import groups
 from oscount.counting import catalog, count_resolutions
@@ -106,15 +106,15 @@ def test_weyl_orders_of_kleinian_labels_match_the_root_data():
 
 
 def test_namikawa_weyl_from_groups(monkeypatch):
-    q8 = catalog("q8d8")
-    q8.group.enumerate_elements()
-    w = namikawa_weyl_from_group(minimal_parabolics(q8.group, symplectic_reflections(q8.group)))
+    q8 = catalog_group("q8d8")
+    q8.enumerate_elements()
+    w = namikawa_weyl_from_group(minimal_parabolics(q8, symplectic_reflections(q8)))
     assert w.total_order == 32
     assert w.factors == (("A1", 2),) * 5
 
-    g4 = catalog("g4")
-    g4.group.enumerate_elements()
-    paras = minimal_parabolics(g4.group, symplectic_reflections(g4.group))
+    g4 = catalog_group("g4")
+    g4.enumerate_elements()
+    paras = minimal_parabolics(g4, symplectic_reflections(g4))
     w = namikawa_weyl_from_group(paras)
     assert w.total_order == 3  # paper-sourced override for the folded case
     monkeypatch.setattr(groups, "FOLDING_OVERRIDES", {})
@@ -139,7 +139,7 @@ def test_catalog_expected_values():
     g4 = catalog("g4")
     assert g4.expected["count"] == 2 and g4.weyl_order == 3
     w = catalog("wreath:A1:2")
-    assert w.expected == {"count": 2} and w.weyl_order == 4
+    assert w.expected == {"poincare": (1, 4, 3), "count": 2} and w.weyl_order == 4
     assert len(w.arrangement.hyperplanes) == 4
 
 

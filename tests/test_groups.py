@@ -1,8 +1,10 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
+    catalog_group,
     check_symplectic_all,
     conjugacy_classes,
     index_by_key,
@@ -14,7 +16,6 @@ from conftest import (
     wreath2,
 )
 
-from oscount.counting import catalog
 from oscount.errors import ComputationCapError, InvalidInputError
 from oscount.fields import cyclotomic_field, rational_field
 from oscount.groups import (
@@ -75,8 +76,8 @@ def cyclic5_group() -> MatrixGroup:
 
 
 GROUPS = {
-    "q8d8": lambda: catalog("q8d8").group,
-    "g4": lambda: catalog("g4").group,
+    "q8d8": lambda: catalog_group("q8d8"),
+    "g4": lambda: catalog_group("g4"),
     "Q8": quaternion_group,
     "2T": binary_tetrahedral_group,
     "C5": cyclic5_group,
@@ -92,7 +93,7 @@ def test_pm_identity_enumeration():
 
 
 def test_enumeration_cap():
-    g = catalog("q8d8").group
+    g = catalog_group("q8d8")
     with pytest.raises(ComputationCapError):
         g.enumerate_elements(cap=5)
 
@@ -157,7 +158,7 @@ def test_field_and_dimension_are_read_off_the_form():
 
 
 def test_q8d8_group_order_and_reflections():
-    g = catalog("q8d8").group
+    g = catalog_group("q8d8")
     g.enumerate_elements()
     assert g.order == 32
     assert check_symplectic_all(g)
@@ -167,7 +168,7 @@ def test_q8d8_group_order_and_reflections():
 
 
 def test_g4_group_order_and_reflections():
-    g = catalog("g4").group
+    g = catalog_group("g4")
     g.enumerate_elements()
     assert g.order == 24
     assert check_symplectic_all(g)
@@ -218,7 +219,7 @@ def test_zeta_bijection_verdicts(classes, orbits, bijective):
 
 
 def test_q8d8_parabolics():
-    g = catalog("q8d8").group
+    g = catalog_group("q8d8")
     g.enumerate_elements()
     paras = minimal_parabolics(g, symplectic_reflections(g))
     assert len(paras) == 5
@@ -233,7 +234,7 @@ def test_q8d8_parabolics():
 
 
 def test_g4_parabolics():
-    g = catalog("g4").group
+    g = catalog_group("g4")
     g.enumerate_elements()
     paras = minimal_parabolics(g, symplectic_reflections(g))
     assert len(paras) == 1
@@ -249,7 +250,7 @@ def test_g4_parabolics():
 
 
 def test_class_equation():
-    for g in (catalog("q8d8").group, catalog("g4").group):
+    for g in (catalog_group("q8d8"), catalog_group("g4")):
         g.enumerate_elements()
         classes = conjugacy_classes(g)
         assert sum(len(c) for c in classes) == g.order
@@ -257,7 +258,7 @@ def test_class_equation():
 
 def test_fixed_spaces_are_symplectic():
     # Omega restricted to ker(1 - s) has full rank dim - 2
-    for g in (catalog("q8d8").group, catalog("g4").group):
+    for g in (catalog_group("q8d8"), catalog_group("g4")):
         g.enumerate_elements()
         identity = ExactMatrix.identity(g.field, g.dim)
         for cls in symplectic_reflections(g):
@@ -279,7 +280,7 @@ def test_fixed_spaces_are_symplectic():
 
 
 def test_subgroup_depends_only_on_fixed_space():
-    g = catalog("g4").group
+    g = catalog_group("g4")
     g.enumerate_elements()
     by_space = {}
     for cls in symplectic_reflections(g):
@@ -359,11 +360,29 @@ def test_kleinian_label_rejects_trivial():
 
 
 def test_element_ordering_is_deterministic():
-    g1 = catalog("q8d8").group
-    g2 = catalog("q8d8").group
+    g1 = catalog_group("q8d8")
+    g2 = catalog_group("q8d8")
     assert [m.key() for m in g1.enumerate_elements()] == [
         m.key() for m in g2.enumerate_elements()
     ]
+
+
+# sha256 of the element keys, one a line, in enumeration order
+ELEMENT_ORDER_SHA256 = {
+    "q8d8": "79803e1afb2480b51a7cfeb255d623d3a05080a53a76424895572b53b7a386de",
+    "g4": "243f04174ca2d52dec9a1576480c648255d218b12025c9d45ff7d745271401e4",
+    "S2wrQ8": "4d458d781e1038e2f493e56a4146a37cd98db451f6537f3113e99efe20011774",
+    "S2wr2T": "86ee10036616af1ff38ce893886977dd77df3630cd559f0939d5a1f9bdf97d31",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENT_ORDER_SHA256))
+def test_canonical_element_order_is_pinned(name):
+    # BFS layer, then ExactMatrix.key within a layer: the order every index,
+    # orbit seed and JSON list of `group analyze` is read in
+    make = WITH_WREATH.get(name, lambda: wreath2(binary_tetrahedral_group()))
+    keys = "\n".join(m.key() for m in make().enumerate_elements())
+    assert hashlib.sha256(keys.encode()).hexdigest() == ELEMENT_ORDER_SHA256[name]
 
 
 
