@@ -396,7 +396,7 @@ def _levels(
             low = flat.mask & -flat.mask or 1 << n
             keys, parts = tuple(groups), tuple(groups.values())
             for s, members in zip(keys, parts):
-                mask = flat.mask | members
+                mask = flat.mask | members if flat.mask else members  # 0 | x copies x
                 if mask not in mus:
                     if total >= flat_cap:
                         raise capped()

@@ -15,12 +15,15 @@ inverse.  Every table entry is an exact product identified by its
 canonical rows and every element is the product of its word, so this index
 arithmetic is exact (details in `MatrixGroup`).
 
-A minimal parabolic P_s, the pointwise stabilizer of the fixed space V^s
-of a reflection s, is 1 plus the reflections t with V^t = V^s, since V^g
-is symplectic for every g of finite order (proof in `minimal_parabolics`).
-Fixed spaces are compared as canonical rref rows of 1 - s, one rref per
-element, so P_s is exact, and g P_s g^-1 = P_{g s g^-1}.  The Xi(B) data
-of B = P_s, Xi(B) = N(B)/B, follow without listing N(B):
+rank(1 - g) is a class function, so one rref of 1 - g per conjugacy class
+finds the reflections; each keeps the canonical rref rows of its fixed
+space.  A minimal parabolic P_s, the pointwise stabilizer of the fixed
+space V^s of a reflection s, is 1 plus the reflections t with V^t = V^s,
+since V^g is symplectic for every g of finite order (proof in
+`minimal_parabolics`), so P_s is exact, and g P_s g^-1 = P_{g s g^-1}.
+By McKay its Kleinian label is read off |P_s| and its number of classes
+(`kleinian_label`).  The Xi(B) data of B = P_s, Xi(B) = N(B)/B, follow
+without listing N(B):
 
 - |N(B)| = |G| / (number of conjugates of B), by orbit-stabilizer;
 - the N(B)-orbits on B minus 1 are the sets (reflection class) meet B: if
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 from array import array
 from math import factorial, prod
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import (
     DEFAULT_GROUP_CAP,
@@ -304,18 +307,6 @@ def _power(g: ExactMatrix, e: int) -> ExactMatrix:
         g = g * g
 
 
-def _orbits(group: MatrixGroup, items, orbit_of) -> dict[int, frozenset[int]]:
-    """Partition `items` into orbits, {seed: orbit_of(seed)}, each seeded at
-    its least element key; the seeds come in increasing key order."""
-    orbits: dict[int, frozenset[int]] = {}
-    done: set[int] = set()
-    for seed in sorted(items, key=lambda i: group.elements[i].key()):
-        if seed not in done:
-            orbits[seed] = frozenset(orbit_of(seed))
-            done |= orbits[seed]
-    return orbits
-
-
 class ReflectionClass(NamedTuple):
     """A conjugacy class of symplectic reflections (rank(1 - s) = 2)."""
 
@@ -324,20 +315,22 @@ class ReflectionClass(NamedTuple):
 
 
 def symplectic_reflections(group: MatrixGroup) -> list[ReflectionClass]:
-    """All s with rank(1 - s) = 2, partitioned into conjugacy classes.  The
-    rref of 1 - g is taken once per element; a reflection keeps its rows."""
+    """All s with rank(1 - s) = 2, as conjugacy classes ordered by their
+    least element key.  rank(1 - g) is a class function, since
+    h (1 - g) h^-1 = 1 - h g h^-1, so one rref of 1 - g per nontrivial class
+    finds the reflection classes; then each reflection gets the rref rows of
+    its fixed space."""
     group._require_enumerated()
     identity = ExactMatrix.identity(group.field, group.dim)
-    fixed = {}  # reflection -> the rref rows of 1 - s
-    for i, g in enumerate(group.elements):
-        rows = rref_rows((identity - g).rows)[0]
-        if len(rows) == 2:
-            fixed[i] = rows
-    classes = []
-    for members in _orbits(group, fixed, group.conjugacy_class_of).values():
-        if not members <= fixed.keys():
-            raise InvalidInputError("conjugacy class of a reflection left the reflection set")
-        classes.append(ReflectionClass(members, {s: fixed[s] for s in members}))
+    classes, seen = [], {0}
+    for i in range(1, group.order):
+        if i not in seen:
+            members = group.conjugacy_class_of(i)
+            seen |= members
+            if (identity - group.elements[i]).rank() == 2:
+                fixed = {s: rref_rows((identity - group.elements[s]).rows)[0] for s in members}
+                classes.append(ReflectionClass(members, fixed))
+    classes.sort(key=lambda c: min(group.elements[s].key() for s in c.members))
     return classes
 
 
@@ -361,46 +354,29 @@ class ParabolicClass(NamedTuple):
         return self.normalizer_order // len(self.subgroup)
 
 
-def kleinian_label(group: MatrixGroup, members: Sequence[int]) -> str:
-    """ADE label of a finite SL(2,C)-type subgroup of an enumerated group,
-    given by its element indices; orders and commutation come from the
-    group's multiplication table.
+def kleinian_label(order: int, num_classes: int) -> str:
+    """ADE label of a minimal parabolic B = P_s from |B| and its number of
+    conjugacy classes.
 
-    Cyclic of order k -> A_{k-1}; nonabelian with an element of order
-    |H|/2 (a cyclic subgroup of index 2) -> D_{|H|/4 + 2}; otherwise
-    orders 24/48/120 -> E_6/E_7/E_8.
+    B fixes V^s pointwise and keeps the form, so it keeps the plane
+    im(1 - s), the w-complement of V^s (`minimal_parabolics`), and V is
+    the direct sum of the two; so B acts faithfully on that plane, in
+    Sp(2) = SL(2).  By McKay, the irreducible characters of a finite
+    subgroup of SL(2), as many as its classes, are the nodes of its extended
+    Dynkin diagram: rank + 1 of them.  The order then fixes the type of rank
+    r: A_r has r + 1 (cyclic), D_r has 4(r - 2) (binary dihedral, r >= 4),
+    and E_6, E_7, E_8 have 24, 48, 120; no two of these agree at one r.
     """
-    n = len(members)
-    if n < 2:
+    if order < 2:
         raise InvalidInputError("trivial subgroup has no Kleinian label")
-    orders = []
-    for i in members:
-        power, k = i, 1
-        while power:  # 0 is the identity
-            power = group.multiply(power, i)
-            k += 1
-        orders.append(k)
-    abelian = all(
-        group.multiply(a, b) == group.multiply(b, a)
-        for t, a in enumerate(members)
-        for b in members[t + 1 :]
-    )
-    if abelian:
-        if n in orders:
-            return f"A{n - 1}"
-        raise InvalidInputError(
-            f"abelian subgroup of order {n} is not cyclic; not a Kleinian group"
-        )
-    if n % 4 == 0 and (n // 2) in orders:
-        return f"D{n // 4 + 2}"
-    if n == 24:
-        return "E6"
-    if n == 48:
-        return "E7"
-    if n == 120:
-        return "E8"
+    r = num_classes - 1
+    d_order = 4 * (r - 2) if r >= 4 else None
+    for letter, n in (("A", r + 1), ("D", d_order), ("E", {6: 24, 7: 48, 8: 120}.get(r))):
+        if order == n:
+            return f"{letter}{r}"
     raise InvalidInputError(
-        f"subgroup of order {n} matches no Kleinian type; upstream bug likely"
+        f"subgroup of order {order} with {num_classes} conjugacy classes matches no "
+        "Kleinian type; upstream bug likely"
     )
 
 
@@ -411,8 +387,9 @@ def minimal_parabolics(
     group's `symplectic_reflections`), up to conjugacy.
 
     For each class: |N(B)|, whether N(B) fixes each of B's nontrivial
-    conjugacy classes, and the N(B)-orbits on B minus 1, all read off the
-    reflection classes and the conjugates of B; no element of N(B) is listed.
+    conjugacy classes, and the N(B)-orbits on B minus 1, ordered by their
+    least element key, all read off the reflection classes and the
+    conjugates of B; no element of N(B) is listed.
 
     Stabilizers: P_s is 1 plus the reflections t with V^t = V^s.  Let g in
     Sp(V) have finite order.  For v in V^g, w(v, u - gu) = w(gv, gu) -
@@ -460,12 +437,15 @@ def minimal_parabolics(
         if any(c.subgroup == members for c in classes):
             continue  # another reflection class of the same parabolics
         member_set = frozenset(members)
-        orbits = _orbits(group, members[1:], lambda t: class_of[t] & member_set).values()
+        orbits = sorted(
+            {class_of[t] & member_set for t in members[1:]},
+            key=lambda o: min(group.elements[t].key() for t in o),
+        )
         classes_in_b = {frozenset(group.conjugate(h, t) for h in members) for t in members[1:]}
         classes.append(
             ParabolicClass(
                 subgroup=members,
-                kleinian_label=kleinian_label(group, members),
+                kleinian_label=kleinian_label(len(members), len(classes_in_b) + 1),
                 num_conjugates=len(conjugates),
                 normalizer_order=group.order // len(conjugates),
                 class_action_trivial=len(orbits) == len(classes_in_b),
@@ -479,60 +459,36 @@ def minimal_parabolics(
 def verify_zeta_bijection(
     reflections: list[ReflectionClass], parabolics: list[ParabolicClass]
 ):
-    """Check the natural map from normalizer-orbits in the minimal
-    parabolics to reflection classes: well defined on reflections,
-    injective across all parabolic classes, surjective onto the classes.
-    Both lists are of one group, from `symplectic_reflections` and
-    `minimal_parabolics`.
-
-    Returns the report of the matching; its `bijective` is the verdict.
-    """
-    class_of: dict[int, int] = {}
-    for k, cls in enumerate(reflections):
-        for i in cls.members:
-            class_of[i] = k
-    matching = []
-    hit: dict[int, tuple[int, int]] = {}
-    ok = True
-    for b, pc in enumerate(parabolics):
-        for o, orbit in enumerate(pc.orbits):
-            targets = set()
-            for i in orbit:
-                if i not in class_of:
-                    ok = False  # a nontrivial parabolic element is not a reflection
-                    targets.add(-1)
-                else:
-                    targets.add(class_of[i])
-            if len(targets) != 1:
-                ok = False
-                continue
-            target = targets.pop()
-            if target in hit:
-                ok = False  # two orbits map to one reflection class
-            else:
-                hit[target] = (b, o)
-            matching.append({"parabolic": b, "orbit": o, "reflection_class": target})
-    if len(hit) != len(reflections):
-        ok = False  # not surjective
+    """The map from normalizer-orbits in the minimal parabolics to the
+    reflection classes of the same group.  Each orbit is (a reflection class)
+    meet B (`minimal_parabolics`), so it maps to the class of any member, and
+    every class meets some B.  The verdict `bijective` is that every class is
+    hit exactly once: the table's conjugacy classes against the parabolics
+    grouped by fixed space."""
+    class_of = {s: k for k, cls in enumerate(reflections) for s in cls.members}
+    matching = [
+        {"parabolic": b, "orbit": o, "reflection_class": class_of[min(orbit)]}
+        for b, pc in enumerate(parabolics)
+        for o, orbit in enumerate(pc.orbits)
+    ]
+    hits = sorted(m["reflection_class"] for m in matching)
     return {
         "num_reflection_classes": len(reflections),
-        "num_parabolic_orbits": sum(len(pc.orbits) for pc in parabolics),
+        "num_parabolic_orbits": len(matching),
         "matching": matching,
-        "bijective": ok,
+        "bijective": hits == list(range(len(reflections))),
     }
 
 
-class NamikawaWeylData:
-    """Per parabolic class a (kleinian_label, |W_B|) factor; the total order
-    is the product."""
+class NamikawaWeylData(NamedTuple):
+    """Per parabolic class a (kleinian_label, |W_B|) factor."""
 
-    __slots__ = ("factors", "total_order")
+    factors: tuple[tuple[str, int], ...]
 
-    def __init__(self, factors: Sequence[tuple[str, int]]):
-        self.factors = tuple(factors)
-        self.total_order = prod((o for _, o in self.factors), start=1)
-        if self.total_order < 1:
-            raise InvalidInputError("Namikawa Weyl order must be >= 1")
+    @property
+    def total_order(self) -> int:
+        """|W|, the product of the factors."""
+        return prod((o for _, o in self.factors), start=1)
 
 
 def _weyl_order(label: str) -> int:
@@ -585,7 +541,7 @@ def namikawa_weyl_from_group(parabolics: list[ParabolicClass]) -> NamikawaWeylDa
                 f"|W_B| = {factor} does not divide |W({label})| = {full_order}"
             )
         factors.append((label, factor))
-    return NamikawaWeylData(factors)
+    return NamikawaWeylData(tuple(factors))
 
 
 def analyze_group(group: MatrixGroup, group_cap: int = DEFAULT_GROUP_CAP):

@@ -1,4 +1,6 @@
+import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -349,6 +351,22 @@ def test_lattice_prime_search_near_the_bit_limit_is_fast():
     m = ((p - 1) & (1 - p)).bit_length() - 1
     assert (p - 1) >> m < 2**m
     assert any(pow(b, (p - 1) // 2, p) == p - 1 for b in range(2, 10))
+
+
+def test_rank2_lattice_keeps_one_copy_of_the_atom_masks():
+    # 8,000 lines through the origin of Q^2: the atoms' masks are most of the
+    # lattice, and the ambient space (mask 0) hands each atom its members
+    # mask itself instead of a copy 0 | members
+    a = catalog("wreath:A1:4000").arrangement
+    tracemalloc.start()
+    try:
+        lattice = intersection_lattice(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lattice.flats_per_level() == [1, 8000, 1]
+    masks = sum(sys.getsizeof(flat.mask) for flat in lattice.levels[1])
+    assert peak < 3 * masks
 
 
 def test_g414_lattice_prime_and_poincare():

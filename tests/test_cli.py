@@ -10,7 +10,7 @@ from oscount import cli, counting, groups
 from oscount.arrangement import MAX_BOUND_BITS
 from oscount.counting import catalog
 from oscount.errors import InvalidInputError
-from oscount.fields import MAX_CONDUCTOR, cyclotomic_field
+from oscount.fields import MAX_CONDUCTOR, cyclotomic_field, rational_field
 from oscount.fileio import (
     MAX_DIM,
     parse_arrangement_file,
@@ -18,6 +18,8 @@ from oscount.fileio import (
     parse_group_text,
     serialize_arrangement,
 )
+from oscount.groups import MatrixGroup
+from oscount.linalg import ExactMatrix
 
 
 def data_path(name: str) -> str:
@@ -304,6 +306,10 @@ def test_group_dimension_must_be_positive_and_even_on_its_line(capsys, tmp_path)
         )
     # an arrangement may still live in dimension 0
     assert parse_arrangement_text("field rational\ndim 0\n").ambient_dim == 0
+    # a group made in the library is refused by its form
+    odd = ExactMatrix.identity(rational_field(), 3)
+    with pytest.raises(InvalidInputError, match="^symplectic dimension must be a positive even"):
+        MatrixGroup([], odd)
 
 
 def test_infinite_order_generator_is_invalid_input(capsys, tmp_path):
@@ -408,6 +414,47 @@ def test_weyl_order_beside_a_catalog_entry_is_refused(capsys):
     assert cli.main(["count", "--catalog", "g4", "--weyl-order", "5"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == "error: give --weyl-order with --arrangement, not with --catalog\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--catalog", "q8d8", "--arrangement", "q8d8.arr"],
+         "give either --catalog or --arrangement, not both"),
+        ([], "count needs --catalog NAME or --arrangement FILE"),
+        (["--arrangement", "q8d8.arr", "--weyl-order", "0"], "Weyl order must be >= 1"),
+        (["--catalog", "wreath:A2"],
+         "bad wreath catalog name 'wreath:a2'; expected wreath:<type>:<n>"),
+        (["--catalog", "wreath:A2:x"], "bad wreath parameter in 'wreath:a2:x'"),
+    ],
+    ids=["both-sources", "no-source", "weyl-order-0", "wreath-without-n", "wreath-bad-n"],
+)
+def test_count_flag_errors_exit_1(capsys, argv, message):
+    argv = [data_path(a) if a.endswith(".arr") else a for a in argv]
+    assert cli.main(["count", *argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("group analyze", "field rational\ndim 2\nsymplectic_form\n0 1\n1 0\ngenerator\n1 0\n0 1\n",
+         "symplectic form is not antisymmetric"),
+        ("group analyze", "field rational\ndim 2\nsymplectic_form\n0 0\n0 0\ngenerator\n1 0\n0 1\n",
+         "symplectic form is degenerate"),
+        ("analyze", "field cyclotomic x\ndim 2\n", "line 1: bad conductor 'x'"),
+        ("analyze", "field rational\ndim 2 3\n", "line 2: expected `dim L`"),
+        ("analyze", "field rational\ndim 2\nhyperplane 1 0 = 1 2\n",
+         "line 3: hyperplane 1: expected one offset after `=`"),
+    ],
+    ids=["form-not-antisymmetric", "form-degenerate", "conductor-x", "dim-two-tokens",
+         "two-offsets"],
+)
+def test_file_errors_exit_1(capsys, tmp_path, command, text, message):
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert cli.main([*command.split(), str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_cli_count_arrangement_with_weyl_order(capsys, tmp_path):

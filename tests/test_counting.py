@@ -123,12 +123,12 @@ def test_namikawa_weyl_from_groups(monkeypatch):
 
 
 def test_namikawa_weyl_data_validation():
-    with pytest.raises(InvalidInputError, match="Namikawa Weyl order must be >= 1"):
-        NamikawaWeylData([("A1", 2), ("A2", 0)])
-    w = NamikawaWeylData([("A1", 2), ("A2", 6)])
+    # every factor is a Weyl order or a FOLDING_OVERRIDES value, so the
+    # record only multiplies them
+    w = NamikawaWeylData((("A1", 2), ("A2", 6)))
     assert w.factors == (("A1", 2), ("A2", 6))
     assert w.total_order == 12
-    assert NamikawaWeylData([]).total_order == 1
+    assert NamikawaWeylData(()).total_order == 1
 
 
 def test_catalog_expected_values():

@@ -203,13 +203,11 @@ def hand_built(reflection_classes, orbits):
     "classes, orbits, bijective",
     [
         ([{1}, {2}], [{1}, {2}], True),
-        ([{1, 2}], [{1, 2, 3}], False),  # 3 is not a reflection
         ([{1}, {2}], [{1, 2}], False),  # an orbit across two classes
         ([{1, 2}], [{1}, {2}], False),  # two orbits on one class
         ([{1}, {2}], [{1}], False),  # a class with no orbit
     ],
-    ids=["bijection", "non-reflection", "orbit-across-classes", "two-orbits-one-class",
-         "class-without-orbit"],
+    ids=["bijection", "orbit-across-classes", "two-orbits-one-class", "class-without-orbit"],
 )
 def test_zeta_bijection_verdicts(classes, orbits, bijective):
     report = verify_zeta_bijection(*hand_built(classes, orbits))
@@ -327,36 +325,50 @@ def test_parabolics_are_the_pointwise_stabilizers(name):
     assert sorted(covered) == sorted(stabilizers)
 
 
+def label_of(g: MatrixGroup) -> str:
+    """The label of a whole subgroup of SL(2), from its order and the class
+    count of the reference `conjugacy_classes`."""
+    g.enumerate_elements()
+    return kleinian_label(g.order, len(conjugacy_classes(g)))
+
+
 def test_kleinian_labels():
-    z2 = pm_identity_group()
-    z2.enumerate_elements()
-    assert kleinian_label(z2, range(z2.order)) == "A1"
+    assert label_of(pm_identity_group()) == "A1"
     q8 = quaternion_group()
-    q8.enumerate_elements()
-    assert q8.order == 8
-    assert kleinian_label(q8, range(q8.order)) == "D4"
+    assert label_of(q8) == "D4" and q8.order == 8
     for build, order, label in (
         (binary_tetrahedral_group, 24, "E6"),
         (binary_octahedral_group, 48, "E7"),
         (binary_icosahedral_group, 120, "E8"),
     ):
         g = build()
-        g.enumerate_elements()
-        assert g.order == order
-        assert kleinian_label(g, range(g.order)) == label
+        assert label_of(g) == label and g.order == order
 
 
 def test_cyclic_labels():
-    g = cyclic5_group()
-    g.enumerate_elements()
-    assert kleinian_label(g, range(g.order)) == "A4"
+    assert label_of(cyclic5_group()) == "A4"
 
 
 def test_kleinian_label_rejects_trivial():
-    z2 = pm_identity_group()
-    z2.enumerate_elements()
-    with pytest.raises(InvalidInputError):
-        kleinian_label(z2, [0])
+    trivial = MatrixGroup([], pm_identity_group().symplectic_form)
+    with pytest.raises(InvalidInputError, match="trivial subgroup"):
+        label_of(trivial)
+    assert trivial.order == 1
+
+
+def test_kleinian_label_table():
+    # the finite subgroups of SL(2) by (order, number of classes): the cyclic
+    # group of order n has n classes; the binary dihedral group of order 4m
+    # has m + 3 (1, -1, the m - 1 pairs {a^k, a^-k}, and two classes of
+    # elements outside <a>); 2T, 2O and 2I have 7, 8 and 9
+    groups_by_label = {f"A{n - 1}": (n, n) for n in range(2, 10)}
+    groups_by_label |= {f"D{m + 2}": (4 * m, m + 3) for m in range(2, 7)}
+    groups_by_label |= {"E6": (24, 7), "E7": (48, 8), "E8": (120, 9)}
+    for label, (order, num_classes) in groups_by_label.items():
+        assert kleinian_label(order, num_classes) == label
+    for order, num_classes in ((1, 1), (8, 4)):
+        with pytest.raises(InvalidInputError):
+            kleinian_label(order, num_classes)
 
 
 def test_element_ordering_is_deterministic():
@@ -419,9 +431,10 @@ def test_no_matrix_arithmetic_after_enumeration(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["q8d8", "g4"])
-def test_one_rref_of_one_minus_g_per_element(name, monkeypatch):
-    # the reflections keep the rref rows of 1 - s that found them, and the
-    # minimal parabolics compare fixed spaces by those rows
+def test_one_rref_of_one_minus_g_per_class_and_reflection(name, monkeypatch):
+    # rank(1 - g) is read once per nontrivial conjugacy class, the fixed
+    # space once per reflection, and the minimal parabolics compare fixed
+    # spaces by those rows
     g = GROUPS[name]()
     g.enumerate_elements()
     calls = []
@@ -433,6 +446,7 @@ def test_one_rref_of_one_minus_g_per_element(name, monkeypatch):
 
     monkeypatch.setattr(linalg, "rref_rows", counted)
     monkeypatch.setattr(groups, "rref_rows", counted)
-    parabolics = minimal_parabolics(g, symplectic_reflections(g))
-    assert parabolics
-    assert len(calls) == g.order
+    reflections = symplectic_reflections(g)
+    assert minimal_parabolics(g, reflections)
+    num_reflections = sum(len(c.members) for c in reflections)
+    assert len(calls) == len(conjugacy_classes(g)) - 1 + num_reflections
