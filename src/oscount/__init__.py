@@ -67,7 +67,6 @@ _SUBMODULE_NAMES = {
     ),
     "linalg": ("ExactMatrix",),
     "matroid": ("find_good_primes", "finite_field_count", "nbc_betti"),
-    "polynomial": ("IntegerPolynomial",),
     "rootdata": (
         "CatalanSpec",
         "WeylTypeData",

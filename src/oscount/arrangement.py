@@ -88,7 +88,6 @@ from .errors import (
     MathematicalInconsistencyError,
 )
 from .fields import FieldDescriptor, Scalar, is_prime
-from .polynomial import IntegerPolynomial
 
 if TYPE_CHECKING:
     from .linalg import Row
@@ -138,11 +137,8 @@ class Hyperplane(NamedTuple):
     def is_real(self) -> bool:
         return all(x.is_real() for x in self.row())
 
-    def key(self) -> str:
-        return " ".join(str(x) for x in self.row())
-
     def __str__(self) -> str:
-        return self.key()
+        return " ".join(str(x) for x in self.row())
 
 
 class Arrangement:
@@ -411,24 +407,24 @@ def _levels(
         level = [Flat(mask, mus[mask]) for mask in sorted(mus)]
 
 
-def characteristic_polynomial(lattice: IntersectionLattice) -> IntegerPolynomial:
-    """chi(A, t) = sum_X mu(X) t^{dim X}, from the Whitney numbers."""
+def characteristic_polynomial(lattice: IntersectionLattice) -> tuple[int, ...]:
+    """chi(A, t) = sum_X mu(X) t^{dim X}, ascending, from the Whitney numbers."""
     ell = lattice.arrangement.ambient_dim
     coeffs = [0] * (ell + 1)
     for codim, w in enumerate(lattice.whitney_numbers()):
         coeffs[ell - codim] = w
-    return IntegerPolynomial(coeffs)
+    return tuple(coeffs)
 
 
-def poincare_polynomial(lattice: IntersectionLattice) -> IntegerPolynomial:
-    """pi(A, t) = sum_X mu(X) (-t)^{codim X}; coefficients are Whitney numbers
-    and must be nonnegative for a realizable arrangement."""
+def poincare_polynomial(lattice: IntersectionLattice) -> tuple[int, ...]:
+    """pi(A, t) = sum_X mu(X) (-t)^{codim X}, ascending; coefficients are Whitney
+    numbers and must be nonnegative for a realizable arrangement."""
     coeffs = [w * (-1) ** codim for codim, w in enumerate(lattice.whitney_numbers())]
     if any(c < 0 for c in coeffs):
         raise MathematicalInconsistencyError(
             f"negative Poincare coefficient in {coeffs}; lattice is not geometric"
         )
-    return IntegerPolynomial(coeffs)
+    return tuple(coeffs)
 
 
 def essential_rank(arrangement: Arrangement) -> int:
@@ -453,8 +449,8 @@ def region_count(lattice: IntersectionLattice) -> tuple[int, int]:
             )
     chi = characteristic_polynomial(lattice)
     ell = arrangement.ambient_dim
-    regions = (-1) ** ell * chi(-1)
-    bounded = (-1) ** lattice.rank() * chi(1)
+    regions = (-1) ** ell * sum(c * (-1) ** k for k, c in enumerate(chi))
+    bounded = (-1) ** lattice.rank() * sum(chi)
     if regions < 0 or bounded < 0:
         raise MathematicalInconsistencyError(
             f"negative Zaslavsky count (regions={regions}, bounded={bounded})"

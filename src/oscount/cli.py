@@ -2,11 +2,11 @@
 computes (`counting`, `groups.analyze_group`, `rootdata`, `selftest`).
 
 Commands: analyze, cone, catalan, count, wreath-formula, group, selftest.
-Exit codes: 0 success, 1 invalid input, 2 computation cap exceeded,
-3 internal/oracle inconsistency, or a `count --catalog` value that differs
-from the published one (`counting.check_published`).  Every command has a
---json mode emitting a single document with stable key order (the timing
-field excepted from determinism guarantees).
+Exit codes: 0 success, 1 invalid input or a closed stdout, 2 computation
+cap exceeded, 3 internal/oracle inconsistency, or a `count --catalog` value
+that differs from the published one (`counting.check_published`).  Every
+command has a --json mode emitting a single document with stable key order
+(the timing field excepted from determinism guarantees).
 
 Caps are set by flags only, and a command takes only the caps it reads:
 analyze and count the flat, subset and ff caps, group analyze the group
@@ -73,8 +73,16 @@ def _caps(args) -> dict:
     return caps
 
 
-def _poly_doc(p) -> dict:
-    return {"coefficients": list(p.coefficients), "text": str(p)}
+def _poly_doc(coeffs: tuple[int, ...]) -> dict:
+    """Ascending coefficients and the text, highest power first: `2*t^2 - 3*t + 1`."""
+    text = ""
+    for k in range(len(coeffs) - 1, -1, -1):
+        if c := coeffs[k]:
+            power = "" if k == 0 else "t" if k == 1 else f"t^{k}"
+            term = power if abs(c) == 1 and k else f"{abs(c)}*{power}".rstrip("*")
+            sign = (" - " if c < 0 else " + ") if text else ("-" if c < 0 else "")
+            text += sign + term
+    return {"coefficients": list(coeffs), "text": text or "0"}
 
 
 def _field_doc(field) -> dict:
@@ -135,7 +143,7 @@ def _cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     head = _arrangement_head("analyze", arrangement)
     # broken-circuit data downstream depends on this order
-    head["hyperplanes"] = [h.key() for h in arrangement.hyperplanes]
+    head["hyperplanes"] = [str(h) for h in arrangement.hyperplanes]
     report = analyze_arrangement(arrangement, caps["flat_cap"])
     doc = _report_doc(head, report, args.oracle, caps, t0)
     lines = [
@@ -424,14 +432,22 @@ def main(argv=None) -> int:
             raise
         return 1
     try:
-        return args.func(args)
-    except OscountError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        partial = getattr(exc, "partial", None)
-        if args.json and partial:
-            # how far a capped computation got, for callers that read stdout
-            print(json.dumps({"error": str(exc), "partial": partial}, indent=2))
-        return exc.exit_code
+        try:
+            code = args.func(args)
+        except OscountError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            partial = getattr(exc, "partial", None)
+            if args.json and partial:
+                # how far a capped computation got, for callers that read stdout
+                print(json.dumps({"error": str(exc), "partial": partial}, indent=2))
+            code = exc.exit_code
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; point fd 1 at devnull so that the flush
+        # at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except Exception as exc:  # noqa: BLE001 - the CLI boundary: no raw traceback
         if os.environ.get("OSCOUNT_DEBUG") == "1":
             import traceback

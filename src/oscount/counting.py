@@ -30,7 +30,6 @@ from .arrangement import (
     region_count,
 )
 from .errors import InvalidInputError, MathematicalInconsistencyError, OracleDisagreementError
-from .polynomial import IntegerPolynomial
 
 __all__ = [
     "CountReport",
@@ -44,14 +43,14 @@ __all__ = [
 
 
 class CountReport(NamedTuple):
-    """Arrangement invariants and the lattice they were read from;
-    `bounded_regions` counts the relatively bounded regions (`region_count`).
-    `count_resolutions` adds the Weyl order and the resolution count."""
+    """Arrangement invariants, each polynomial as its ascending coefficients,
+    and the lattice they were read from; `bounded_regions` counts the relatively
+    bounded regions (`region_count`).  `count_resolutions` adds |W| and the count."""
 
     lattice: IntersectionLattice
     rank: int
-    char_poly: IntegerPolynomial
-    poincare_poly: IntegerPolynomial
+    char_poly: tuple[int, ...]
+    poincare_poly: tuple[int, ...]
     os_dimension: int
     regions: int | None = None
     bounded_regions: int | None = None
@@ -70,7 +69,7 @@ def analyze_arrangement(
     regions = bounded = None
     if all(h.is_real() for h in arrangement.hyperplanes):
         regions, bounded = region_count(lattice)
-    return CountReport(lattice, lattice.rank(), chi, pi, pi(1), regions, bounded)
+    return CountReport(lattice, lattice.rank(), chi, pi, sum(pi), regions, bounded)
 
 
 def count_resolutions(
@@ -107,7 +106,7 @@ def run_oracle(report: CountReport, which: str, caps: dict) -> dict:
     results: dict = {"oracle": which}
     if which == "nbc":
         betti = nbc_betti(arrangement, caps["subset_cap"])
-        expected = list(report.poincare_poly.coefficients)
+        expected = list(report.poincare_poly)
         results["nbc_betti"] = betti
         results["agrees"] = betti == expected
         if not results["agrees"]:
@@ -120,7 +119,8 @@ def run_oracle(report: CountReport, which: str, caps: dict) -> dict:
         checks = []
         for q in primes:
             n = finite_field_count(arrangement, q, caps["ff_cap"])
-            checks.append({"q": q, "count": n, "chi": chi(q), "agrees": n == chi(q)})
+            chi_q = sum(c * q**k for k, c in enumerate(chi))
+            checks.append({"q": q, "count": n, "chi": chi_q, "agrees": n == chi_q})
         results["finite_field"] = checks
         results["agrees"] = all(c["agrees"] for c in checks)
         if not results["agrees"]:
@@ -171,7 +171,7 @@ def check_published(entry: CatalogEntry, report: CountReport):
     Poincare coefficients, then pi(1) regions for real input, then the count;
     the first mismatch raises MathematicalInconsistencyError."""
     e = entry.expected
-    pairs = zip_longest(report.poincare_poly.coefficients, e["poincare"], fillvalue=0)
+    pairs = zip_longest(report.poincare_poly, e["poincare"], fillvalue=0)
     checks = [(f"Poincare t^{k} coefficient", c, p) for k, (c, p) in enumerate(pairs)]
     if report.regions is not None:
         checks.append(("regions", report.regions, sum(e["poincare"])))

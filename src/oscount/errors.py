@@ -22,14 +22,10 @@ class OscountError(Exception):
 class InvalidInputError(OscountError):
     """Malformed or out-of-domain input (bad file, zero normal, mixed fields, ...)."""
 
-    exit_code = 1
-
 
 class UnsupportedFoldingError(InvalidInputError):
     """A parabolic class whose diagram action cannot be derived and has no
     catalog override."""
-
-    exit_code = 1
 
 
 class ComputationCapError(OscountError):
@@ -50,5 +46,3 @@ class MathematicalInconsistencyError(OscountError):
 
 class OracleDisagreementError(MathematicalInconsistencyError):
     """An independent oracle contradicted the primary computation."""
-
-    exit_code = 3

@@ -5,8 +5,8 @@ with no modulus.  Let K = Q(zeta_N) and phi = phi(N).  K is the Q-space
 with basis 1, zeta, ..., zeta^(phi-1), so the K-span of a set S of
 vectors in K^l is, as a Q-space, the Q-span of the zeta^j s for s in S and
 j < phi.  Each normal v therefore becomes phi rational rows of length
-l phi, the power-basis coordinates of zeta^j v (from the `Scalar`
-numerators of v by integer shifts), scaled to integer rows.  "v_e lies
+l phi, the power-basis coordinates of zeta^j v (each entry of v times
+zeta^j, by the field's own product), scaled to integer rows.  "v_e lies
 in the K-span of the chosen normals" is then "row 0 of e reduces to zero
 against the Q-basis of the chosen rows", and choosing e adds all phi of
 its rows.  Reduction is fraction-free, v <- d v - v[col] row with d the
@@ -135,24 +135,15 @@ def _zeta_rows(normal: Sequence[Scalar], field: FieldDescriptor) -> list[list[in
     """The integer rows of zeta^j v, j < phi(N): v's entries multiplied by
     zeta^j, each written as its phi(N) power-basis coordinates.
 
-    Row 0 is v's numerators brought to the lcm of v's denominators; the
+    Each row is the numerators brought to the lcm of v's denominators; the
     walk needs only integral rows, as `_join` divides each basis row by its
-    gcd.  Multiplying an entry by zeta shifts its coordinates up one power
-    and rewrites zeta^phi as -(c_0 + c_1 zeta + ... + c_(phi-1)
-    zeta^(phi-1)), the c_i the lower coefficients of Phi_N: an integer map,
-    so each next row is integral again."""
-    d = field.degree
-    low = field.cyclotomic[:d]
-    scale = lcm(*(x.den for x in normal))
-    row = [c * (scale // x.den) for x in normal for c in x.num]
-    rows = [row]
-    for _ in range(d - 1):
-        row = [
-            (row[k + i - 1] if i else 0) - row[k + d - 1] * low[i]
-            for k in range(0, len(row), d)
-            for i in range(d)
-        ]
-        rows.append(row)
+    gcd.  zeta^j is a unit of Z[zeta], so x zeta^j keeps x's denominator
+    and one lcm serves every row."""
+    scale, zeta, rows = lcm(*(x.den for x in normal)), field.zeta(), []
+    for j in range(field.degree):
+        if j:
+            normal = [x * zeta for x in normal]
+        rows.append([c * (scale // x.den) for x in normal for c in x.num])
     return rows
 
 

@@ -145,8 +145,6 @@ def weyl_data(label: str, rank: int) -> WeylTypeData:
     # the classical identities, as a check on the tables above
     if len(roots) != rank * h // 2:
         raise InvalidInputError(f"{label}{rank}: |R+| != l*h/2")
-    if h != exponents[-1] + 1:
-        raise InvalidInputError(f"{label}{rank}: h != e_l + 1")
     if any(exponents[i] + exponents[rank - 1 - i] != h for i in range(rank)):
         raise InvalidInputError(f"{label}{rank}: exponents not symmetric")
     return WeylTypeData(

@@ -11,7 +11,6 @@ from oscount.fields import Scalar, cyclotomic_field, rational_field
 from oscount.fileio import parse_group_file
 from oscount.groups import MatrixGroup
 from oscount.linalg import ExactMatrix, Row, rank_of_rows, reduce_row, rref_rows
-from oscount.polynomial import IntegerPolynomial
 
 
 def rational_arrangement(dim: int, rows, offsets=None) -> Arrangement:
@@ -166,8 +165,8 @@ def nbc_by_definition(arrangement: Arrangement) -> list[int]:
     return counts
 
 
-def whitney_characteristic(arrangement: Arrangement) -> IntegerPolynomial:
-    """Brute-force characteristic polynomial
+def whitney_characteristic(arrangement: Arrangement) -> tuple[int, ...]:
+    """Brute-force characteristic polynomial, ascending:
     chi(A, t) = sum over subsets with nonempty intersection of
     (-1)^{|S|} t^{dim of the intersection}; the oracle for the lattice route."""
     n = len(arrangement.hyperplanes)
@@ -193,7 +192,7 @@ def whitney_characteristic(arrangement: Arrangement) -> IntegerPolynomial:
             walk(i + 1, rows + (normalized,), pivots + (lead,), size + 1)
 
     walk(0, (), (), 0)
-    return IntegerPolynomial(coeffs)
+    return tuple(coeffs)
 
 
 def from_rationals(field, rows) -> ExactMatrix:
@@ -406,6 +405,11 @@ def _moebius(m: int) -> int:
             sign = -sign
         p += 1
     return sign
+
+
+def poly_at(coeffs, x: int) -> int:
+    """The polynomial with ascending `coeffs` at x."""
+    return sum(c * x**k for k, c in enumerate(coeffs))
 
 
 def _poly_mul(a, b) -> list:

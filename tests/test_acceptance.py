@@ -9,7 +9,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import catalog_group, rational_arrangement
+from conftest import catalog_group, poly_at, rational_arrangement
 
 from oscount.arrangement import (
     characteristic_polynomial,
@@ -47,8 +47,8 @@ def test_criterion_1_q8d8_poincare_and_nbc_oracle():
         entry = catalog("q8d8")
         lattice = intersection_lattice(entry.arrangement)
         pi = poincare_polynomial(lattice)
-        assert pi.coefficients == Q8D8_POINCARE
-        assert pi(1) == 2592
+        assert pi == Q8D8_POINCARE
+        assert sum(pi) == 2592
         betti = nbc_betti(entry.arrangement)
         assert tuple(betti) == Q8D8_POINCARE
         assert time.perf_counter() - t0 < 300.0  # well under the 5-minute budget
@@ -69,8 +69,8 @@ def test_criterion_3_g4():
         entry = catalog("g4")
         lattice = intersection_lattice(entry.arrangement)
         pi = poincare_polynomial(lattice)
-        assert pi.coefficients == (1, 3, 2)
-        assert pi(1) == 6
+        assert pi == (1, 3, 2)
+        assert sum(pi) == 6
         assert nbc_betti(entry.arrangement) == [1, 3, 2]
         report = count_resolutions(entry.arrangement, entry.weyl_order)
         assert report.weyl_order == 3 and report.resolution_count == 2
@@ -119,7 +119,7 @@ def test_criterion_6_finite_field_oracle():
             primes = find_good_primes(intersection_lattice(entry.arrangement), 2)
             assert len(primes) == 2
             for q in primes:
-                assert finite_field_count(entry.arrangement, q) == chi(q), (name, q)
+                assert finite_field_count(entry.arrangement, q) == poly_at(chi, q), (name, q)
 
 
 def test_criterion_7_group_pipeline():

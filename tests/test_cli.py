@@ -6,7 +6,7 @@ import pytest
 
 from conftest import fraction_coords, group_text, quaternion_group, wreath2
 
-from oscount import cli, counting, groups
+from oscount import cli, counting, groups, matroid
 from oscount.arrangement import MAX_BOUND_BITS
 from oscount.counting import catalog
 from oscount.errors import InvalidInputError
@@ -136,6 +136,35 @@ def test_cli_analyze_ff_oracle(capsys, tmp_path):
     assert cli.main(["analyze", str(path), "--oracle", "ff", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["oracle_results"]["agrees"] is True
+
+
+@pytest.mark.parametrize("oracle", ["nbc", "ff"])
+def test_cli_analyze_with_no_hyperplanes(capsys, tmp_path, oracle):
+    # chi = t^3; the ff oracle counts every point of F_q^3
+    path = tmp_path / "empty.arr"
+    path.write_text("field rational\ndim 3\n")
+    assert cli.main(["analyze", str(path), "--oracle", oracle, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["char_poly"] == {"coefficients": [0, 0, 0, 1], "text": "t^3"}
+    assert doc["oracle_results"]["agrees"] is True
+
+
+def test_a_disagreeing_nbc_oracle_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(matroid, "nbc_betti", lambda *args: [1, 21, 170, 650, 1125, 626])
+    assert cli.main(["count", "--catalog", "q8d8", "--oracle", "nbc"]) == 3
+    assert capsys.readouterr().err == (
+        "error: nbc oracle [1, 21, 170, 650, 1125, 626] "
+        "!= Poincare coefficients [1, 21, 170, 650, 1125, 625]\n"
+    )
+
+
+def test_a_disagreeing_finite_field_oracle_exits_3(capsys, monkeypatch):
+    real = matroid.finite_field_count
+    monkeypatch.setattr(matroid, "finite_field_count", lambda *args: real(*args) + 1)
+    assert cli.main(["count", "--catalog", "q8d8", "--oracle", "ff"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: finite-field oracle disagrees: [{'q': ")
+    assert "'agrees': False" in err
 
 
 def test_cli_ff_oracle_takes_coefficients_beyond_64_bits(capsys, tmp_path):

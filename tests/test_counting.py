@@ -3,7 +3,7 @@ import pytest
 from conftest import catalog_group, rational_arrangement
 
 from oscount import groups
-from oscount.counting import catalog, count_resolutions
+from oscount.counting import analyze_arrangement, catalog, count_resolutions, run_oracle
 from oscount.errors import (
     InvalidInputError,
     MathematicalInconsistencyError,
@@ -17,6 +17,12 @@ from oscount.groups import (
     symplectic_reflections,
 )
 from oscount.rootdata import weyl_data, wreath_count_closed_form
+
+
+def test_run_oracle_refuses_an_unknown_oracle():
+    report = analyze_arrangement(rational_arrangement(1, [[1]]))
+    with pytest.raises(InvalidInputError, match="unknown oracle 'x'"):
+        run_oracle(report, "x", {"subset_cap": 10, "ff_cap": 10})
 
 
 def test_count_q8d8():

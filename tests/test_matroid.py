@@ -1,13 +1,17 @@
 import json
 import random
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 from conftest import (
+    ReferenceField,
     brute_force_points,
+    fraction_coords,
     g414_arrangement,
     nbc_by_definition,
+    poly_at,
     rational_arrangement,
     subspace_normals,
     whitney_characteristic,
@@ -21,8 +25,7 @@ from oscount.arrangement import (
 )
 from oscount.counting import catalog
 from oscount import arrangement, cli, matroid
-from oscount.fields import cyclotomic_field
-from oscount.polynomial import IntegerPolynomial
+from oscount.fields import _scalar, cyclotomic_field
 from oscount.errors import ComputationCapError, InvalidInputError
 from oscount.matroid import (
     find_good_primes,
@@ -67,7 +70,7 @@ def test_nbc_equals_poincare_on_random_central_arrangements():
                 rows.append(row)
         a = rational_arrangement(dim, rows)
         pi = poincare_polynomial(intersection_lattice(a))
-        assert tuple(nbc_betti(a)) == pi.coefficients
+        assert tuple(nbc_betti(a)) == pi
 
 
 def test_nbc_reads_no_lattice_code(monkeypatch):
@@ -104,11 +107,30 @@ def test_nbc_equals_whitney_over_cyclotomic_fields(conductor):
                 raw.append((normal, field.zero()))
         a = build_arrangement(field, dim, raw)
         betti = nbc_betti(a)
-        chi = IntegerPolynomial(
+        chi = tuple(
             (-1) ** (dim - i) * betti[dim - i] if dim - i < len(betti) else 0
             for i in range(dim + 1)
         )
         assert chi == whitney_characteristic(a), f"N = {conductor}, case {case}"
+
+
+def test_zeta_rows_are_the_reference_products_by_zeta_powers():
+    # row j holds the coordinates of x zeta^j for each entry x of v, times
+    # the lcm of v's denominators: for x in Q(zeta_N) by repeated products by
+    # zeta in the reference field, for a rational r as r at basis element j
+    rng = random.Random(2024)
+    for n in range(1, 101):
+        field, ref = cyclotomic_field(n), ReferenceField(n)
+        x = _scalar(field, [rng.randint(-9, 9) for _ in range(field.degree)], rng.randint(1, 6))
+        r = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        scale = lcm(r.denominator, x.den)
+        coords = [c * scale for c in fraction_coords(x)]
+        expected = []
+        for j in range(field.degree):
+            if j:
+                coords = ref.mul(coords, [0, 1])
+            expected.append(coords + [r * scale * (i == j) for i in range(field.degree)])
+        assert matroid._zeta_rows([x, field.from_rational(r)], field) == expected, n
 
 
 def test_nbc_equals_its_definition_on_random_central_arrangements():
@@ -160,7 +182,7 @@ def test_finite_field_rejects_bad_prime():
     lattice = intersection_lattice(a)
     assert find_good_primes(lattice, 2) == [3, 5]
     chi = characteristic_polynomial(lattice)
-    assert finite_field_count(a, 2) == 1 != chi(2) == 0
+    assert finite_field_count(a, 2) == 1 != poly_at(chi, 2) == 0
 
 
 def test_good_prime_that_divides_a_minor():
@@ -169,9 +191,9 @@ def test_good_prime_that_divides_a_minor():
     a = rational_arrangement(3, [[1, 0, 0], [1, 1, 2]])
     lattice = intersection_lattice(a)
     chi = characteristic_polynomial(lattice)
-    assert chi(2) == 2
+    assert poly_at(chi, 2) == 2
     assert find_good_primes(lattice, 2) == [2, 3]
-    assert finite_field_count(a, 2) == chi(2)
+    assert finite_field_count(a, 2) == poly_at(chi, 2)
 
 
 def test_normal_vanishing_mod_q_is_bad():
@@ -192,6 +214,11 @@ def test_finite_field_rejects_nonrational():
         finite_field_count(catalog("g4").arrangement, 7)
 
 
+def test_finite_field_count_refuses_a_composite_q():
+    with pytest.raises(InvalidInputError, match="4 is not prime"):
+        finite_field_count(rational_arrangement(1, [[1]]), 4)
+
+
 def test_finite_field_cap():
     a = rational_arrangement(3, [[1, 0, 0]])
     with pytest.raises(ComputationCapError):
@@ -201,7 +228,7 @@ def test_finite_field_cap():
 def test_finite_field_matches_chi_at_good_primes(braid3):
     chi = characteristic_polynomial(intersection_lattice(braid3))
     for q in find_good_primes(intersection_lattice(braid3), 3):
-        assert finite_field_count(braid3, q) == chi(q)
+        assert finite_field_count(braid3, q) == poly_at(chi, q)
 
 
 def _random_row(rng, q: int, ell: int, central: bool, rows: list) -> list[int]:

@@ -14,6 +14,7 @@ rank-deficient input over Q, Q(zeta_3) and Q(zeta_4).
 import random
 
 from conftest import (
+    _poly_mul,
     brute_force_flats,
     brute_force_moebius,
     members,
@@ -36,7 +37,6 @@ from oscount.arrangement import (
     region_count,
 )
 from oscount.fields import cyclotomic_field
-from oscount.polynomial import IntegerPolynomial
 
 SEED = 20250809
 NUM_CASES = 120
@@ -70,7 +70,7 @@ def test_randomized_invariant_suite():
 
         # (t - 1) divides chi for a nonempty central arrangement
         if arr.central and arr.hyperplanes:
-            assert chi(1) == 0, f"case {case}: chi(1) != 0 for central arrangement"
+            assert sum(chi) == 0, f"case {case}: chi(1) != 0 for central arrangement"
 
         # Moebius row sums vanish; signs alternate with codimension
         flats = [(f, f.mu) for level in lattice.levels for f in level]
@@ -84,7 +84,7 @@ def test_randomized_invariant_suite():
 
         # Zaslavsky: regions equal the total OS dimension (rational => real)
         regions, bounded = region_count(lattice)
-        assert regions == pi(1), f"case {case}: Zaslavsky regions"
+        assert regions == sum(pi), f"case {case}: Zaslavsky regions"
         assert bounded >= 0
 
         # deletion-restriction at one random hyperplane
@@ -93,11 +93,12 @@ def test_randomized_invariant_suite():
         deleted, restricted = deletion_restriction(arr, h)
         chi_d = characteristic_polynomial(intersection_lattice(deleted))
         chi_r = characteristic_polynomial(intersection_lattice(restricted))
-        assert chi == chi_d - chi_r, f"case {case}: deletion-restriction at h={h}"
+        chi_dr = tuple(d - r for d, r in zip(chi_d, chi_r + (0,)))
+        assert chi == chi_dr, f"case {case}: deletion-restriction at h={h}"
 
         # cone identity
         pi_cone = poincare_polynomial(intersection_lattice(cone(arr)))
-        assert pi_cone == IntegerPolynomial((1, 1)) * pi, f"case {case}: cone identity"
+        assert pi_cone == tuple(_poly_mul((1, 1), pi)), f"case {case}: cone identity"
 
         checked += 1
     assert checked == NUM_CASES

@@ -109,7 +109,6 @@ BENCH_ONLY = {
     "IntersectionLattice.num_flats": "perfbench/traced.py FACTS reads the flat count",
     "linalg.reduce_row": "perfbench/traced.py --micro times it",
     "arrangement.essential_rank": "perfbench/traced.py LAYER_FUNCTIONS lists it",
-    "FieldDescriptor.zeta": "perfbench/workloads.py builds G(4,1,4) with it",
 }
 
 

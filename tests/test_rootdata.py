@@ -82,7 +82,7 @@ def test_catalan_a1_n2():
     arr = catalan_arrangement(CatalanSpec(weyl_data("A", 1), 2))
     assert len(arr.hyperplanes) == 4
     assert arr.ambient_dim == 2 and arr.central
-    keys = {h.key() for h in arr.hyperplanes}
+    keys = {str(h) for h in arr.hyperplanes}
     assert keys == {"1 0 0", "0 1 0", "1 1 0", "1 -1 0"}
 
 
@@ -109,7 +109,7 @@ def test_catalan_counts_and_cone_equality(label, rank, n):
 
 def test_affine_a1_n2_rows():
     aff = affine_catalan(CatalanSpec(weyl_data("A", 1), 2))
-    assert {h.key() for h in aff.hyperplanes} == {"1 0", "1 1", "1 -1"}
+    assert {str(h) for h in aff.hyperplanes} == {"1 0", "1 1", "1 -1"}
 
 
 def test_wreath_d4_2_serialization_is_pinned():
@@ -146,7 +146,7 @@ def test_os_dimension_divisible_by_twice_weyl_order(label, rank, n):
     pi = poincare_polynomial(
         intersection_lattice(catalan_arrangement(CatalanSpec(w, n)))
     )
-    assert pi(1) % (2 * w.weyl_order) == 0
+    assert sum(pi) % (2 * w.weyl_order) == 0
 
 
 def test_catalan_spec_requires_positive_n():
