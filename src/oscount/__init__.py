@@ -65,7 +65,6 @@ _SUBMODULE_NAMES = {
         "symplectic_reflections",
         "verify_zeta_bijection",
     ),
-    "linalg": ("ExactMatrix",),
     "matroid": ("find_good_primes", "finite_field_count", "nbc_betti"),
     "rootdata": (
         "CatalanSpec",

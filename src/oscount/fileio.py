@@ -14,8 +14,9 @@ Groups:
     generator         followed by 2n rows, repeated per generator
 
 Scalar tokens use the syntax of the exact-arithmetic layer: `p/q`, `p`,
-or `(a0,a1,...)`.  Arrangements round-trip: serialize(parse(f)) parses
-to an equal object.
+or `(a0,a1,...)`.  `field`, `dim` and `symplectic_form` appear once each.
+A group's matrices are tuples of row tuples, checked by `MatrixGroup`.
+Arrangements round-trip: serialize(parse(f)) parses to an equal object.
 
 Limits, checked before anything is allocated: `dim` is between 0 and
 MAX_DIM (a group's `dim` also positive and even), and the conductor N is at
@@ -58,11 +59,16 @@ def _read_file(path: str, kind: str) -> str:
 
 
 def _logical_lines(text: str):
-    """(line_number, tokens) for nonblank, noncomment lines."""
+    """(line_number, tokens) for nonblank, noncomment lines; a second
+    `field`, `dim` or `symplectic_form` directive is refused."""
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            yield lineno, body.split()
+        if tokens := raw.split("#", 1)[0].split():
+            if tokens[0] in seen:
+                raise InvalidInputError(f"line {lineno}: repeated `{tokens[0]}` directive")
+            if tokens[0] in ("field", "dim", "symplectic_form"):
+                seen.add(tokens[0])
+            yield lineno, tokens
 
 
 def _parse_field_directive(tokens: list[str], lineno: int) -> FieldDescriptor:
@@ -164,33 +170,20 @@ def serialize_arrangement(arrangement: Arrangement) -> str:
 
 def parse_group_text(text: str) -> MatrixGroup:
     from .groups import MatrixGroup
-    from .linalg import ExactMatrix
 
     field: FieldDescriptor | None = None
     dim: int | None = None
-    form_rows: list[list] = []
-    generators: list[ExactMatrix] = []
-    pending: list[list] = []
-    mode: str | None = None  # None | "form" | "generator"
+    blocks: list[tuple[str, list]] = []  # ("form" or "generator", its rows so far)
 
-    def finish_block(lineno: int):
-        nonlocal mode, pending, form_rows
-        if mode is None:
-            return
-        if len(pending) != dim:
+    def check_last_block(lineno: int):
+        if blocks and len(blocks[-1][1]) != dim:
+            kind, rows = blocks[-1]
             raise InvalidInputError(
-                f"line {lineno}: {mode} block has {len(pending)} rows; expected {dim}"
+                f"line {lineno}: {kind} block has {len(rows)} rows; expected {dim}"
             )
-        if mode == "form":
-            form_rows = pending
-        else:
-            generators.append(ExactMatrix(field, pending))
-        pending = []
-        mode = None
 
-    last_lineno = 0
+    lineno = 0
     for lineno, tokens in _logical_lines(text):
-        last_lineno = lineno
         head = tokens[0]
         if head == "field":
             field = _parse_field_directive(tokens, lineno)
@@ -202,33 +195,33 @@ def parse_group_text(text: str) -> MatrixGroup:
                     f"got {dim}"
                 )
         elif head in ("symplectic_form", "generator"):
-            finish_block(lineno)
+            check_last_block(lineno)
             if field is None or dim is None:
                 raise InvalidInputError(
                     f"line {lineno}: `field` and `dim` must precede matrix blocks"
                 )
-            mode = "form" if head == "symplectic_form" else "generator"
+            blocks.append(("form" if head == "symplectic_form" else "generator", []))
         else:
-            if mode is None:
+            if not blocks or len(blocks[-1][1]) == dim:
                 raise InvalidInputError(f"line {lineno}: unexpected row outside a matrix block")
             if len(tokens) != dim:
                 raise InvalidInputError(
                     f"line {lineno}: matrix row has {len(tokens)} entries; expected {dim}"
                 )
             try:
-                pending.append([parse_scalar(tok, field) for tok in tokens])
+                blocks[-1][1].append(tuple(parse_scalar(tok, field) for tok in tokens))
             except InvalidInputError as exc:
                 raise InvalidInputError(f"line {lineno}: {exc}") from None
-            if len(pending) == dim:
-                finish_block(lineno)
-    finish_block(last_lineno)
+    check_last_block(lineno)
     if field is None or dim is None:
         raise InvalidInputError("missing `field` or `dim` directive")
-    if not form_rows:
+    forms = [tuple(rows) for kind, rows in blocks if kind == "form"]
+    if not forms:
         raise InvalidInputError("missing `symplectic_form` block")
+    generators = [tuple(rows) for kind, rows in blocks if kind == "generator"]
     if not generators:
         raise InvalidInputError("missing `generator` blocks")
-    return MatrixGroup(generators, ExactMatrix(field, form_rows))
+    return MatrixGroup(generators, forms[0])
 
 
 def parse_group_file(path: str) -> MatrixGroup:

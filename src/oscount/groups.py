@@ -3,7 +3,9 @@
 Breadth-first enumeration, symplectic reflections and their conjugacy
 classes, minimal parabolic subgroups with their Kleinian labels and
 normalizer data, and the bijection check between reflection classes and
-normalizer-orbits in the minimal parabolics.
+normalizer-orbits in the minimal parabolics.  A matrix is a tuple of row
+tuples of Scalars; `MatrixGroup` checks the shape and field of the form
+and of each generator once.
 
 After enumeration no matrix is multiplied.  The BFS records, for each
 element g_i and generator s_k, the index of g_i s_k (a right
@@ -50,8 +52,8 @@ from .errors import (
     MathematicalInconsistencyError,
     UnsupportedFoldingError,
 )
-from .fields import is_prime
-from .linalg import ExactMatrix, Row, rref_rows
+from .fields import FieldDescriptor, dot, is_prime
+from .linalg import Row, rank_of_rows, rref_rows
 
 __all__ = [
     "MatrixGroup",
@@ -96,33 +98,34 @@ class MatrixGroup:
     matrix the product names.  No matrix is multiplied after enumeration.
     """
 
-    def __init__(self, generators: list[ExactMatrix], symplectic_form: ExactMatrix):
-        omega = symplectic_form
-        dim = omega.nrows
+    def __init__(self, generators: list[tuple[Row, ...]], symplectic_form: tuple[Row, ...]):
+        dim = len(symplectic_form)
         if dim % 2 != 0 or dim <= 0:
             raise InvalidInputError("symplectic dimension must be a positive even number")
-        if omega.ncols != dim:
-            raise InvalidInputError("symplectic form has the wrong shape")
-        if omega.transpose() != -omega:
+        omega, *generators = [tuple(map(tuple, m)) for m in (symplectic_form, *generators)]
+        for k, m in enumerate([omega] + generators):
+            name = f"generator {k - 1}" if k else "symplectic form"
+            if len(m) != dim or any(len(row) != dim for row in m):
+                raise InvalidInputError(f"{name} has the wrong shape")
+            n = omega[0][0].field.conductor
+            if bad := {x.field.conductor for row in m for x in row} - {n}:
+                raise InvalidInputError(f"{name} has an entry over conductor {min(bad)}, not {n}")
+        if tuple(zip(*omega)) != tuple(tuple(-x for x in row) for row in omega):
             raise InvalidInputError("symplectic form is not antisymmetric")
-        if omega.rank() != dim:
+        if rank_of_rows(omega) != dim:
             raise InvalidInputError("symplectic form is degenerate")
         for k, g in enumerate(generators):
-            if g.nrows != dim or g.ncols != dim:
-                raise InvalidInputError(f"generator {k} has the wrong shape")
-            if g.transpose() * omega * g != omega:
+            if _mul(_mul(tuple(zip(*g)), omega), g) != omega:
                 raise InvalidInputError(f"generator {k} does not preserve the symplectic form")
-        self.field = omega.field
+        self.field = omega[0][0].field
         self.dim = dim
-        self.generators = list(generators)
+        self.generators = generators
         self.symplectic_form = omega
-        self.elements: list[ExactMatrix] | None = None
+        self.elements: list[tuple[Row, ...]] | None = None
         self.order: int | None = None
-        self._right = array("q")
-        self._parent = array("q")
-        self._inverse = array("q")
+        self._right = self._parent = self._inverse = array("q")  # filled by the enumeration
 
-    def enumerate_elements(self, cap: int = DEFAULT_GROUP_CAP) -> list[ExactMatrix]:
+    def enumerate_elements(self, cap: int = DEFAULT_GROUP_CAP) -> list[tuple[Row, ...]]:
         """Breadth-first closure under right multiplication by the
         generators; records the table and parents, then fills the inverses.
 
@@ -156,19 +159,16 @@ class MatrixGroup:
             raise InvalidInputError("enumeration cap must be >= 1")
         if self.elements is not None:
             return self.elements
-        identity = ExactMatrix.identity(self.field, self.dim)
+        identity = _identity(self.field, self.dim)
         exponent = _order_exponent(self.dim * self.field.degree, cap)
-        if exponent is not None:
-            for k, g in enumerate(self.generators):
-                if _power(g, exponent) != identity:
-                    raise InvalidInputError(
-                        f"generator {k} has infinite order: its {exponent}th power is not 1"
-                    )
         for k, g in enumerate(self.generators):
+            if exponent is not None and _power(g, exponent) != identity:
+                raise InvalidInputError(
+                    f"generator {k} has infinite order: its {exponent}th power is not 1"
+                )
             if bad := _trace_test(g):
                 raise InvalidInputError(f"generator {k} has infinite order: it has {bad}")
-        for k, g in enumerate(self.generators):
-            if g != identity and _power(g - identity, self.dim) == identity - identity:
+            if g != identity and _power(_one_minus(g), self.dim) == _one_minus(identity):
                 raise InvalidInputError(
                     f"generator {k} has infinite order: it is unipotent and not 1"
                 )
@@ -180,12 +180,12 @@ class MatrixGroup:
         layer_sizes = [1]
         start = 0
         while start < len(elements):
-            frontier: dict[ExactMatrix, int] = {}  # new element -> its parent product
-            products: list[ExactMatrix] = []  # g_i s_k, in table order
+            frontier: dict[tuple[Row, ...], int] = {}  # new element -> its parent product
+            products: list[tuple[Row, ...]] = []  # g_i s_k, in table order
             for i in range(start, len(elements)):
                 x = elements[i]
                 for k, g in gens:
-                    y = x * g
+                    y = _mul(x, g)
                     products.append(y)
                     if y not in index and y not in frontier:
                         if bad := _trace_test(y):
@@ -200,7 +200,7 @@ class MatrixGroup:
                                 partial={"elements_per_layer": layer_sizes},
                             )
             start = len(elements)
-            for y in sorted(frontier, key=ExactMatrix.key):
+            for y in sorted(frontier, key=_key):
                 index[y] = len(elements)
                 elements.append(y)
                 parent.append(frontier[y])
@@ -282,11 +282,11 @@ def _order_exponent(bound: int, cap: int) -> int | None:
     return exponent
 
 
-def _trace_test(g: ExactMatrix) -> str | None:
+def _trace_test(g: tuple[Row, ...]) -> str | None:
     """None when tr g passes the trace test of `enumerate_elements`, else
     what fails it."""
-    f, dim = g.field, g.nrows
-    t = sum((row[i] for i, row in enumerate(g.rows)), f.zero())
+    f, dim = g[0][0].field, len(g)
+    t = sum((row[i] for i, row in enumerate(g)), f.zero())
     d = f.degree
     square = t * t.conjugate()
     t2 = sum(c * sum(f.powers[i + j][i] for i in range(d)) for j, c in enumerate(square.num))
@@ -295,16 +295,37 @@ def _trace_test(g: ExactMatrix) -> str | None:
     return None
 
 
-def _power(g: ExactMatrix, e: int) -> ExactMatrix:
+def _power(g: tuple[Row, ...], e: int) -> tuple[Row, ...]:
     """g^e by repeated squaring, e >= 1."""
     result = None
     while True:
         if e & 1:
-            result = g if result is None else result * g
+            result = g if result is None else _mul(result, g)
         e >>= 1
         if not e:
             return result
-        g = g * g
+        g = _mul(g, g)
+
+
+def _identity(field: FieldDescriptor, n: int) -> tuple[Row, ...]:
+    one, zero = field.one(), field.zero()
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+
+
+def _one_minus(g: tuple[Row, ...]) -> tuple[Row, ...]:
+    unit = _identity(g[0][0].field, len(g))
+    return tuple(tuple(a - x for a, x in zip(u, row)) for u, row in zip(unit, g))
+
+
+def _mul(a: tuple[Row, ...], b: tuple[Row, ...]) -> tuple[Row, ...]:
+    """The product a b: each row of a against each column of b."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(dot(row, col) for col in cols) for row in a)
+
+
+def _key(m: tuple[Row, ...]) -> str:
+    """Deterministic serialization that orders the elements of a BFS layer."""
+    return ";".join(" ".join(str(x) for x in row) for row in m)
 
 
 class ReflectionClass(NamedTuple):
@@ -321,16 +342,15 @@ def symplectic_reflections(group: MatrixGroup) -> list[ReflectionClass]:
     finds the reflection classes; then each reflection gets the rref rows of
     its fixed space."""
     group._require_enumerated()
-    identity = ExactMatrix.identity(group.field, group.dim)
     classes, seen = [], {0}
     for i in range(1, group.order):
         if i not in seen:
             members = group.conjugacy_class_of(i)
             seen |= members
-            if (identity - group.elements[i]).rank() == 2:
-                fixed = {s: rref_rows((identity - group.elements[s]).rows)[0] for s in members}
+            if rank_of_rows(_one_minus(group.elements[i])) == 2:
+                fixed = {s: rref_rows(_one_minus(group.elements[s]))[0] for s in members}
                 classes.append(ReflectionClass(members, fixed))
-    classes.sort(key=lambda c: min(group.elements[s].key() for s in c.members))
+    classes.sort(key=lambda c: min(_key(group.elements[s]) for s in c.members))
     return classes
 
 
@@ -439,7 +459,7 @@ def minimal_parabolics(
         member_set = frozenset(members)
         orbits = sorted(
             {class_of[t] & member_set for t in members[1:]},
-            key=lambda o: min(group.elements[t].key() for t in o),
+            key=lambda o: min(_key(group.elements[t]) for t in o),
         )
         classes_in_b = {frozenset(group.conjugate(h, t) for h in members) for t in members[1:]}
         classes.append(

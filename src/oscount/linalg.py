@@ -1,19 +1,18 @@
-"""Exact dense linear algebra over a FieldDescriptor.
+"""Exact row reduction over a FieldDescriptor.
 
-Row-level helpers operate on tuples of Scalars and are shared by the
-arrangement and group modules; ExactMatrix is the public type.
-rref is a true canonical form over an exact field: equal row spaces
-yield identical output.
+A row is a tuple of Scalars and a matrix a sequence of rows; the helpers
+here are shared by the arrangement and group modules.  rref is a true
+canonical form over an exact field: equal row spaces yield identical
+output.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import InvalidInputError
-from .fields import FieldDescriptor, Scalar, dot
+from .fields import Scalar
 
-__all__ = ["ExactMatrix", "rref_rows", "reduce_row", "rank_of_rows"]
+__all__ = ["rref_rows", "reduce_row", "rank_of_rows"]
 
 Row = tuple[Scalar, ...]
 
@@ -65,79 +64,3 @@ def reduce_row(row: Row, pivot_rows: Sequence[Row], pivots: Sequence[int]) -> Ro
 
 def rank_of_rows(rows: Sequence[Row]) -> int:
     return len(rref_rows(rows)[0])
-
-
-class ExactMatrix:
-    """Immutable matrix of Scalars over a common field."""
-
-    __slots__ = ("field", "nrows", "ncols", "rows")
-
-    def __init__(self, field: FieldDescriptor, rows: Sequence[Sequence[Scalar]]):
-        rows = tuple(tuple(r) for r in rows)
-        if rows:
-            width = len(rows[0])
-            for r in rows:
-                if len(r) != width:
-                    raise InvalidInputError("ragged matrix rows")
-                for x in r:
-                    if x.field.conductor != field.conductor:
-                        raise InvalidInputError("matrix entry from a different field")
-        else:
-            width = 0
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", width)
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, *_):
-        raise AttributeError("ExactMatrix is immutable")
-
-    @classmethod
-    def identity(cls, field: FieldDescriptor, n: int) -> "ExactMatrix":
-        one, zero = field.one(), field.zero()
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExactMatrix)
-            and self.field.conductor == other.field.conductor
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.field.conductor, self.rows))
-
-    def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.ncols != other.nrows:
-            raise InvalidInputError(
-                f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
-            )
-        cols = list(zip(*other.rows)) if other.rows else []
-        return ExactMatrix(self.field, [[dot(row, col) for col in cols] for row in self.rows])
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise InvalidInputError("shape mismatch in matrix subtraction")
-        return ExactMatrix(
-            self.field,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
-
-    def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.field, [[-a for a in row] for row in self.rows])
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.field, list(zip(*self.rows)) if self.rows else [])
-
-    def rank(self) -> int:
-        return rank_of_rows(self.rows)
-
-    def key(self) -> str:
-        """Deterministic serialization used for dedup and canonical ordering."""
-        return ";".join(" ".join(str(x) for x in row) for row in self.rows)
-
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.rows)
-
-    def __repr__(self) -> str:
-        return f"ExactMatrix({self.nrows}x{self.ncols}, N={self.field.conductor})"

@@ -10,7 +10,7 @@ from oscount.counting import catalog
 from oscount.fields import Scalar, cyclotomic_field, rational_field
 from oscount.fileio import parse_group_file
 from oscount.groups import MatrixGroup
-from oscount.linalg import ExactMatrix, Row, rank_of_rows, reduce_row, rref_rows
+from oscount.linalg import Row, rank_of_rows, reduce_row, rref_rows
 
 
 def rational_arrangement(dim: int, rows, offsets=None) -> Arrangement:
@@ -195,19 +195,44 @@ def whitney_characteristic(arrangement: Arrangement) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def from_rationals(field, rows) -> ExactMatrix:
-    return ExactMatrix(field, [[field.from_rational(x) for x in row] for row in rows])
+def from_rationals(field, rows) -> tuple[Row, ...]:
+    return tuple(tuple(field.from_rational(x) for x in row) for row in rows)
 
 
-def inverse(matrix: ExactMatrix) -> ExactMatrix:
+def identity(field, n: int) -> tuple[Row, ...]:
+    one, zero = field.one(), field.zero()
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+
+
+def one_minus(matrix) -> tuple[Row, ...]:
+    """1 - matrix for a square matrix, entrywise in Scalar arithmetic."""
+    unit = identity(matrix[0][0].field, len(matrix))
+    return tuple(tuple(a - x for a, x in zip(u, row)) for u, row in zip(unit, matrix))
+
+
+def matmul(a, b) -> tuple[Row, ...]:
+    """The schoolbook product a b: entry (i, j) is a running sum of
+    a[i][k] * b[k][j] in Scalar arithmetic; runs no `groups` or `linalg`
+    routine."""
+    zero = a[0][0].field.zero()
+    out = []
+    for row in a:
+        entries = []
+        for j in range(len(b[0])):
+            acc = zero
+            for k, x in enumerate(row):
+                acc = acc + x * b[k][j]
+            entries.append(acc)
+        out.append(tuple(entries))
+    return tuple(out)
+
+
+def inverse(matrix) -> tuple[Row, ...]:
     """The inverse of an invertible square matrix by Gauss-Jordan elimination
     on [matrix | 1], one column at a time, in Scalar arithmetic; runs no
     `linalg` routine."""
-    n, one, zero = matrix.nrows, matrix.field.one(), matrix.field.zero()
-    rows = [
-        list(row) + [one if j == i else zero for j in range(n)]
-        for i, row in enumerate(matrix.rows)
-    ]
+    n = len(matrix)
+    rows = [list(row) + list(u) for row, u in zip(matrix, identity(matrix[0][0].field, n))]
     for col in range(n):
         pivot = next(i for i in range(col, n) if not rows[i][col].is_zero())
         rows[col], rows[pivot] = rows[pivot], rows[col]
@@ -217,17 +242,18 @@ def inverse(matrix: ExactMatrix) -> ExactMatrix:
             if i != col and not rows[i][col].is_zero():
                 c = rows[i][col]
                 rows[i] = [a - c * b for a, b in zip(rows[i], rows[col])]
-    return ExactMatrix(matrix.field, [row[n:] for row in rows])
+    return tuple(tuple(row[n:]) for row in rows)
 
 
-def kernel_basis(matrix: ExactMatrix) -> list[Row]:
+def kernel_basis(matrix) -> list[Row]:
     """Basis of the right null space, parametrized by non-pivot columns."""
-    pivot_rows, pivots = rref_rows(matrix.rows)
-    free = [j for j in range(matrix.ncols) if j not in pivots]
-    one, zero = matrix.field.one(), matrix.field.zero()
+    pivot_rows, pivots = rref_rows(matrix)
+    ncols = len(matrix[0])
+    free = [j for j in range(ncols) if j not in pivots]
+    one, zero = matrix[0][0].field.one(), matrix[0][0].field.zero()
     basis = []
     for j in free:
-        vec = [zero] * matrix.ncols
+        vec = [zero] * ncols
         vec[j] = one
         for prow, p in zip(pivot_rows, pivots):
             vec[p] = -prow[j]
@@ -240,13 +266,14 @@ def catalog_group(name: str) -> MatrixGroup:
     return parse_group_file(catalog(name).group_file)
 
 
-def index_by_key(group: MatrixGroup) -> dict[str, int]:
-    """{ExactMatrix.key(): index} over the enumerated elements; reads the
-    element list only, never the group's multiplication table."""
-    return {m.key(): i for i, m in enumerate(group.elements)}
+def index_by_key(group: MatrixGroup) -> dict[tuple[Row, ...], int]:
+    """{element: index} over the enumerated elements, an element (a tuple of
+    row tuples) being its own key; reads the element list only, never the
+    group's multiplication table."""
+    return {m: i for i, m in enumerate(group.elements)}
 
 
-def quaternion_matrix(field, q) -> ExactMatrix:
+def quaternion_matrix(field, q) -> tuple[Row, ...]:
     """The unit quaternion a + bi + cj + dk, q = (a, b, c, d) as Scalars,
     ints or Fractions, as [[a + bi, c + di], [-c + di, a - bi]] in SL(2)
     over Q(zeta_N), 4 | N, with i = zeta_N^(N/4)."""
@@ -254,13 +281,13 @@ def quaternion_matrix(field, q) -> ExactMatrix:
     i_ = field.one()
     for _ in range(field.conductor // 4):
         i_ = i_ * field.zeta()
-    return ExactMatrix(field, [[a + b * i_, c + d * i_], [-c + d * i_, a - b * i_]])
+    return ((a + b * i_, c + d * i_), (-c + d * i_, a - b * i_))
 
 
 def sl2_group(field, quaternions) -> MatrixGroup:
     """The subgroup of SL(2) = Sp(2) generated by unit quaternions."""
     one, zero = field.one(), field.zero()
-    omega = ExactMatrix(field, [[zero, one], [-one, zero]])
+    omega = ((zero, one), (-one, zero))
     return MatrixGroup([quaternion_matrix(field, q) for q in quaternions], omega)
 
 
@@ -273,20 +300,20 @@ def wreath2(gamma: MatrixGroup) -> MatrixGroup:
     """S_2 wr Gamma in Sp(4) for Gamma in Sp(2): V = C^2 + C^2 with Gamma's
     form on each block; generated by Gamma's generators on block 0 and the
     swap of the blocks."""
-    f, zero, one = gamma.field, gamma.field.zero(), gamma.field.one()
+    zero = gamma.field.zero()
 
-    def blocks(a: ExactMatrix, b: ExactMatrix, swap: bool = False) -> ExactMatrix:
+    def blocks(a, b, swap: bool = False) -> tuple[Row, ...]:
         rows = [[zero] * 4 for _ in range(4)]
         for r in range(2):
             for c in range(2):
-                rows[r][c + 2 * swap] = a.rows[r][c]
-                rows[r + 2][c + 2 * (not swap)] = b.rows[r][c]
-        return ExactMatrix(f, rows)
+                rows[r][c + 2 * swap] = a[r][c]
+                rows[r + 2][c + 2 * (not swap)] = b[r][c]
+        return tuple(map(tuple, rows))
 
-    identity = ExactMatrix.identity(f, 2)
+    unit = identity(gamma.field, 2)
     omega = gamma.symplectic_form
-    generators = [blocks(g, identity) for g in gamma.generators]
-    generators.append(blocks(identity, identity, swap=True))
+    generators = [blocks(g, unit) for g in gamma.generators]
+    generators.append(blocks(unit, unit, swap=True))
     return MatrixGroup(generators, blocks(omega, omega))
 
 
@@ -300,7 +327,7 @@ def group_text(group: MatrixGroup) -> str:
     ]:
         lines.append(head)
         lines.extend(
-            " ".join(scalar_token(f, fraction_coords(x)) for x in row) for row in matrix.rows
+            " ".join(scalar_token(f, fraction_coords(x)) for x in row) for row in matrix
         )
     return "\n".join(lines) + "\n"
 
@@ -310,26 +337,22 @@ def conjugacy_classes(group: MatrixGroup) -> list[frozenset[int]]:
     leftover = set(range(len(group.elements)))
     classes = []
     while leftover:
-        seed = min(leftover, key=lambda i: group.elements[i].key())
+        seed = min(leftover)
         cls = group.conjugacy_class_of(seed)
         classes.append(cls)
         leftover -= cls
-    classes.sort(key=lambda c: min(group.elements[i].key() for i in c))
+    classes.sort(key=min)
     return classes
 
 
 def pointwise_stabilizer(group: MatrixGroup, s: int) -> tuple[int, ...]:
     """Sorted indices of the elements fixing V^{g_s} pointwise, by the
     definition: every row of 1 - g lies in the row space of 1 - g_s."""
-    identity = ExactMatrix.identity(group.field, group.dim)
-    rows, pivots = rref_rows((identity - group.elements[s]).rows)
+    rows, pivots = rref_rows(one_minus(group.elements[s]))
     return tuple(
         i
         for i, g in enumerate(group.elements)
-        if all(
-            all(x.is_zero() for x in reduce_row(r, rows, pivots))
-            for r in (identity - g).rows
-        )
+        if all(all(x.is_zero() for x in reduce_row(r, rows, pivots)) for r in one_minus(g))
     )
 
 
@@ -435,7 +458,7 @@ def _exact_quotient(num, den) -> list:
 def check_symplectic_all(group: MatrixGroup) -> bool:
     group._require_enumerated()
     omega = group.symplectic_form
-    return all(g.transpose() * omega * g == omega for g in group.elements)
+    return all(matmul(matmul(tuple(zip(*g)), omega), g) == omega for g in group.elements)
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from conftest import fraction_coords, group_text, quaternion_group, wreath2
+from conftest import fraction_coords, group_text, identity, quaternion_group, wreath2
 
 from oscount import cli, counting, groups, matroid
 from oscount.arrangement import MAX_BOUND_BITS
@@ -19,7 +19,6 @@ from oscount.fileio import (
     serialize_arrangement,
 )
 from oscount.groups import MatrixGroup
-from oscount.linalg import ExactMatrix
 
 
 def data_path(name: str) -> str:
@@ -336,7 +335,7 @@ def test_group_dimension_must_be_positive_and_even_on_its_line(capsys, tmp_path)
     # an arrangement may still live in dimension 0
     assert parse_arrangement_text("field rational\ndim 0\n").ambient_dim == 0
     # a group made in the library is refused by its form
-    odd = ExactMatrix.identity(rational_field(), 3)
+    odd = identity(rational_field(), 3)
     with pytest.raises(InvalidInputError, match="^symplectic dimension must be a positive even"):
         MatrixGroup([], odd)
 
@@ -464,6 +463,9 @@ def test_count_flag_errors_exit_1(capsys, argv, message):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+GROUP_PM1 = "field rational\ndim 2\nsymplectic_form\n0 1\n-1 0\ngenerator\n-1 0\n0 -1\n"
+
+
 @pytest.mark.parametrize(
     "command, text, message",
     [
@@ -475,9 +477,19 @@ def test_count_flag_errors_exit_1(capsys, argv, message):
         ("analyze", "field rational\ndim 2 3\n", "line 2: expected `dim L`"),
         ("analyze", "field rational\ndim 2\nhyperplane 1 0 = 1 2\n",
          "line 3: hyperplane 1: expected one offset after `=`"),
+        # a second `field`, `dim` or `symplectic_form` is refused, not applied
+        ("group analyze", GROUP_PM1 + "symplectic_form\n0 0\n0 0\n",
+         "line 9: repeated `symplectic_form` directive"),
+        ("group analyze", GROUP_PM1 + "field cyclotomic 4\n", "line 9: repeated `field` directive"),
+        ("group analyze", "field rational\ndim 2\ndim 4\n", "line 3: repeated `dim` directive"),
+        ("analyze", "field rational\ndim 3\nhyperplane 1 0 0\ndim 2\n",
+         "line 4: repeated `dim` directive"),
+        ("analyze", "field rational\n# comment\nfield rational\ndim 1\n",
+         "line 3: repeated `field` directive"),
     ],
     ids=["form-not-antisymmetric", "form-degenerate", "conductor-x", "dim-two-tokens",
-         "two-offsets"],
+         "two-offsets", "repeated-group-form", "repeated-group-field", "repeated-group-dim",
+         "repeated-arrangement-dim", "repeated-arrangement-field"],
 )
 def test_file_errors_exit_1(capsys, tmp_path, command, text, message):
     path = tmp_path / "input"

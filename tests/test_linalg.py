@@ -2,10 +2,10 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import from_rationals, inverse, kernel_basis
+from conftest import from_rationals, identity, inverse, kernel_basis, matmul
 
 from oscount.fields import cyclotomic_field, rational_field
-from oscount.linalg import ExactMatrix, rref_rows
+from oscount.linalg import rank_of_rows, rref_rows
 
 QQ = rational_field()
 Q3 = cyclotomic_field(3)
@@ -16,14 +16,14 @@ def qmat(rows):
 
 
 def test_rref_identity_fixed():
-    m = ExactMatrix.identity(QQ, 3)
-    reduced, pivots = rref_rows(m.rows)
-    assert reduced == m.rows and pivots == (0, 1, 2)
+    m = identity(QQ, 3)
+    reduced, pivots = rref_rows(m)
+    assert reduced == m and pivots == (0, 1, 2)
 
 
 def test_rref_dependent_rows():
     m = qmat([[1, 1], [2, 2]])
-    reduced, pivots = rref_rows(m.rows)
+    reduced, pivots = rref_rows(m)
     assert len(reduced) == 1 and pivots == (0,)  # the zero row is dropped
     assert reduced[0] == (QQ.one(), QQ.one())
 
@@ -33,14 +33,13 @@ def test_g4_normals_rank_two_with_determinant_oracle():
     w = Q3.zeta()
     one = Q3.one()
     normals = [(one, one), (w, w * w), (w * w, w)]
-    m = ExactMatrix(Q3, normals)
-    assert m.rank() == 2
+    assert rank_of_rows(normals) == 2
     for i in range(3):
         for j in range(i + 1, 3):
             a, b = normals[i], normals[j]
             det = a[0] * b[1] - a[1] * b[0]
             assert not det.is_zero()
-            assert ExactMatrix(Q3, [a, b]).rank() == 2
+            assert rank_of_rows([a, b]) == 2
 
 
 def test_rref_is_canonical_under_row_mixing():
@@ -77,17 +76,17 @@ def test_rank_equals_rank_of_transpose(nrows, ncols, data):
     )
     rows = [entries[i * ncols : (i + 1) * ncols] for i in range(nrows)]
     m = qmat(rows)
-    assert m.rank() == m.transpose().rank()
+    assert rank_of_rows(m) == rank_of_rows(tuple(zip(*m)))
 
 
 def test_inverse_and_kernel():
     m = qmat([[2, 1], [1, 1]])
-    assert m * inverse(m) == ExactMatrix.identity(m.field, 2)
+    assert matmul(m, inverse(m)) == identity(QQ, 2)
     k = qmat([[1, 2, 3], [2, 4, 6]])
     basis = kernel_basis(k)
     assert len(basis) == 2
     for vec in basis:
-        for row in k.rows:
+        for row in k:
             acc = QQ.zero()
             for a, b in zip(row, vec):
                 acc = acc + a * b
