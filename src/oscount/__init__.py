@@ -19,7 +19,6 @@ import importlib
 _SUBMODULE_NAMES = {
     "arrangement": (
         "Arrangement",
-        "Flat",
         "Hyperplane",
         "IntersectionLattice",
         "build_arrangement",

@@ -27,12 +27,12 @@ u + c v, u in span(X), that is 0 at P(X) has u = 0 (v is 0 there) and
 c = 0 (at l).  So the residual at Y of a group with residual r at X is
 r - r[l] v, scaled, and no echelon basis is kept.
 
-(c) In a central arrangement no hyperplane misses X, so if X has one group,
-X meet h is one flat for all h outside contains(X), on every hyperplane:
-the center.  The lattice is graded, so X's level lies just below the
-center, whose mu is -(sum of mu over every other flat), as mu sums to 0
-over the flats up to any flat but the ambient space; no other flat of that
-level is expanded.  The levels are exactly those of the rows mod p.
+(c) A central arrangement of rank r has one flat of codimension r, the
+center, on every hyperplane, and the lattice is graded, so the levels are
+0, ..., r - 1 and the center.  Its mu is -(sum of mu over every other flat),
+as mu sums to 0 over the flats up to any flat but the ambient space, so no
+flat of level r - 1 is expanded.  r is the rank of the rows mod p, which
+the bound argument below makes the rank over the field.
 
 (d) The step r -> r - r[l] v, scaled, is a function of the rows r and v and
 of p alone.  So each residual is interned once per build to a small id, and
@@ -95,7 +95,6 @@ if TYPE_CHECKING:
 __all__ = [
     "Hyperplane",
     "Arrangement",
-    "Flat",
     "IntersectionLattice",
     "build_arrangement",
     "intersection_lattice",
@@ -141,20 +140,11 @@ class Hyperplane(NamedTuple):
         return " ".join(str(x) for x in self.row())
 
 
-class Arrangement:
-    __slots__ = ("field", "ambient_dim", "hyperplanes", "central")
-
-    def __init__(
-        self,
-        field: FieldDescriptor,
-        ambient_dim: int,
-        hyperplanes: tuple[Hyperplane, ...],
-        central: bool,
-    ):
-        self.field = field
-        self.ambient_dim = ambient_dim
-        self.hyperplanes = hyperplanes
-        self.central = central
+class Arrangement(NamedTuple):
+    field: FieldDescriptor
+    ambient_dim: int
+    hyperplanes: tuple[Hyperplane, ...]
+    central: bool
 
 
 def build_arrangement(
@@ -185,23 +175,13 @@ def build_arrangement(
     return Arrangement(field, ambient_dim, tuple(planes), central)
 
 
-class Flat(NamedTuple):
-    """A nonempty intersection of hyperplanes: the maximal set of hyperplanes
-    containing it as a bitmask (bit h for hyperplane h), and mu(ambient, X).
-    Its codimension is the index of its level in `IntersectionLattice`."""
+class IntersectionLattice(NamedTuple):
+    """The flats by codimension, level 0 the ambient space: a level maps the
+    bitmask of the hyperplanes through a flat X (bit h for hyperplane h) to
+    mu(ambient, X), in ascending mask order."""
 
-    mask: int
-    mu: int
-
-
-class IntersectionLattice:
-    """Flats grouped by codimension; level 0 is the ambient space."""
-
-    __slots__ = ("arrangement", "levels")
-
-    def __init__(self, arrangement: Arrangement, levels: list[list[Flat]]):
-        self.arrangement = arrangement
-        self.levels = levels
+    arrangement: Arrangement
+    levels: list[dict[int, int]]
 
     def flats_per_level(self) -> list[int]:
         return [len(level) for level in self.levels]
@@ -218,7 +198,7 @@ class IntersectionLattice:
 
     def whitney_numbers(self) -> list[int]:
         """Signed per-codimension Moebius sums (the chi coefficients)."""
-        return [sum(flat.mu for flat in level) for level in self.levels]
+        return [sum(level.values()) for level in self.levels]
 
 
 def intersection_lattice(
@@ -321,20 +301,37 @@ def _normalized(row: Sequence[int], p: int) -> tuple[int, tuple[int, ...]]:
     return lead, tuple(y * inv % p for y in row)
 
 
+def _rank(rows: Sequence[tuple[int, ...]], p: int) -> int:
+    """The rank of the rows mod p: each row is reduced by the basis rows in
+    the order found, each 1 at its lead and 0 at the earlier leads."""
+    basis: list[tuple[int, tuple[int, ...]]] = []
+    for row in rows:
+        for lead, b in basis:
+            t = row[lead]
+            row = [(x - t * y) % p for x, y in zip(row, b)]
+        if any(row):
+            basis.append(_normalized(row, p))
+    return len(basis)
+
+
 def _levels(
     rows: Sequence[tuple[int, ...]], offset_col: int, p: int, flat_cap: int
-) -> Iterator[list[Flat]]:
+) -> Iterator[dict[int, int]]:
     """The flats of the nonzero rows mod the prime p, one codimension at a
-    time, by (a)-(d) of the module docstring.  Each level is yielded, sorted
-    by `mask`, before the next one is built, so a caller that stops early
-    builds no more.  Residuals are interned to ids, with -1 for no cover (a
-    residual that misses the flat, or the zero step of a group by itself).
-    A flat's groups are two tuples, residual ids and members masks, shared
-    by its covers and freed after the last of them is expanded.  A group
-    that merges with no other keeps its parent's members mask object.
+    time, by (a)-(d) of the module docstring: each level, a dict {mask: mu}
+    in ascending mask order, is yielded before the next one is built, so a
+    caller that stops early builds no more.  Central rows of rank r mod p
+    end with the center right after level r - 1, whose flats keep no
+    sources; affine rows end at an empty level.  Residuals are interned to
+    ids, with -1 for no cover (a residual that misses the flat, or the zero
+    step of a group by itself).  A flat's groups are two tuples, residual
+    ids and members masks, shared by its covers and freed after the last of
+    them is expanded.  A group that merges with no other keeps its parent's
+    members mask object.
     """
     n = len(rows)
-    central = not any(row[offset_col] for row in rows)
+    # (c): the center's codimension, when the rows are central
+    top = None if any(row[offset_col] for row in rows) else _rank(rows, p)
     ids: dict[tuple[int, ...], int] = {}  # residual -> id
     table: list[tuple[int, ...]] = []  # id -> residual
     leads: list[int] = []  # id -> its lead column
@@ -355,7 +352,7 @@ def _levels(
         atoms[r] = atoms.get(r, 0) | 1 << h
     # (d): via id -> {residual id: its step}; None, the ambient's, is the identity
     steps: dict[Optional[int], dict[int, int]] = {None: {r: r for r in atoms}}
-    level = [Flat(mask=0, mu=1)]
+    level = {0: 1}
     # mask -> (its parent's group ids and members masks, its own group's id)
     sources = {0: (tuple(atoms), tuple(atoms.values()), None)}
     sizes: list[int] = []  # the completed levels' sizes
@@ -368,10 +365,16 @@ def _levels(
     while level:
         yield level
         sizes.append(len(level))
-        below += sum(flat.mu for flat in level)
+        below += sum(level.values())
+        if len(sizes) == top:  # (c): the center is the next level
+            if total >= flat_cap:
+                raise capped()
+            yield {(1 << n) - 1: -below}
+            return
+        expanded = len(sizes) + 1 != top  # (c): no flat of level r - 1 is expanded
         mus, found = {}, {}  # the next level's mu and sources
-        for flat in level:
-            keys, parts, v = sources.pop(flat.mask)
+        for flat, mu in level.items():
+            keys, parts, v = sources.pop(flat)
             step = steps.get(v)
             if step is None:
                 step = steps[v] = {v: -1}
@@ -384,27 +387,23 @@ def _levels(
                     s = step[r] = intern([(a - t * b) % p for a, b in zip(row, row_v)]) if t else r
                 if s >= 0:
                     groups[s] = groups[s] | members if s in groups else members
-            if central and len(groups) == 1:  # (c): this level is the one below the center
-                if total >= flat_cap:
-                    raise capped()
-                yield [Flat((1 << n) - 1, -below)]
-                return
-            low = flat.mask & -flat.mask or 1 << n
+            low = flat & -flat or 1 << n
             keys, parts = tuple(groups), tuple(groups.values())
             for s, members in zip(keys, parts):
-                mask = flat.mask | members if flat.mask else members  # 0 | x copies x
+                mask = flat | members if flat else members  # 0 | x copies x
                 if mask not in mus:
                     if total >= flat_cap:
                         raise capped()
                     total += 1
                     mus[mask] = 0
-                    found[mask] = (keys, parts, s)
+                    if expanded:
+                        found[mask] = (keys, parts, s)
                 # Weisner with the atom a = min(contains): mu(Y) is minus the
                 # sum of mu(X) over the flats X covered by Y with a not in X.
                 if members & -members < low:
-                    mus[mask] -= flat.mu
+                    mus[mask] -= mu
         sources = found
-        level = [Flat(mask, mus[mask]) for mask in sorted(mus)]
+        level = {mask: mus[mask] for mask in sorted(mus)}
 
 
 def characteristic_polynomial(lattice: IntersectionLattice) -> tuple[int, ...]:

@@ -244,7 +244,7 @@ def find_good_primes(
     """The `how_many` smallest good primes q, searched while q^l <= ff_cap."""
     rows = _rational_rows(lattice.arrangement)
     ell = lattice.arrangement.ambient_dim
-    exact = [[flat.mask for flat in level] for level in lattice.levels]
+    exact = [list(level) for level in lattice.levels]
     good: list[int] = []
     q = 1
     while len(good) < how_many:
@@ -261,19 +261,19 @@ def find_good_primes(
     return good
 
 
-def _keeps_lattice(rows: list[list[int]], ell: int, q: int, exact: list[list]) -> bool:
+def _keeps_lattice(rows: list[list[int]], ell: int, q: int, exact: list[list[int]]) -> bool:
     """Whether q is good: the lattice of the rows mod q, built within the
     exact lattice's flat count, has the `contains` masks `exact` at every
-    codimension.  (A row whose normal vanishes mod q misses every point, so
-    it is no atom and level 1 differs.)  Levels mod q are compared as
-    `_levels` yields them, so the build stops at the first level that
-    differs."""
+    codimension.  (A row whose normal vanishes mod q is no atom, so level 1
+    differs; where the rank of central rows drops mod q, so does the center.)
+    Levels are compared as `_levels` yields them, so the build stops at the
+    first level that differs."""
     mod_q = [tuple(x % q for x in row) for row in rows]
     try:
         for level, masks in zip_longest(
             _levels(mod_q, ell, q, sum(len(level) for level in exact)), exact
         ):
-            if level is None or [flat.mask for flat in level] != masks:
+            if level is None or list(level) != masks:
                 return False
     except ComputationCapError:
         return False  # more flats mod q than over the field

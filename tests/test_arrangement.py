@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     _poly_mul,
     brute_force_flats,
+    brute_force_moebius,
     fraction_coords,
     g414_arrangement,
     members,
@@ -69,14 +70,14 @@ def test_empty_arrangement_lattice():
     a = rational_arrangement(3, [])
     lat = intersection_lattice(a)
     assert lat.flats_per_level() == [1]
-    assert [f.mu for level in lat.levels for f in level] == [1]
+    assert lat.levels == [{0: 1}]
 
 
 def test_boolean_lattice(boolean3):
     lat = intersection_lattice(boolean3)
     assert lat.flats_per_level() == [1, 3, 3, 1]
     for codim, level in enumerate(lat.levels):
-        assert all(flat.mu == (-1) ** codim for flat in level)
+        assert all(mu == (-1) ** codim for mu in level.values())
     chi = characteristic_polynomial(lat)
     assert chi == (-1, 3, -3, 1)  # (t - 1)^3
 
@@ -84,7 +85,7 @@ def test_boolean_lattice(boolean3):
 def test_g4_lattice_and_polynomials():
     lat = intersection_lattice(catalog("g4").arrangement)
     assert lat.flats_per_level() == [1, 3, 1]
-    assert [f.mu for level in lat.levels for f in level] == [1, -1, -1, -1, 2]
+    assert [mu for level in lat.levels for mu in level.values()] == [1, -1, -1, -1, 2]
     assert characteristic_polynomial(lat) == (2, -3, 1)
     assert poincare_polynomial(lat) == (1, 3, 2)
 
@@ -215,10 +216,10 @@ def test_deletion_restriction_identity_on_catalog_representatives():
 def test_moebius_row_sums_vanish():
     for arrangement in (catalog("q8d8").arrangement, catalog("g4").arrangement):
         lat = intersection_lattice(arrangement)
-        flats = [(f, f.mu) for level in lat.levels for f in level]
+        flats = [flat for level in lat.levels for flat in level.items()]
         for level in lat.levels[1:]:
             for f in level:
-                total = sum(mu for g, mu in flats if members(g.mask) <= members(f.mask))
+                total = sum(mu for g, mu in flats if members(g) <= members(f))
                 assert total == 0
 
 
@@ -238,8 +239,31 @@ def test_flat_family_matches_subset_ranks():
     )
     for arrangement in (catalog("g4").arrangement, affine):
         lat = intersection_lattice(arrangement)
-        flats = {(members(f.mask), codim) for codim, level in enumerate(lat.levels) for f in level}
+        flats = {(members(f), codim) for codim, level in enumerate(lat.levels) for f in level}
         assert flats == brute_force_flats(arrangement)
+
+
+@pytest.mark.parametrize(
+    "dim, normals",
+    [
+        (3, []),
+        (3, [[1, 2, 0]]),
+        (4, [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0], [1, -1, 0, 0]]),
+        (4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 0], [1, -1, 0, 0]]),
+    ],
+    ids=["rank-0", "rank-1", "rank-2-of-4", "rank-3-of-4"],
+)
+def test_central_lattice_ends_at_the_center_of_its_rank(dim, normals):
+    # (c) yields the center right after level r - 1, r the rank of the rows:
+    # at rank 0 it is the ambient space, and at rank < l a line or a plane
+    a = rational_arrangement(dim, normals)
+    lat = intersection_lattice(a)
+    flats = {(members(f), codim) for codim, level in enumerate(lat.levels) for f in level}
+    assert flats == brute_force_flats(a)
+    mu = brute_force_moebius(flats)
+    assert all(mu[members(f)] == level[f] for level in lat.levels for f in level)
+    assert lat.rank() == essential_rank(a)
+    assert list(lat.levels[-1]) == [(1 << len(normals)) - 1]
 
 
 def test_flat_cap_errors():
@@ -258,12 +282,9 @@ def test_lattice_determinism():
     l1 = intersection_lattice(a)
     l2 = intersection_lattice(a)
 
-    def keys(level):
-        return [f.mask for f in level]
-
-    assert [keys(level) for level in l1.levels] == [keys(level) for level in l2.levels]
+    assert [list(level) for level in l1.levels] == [list(level) for level in l2.levels]
     for level in l1.levels:
-        assert keys(level) == sorted(keys(level))
+        assert list(level) == sorted(level)
 
 
 def test_wreath_d5_2_lattice_matches_the_closed_form():
@@ -280,10 +301,12 @@ def test_wreath_d5_2_lattice_matches_the_closed_form():
 
 
 def test_lattice_step_memo_computes_each_residual_once(monkeypatch):
-    # every reduced or normalized row goes through `_normalized`: the 37
-    # atoms, then one call per distinct (residual, via) step that changes
-    # the residual.  wreath:D4:2 makes 28,617 (residual, via) visits over
-    # 6,335 distinct pairs and 241 distinct residuals
+    # every reduced or normalized row goes through `_normalized`: the 5
+    # basis rows of the rank, the 37 atoms, then one call per distinct
+    # (residual, via) step that changes the residual, made while expanding
+    # the levels below codimension 4, since (c) expands no flat of the level
+    # under the center.  wreath:D4:2 makes 30,324 (residual, via) visits over
+    # 6,544 distinct pairs and 241 distinct residuals
     calls = []
     real = arrangement._normalized
 
@@ -294,7 +317,7 @@ def test_lattice_step_memo_computes_each_residual_once(monkeypatch):
     monkeypatch.setattr(arrangement, "_normalized", counted)
     lat = intersection_lattice(catalog("wreath:D4:2").arrangement)
     assert lat.num_flats() == 2688
-    assert len(calls) == 4680
+    assert len(calls) == 4679
 
 
 def test_lattice_with_large_coefficients_matches_subset_ranks():
@@ -308,7 +331,7 @@ def test_lattice_with_large_coefficients_matches_subset_ranks():
     )
     assert _hadamard_bound(_integer_rows(a), 3) > 2**61
     levels = intersection_lattice(a).levels
-    flats = {(members(f.mask), codim) for codim, level in enumerate(levels) for f in level}
+    flats = {(members(f), codim) for codim, level in enumerate(levels) for f in level}
     assert flats == brute_force_flats(a)
 
 
@@ -370,7 +393,7 @@ def test_rank2_lattice_keeps_one_copy_of_the_atom_masks():
     finally:
         tracemalloc.stop()
     assert lattice.flats_per_level() == [1, 8000, 1]
-    masks = sum(sys.getsizeof(flat.mask) for flat in lattice.levels[1])
+    masks = sum(map(sys.getsizeof, lattice.levels[1]))
     assert peak < 3 * masks
 
 

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -195,6 +199,22 @@ def test_cli_exit_code_invalid_input(capsys):
     assert cli.main(["count", "--catalog", "nope"]) == 1
     assert cli.main(["analyze", "/nonexistent/file.arr"]) == 1
     assert cli.main(["count", "--arrangement", "/nonexistent.arr"]) == 1
+
+
+def test_help_exits_0_with_usage_on_stdout():
+    # argparse ends --help with SystemExit(0), which `cli.main` lets through
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "oscount.cli", "--help"], env=env, capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: ")
+
+
+def test_catalan_with_n_0_exits_1(capsys):
+    assert cli.main(["catalan", "--type", "A2", "--n", "0"]) == 1
+    assert capsys.readouterr() == ("", "error: wreath parameter n must be >= 1\n")
 
 
 @pytest.mark.parametrize(

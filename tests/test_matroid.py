@@ -157,7 +157,7 @@ def test_nbc_top_degree_equals_top_moebius_mass():
         lat = intersection_lattice(a)
         betti = nbc_betti(a)
         top = lat.rank()
-        mass = sum(abs(f.mu) for f in lat.levels[top])
+        mass = sum(map(abs, lat.levels[top].values()))
         assert betti[top] == mass
 
 
@@ -200,6 +200,21 @@ def test_normal_vanishing_mod_q_is_bad():
     # 3x = 1 has no point mod 3, so q = 3 would drop the hyperplane
     a = rational_arrangement(2, [[3, 0], [0, 1]], offsets=[1, 0])
     assert find_good_primes(intersection_lattice(a), 2) == [2, 5]
+
+
+def test_a_prime_where_the_rank_drops_is_bad():
+    # x = 0, y = 0 and x + y + 5z = 0 are independent over Q, a boolean
+    # lattice with its center at codimension 3, but mod 5 they are a pencil
+    # of rank 2 whose center is at codimension 2
+    a = rational_arrangement(3, [[1, 0, 0], [0, 1, 0], [1, 1, 5]])
+    lattice = intersection_lattice(a)
+    exact = [list(level) for level in lattice.levels]
+    assert exact == [[0], [1, 2, 4], [3, 5, 6], [7]]
+    rows = [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 5, 0]]
+    mod_5 = [tuple(x % 5 for x in row) for row in rows]
+    assert list(arrangement._levels(mod_5, 3, 5, 8)) == [{0: 1}, {1: -1, 2: -1, 4: -1}, {7: 2}]
+    assert not matroid._keeps_lattice(rows, 3, 5, exact)
+    assert find_good_primes(lattice, 3) == [2, 3, 7]
 
 
 def test_good_prime_search_stops_at_the_cap(braid3):

@@ -73,13 +73,13 @@ def test_randomized_invariant_suite():
             assert sum(chi) == 0, f"case {case}: chi(1) != 0 for central arrangement"
 
         # Moebius row sums vanish; signs alternate with codimension
-        flats = [(f, f.mu) for level in lattice.levels for f in level]
+        flats = [flat for level in lattice.levels for flat in level.items()]
         for codim, level in enumerate(lattice.levels):
-            for f in level:
-                assert f.mu != 0, f"case {case}: zero Moebius value"
-                assert f.mu * (-1) ** codim > 0, f"case {case}: Moebius sign pattern"
+            for f, mu in level.items():
+                assert mu != 0, f"case {case}: zero Moebius value"
+                assert mu * (-1) ** codim > 0, f"case {case}: Moebius sign pattern"
                 if codim > 0:
-                    total = sum(m for g, m in flats if members(g.mask) <= members(f.mask))
+                    total = sum(m for g, m in flats if members(g) <= members(f))
                     assert total == 0, f"case {case}: Moebius row sum"
 
         # Zaslavsky: regions equal the total OS dimension (rational => real)
@@ -111,9 +111,9 @@ def test_flat_family_matches_subset_ranks():
             continue
         lattice = intersection_lattice(arr)
         flats = {
-            (members(f.mask), codim, f.mu)
+            (members(f), codim, mu)
             for codim, level in enumerate(lattice.levels)
-            for f in level
+            for f, mu in level.items()
         }
         assert flats == _with_moebius(brute_force_flats(arr)), f"case {case}: flat family"
         checked += 1
@@ -156,7 +156,7 @@ def test_levels_mod_q_match_subset_ranks():
     for case, q, dim, rows in random_rows_mod_q():
         levels = list(_levels(rows, dim, q, 10**6))
         flats = {
-            (members(f.mask), codim, f.mu) for codim, level in enumerate(levels) for f in level
+            (members(f), codim, mu) for codim, level in enumerate(levels) for f, mu in level.items()
         }
         expected = _with_moebius(subset_flats(rows, rank_mod(q)))
         assert flats == expected, f"case {case}: q = {q}, rows {rows}"
@@ -165,10 +165,9 @@ def test_levels_mod_q_match_subset_ranks():
 def test_levels_mod_q_masks_are_contains_and_sort_each_level():
     for case, q, dim, rows in random_rows_mod_q():
         for level in _levels(rows, dim, q, 10**6):
-            masks = [f.mask for f in level]
-            assert masks == sorted(masks), f"case {case}"
+            assert list(level) == sorted(level), f"case {case}"
             for f in level:
-                assert members(f.mask) <= set(range(len(rows))), f"case {case}"
+                assert members(f) <= set(range(len(rows))), f"case {case}"
 
 
 def test_lattice_rank_is_essential_rank():

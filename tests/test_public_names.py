@@ -23,8 +23,8 @@ from oscount import cli
 PACKAGE = Path(oscount.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 RECORDS = (
-    "Flat", "ReflectionClass", "ParabolicClass", "CountReport", "CatalogEntry",
-    "WeylTypeData", "NamikawaWeylData",
+    "Arrangement", "IntersectionLattice", "ReflectionClass", "ParabolicClass",
+    "CountReport", "CatalogEntry", "WeylTypeData", "NamikawaWeylData",
 )
 
 
