@@ -23,7 +23,7 @@ import re
 from math import gcd, lcm
 from typing import Sequence
 
-from .errors import InvalidInputError, MathematicalInconsistencyError
+from .errors import InvalidInputError
 
 __all__ = [
     "FieldDescriptor", "Scalar", "rational_field", "cyclotomic_field", "cyclotomic_polynomial",
@@ -64,21 +64,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list, list]:
-    """Quotient and remainder of num by a monic den in Z[x], ascending."""
+def _poly_quotient(num: Sequence[int], den: Sequence[int]) -> list:
+    """The quotient of num by a monic den in Z[x], ascending, when den
+    divides num."""
     num, d = list(num), len(den) - 1
     quot = [0] * max(len(num) - d, 0)
     for k in range(len(num) - 1, d - 1, -1):
         quot[k - d] = c = num[k]
         for j, dj in enumerate(den):
             num[k - d + j] -= c * dj
-    return quot, num[:d]
+    return quot
 
 
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, ascending.  Phi_1 = x - 1.  Computed by the
     recursion x^m - 1 = prod_{d | m} Phi_d, for the divisors m of n in
-    increasing order."""
+    increasing order: each Phi_d with d | m, d < m, divides what is left
+    of x^m - 1 exactly, so only the quotient is kept."""
     if n < 1:
         raise InvalidInputError(f"cyclotomic polynomial undefined for {n}")
     found: dict[int, tuple[int, ...]] = {}
@@ -87,10 +89,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
             poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
             for d, phi_d in found.items():
                 if m % d == 0:
-                    poly, rem = _poly_divmod(poly, phi_d)
-                    if any(rem):
-                        msg = f"cyclotomic recursion left a remainder at m = {m}"
-                        raise MathematicalInconsistencyError(msg)
+                    poly = _poly_quotient(poly, phi_d)
             found[m] = tuple(poly)
     return found[n]
 
@@ -208,8 +207,8 @@ class Scalar:
         the factors of N(a) = prod_k sigma_k(a), so N(a) is rational, and
         nonzero for a != 0 as each sigma_k is injective: 1/a = P(a) / N(a),
         P(a) = prod_{k != 1} sigma_k(a).  For a = n / D, n integral, sigma_k
-        maps Z[zeta] to itself, so N(n) = n P(n) is an integer (checked)
-        and 1/a = D P(n) / N(n)."""
+        maps Z[zeta] to itself, so N(n) = n P(n) is a rational algebraic
+        integer, that is an integer, and 1/a = D P(n) / N(n)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
         if self.field.degree == 1:
@@ -218,9 +217,7 @@ class Scalar:
         for k in range(2, f.conductor):
             if gcd(k, f.conductor) == 1:
                 p = p * n._galois(k)
-        if (norm := n * p).den != 1 or any(norm.num[1:]):
-            raise MathematicalInconsistencyError(f"the norm of {self} is not an integer")
-        return _scalar(f, [c * self.den for c in p.num], norm.num[0])
+        return _scalar(f, [c * self.den for c in p.num], (n * p).num[0])
 
     def conjugate(self) -> "Scalar":
         """Complex conjugation, zeta -> zeta^{N-1}."""

@@ -143,6 +143,8 @@ def parse_arrangement_text(text: str) -> Arrangement:
                 offset = parse_scalar(rest[0], field) if rest else field.zero()
             except InvalidInputError as exc:
                 raise InvalidInputError(f"line {lineno}: hyperplane {count}: {exc}") from None
+            if all(x.is_zero() for x in normal):
+                raise InvalidInputError(f"line {lineno}: hyperplane {count} has a zero normal")
             raw.append((normal, offset))
         else:
             raise InvalidInputError(f"line {lineno}: unknown directive {head!r}")

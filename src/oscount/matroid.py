@@ -14,10 +14,11 @@ basis row's pivot entry, and a row is divided by its gcd when it joins
 the basis: integer arithmetic throughout, so it is exact with no bound to
 prove.  Over Q (N = 1) the rows are the integer normals.  nbc shares
 nothing with the lattice code: not its integer rows, not `_levels`, not
-the zeta -> omega map into F_p, not the Hadamard bound and not the prime.  The walk's nodes are exactly the nbc sets, whose counts
-by size are the Betti numbers (Orlik-Terao, Thm 3.55); a node's children
-are the minima of a partition of its smaller elements (Bjorner 1992,
-proof in `nbc_betti`).
+the zeta -> omega map into F_p, not the Hadamard bound and not the prime.
+The walk's nodes are exactly the nbc sets, whose counts by size are the
+Betti numbers (Orlik-Terao, Thm 3.55); a node's children are the minima
+of a partition of its smaller elements (Bjorner 1992, proof in
+`nbc_betti`).
 
 `finite_field_count` counts the points of F_q^l off the hyperplanes mod q
 on Python ints, one line {x'} x F_q per x' in F_q^(l-1).  Every row is

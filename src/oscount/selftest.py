@@ -12,22 +12,23 @@ from __future__ import annotations
 import json
 import time
 
-from .errors import MathematicalInconsistencyError, OscountError
+from .errors import ComputationCapError, MathematicalInconsistencyError, OscountError
 
 __all__ = ["run_selftest"]
 
 
 def run_selftest(caps: dict, skip: set[str], as_json: bool) -> int:
     """Print every check's row (or one JSON document); exit code 0 when
-    none failed, else 3."""
+    none failed, 2 when each failure exceeded a cap, else 3."""
     t0 = time.perf_counter()
     rows = list(_checks(caps, skip))
     elapsed = time.perf_counter() - t0
+    failures = [d for _, s, d in rows if s == "FAIL"]
     doc = {
         "command": "selftest",
-        "checks": [{"name": n, "status": s, "detail": d} for n, s, d in rows],
+        "checks": [{"name": n, "status": s, "detail": str(d)} for n, s, d in rows],
         "passed": sum(1 for _, s, _ in rows if s == "PASS"),
-        "failed": sum(1 for _, s, _ in rows if s == "FAIL"),
+        "failed": len(failures),
         "skipped": sum(1 for _, s, _ in rows if s == "SKIP"),
         "timing_seconds": round(elapsed, 6),
     }
@@ -41,7 +42,8 @@ def run_selftest(caps: dict, skip: set[str], as_json: bool) -> int:
             f"\n{doc['passed']} passed, {doc['failed']} failed, "
             f"{doc['skipped']} skipped in {elapsed:.1f}s"
         )
-    return 0 if doc["failed"] == 0 else 3
+    capped = all(isinstance(exc, ComputationCapError) for exc in failures)
+    return 0 if not failures else 2 if capped else 3
 
 
 def _require(holds: bool, message: str):
@@ -50,8 +52,9 @@ def _require(holds: bool, message: str):
 
 
 def _checks(caps, skip: set[str]):
-    """Yield (name, status, detail) rows; status in PASS/FAIL/SKIP.  Every
-    expected number comes from the catalog entry under test."""
+    """Yield (name, status, detail) rows; status in PASS/FAIL/SKIP, and a
+    FAIL row's detail is the OscountError raised.  Every expected number
+    comes from the catalog entry under test."""
     from .arrangement import cone, deletion_restriction
     from .counting import _SHIPPED, analyze_arrangement, catalog, check_published
     from .counting import count_resolutions, run_oracle
@@ -64,7 +67,7 @@ def _checks(caps, skip: set[str]):
         try:
             return (name, "PASS", fn(*args))
         except OscountError as exc:
-            return (name, "FAIL", str(exc))
+            return (name, "FAIL", exc)
 
     def count_check(entry):
         report = count_resolutions(entry.arrangement, entry.weyl_order, caps["flat_cap"])

@@ -17,6 +17,7 @@ from conftest import (
 
 from oscount import arrangement
 from oscount.arrangement import (
+    IntersectionLattice,
     _hadamard_bound,
     _integer_rows,
     _lattice_prime,
@@ -31,7 +32,7 @@ from oscount.arrangement import (
     region_count,
 )
 from oscount.counting import catalog
-from oscount.errors import ComputationCapError, InvalidInputError
+from oscount.errors import ComputationCapError, InvalidInputError, MathematicalInconsistencyError
 from oscount.fields import cyclotomic_field, rational_field
 from oscount.matroid import nbc_betti
 
@@ -51,6 +52,10 @@ def test_build_rejects_zero_normal_and_mixed_fields():
     q3 = cyclotomic_field(3)
     with pytest.raises(InvalidInputError):
         build_arrangement(QQ, 1, [((q3.one(),), q3.zero())])
+    with pytest.raises(InvalidInputError, match="ambient dimension must be >= 0"):
+        build_arrangement(QQ, -1, [])
+    with pytest.raises(InvalidInputError, match="normal of length 1; ambient dimension is 2"):
+        build_arrangement(QQ, 2, [((QQ.one(),), QQ.zero())])
 
 
 def test_q8d8_arrangement_shape():
@@ -115,6 +120,16 @@ def test_region_counts():
     four = rational_arrangement(2, [[0, 1], [1, 0], [1, 1], [1, -1]])
     assert region_count(intersection_lattice(four)) == (8, 0)
     assert region_count(intersection_lattice(catalog("q8d8").arrangement))[0] == 2592
+
+
+def test_a_lattice_with_a_negative_invariant_is_an_inconsistency():
+    # hand-built levels that no arrangement has: x = 0 in Q^1 with mu = 1
+    # (pi = 1 - t) or mu = 0 (chi = t, so the bounded count is -1)
+    line = rational_arrangement(1, [[1]])
+    with pytest.raises(MathematicalInconsistencyError, match="negative Poincare coefficient"):
+        poincare_polynomial(IntersectionLattice(line, [{0: 1}, {1: 1}]))
+    with pytest.raises(MathematicalInconsistencyError, match=r"Zaslavsky count \(regions=1, bounded=-1\)"):
+        region_count(IntersectionLattice(line, [{0: 1}, {1: 0}]))
 
 
 def test_region_count_counts_relatively_bounded_regions():

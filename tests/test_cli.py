@@ -201,8 +201,11 @@ def test_cli_exit_code_invalid_input(capsys):
     assert cli.main(["count", "--arrangement", "/nonexistent.arr"]) == 1
 
 
-def test_help_exits_0_with_usage_on_stdout():
+def test_help_exits_0_with_usage_on_stdout(capsys):
     # argparse ends --help with SystemExit(0), which `cli.main` lets through
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: ")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
@@ -506,10 +509,16 @@ GROUP_PM1 = "field rational\ndim 2\nsymplectic_form\n0 1\n-1 0\ngenerator\n-1 0\
          "line 4: repeated `dim` directive"),
         ("analyze", "field rational\n# comment\nfield rational\ndim 1\n",
          "line 3: repeated `field` directive"),
+        ("group analyze", "generator\n1 0\n0 1\n",
+         "line 1: `field` and `dim` must precede matrix blocks"),
+        ("analyze", "field rational\ndim 2\nhyperplane 0 0\n", "line 3: hyperplane 1 has a zero normal"),
+        ("analyze", "field rational\ndim 2\nhyperplane 1 0\n\nhyperplane 0 0 = 1\n",
+         "line 5: hyperplane 2 has a zero normal"),
     ],
     ids=["form-not-antisymmetric", "form-degenerate", "conductor-x", "dim-two-tokens",
          "two-offsets", "repeated-group-form", "repeated-group-field", "repeated-group-dim",
-         "repeated-arrangement-dim", "repeated-arrangement-field"],
+         "repeated-arrangement-dim", "repeated-arrangement-field", "group-generator-first",
+         "zero-normal", "zero-normal-with-offset"],
 )
 def test_file_errors_exit_1(capsys, tmp_path, command, text, message):
     path = tmp_path / "input"
@@ -633,6 +642,33 @@ def test_selftest_skip_ff(capsys):
         for name in ("q8d8", "wreath:a1:2", "wreath:a1:3", "wreath:a2:2")
     ]
     assert len(doc["checks"]) == 16
+
+
+def test_selftest_exits_2_when_every_failure_is_a_cap(capsys, monkeypatch):
+    argv = ["selftest", "--skip", "nbc", "--skip", "ff", "--flat-cap", "10"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    failed = [line.split("  FAIL  ") for line in out.splitlines() if "  FAIL  " in line]
+    assert [(name.rstrip(), detail) for name, detail in failed] == [
+        ("q8d8 arrangement + count 81", "flat cap 10 exceeded at codimension 1"),
+        ("wreath two-route (A2, n=2)", "flat cap 10 exceeded at codimension 1"),
+        ("wreath two-route (A3, n=2)", "flat cap 10 exceeded at codimension 1"),
+        ("cone identity on affine families", "flat cap 10 exceeded at codimension 2"),
+    ]
+    assert "\n6 passed, 4 failed, 6 skipped in " in out and err == ""
+    # g4 fits under the cap, so its tampered count still fails the run
+    real = counting.catalog
+
+    def tampered(name):
+        entry = real(name)
+        return entry._replace(expected={**entry.expected, "count": 3}) if name == "g4" else entry
+
+    monkeypatch.setattr(counting, "catalog", tampered)
+    assert cli.main([*argv, "--json"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert [c["detail"] for c in doc["checks"] if c["status"] == "FAIL"][1] == (
+        "catalog g4: computed count 2 != published 3"
+    )
 
 
 def test_selftest_detects_tampered_catalog(capsys, monkeypatch):

@@ -460,6 +460,27 @@ def test_ff_oracle_runs_with_numpy_unimportable():
     assert json.dumps(doc) == json.dumps(ANALYZE_Q8D8_FF)
 
 
+def test_output_does_not_depend_on_the_hash_seed():
+    src = str(Path(oscount.__file__).resolve().parents[1])
+    grp = str(resources.files("oscount.data") / "g4.grp")
+
+    def outputs(seed):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        runs = []
+        for argv in (["count", "--catalog", "q8d8", "--oracle", "ff"], ["group", "analyze", grp]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "oscount.cli", *argv, "--json"],
+                env=env, capture_output=True, text=True,
+            )
+            doc = json.loads(proc.stdout)
+            assert isinstance(doc.pop("timing_seconds"), float)
+            runs.append((proc.returncode, json.dumps(doc), proc.stderr))
+        return runs
+
+    assert outputs("0") == outputs("12345")
+
+
 @pytest.mark.parametrize("verb", ["count", "analyze"])
 def test_ff_oracle_reuses_the_exact_lattice(capsys, braid3_file, monkeypatch, verb):
     calls = []

@@ -16,7 +16,7 @@ from oscount.groups import (
     namikawa_weyl_from_group,
     symplectic_reflections,
 )
-from oscount.rootdata import weyl_data, wreath_count_closed_form
+from oscount.rootdata import weyl_data, wreath_count_closed_form, wreath_poincare
 
 
 def test_run_oracle_refuses_an_unknown_oracle():
@@ -69,6 +69,8 @@ def test_wreath_closed_form_values():
     bad = weyl_data("A", 1)._replace(exponents=(2,), coxeter_number=2)
     with pytest.raises(MathematicalInconsistencyError, match="^closed-form product 5/3 is not"):
         wreath_count_closed_form(bad, 2)
+    with pytest.raises(InvalidInputError, match="wreath parameter n must be >= 1"):
+        wreath_poincare(weyl_data("A", 1), 0)
 
 
 @pytest.mark.parametrize(
@@ -158,3 +160,5 @@ def test_catalog_unknown_name():
 
 def test_folding_override_table_contents():
     assert FOLDING_OVERRIDES == {("A2", 2): 3}
+    # an override is |W_B| for a subgroup W_B of W(label)
+    assert all(groups._weyl_order(label) % v == 0 for (label, _), v in FOLDING_OVERRIDES.items())

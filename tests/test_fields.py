@@ -48,6 +48,8 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(8) == (1, 0, 0, 0, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+    with pytest.raises(InvalidInputError, match="undefined for 0"):
+        cyclotomic_polynomial(0)
 
 
 def test_field_descriptor_invariants():
@@ -60,6 +62,8 @@ def test_field_descriptor_invariants():
             FieldDescriptor(conductor)
     assert Q8.cyclotomic == (1, 0, 0, 0, 1)
     assert Q3.powers[:3] == ((1, 0), (0, 1), (-1, -1))
+    with pytest.raises(AttributeError, match="FieldDescriptor is immutable"):
+        Q3.conductor = 4
 
 
 def test_conductor_limit_is_checked_before_phi_is_computed():
@@ -78,6 +82,11 @@ def test_conjugate_examples():
     assert fraction_coords(QQ.from_rational(Fraction(5, 7)).conjugate()) == (Fraction(5, 7),)
     assert Q4.zeta().conjugate() == -Q4.zeta()
     assert omega.conjugate().conjugate() == omega
+    assert repr(omega.conjugate()) == "Scalar[N=3]((-1,-1))"
+    with pytest.raises(AttributeError, match="Scalar is immutable"):
+        omega.den = 2
+    with pytest.raises(ZeroDivisionError, match="inverse of zero scalar"):
+        Q3.zero().inverse()
 
 
 def test_mixed_field_arithmetic_is_an_error():

@@ -96,6 +96,10 @@ def test_pm_identity_enumeration():
 
 def test_enumeration_cap():
     g = catalog_group("q8d8")
+    with pytest.raises(InvalidInputError, match=r"call enumerate_elements\(\) first"):
+        g.multiply(0, 0)
+    with pytest.raises(InvalidInputError, match="enumeration cap must be >= 1"):
+        g.enumerate_elements(cap=0)
     with pytest.raises(ComputationCapError):
         g.enumerate_elements(cap=5)
 

@@ -217,6 +217,15 @@ def test_a_prime_where_the_rank_drops_is_bad():
     assert find_good_primes(lattice, 3) == [2, 3, 7]
 
 
+def test_more_flats_mod_q_than_in_the_exact_family_is_bad():
+    # x, y, z: the build mod 7 is capped at the 4 flats of levels 0 and 1
+    # of `exact`, so it stops on the first flat of codimension 2
+    rows, exact = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], [[0], [1, 2, 4]]
+    with pytest.raises(ComputationCapError, match="flat cap 4 exceeded at codimension 2"):
+        list(arrangement._levels([tuple(row) for row in rows], 3, 7, 4))
+    assert not matroid._keeps_lattice(rows, 3, 7, exact)
+
+
 def test_good_prime_search_stops_at_the_cap(braid3):
     # q^3 <= 30 leaves only q = 2 and q = 3
     with pytest.raises(ComputationCapError, match="found only 2") as exc:

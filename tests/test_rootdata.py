@@ -76,6 +76,8 @@ def test_unsupported_labels_rejected():
         weyl_data("E", 9)
     with pytest.raises(InvalidInputError):
         weyl_data("A", 0)
+    with pytest.raises(InvalidInputError, match="unsupported label 'B'; expected A, D or E"):
+        weyl_data("B", 2)
 
 
 def test_catalan_a1_n2():
