@@ -24,7 +24,6 @@ _SUBMODULE_NAMES = {
         "build_arrangement",
         "characteristic_polynomial",
         "cone",
-        "deletion_restriction",
         "essential_rank",
         "intersection_lattice",
         "poincare_polynomial",

@@ -1,8 +1,8 @@
 """Hyperplane arrangements over an exact field.
 
 Canonical hyperplanes, the intersection lattice of flats with its Moebius
-function, characteristic and Poincare polynomials, Zaslavsky region counts,
-coning, and deletion/restriction.
+function, characteristic and Poincare polynomials, Zaslavsky region counts
+and coning.
 
 A flat X is `contains(X)` (the maximal set of hyperplanes through it) and
 mu(X); the lattice is built one level, one codimension, at a time.
@@ -102,7 +102,6 @@ __all__ = [
     "poincare_polynomial",
     "region_count",
     "cone",
-    "deletion_restriction",
     "essential_rank",
     "DEFAULT_FLAT_CAP",
     "MAX_BOUND_BITS",
@@ -467,37 +466,3 @@ def cone(arrangement: Arrangement) -> Arrangement:
         raw.append(((-h.offset,) + h.normal, zero))
     raw.append(((one,) + (zero,) * arrangement.ambient_dim, zero))
     return build_arrangement(f, arrangement.ambient_dim + 1, raw)
-
-
-def deletion_restriction(
-    arrangement: Arrangement, h: int
-) -> tuple[Arrangement, Arrangement]:
-    """(A minus h, the arrangement induced on h).
-
-    The restriction is parametrized by the non-pivot coordinates of h's
-    rref, which is deterministic and exact.
-    """
-    n = len(arrangement.hyperplanes)
-    if not 0 <= h < n:
-        raise InvalidInputError(f"hyperplane index {h} out of range 0..{n - 1}")
-    f = arrangement.field
-    ell = arrangement.ambient_dim
-    deleted = build_arrangement(
-        f, ell, [p for i, p in enumerate(arrangement.hyperplanes) if i != h]
-    )
-    target = arrangement.hyperplanes[h]
-    # Solve the pivot coordinate: x_p = offset - sum_{j != p} n_j x_j.
-    p = next(i for i, x in enumerate(target.normal) if not x.is_zero())
-    free = [j for j in range(ell) if j != p]
-    raw = []
-    for i, other in enumerate(arrangement.hyperplanes):
-        if i == h:
-            continue
-        m_p = other.normal[p]
-        coeffs = tuple(other.normal[j] - m_p * target.normal[j] for j in free)
-        off = other.offset - m_p * target.offset
-        if all(x.is_zero() for x in coeffs):
-            continue  # parallel to h: empty trace
-        raw.append((coeffs, off))
-    restricted = build_arrangement(f, ell - 1, raw)
-    return deleted, restricted

@@ -206,12 +206,12 @@ def catalog(name: str) -> CatalogEntry:
         except ValueError:
             raise InvalidInputError(f"bad wreath parameter in {name!r}") from None
         wdata = weyl_data(letter, rank)
-        if n == 1:
+        if n < 2:
             # S_1 wr G is G, with one resolution; the coned n = 1 arrangement
             # keeps a = 0, and the A1 factor of |W| below needs n >= 2.
+            hint = f"; for n = 1 run `oscount wreath-formula --type {wdata.full_label} --n 1`"
             raise InvalidInputError(
-                f"catalog {name!r}: the wreath entries need n >= 2; "
-                f"for n = 1 run `oscount wreath-formula --type {wdata.full_label} --n 1`"
+                f"catalog {name!r}: the wreath entries need n >= 2" + (hint if n == 1 else "")
             )
         return CatalogEntry(
             name=name,

@@ -257,7 +257,7 @@ class Scalar:
         return parts[0] if self.field.is_rational else "(" + ",".join(parts) + ")"
 
     def __repr__(self) -> str:
-        return f"Scalar[N={self.field.conductor}]({self})"
+        return f"Scalar[N={self.field.conductor}]({str(self).strip('()')})"
 
 
 _new, _set_field, _set_num, _set_den = (

@@ -55,13 +55,11 @@ def _checks(caps, skip: set[str]):
     """Yield (name, status, detail) rows; status in PASS/FAIL/SKIP, and a
     FAIL row's detail is the OscountError raised.  Every expected number
     comes from the catalog entry under test."""
-    from .arrangement import cone, deletion_restriction
     from .counting import _SHIPPED, analyze_arrangement, catalog, check_published
     from .counting import count_resolutions, run_oracle
     from .fileio import parse_group_file
     from .groups import analyze_group
     from .matroid import nbc_betti
-    from .rootdata import CatalanSpec, affine_catalan, parse_type_label, weyl_data
 
     def check(name, fn, *args):
         try:
@@ -117,29 +115,3 @@ def _checks(caps, skip: set[str]):
             yield (f"finite-field oracle ({name})", "SKIP", "--skip ff")
         else:
             yield check(f"finite-field oracle ({name})", ff_check, catalog(name))
-
-    def cone_check():
-        for label, n in (("A1", 2), ("A2", 2)):
-            letter, rank = parse_type_label(label)
-            aff = affine_catalan(CatalanSpec(weyl_data(letter, rank), n))
-            pi_aff = analyze_arrangement(aff, caps["flat_cap"]).poincare_poly
-            pi_cone = analyze_arrangement(cone(aff), caps["flat_cap"]).poincare_poly
-            cone_ok = pi_cone == tuple(a + b for a, b in zip(pi_aff + (0,), (0,) + pi_aff))
-            _require(cone_ok, f"cone identity fails for {label} n={n}")
-        return "pi(cA, t) = (1+t) pi(A, t)"
-
-    yield check("cone identity on affine families", cone_check)
-
-    def delres_check():
-        for name in ("g4", "wreath:a1:2"):
-            arrangement = catalog(name).arrangement
-            chi = analyze_arrangement(arrangement, caps["flat_cap"]).char_poly
-            for h in range(len(arrangement.hyperplanes)):
-                deleted, restricted = deletion_restriction(arrangement, h)
-                chi_d = analyze_arrangement(deleted, caps["flat_cap"]).char_poly
-                chi_r = analyze_arrangement(restricted, caps["flat_cap"]).char_poly
-                diff = tuple(d - r for d, r in zip(chi_d, chi_r + (0,)))
-                _require(chi == diff, f"deletion-restriction fails at h={h}")
-        return "chi(A) = chi(A') - chi(A'') for every h"
-
-    yield check("deletion-restriction identity", delres_check)

@@ -7,6 +7,7 @@ import pytest
 
 from oscount.arrangement import Arrangement, build_arrangement
 from oscount.counting import catalog
+from oscount.errors import InvalidInputError
 from oscount.fields import Scalar, cyclotomic_field, rational_field
 from oscount.fileio import parse_group_file
 from oscount.groups import MatrixGroup
@@ -38,6 +39,41 @@ def g414_arrangement():
                 raw.append((tuple(normal), zero))
                 power = power * zeta
     return build_arrangement(field, 4, raw)
+
+
+def deletion_restriction(
+    arrangement: Arrangement, h: int
+) -> tuple[Arrangement, Arrangement]:
+    """(A minus h, the arrangement induced on h), the reference for the
+    deletion-restriction identity chi(A) = chi(A') - chi(A'').
+
+    The restriction is parametrized by the non-pivot coordinates of h's
+    rref, which is deterministic and exact.
+    """
+    n = len(arrangement.hyperplanes)
+    if not 0 <= h < n:
+        raise InvalidInputError(f"hyperplane index {h} out of range 0..{n - 1}")
+    f = arrangement.field
+    ell = arrangement.ambient_dim
+    deleted = build_arrangement(
+        f, ell, [p for i, p in enumerate(arrangement.hyperplanes) if i != h]
+    )
+    target = arrangement.hyperplanes[h]
+    # Solve the pivot coordinate: x_p = offset - sum_{j != p} n_j x_j.
+    p = next(i for i, x in enumerate(target.normal) if not x.is_zero())
+    free = [j for j in range(ell) if j != p]
+    raw = []
+    for i, other in enumerate(arrangement.hyperplanes):
+        if i == h:
+            continue
+        m_p = other.normal[p]
+        coeffs = tuple(other.normal[j] - m_p * target.normal[j] for j in free)
+        off = other.offset - m_p * target.offset
+        if all(x.is_zero() for x in coeffs):
+            continue  # parallel to h: empty trace
+        raw.append((coeffs, off))
+    restricted = build_arrangement(f, ell - 1, raw)
+    return deleted, restricted
 
 
 def brute_force_flats(arrangement: Arrangement) -> set:

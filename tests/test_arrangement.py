@@ -8,6 +8,7 @@ from conftest import (
     _poly_mul,
     brute_force_flats,
     brute_force_moebius,
+    deletion_restriction,
     fraction_coords,
     g414_arrangement,
     members,
@@ -25,7 +26,6 @@ from oscount.arrangement import (
     build_arrangement,
     characteristic_polynomial,
     cone,
-    deletion_restriction,
     essential_rank,
     intersection_lattice,
     poincare_polynomial,

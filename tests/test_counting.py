@@ -96,8 +96,11 @@ def test_wreath_catalog_refuses_n1():
     # coned n = 1 arrangement keeps a = 0 and would count 2 for A1
     with pytest.raises(InvalidInputError, match=r"need n >= 2; .*wreath-formula --type A1 --n 1"):
         catalog("wreath:A1:1")
-    with pytest.raises(InvalidInputError, match="^wreath parameter n must be >= 1$"):
-        catalog("wreath:A1:0")
+    # every n < 2 is refused by the same rule; only n = 1 has the hint
+    for name in ("wreath:a1:0", "wreath:d4:-3"):
+        message = f"^catalog '{name}': the wreath entries need n >= 2$"
+        with pytest.raises(InvalidInputError, match=message):
+            catalog(name)
 
 
 def test_wreath_weyl_data_factors():

@@ -82,7 +82,8 @@ def test_conjugate_examples():
     assert fraction_coords(QQ.from_rational(Fraction(5, 7)).conjugate()) == (Fraction(5, 7),)
     assert Q4.zeta().conjugate() == -Q4.zeta()
     assert omega.conjugate().conjugate() == omega
-    assert repr(omega.conjugate()) == "Scalar[N=3]((-1,-1))"
+    assert repr(omega.conjugate()) == "Scalar[N=3](-1,-1)"
+    assert repr(QQ.from_rational(Fraction(5, 7))) == "Scalar[N=1](5/7)"
     with pytest.raises(AttributeError, match="Scalar is immutable"):
         omega.den = 2
     with pytest.raises(ZeroDivisionError, match="inverse of zero scalar"):

@@ -17,6 +17,7 @@ from conftest import (
     _poly_mul,
     brute_force_flats,
     brute_force_moebius,
+    deletion_restriction,
     members,
     rank_mod,
     rational_arrangement,
@@ -30,7 +31,6 @@ from oscount.arrangement import (
     build_arrangement,
     characteristic_polynomial,
     cone,
-    deletion_restriction,
     essential_rank,
     intersection_lattice,
     poincare_polynomial,
