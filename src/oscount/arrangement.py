@@ -415,14 +415,11 @@ def characteristic_polynomial(lattice: IntersectionLattice) -> tuple[int, ...]:
 
 
 def poincare_polynomial(lattice: IntersectionLattice) -> tuple[int, ...]:
-    """pi(A, t) = sum_X mu(X) (-t)^{codim X}, ascending; coefficients are Whitney
-    numbers and must be nonnegative for a realizable arrangement."""
-    coeffs = [w * (-1) ** codim for codim, w in enumerate(lattice.whitney_numbers())]
-    if any(c < 0 for c in coeffs):
-        raise MathematicalInconsistencyError(
-            f"negative Poincare coefficient in {coeffs}; lattice is not geometric"
-        )
-    return tuple(coeffs)
+    """pi(A, t) = sum_X mu(X) (-t)^{codim X}, ascending; no sign is checked.
+    The levels are the flats over the field (module docstring), Weisner makes
+    mu(X) the Moebius value of the geometric lattice [V, X], and Rota's sign
+    theorem (Rota 1964) makes it nonzero of sign (-1)^{codim X}: (-1)^k w_k > 0."""
+    return tuple(w * (-1) ** codim for codim, w in enumerate(lattice.whitney_numbers()))
 
 
 def essential_rank(arrangement: Arrangement) -> int:

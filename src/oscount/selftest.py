@@ -3,7 +3,9 @@ pipelines that `count`, `analyze` and `group analyze` run.
 
 The CLI imports this module only for the `selftest` command, so no other
 command compiles the checks.  A count row runs `counting.check_published`,
-as `count --catalog` does; a group row parses the entry's `.grp` file.  A failed check raises
+as `count --catalog` does; an nbc or ff row runs `counting.run_oracle` on
+the report that row built (its own if the row raised first), as `--oracle`
+does; a group row parses the entry's `.grp` file.  A failed check raises
 MathematicalInconsistencyError, never `assert`, which `python -O` drops.
 """
 
@@ -59,7 +61,8 @@ def _checks(caps, skip: set[str]):
     from .counting import count_resolutions, run_oracle
     from .fileio import parse_group_file
     from .groups import analyze_group
-    from .matroid import nbc_betti
+
+    reports = {}  # entry name -> the report its count row built
 
     def check(name, fn, *args):
         try:
@@ -69,13 +72,18 @@ def _checks(caps, skip: set[str]):
 
     def count_check(entry):
         report = count_resolutions(entry.arrangement, entry.weyl_order, caps["flat_cap"])
+        reports[entry.name] = report
         check_published(entry, report)
         return f"count {report.resolution_count}, OS dim {report.os_dimension}"
 
-    def nbc_check(entry):
-        betti = nbc_betti(entry.arrangement, caps["subset_cap"])
-        _require(tuple(betti) == entry.expected["poincare"], f"nbc {betti}")
-        return f"betti {betti}"
+    def oracle_check(name, which):
+        report = reports.get(name)
+        if report is None:  # the count row raised before it built one
+            report = analyze_arrangement(catalog(name).arrangement, caps["flat_cap"])
+        results = run_oracle(report, which, caps)
+        if which == "nbc":
+            return f"betti {results['nbc_betti']}"
+        return f"q={[c['q'] for c in results['finite_field']]} agree with chi"
 
     def group_check(entry):
         e, group = entry.expected, parse_group_file(entry.group_file)
@@ -97,7 +105,7 @@ def _checks(caps, skip: set[str]):
         if "nbc" in skip:
             yield (f"{name} nbc oracle", "SKIP", "--skip nbc")
         else:
-            yield check(f"{name} nbc oracle", nbc_check, entry)
+            yield check(f"{name} nbc oracle", oracle_check, name, "nbc")
         yield check(f"{name} group pipeline", group_check, entry)
 
     # a wreath entry's expected count is the closed form: the second route
@@ -105,13 +113,8 @@ def _checks(caps, skip: set[str]):
         entry = catalog(f"wreath:{label}:{n}")
         yield check(f"wreath two-route ({label}, n={n})", count_check, entry)
 
-    def ff_check(entry):
-        report = analyze_arrangement(entry.arrangement, caps["flat_cap"])
-        results = run_oracle(report, "ff", caps)
-        return f"q={[c['q'] for c in results['finite_field']]} agree with chi"
-
     for name in ("q8d8", "wreath:a1:2", "wreath:a1:3", "wreath:a2:2"):
         if "ff" in skip:
             yield (f"finite-field oracle ({name})", "SKIP", "--skip ff")
         else:
-            yield check(f"finite-field oracle ({name})", ff_check, catalog(name))
+            yield check(f"finite-field oracle ({name})", oracle_check, name, "ff")

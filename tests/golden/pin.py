@@ -31,35 +31,62 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 
-_ORACLES = (["--oracle", "nbc"], ["--oracle", "ff"], [])
-COMMANDS = [
-    # test_every_public_function_is_entered_by_a_command's commands, but for
-    # the four that the `count --catalog` rows below repeat
+# test_every_public_function_is_entered_by_a_command runs these, in this
+# order (`catalan --out` writes the `cone` input), and checks each exit code
+# against its file: together they enter every public function
+PUBLIC_NAMES_GUARD = [
     ["analyze", "$DATA/q8d8.arr", "--oracle", "nbc", "--json"],
     ["analyze", "$DATA/q8d8.arr", "--oracle", "ff"],
     ["catalan", "--type", "A2", "--n", "2"],
     ["catalan", "--type", "A2", "--n", "2", "--affine", "--out", "$TMP/affine.arr"],
     ["cone", "$TMP/affine.arr", "--json"],
+    ["count", "--catalog", "q8d8", "--json"],
+    ["count", "--catalog", "g4"],
     ["count", "--catalog", "wreath:A2:2", "--oracle", "nbc"],
+    ["count", "--catalog", "wreath:A3:2", "--flat-cap", "100", "--json"],
+    ["count", "--catalog", "q8d8", "--oracle", "ff"],
     ["count", "--arrangement", "$DATA/q8d8.arr", "--weyl-order", "32"],
     ["wreath-formula", "--type", "D4", "--n", "3", "--json"],
     ["group", "analyze", "$DATA/q8d8.grp"],
     ["group", "analyze", "$DATA/g4.grp", "--json"],
     ["selftest"],
     ["selftest", "--json"],
+]
+_CATALOG = [
+    ["count", "--catalog", name, *oracle, *json_flag]
+    for name in ("q8d8", "g4", "wreath:A2:2", "wreath:A3:2", "wreath:D4:2")
+    for oracle in (["--oracle", "nbc"], ["--oracle", "ff"], [])
+    for json_flag in ([], ["--json"])
+]
+COMMANDS = [
+    *PUBLIC_NAMES_GUARD,
+    *(argv for argv in _CATALOG if argv not in PUBLIC_NAMES_GUARD),
+    # D5:2 has no oracle rows: each takes seconds
+    ["count", "--catalog", "wreath:D5:2"],
+    ["count", "--catalog", "wreath:D5:2", "--json"],
     ["analyze", "$DATA/g4.arr"],
+    ["analyze", "$DATA/q8d8.arr", "--oracle", "ff", "--json"],
     ["group", "analyze", "$DATA/q8d8.grp", "--json"],
     ["group", "analyze", "$DATA/g4.grp"],
-    *(
-        ["count", "--catalog", name, *oracle, *json_flag]
-        for name in ("q8d8", "g4", "wreath:A3:2", "wreath:D4:2")
-        for oracle in _ORACLES
-        for json_flag in ([], ["--json"])
-    ),
-    # a cap's partial work
-    ["count", "--catalog", "wreath:A3:2", "--flat-cap", "100", "--json"],
+    ["selftest", "--skip", "ff", "--json"],
+    # exit 1: invalid input
+    ["count"],
+    ["count", "--catalog", "nope"],
+    ["count", "--catalog", "wreath:A2"],
+    ["count", "--catalog", "wreath:A2:x"],
+    ["count", "--catalog", "q8d8", "--arrangement", "$DATA/q8d8.arr"],
+    ["count", "--catalog", "g4", "--weyl-order", "5"],
+    ["count", "--arrangement", "$DATA/q8d8.arr"],
+    ["count", "--arrangement", "$DATA/q8d8.arr", "--weyl-order", "0"],
+    # exit 2: each cap, and its partial work with --json
+    ["analyze", "$DATA/q8d8.arr", "--flat-cap", "10"],
     ["count", "--catalog", "wreath:D4:2", "--flat-cap", "2687", "--json"],
     ["count", "--catalog", "q8d8", "--flat-cap", "567", "--json"],
+    ["count", "--catalog", "q8d8", "--oracle", "nbc", "--subset-cap", "100", "--json"],
+    ["count", "--catalog", "q8d8", "--oracle", "ff", "--ff-cap", "1000", "--json"],
+    ["group", "analyze", "$DATA/q8d8.grp", "--group-cap", "10", "--json"],
+    # exit 3: 2592 is not divisible by 7
+    ["count", "--arrangement", "$DATA/q8d8.arr", "--weyl-order", "7"],
 ]
 
 _TIMING = [
@@ -105,6 +132,11 @@ def files() -> list[Path]:
     return sorted(HERE.glob("*.json"))
 
 
+def load(stem: str) -> dict:
+    """The document pinned in the file `stem`.json."""
+    return json.loads((HERE / f"{stem}.json").read_text(encoding="utf-8"))
+
+
 def diff(expected: dict, got: dict) -> str:
     """The lines of the two documents that differ, as a unified diff."""
     a, b = (json.dumps(d, indent=1).splitlines() for d in (expected, got))
@@ -132,7 +164,7 @@ def check_installed(names: list[str]) -> int:
     print the difference from its file; 1 when any differs."""
     failed = 0
     for stem in names:
-        expected = json.loads((HERE / f"{stem}.json").read_text(encoding="utf-8"))
+        expected = load(stem)
         argv = expected["argv"]
         proc = subprocess.run(["oscount", *argv], capture_output=True, text=True)
         got = document(argv, proc.returncode, proc.stdout, proc.stderr, {})

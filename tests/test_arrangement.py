@@ -123,11 +123,9 @@ def test_region_counts():
 
 
 def test_a_lattice_with_a_negative_invariant_is_an_inconsistency():
-    # hand-built levels that no arrangement has: x = 0 in Q^1 with mu = 1
-    # (pi = 1 - t) or mu = 0 (chi = t, so the bounded count is -1)
+    # hand-built levels that no arrangement has: x = 0 in Q^1 with mu = 0
+    # (chi = t, so the bounded count is -1)
     line = rational_arrangement(1, [[1]])
-    with pytest.raises(MathematicalInconsistencyError, match="negative Poincare coefficient"):
-        poincare_polynomial(IntersectionLattice(line, [{0: 1}, {1: 1}]))
     with pytest.raises(MathematicalInconsistencyError, match=r"Zaslavsky count \(regions=1, bounded=-1\)"):
         region_count(IntersectionLattice(line, [{0: 1}, {1: 0}]))
 

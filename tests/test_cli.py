@@ -106,12 +106,6 @@ def test_group_file_errors():
         parse_group_text("field\n")
 
 
-def test_cli_count_catalog(capsys):
-    assert cli.main(["count", "--catalog", "g4"]) == 0
-    out = capsys.readouterr().out
-    assert "resolution count: 2" in out
-
-
 def test_cli_count_json_structure(capsys):
     assert cli.main(["count", "--catalog", "wreath:A1:2", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -185,20 +179,15 @@ def test_cli_ff_oracle_takes_coefficients_beyond_64_bits(capsys, tmp_path):
         assert r["count"] == r["chi"] == (r["q"] - 1) * (r["q"] - 2)
 
 
-def test_cli_json_is_deterministic_except_timing(capsys):
-    def run():
-        assert cli.main(["count", "--catalog", "g4", "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        doc.pop("timing_seconds")
-        return json.dumps(doc, sort_keys=False)
-
-    assert run() == run()
-
-
 def test_cli_exit_code_invalid_input(capsys):
-    assert cli.main(["count", "--catalog", "nope"]) == 1
-    assert cli.main(["analyze", "/nonexistent/file.arr"]) == 1
-    assert cli.main(["count", "--arrangement", "/nonexistent.arr"]) == 1
+    # a missing file, given with every flag its command needs
+    for argv in (
+        ["analyze", "/nonexistent/file.arr"],
+        ["count", "--arrangement", "/nonexistent/file.arr", "--weyl-order", "32"],
+    ):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read arrangement file /nonexistent/file.arr: ")
 
 
 def test_help_exits_0_with_usage_on_stdout(capsys):
@@ -459,45 +448,6 @@ def test_unexpected_exception_is_one_line_and_exit_3(capsys, monkeypatch):
     assert err.endswith("error: internal error: RuntimeError('boom')\n")
 
 
-def test_cli_exit_code_cap(capsys, tmp_path):
-    path = tmp_path / "q8.arr"
-    path.write_text(serialize_arrangement(catalog("q8d8").arrangement))
-    assert cli.main(["analyze", str(path), "--flat-cap", "10"]) == 2
-
-
-def test_cli_exit_code_inconsistency(capsys, tmp_path):
-    path = tmp_path / "q8.arr"
-    path.write_text(serialize_arrangement(catalog("q8d8").arrangement))
-    # wrong Weyl order: 2592 is not divisible by 7
-    assert cli.main(["count", "--arrangement", str(path), "--weyl-order", "7"]) == 3
-
-
-def test_weyl_order_beside_a_catalog_entry_is_refused(capsys):
-    # a catalog entry carries its own Weyl order
-    assert cli.main(["count", "--catalog", "g4", "--weyl-order", "5"]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err == "error: give --weyl-order with --arrangement, not with --catalog\n"
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["--catalog", "q8d8", "--arrangement", "q8d8.arr"],
-         "give either --catalog or --arrangement, not both"),
-        ([], "count needs --catalog NAME or --arrangement FILE"),
-        (["--arrangement", "q8d8.arr", "--weyl-order", "0"], "Weyl order must be >= 1"),
-        (["--catalog", "wreath:A2"],
-         "bad wreath catalog name 'wreath:a2'; expected wreath:<type>:<n>"),
-        (["--catalog", "wreath:A2:x"], "bad wreath parameter in 'wreath:a2:x'"),
-    ],
-    ids=["both-sources", "no-source", "weyl-order-0", "wreath-without-n", "wreath-bad-n"],
-)
-def test_count_flag_errors_exit_1(capsys, argv, message):
-    argv = [data_path(a) if a.endswith(".arr") else a for a in argv]
-    assert cli.main(["count", *argv]) == 1
-    assert capsys.readouterr() == ("", f"error: {message}\n")
-
-
 GROUP_PM1 = "field rational\ndim 2\nsymplectic_form\n0 1\n-1 0\ngenerator\n-1 0\n0 -1\n"
 
 
@@ -597,22 +547,6 @@ def test_cli_cap_environment_variable_is_not_read(capsys, monkeypatch):
     assert capsys.readouterr().out == plain
 
 
-def test_cli_group_analyze(capsys):
-    assert cli.main(["group", "analyze", data_path("q8d8.grp"), "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["order"] == 32
-    assert doc["num_reflection_classes"] == 5
-    assert doc["zeta_bijection"]["bijective"] is True
-    assert doc["namikawa_weyl"]["total_order"] == 32
-
-
-def test_cli_group_analyze_g4(capsys):
-    assert cli.main(["group", "analyze", data_path("g4.grp"), "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["order"] == 24
-    assert doc["namikawa_weyl"]["total_order"] == 3
-
-
 def test_cli_group_analyze_wreath_q8_is_undetermined(capsys, tmp_path):
     # S2 wr Q8: the Q8 parabolic is D4 with |Xi| = 8, a label with diagram
     # automorphisms, so the class data cannot fix its folding
@@ -641,19 +575,6 @@ def test_cli_group_analyze_exits_3_when_the_zeta_bijection_fails(capsys, monkeyp
     assert captured.err.splitlines() == [
         "error: reflection classes and parabolic orbits are not in bijection"
     ]
-
-
-def test_selftest_skip_ff(capsys):
-    assert cli.main(["selftest", "--skip", "ff", "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["failed"] == 0
-    assert doc["skipped"] == 4
-    skipped = [c["name"] for c in doc["checks"] if c["status"] == "SKIP"]
-    assert skipped == [
-        f"finite-field oracle ({name})"
-        for name in ("q8d8", "wreath:a1:2", "wreath:a1:3", "wreath:a2:2")
-    ]
-    assert len(doc["checks"]) == 14
 
 
 def test_selftest_exits_2_when_every_failure_is_a_cap(capsys, monkeypatch):

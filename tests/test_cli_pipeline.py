@@ -1,5 +1,6 @@
-"""The CLI's shared analysis pipeline: pinned JSON documents, one lattice
-build per command, cap validation and the import cost of the CLI."""
+"""The CLI's shared analysis pipeline: one lattice build per command, cap
+validation and the import cost of the CLI.  What each command prints is
+pinned by the golden corpus (`tests/test_golden.py`)."""
 
 import json
 import os
@@ -11,183 +12,13 @@ from pathlib import Path
 
 import pytest
 
+from golden import pin
+
 import oscount
 from oscount import arrangement, cli, counting, groups
 from oscount.fileio import parse_arrangement_file
 
-CAPS = {"flat_cap": 2000000, "subset_cap": 2000000, "group_cap": 200000, "ff_cap": 100000000}
-
 BRAID3 = "field rational\ndim 3\nhyperplane 1 -1 0\nhyperplane 1 0 -1\nhyperplane 0 1 -1\n"
-
-COUNT_G4_NBC = {
-    "command": "count",
-    "num_hyperplanes": 3,
-    "ambient_dim": 2,
-    "rank": 2,
-    "char_poly": {"coefficients": [2, -3, 1], "text": "t^2 - 3*t + 2"},
-    "poincare_poly": {"coefficients": [1, 3, 2], "text": "2*t^2 + 3*t + 1"},
-    "os_dimension": 6,
-    "weyl_order": 3,
-    "resolution_count": 2,
-    "flats_per_level": [1, 3, 1],
-    "moebius_checksum": [1, -3, 2],
-    "oracle_results": {"oracle": "nbc", "nbc_betti": [1, 3, 2], "agrees": True},
-    "caps": CAPS,
-}
-
-ANALYZE_BRAID3_FF = {
-    "command": "analyze",
-    "field": {"kind": "rational", "conductor": 1, "degree": 1},
-    "ambient_dim": 3,
-    "central": True,
-    "num_hyperplanes": 3,
-    "hyperplanes": ["1 -1 0 0", "1 0 -1 0", "0 1 -1 0"],
-    "rank": 2,
-    "char_poly": {"coefficients": [0, 2, -3, 1], "text": "t^3 - 3*t^2 + 2*t"},
-    "poincare_poly": {"coefficients": [1, 3, 2], "text": "2*t^2 + 3*t + 1"},
-    "os_dimension": 6,
-    "flats_per_level": [1, 3, 1],
-    "moebius_checksum": [1, -3, 2],
-    "regions": 6,
-    "bounded_regions": 0,
-    "oracle_results": {
-        "oracle": "ff",
-        "finite_field": [
-            {"q": 2, "count": 0, "chi": 0, "agrees": True},
-            {"q": 3, "count": 6, "chi": 6, "agrees": True},
-        ],
-        "agrees": True,
-    },
-    "caps": CAPS,
-}
-
-COUNT_D4_2 = {
-    "command": "count",
-    "num_hyperplanes": 37,
-    "ambient_dim": 5,
-    "rank": 5,
-    "char_poly": {
-        "coefficients": [-6237, 9081, -3326, 518, -37, 1],
-        "text": "t^5 - 37*t^4 + 518*t^3 - 3326*t^2 + 9081*t - 6237",
-    },
-    "poincare_poly": {
-        "coefficients": [1, 37, 518, 3326, 9081, 6237],
-        "text": "6237*t^5 + 9081*t^4 + 3326*t^3 + 518*t^2 + 37*t + 1",
-    },
-    "os_dimension": 19200,
-    "weyl_order": 384,
-    "resolution_count": 50,
-    "flats_per_level": [1, 37, 382, 1258, 1009, 1],
-    "moebius_checksum": [1, -37, 518, -3326, 9081, -6237],
-    "regions": 19200,
-    "bounded_regions": 0,
-    "caps": CAPS,
-}
-
-ANALYZE_Q8D8_FF = {
-    "command": "analyze",
-    "field": {"kind": "rational", "conductor": 1, "degree": 1},
-    "ambient_dim": 5,
-    "central": True,
-    "num_hyperplanes": 21,
-    "hyperplanes": [
-        "1 1 1 1 1 0", "1 1 1 1 -1 0", "1 1 1 -1 1 0", "1 1 1 -1 -1 0",
-        "1 1 -1 1 1 0", "1 1 -1 1 -1 0", "1 1 -1 -1 1 0", "1 1 -1 -1 -1 0",
-        "1 -1 1 1 1 0", "1 -1 1 1 -1 0", "1 -1 1 -1 1 0", "1 -1 1 -1 -1 0",
-        "1 -1 -1 1 1 0", "1 -1 -1 1 -1 0", "1 -1 -1 -1 1 0", "1 -1 -1 -1 -1 0",
-        "1 0 0 0 0 0", "0 1 0 0 0 0", "0 0 1 0 0 0", "0 0 0 1 0 0", "0 0 0 0 1 0",
-    ],
-    "rank": 5,
-    "char_poly": {
-        "coefficients": [-625, 1125, -650, 170, -21, 1],
-        "text": "t^5 - 21*t^4 + 170*t^3 - 650*t^2 + 1125*t - 625",
-    },
-    "poincare_poly": {
-        "coefficients": [1, 21, 170, 650, 1125, 625],
-        "text": "625*t^5 + 1125*t^4 + 650*t^3 + 170*t^2 + 21*t + 1",
-    },
-    "os_dimension": 2592,
-    "flats_per_level": [1, 21, 130, 270, 145, 1],
-    "moebius_checksum": [1, -21, 170, -650, 1125, -625],
-    "regions": 2592,
-    "bounded_regions": 0,
-    "oracle_results": {
-        "oracle": "ff",
-        "finite_field": [
-            {"q": 5, "count": 0, "chi": 0, "agrees": True},
-            {"q": 7, "count": 96, "chi": 96, "agrees": True},
-        ],
-        "agrees": True,
-    },
-    "caps": CAPS,
-}
-
-GROUP_G4 = {
-    "command": "group analyze",
-    "field": {"kind": "cyclotomic", "conductor": 3, "degree": 2},
-    "dim": 4,
-    "order": 24,
-    "num_reflection_classes": 2,
-    "reflection_class_sizes": [4, 4],
-    "parabolic_classes": [
-        {
-            "subgroup_order": 3,
-            "kleinian_label": "A2",
-            "num_conjugates": 4,
-            "normalizer_order": 6,
-            "xi_order": 2,
-            "xi_class_action_trivial": True,
-            "orbit_count": 2,
-        }
-    ],
-    "zeta_bijection": {
-        "num_reflection_classes": 2,
-        "num_parabolic_orbits": 2,
-        "matching": [
-            {"parabolic": 0, "orbit": 0, "reflection_class": 0},
-            {"parabolic": 0, "orbit": 1, "reflection_class": 1},
-        ],
-        "bijective": True,
-    },
-    "namikawa_weyl": {"factors": [["A2", 3]], "total_order": 3},
-    "caps": CAPS,
-}
-
-
-# q8d8's five parabolic classes are alike: Z/2 with two conjugates each
-Q8D8_PARABOLIC = {
-    "subgroup_order": 2,
-    "kleinian_label": "A1",
-    "num_conjugates": 2,
-    "normalizer_order": 16,
-    "xi_order": 8,
-    "xi_class_action_trivial": True,
-    "orbit_count": 1,
-}
-
-GROUP_Q8D8 = {
-    "command": "group analyze",
-    "field": {"kind": "cyclotomic", "conductor": 4, "degree": 2},
-    "dim": 4,
-    "order": 32,
-    "num_reflection_classes": 5,
-    "reflection_class_sizes": [2, 2, 2, 2, 2],
-    "parabolic_classes": [Q8D8_PARABOLIC] * 5,
-    "zeta_bijection": {
-        "num_reflection_classes": 5,
-        "num_parabolic_orbits": 5,
-        "matching": [
-            {"parabolic": 0, "orbit": 0, "reflection_class": 0},
-            {"parabolic": 1, "orbit": 0, "reflection_class": 1},
-            {"parabolic": 2, "orbit": 0, "reflection_class": 2},
-            {"parabolic": 3, "orbit": 0, "reflection_class": 3},
-            {"parabolic": 4, "orbit": 0, "reflection_class": 4},
-        ],
-        "bijective": True,
-    },
-    "namikawa_weyl": {"factors": [["A1", 2]] * 5, "total_order": 32},
-    "caps": CAPS,
-}
 
 
 @pytest.fixture
@@ -202,34 +33,6 @@ def _json_doc(capsys, argv) -> dict:
     doc = json.loads(capsys.readouterr().out)
     assert isinstance(doc.pop("timing_seconds"), float)
     return doc
-
-
-@pytest.mark.parametrize(
-    "argv, expected",
-    [
-        (["count", "--catalog", "g4", "--oracle", "nbc", "--json"], COUNT_G4_NBC),
-        (["analyze", "BRAID3", "--oracle", "ff", "--json"], ANALYZE_BRAID3_FF),
-        (["count", "--catalog", "wreath:D4:2", "--json"], COUNT_D4_2),
-        (
-            ["analyze", str(resources.files("oscount.data") / "q8d8.arr"), "--oracle", "ff"]
-            + ["--json"],
-            ANALYZE_Q8D8_FF,
-        ),
-        (
-            ["group", "analyze", str(resources.files("oscount.data") / "g4.grp"), "--json"],
-            GROUP_G4,
-        ),
-        (
-            ["group", "analyze", str(resources.files("oscount.data") / "q8d8.grp"), "--json"],
-            GROUP_Q8D8,
-        ),
-    ],
-    ids=["count", "analyze", "count-d4-2", "analyze-q8d8-ff", "group", "group-q8d8"],
-)
-def test_json_document_is_pinned(capsys, braid3_file, argv, expected):
-    argv = [braid3_file if a == "BRAID3" else a for a in argv]
-    # json.dumps keeps insertion order, so this also pins the key order
-    assert json.dumps(_json_doc(capsys, argv)) == json.dumps(expected)
 
 
 def test_count_and_analyze_build_the_lattice_once(capsys, braid3_file, monkeypatch):
@@ -449,15 +252,14 @@ def test_ff_oracle_runs_with_numpy_unimportable():
         "import sys; sys.modules['numpy'] = None; from oscount import cli; "
         "sys.exit(cli.main(sys.argv[1:]))"
     )
-    path = str(resources.files("oscount.data") / "q8d8.arr")
-    argv = ["analyze", path, "--oracle", "ff", "--json"]
+    data = str(Path(oscount.__file__).parent / "data")
+    argv = ["analyze", "$DATA/q8d8.arr", "--oracle", "ff", "--json"]
+    real = [a.replace("$DATA", data) for a in argv]
     proc = subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
+        [sys.executable, "-c", code, *real], env=env, capture_output=True, text=True
     )
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout)
-    assert isinstance(doc.pop("timing_seconds"), float)
-    assert json.dumps(doc) == json.dumps(ANALYZE_Q8D8_FF)
+    got = pin.document(argv, proc.returncode, proc.stdout, proc.stderr, {"$DATA": data})
+    assert got == pin.load(pin.name(argv))
 
 
 def test_output_does_not_depend_on_the_hash_seed():
@@ -521,14 +323,6 @@ def test_cap_error_reports_partial_work_as_json(capsys):
 
 
 def test_group_cap_error_reports_completed_layers(capsys, tmp_path):
-    q8d8 = str(resources.files("oscount.data") / "q8d8.grp")
-    argv = ["group", "analyze", q8d8, "--group-cap", "10"]
-    message = "group enumeration cap 10 exceeded"
-    assert cli.main(argv + ["--json"]) == 2
-    out, err = capsys.readouterr()
-    # the identity, then the 4 elements one generator away; the next layer overflows
-    assert json.loads(out) == {"error": message, "partial": {"elements_per_layer": [1, 4]}}
-    assert err == f"error: {message}\n"
     # diag(zeta, zeta^-1) over Q(zeta_60), cyclic of order 60: one element
     # per layer until the cap
     zeta, inverse = "(0,1" + ",0" * 14 + ")", "(0,-1,0,0,0,1,0,1,0,1,0,0,0,-1,0,-1)"

@@ -27,7 +27,6 @@ first that fails):
     pub   `counting.check_published` on a shipped entry (typed values)
     cf    `counting.check_published` on a wreath entry (the closed form)
     div   `count_resolutions`: pi(1) divisible by |W|
-    pi    `poincare_polynomial`'s raise on a negative coefficient
     Z     `region_count`'s raise on a negative Zaslavsky count
     selftest's 14 rows, in its order, in four columns:
           q8d8: count, nbc, group | g4: count, nbc, group |
@@ -42,8 +41,9 @@ selftest, cone and dr run on their own inputs, so under one fault they read
 the same on every input.  cone and dr were selftest rows until this table
 showed that nbc catches every fault they catch; tier-1 keeps both
 identities on random input (`test_randomized_invariant_suite`).  selftest's
-nbc and group rows read no lattice, so no fault here reaches them: they
-check the nbc walk and the group route against typed values.
+group rows read no lattice, so of these faults only (d) reaches them.  Its
+nbc rows check the nbc walk against the report its count row built, as
+`count --catalog NAME --oracle nbc` does, so they catch what nbc catches.
 
 The unfaulted lattices, nbc counts, point counts, good primes and group
 analyses are each computed once: no fault changes what they read, and the
@@ -62,7 +62,7 @@ import pytest
 from conftest import _poly_mul, deletion_restriction, g414_arrangement
 
 from oscount import arrangement, counting, fileio, groups, matroid, selftest
-from oscount.arrangement import characteristic_polynomial, cone, poincare_polynomial, region_count
+from oscount.arrangement import characteristic_polynomial, cone, region_count
 from oscount.counting import CountReport, check_published, count_resolutions, run_oracle
 from oscount.errors import (
     DEFAULT_FF_CAP,
@@ -76,74 +76,74 @@ from oscount.errors import (
 from oscount.rootdata import CatalanSpec, affine_catalan, weyl_data
 
 TABLE = """\
-                       ------ per input ------ ------ selftest ------ removed
-fault            input nbc ff pub cf div pi Z q8d8  g4 wreath ff row cone dr
-none             q8d8   .  .   .  -   .  .  . ...  ...  ....   ....   .   .
-(a) w0+1         q8d8   x  x   x  -   x  .  x x..  x..  xxxx   xxxx   x   x
-(a) w0-1         q8d8   x  x   x  -   x  .  . x..  x..  xxxx   xxxx   x   x
-(a) w1+1         q8d8   x  x   x  -   x  .  x x..  x..  xxxx   xxxx   x   x
-(a) w1-1         q8d8   x  x   x  -   x  .  . x..  x..  xxxx   xxxx   x   x
-(a) w2+1         q8d8   x  x   x  -   x  .  x x..  x..  xxxx   xxxx   x   .
-(a) w2-1         q8d8   x  x   x  -   x  .  . x..  x..  xxxx   xxxx   x   x
-(a) w3+1         q8d8   x  x   x  -   x  .  x x..  ...  ..xx   x..x   x   .
-(a) w3-1         q8d8   x  x   x  -   x  .  . x..  ...  ..xx   x..x   x   .
-(a) w4+1         q8d8   x  x   x  -   x  .  x x..  ...  ...x   x...   .   .
-(a) w4-1         q8d8   x  x   x  -   x  .  . x..  ...  ...x   x...   .   .
-(a) w5+1         q8d8   x  x   x  -   x  .  x x..  ...  ....   x...   .   .
-(a) w5-1         q8d8   x  x   x  -   x  .  . x..  ...  ....   x...   .   .
-(a') pi1+1 pi2-1 q8d8   x  x   x  -   .  .  . x..  x..  xxxx   xxxx   x   x
-(b) q=5,7        q8d8   x  .   x  -   .  .  . x..  ...  ...x   ....   .   .
-(c) w1+1 wr-1    q8d8   x  x   x  -   .  .  . x..  x..  xxxx   xxxx   x   .
-(d) 2|W|         q8d8   .  .   x  -   x  .  . x.x  x.x  xxxx   ....   .   .
-(e) first p > 2  q8d8   x  c   x  -   .  .  . x..  ...  .xxx   c.cc   .   .
-none             D4:2   .  .   -  .   .  .  . ...  ...  ....   ....   .   .
-(a) w0+1         D4:2   x  x   -  x   x  .  x x..  x..  xxxx   xxxx   x   x
-(a) w0-1         D4:2   x  x   -  x   x  .  . x..  x..  xxxx   xxxx   x   x
-(a) w1+1         D4:2   x  x   -  x   x  .  x x..  x..  xxxx   xxxx   x   x
-(a) w1-1         D4:2   x  x   -  x   x  .  . x..  x..  xxxx   xxxx   x   x
-(a) w2+1         D4:2   x  x   -  x   x  .  x x..  x..  xxxx   xxxx   x   .
-(a) w2-1         D4:2   x  x   -  x   x  .  . x..  x..  xxxx   xxxx   x   x
-(a) w3+1         D4:2   x  x   -  x   x  .  x x..  ...  ..xx   x..x   x   .
-(a) w3-1         D4:2   x  x   -  x   x  .  . x..  ...  ..xx   x..x   x   .
-(a) w4+1         D4:2   x  x   -  x   x  .  x x..  ...  ...x   x...   .   .
-(a) w4-1         D4:2   x  x   -  x   x  .  . x..  ...  ...x   x...   .   .
-(a) w5+1         D4:2   x  x   -  x   x  .  x x..  ...  ....   x...   .   .
-(a) w5-1         D4:2   x  x   -  x   x  .  . x..  ...  ....   x...   .   .
-(a') pi1+1 pi2-1 D4:2   x  x   -  x   .  .  . x..  x..  xxxx   xxxx   x   x
-(b) q=7,11       D4:2   x  .   -  x   x  .  . x..  ...  ...x   x...   .   .
-(c) w1+1 wr-1    D4:2   x  x   -  x   .  .  . x..  x..  xxxx   xxxx   x   .
-(d) 2|W|         D4:2   .  .   -  x   .  .  . x.x  x.x  xxxx   ....   .   .
-(e) first p > 2  D4:2   x  c   -  x   x  .  . x..  ...  .xxx   c.cc   .   .
-none             A3:2   .  .   -  .   .  .  . ...  ...  ....   ....   .   .
-(a) w0+1         A3:2   x  x   -  x   x  .  . x..  x..  xxxx   xxxx   x   x
-(a) w0-1         A3:2   x  x   -  x   x  .  x x..  x..  xxxx   xxxx   x   x
-(a) w1+1         A3:2   x  x   -  x   x  .  . x..  x..  xxxx   xxxx   x   x
-(a) w1-1         A3:2   x  x   -  x   x  .  x x..  x..  xxxx   xxxx   x   x
-(a) w2+1         A3:2   x  x   -  x   x  .  . x..  x..  xxxx   xxxx   x   .
-(a) w2-1         A3:2   x  x   -  x   x  .  x x..  x..  xxxx   xxxx   x   x
-(a) w3+1         A3:2   x  x   -  x   x  .  . x..  ...  ..xx   x..x   x   .
-(a) w3-1         A3:2   x  x   -  x   x  .  x x..  ...  ..xx   x..x   x   .
-(a) w4+1         A3:2   x  x   -  x   x  .  . x..  ...  ...x   x...   .   .
-(a) w4-1         A3:2   x  x   -  x   x  .  x x..  ...  ...x   x...   .   .
-(a') pi1+1 pi2-1 A3:2   x  x   -  x   .  .  x x..  x..  xxxx   xxxx   x   x
-(b) q=5,7        A3:2   x  .   -  x   .  .  . x..  ...  ...x   ....   .   .
-(c) w1+1 wr-1    A3:2   x  x   -  x   x  .  . x..  x..  xxxx   xxxx   x   .
-(d) 2|W|         A3:2   .  .   -  x   .  .  . x.x  x.x  xxxx   ....   .   .
-(e) first p > 2  A3:2   x  c   -  x   x  .  . x..  ...  .xxx   c.cc   .   .
-none             G414   .  -   -  -   -  .  - ...  ...  ....   ....   .   .
-(a) w0+1         G414   x  -   -  -   -  .  - x..  x..  xxxx   xxxx   x   x
-(a) w0-1         G414   x  -   -  -   -  .  - x..  x..  xxxx   xxxx   x   x
-(a) w1+1         G414   x  -   -  -   -  .  - x..  x..  xxxx   xxxx   x   x
-(a) w1-1         G414   x  -   -  -   -  .  - x..  x..  xxxx   xxxx   x   x
-(a) w2+1         G414   x  -   -  -   -  .  - x..  x..  xxxx   xxxx   x   .
-(a) w2-1         G414   x  -   -  -   -  .  - x..  x..  xxxx   xxxx   x   x
-(a) w3+1         G414   x  -   -  -   -  .  - x..  ...  ..xx   x..x   x   .
-(a) w3-1         G414   x  -   -  -   -  .  - x..  ...  ..xx   x..x   x   .
-(a) w4+1         G414   x  -   -  -   -  .  - x..  ...  ...x   x...   .   .
-(a) w4-1         G414   x  -   -  -   -  .  - x..  ...  ...x   x...   .   .
-(a') pi1+1 pi2-1 G414   x  -   -  -   -  .  - x..  x..  xxxx   xxxx   x   x
-(b) q=5,13       G414   x  -   -  -   -  .  - x..  ...  ...x   x...   .   .
-(c) w1+1 wr-1    G414   x  -   -  -   -  .  - x..  x..  xxxx   xxxx   x   .
+                       ---- per input ---- ------ selftest ------ removed
+fault            input nbc ff pub cf div Z q8d8  g4 wreath ff row cone dr
+none             q8d8   .  .   .  -   .  . ...  ...  ....   ....   .   .
+(a) w0+1         q8d8   x  x   x  -   x  x xx.  xx.  xxxx   xxxx   x   x
+(a) w0-1         q8d8   x  x   x  -   x  . xx.  xx.  xxxx   xxxx   x   x
+(a) w1+1         q8d8   x  x   x  -   x  x xx.  xx.  xxxx   xxxx   x   x
+(a) w1-1         q8d8   x  x   x  -   x  . xx.  xx.  xxxx   xxxx   x   x
+(a) w2+1         q8d8   x  x   x  -   x  x xx.  xx.  xxxx   xxxx   x   .
+(a) w2-1         q8d8   x  x   x  -   x  . xx.  xx.  xxxx   xxxx   x   x
+(a) w3+1         q8d8   x  x   x  -   x  x xx.  ...  ..xx   x..x   x   .
+(a) w3-1         q8d8   x  x   x  -   x  . xx.  ...  ..xx   x..x   x   .
+(a) w4+1         q8d8   x  x   x  -   x  x xx.  ...  ...x   x...   .   .
+(a) w4-1         q8d8   x  x   x  -   x  . xx.  ...  ...x   x...   .   .
+(a) w5+1         q8d8   x  x   x  -   x  x xx.  ...  ....   x...   .   .
+(a) w5-1         q8d8   x  x   x  -   x  . xx.  ...  ....   x...   .   .
+(a') pi1+1 pi2-1 q8d8   x  x   x  -   .  . xx.  xx.  xxxx   xxxx   x   x
+(b) q=5,7        q8d8   x  .   x  -   .  . xx.  ...  ...x   ....   .   .
+(c) w1+1 wr-1    q8d8   x  x   x  -   .  . xx.  xx.  xxxx   xxxx   x   .
+(d) 2|W|         q8d8   .  .   x  -   x  . x.x  x.x  xxxx   ....   .   .
+(e) first p > 2  q8d8   x  c   x  -   .  . xx.  ...  .xxx   c.cc   .   .
+none             D4:2   .  .   -  .   .  . ...  ...  ....   ....   .   .
+(a) w0+1         D4:2   x  x   -  x   x  x xx.  xx.  xxxx   xxxx   x   x
+(a) w0-1         D4:2   x  x   -  x   x  . xx.  xx.  xxxx   xxxx   x   x
+(a) w1+1         D4:2   x  x   -  x   x  x xx.  xx.  xxxx   xxxx   x   x
+(a) w1-1         D4:2   x  x   -  x   x  . xx.  xx.  xxxx   xxxx   x   x
+(a) w2+1         D4:2   x  x   -  x   x  x xx.  xx.  xxxx   xxxx   x   .
+(a) w2-1         D4:2   x  x   -  x   x  . xx.  xx.  xxxx   xxxx   x   x
+(a) w3+1         D4:2   x  x   -  x   x  x xx.  ...  ..xx   x..x   x   .
+(a) w3-1         D4:2   x  x   -  x   x  . xx.  ...  ..xx   x..x   x   .
+(a) w4+1         D4:2   x  x   -  x   x  x xx.  ...  ...x   x...   .   .
+(a) w4-1         D4:2   x  x   -  x   x  . xx.  ...  ...x   x...   .   .
+(a) w5+1         D4:2   x  x   -  x   x  x xx.  ...  ....   x...   .   .
+(a) w5-1         D4:2   x  x   -  x   x  . xx.  ...  ....   x...   .   .
+(a') pi1+1 pi2-1 D4:2   x  x   -  x   .  . xx.  xx.  xxxx   xxxx   x   x
+(b) q=7,11       D4:2   x  .   -  x   x  . xx.  ...  ...x   x...   .   .
+(c) w1+1 wr-1    D4:2   x  x   -  x   .  . xx.  xx.  xxxx   xxxx   x   .
+(d) 2|W|         D4:2   .  .   -  x   .  . x.x  x.x  xxxx   ....   .   .
+(e) first p > 2  D4:2   x  c   -  x   x  . xx.  ...  .xxx   c.cc   .   .
+none             A3:2   .  .   -  .   .  . ...  ...  ....   ....   .   .
+(a) w0+1         A3:2   x  x   -  x   x  . xx.  xx.  xxxx   xxxx   x   x
+(a) w0-1         A3:2   x  x   -  x   x  x xx.  xx.  xxxx   xxxx   x   x
+(a) w1+1         A3:2   x  x   -  x   x  . xx.  xx.  xxxx   xxxx   x   x
+(a) w1-1         A3:2   x  x   -  x   x  x xx.  xx.  xxxx   xxxx   x   x
+(a) w2+1         A3:2   x  x   -  x   x  . xx.  xx.  xxxx   xxxx   x   .
+(a) w2-1         A3:2   x  x   -  x   x  x xx.  xx.  xxxx   xxxx   x   x
+(a) w3+1         A3:2   x  x   -  x   x  . xx.  ...  ..xx   x..x   x   .
+(a) w3-1         A3:2   x  x   -  x   x  x xx.  ...  ..xx   x..x   x   .
+(a) w4+1         A3:2   x  x   -  x   x  . xx.  ...  ...x   x...   .   .
+(a) w4-1         A3:2   x  x   -  x   x  x xx.  ...  ...x   x...   .   .
+(a') pi1+1 pi2-1 A3:2   x  x   -  x   .  x xx.  xx.  xxxx   xxxx   x   x
+(b) q=5,7        A3:2   x  .   -  x   .  . xx.  ...  ...x   ....   .   .
+(c) w1+1 wr-1    A3:2   x  x   -  x   x  . xx.  xx.  xxxx   xxxx   x   .
+(d) 2|W|         A3:2   .  .   -  x   .  . x.x  x.x  xxxx   ....   .   .
+(e) first p > 2  A3:2   x  c   -  x   x  . xx.  ...  .xxx   c.cc   .   .
+none             G414   .  -   -  -   -  - ...  ...  ....   ....   .   .
+(a) w0+1         G414   x  -   -  -   -  - xx.  xx.  xxxx   xxxx   x   x
+(a) w0-1         G414   x  -   -  -   -  - xx.  xx.  xxxx   xxxx   x   x
+(a) w1+1         G414   x  -   -  -   -  - xx.  xx.  xxxx   xxxx   x   x
+(a) w1-1         G414   x  -   -  -   -  - xx.  xx.  xxxx   xxxx   x   x
+(a) w2+1         G414   x  -   -  -   -  - xx.  xx.  xxxx   xxxx   x   .
+(a) w2-1         G414   x  -   -  -   -  - xx.  xx.  xxxx   xxxx   x   x
+(a) w3+1         G414   x  -   -  -   -  - xx.  ...  ..xx   x..x   x   .
+(a) w3-1         G414   x  -   -  -   -  - xx.  ...  ..xx   x..x   x   .
+(a) w4+1         G414   x  -   -  -   -  - xx.  ...  ...x   x...   .   .
+(a) w4-1         G414   x  -   -  -   -  - xx.  ...  ...x   x...   .   .
+(a') pi1+1 pi2-1 G414   x  -   -  -   -  - xx.  xx.  xxxx   xxxx   x   x
+(b) q=5,13       G414   x  -   -  -   -  - xx.  ...  ...x   x...   .   .
+(c) w1+1 wr-1    G414   x  -   -  -   -  - xx.  xx.  xxxx   xxxx   x   .
 """
 
 # Cells that a ROADMAP item is to turn into x, each . or - today:
@@ -160,7 +160,7 @@ CAPS = {
     "group_cap": DEFAULT_GROUP_CAP,
     "ff_cap": DEFAULT_FF_CAP,
 }
-INPUT_CHECKS = ("nbc", "ff", "pub", "cf", "div", "pi", "Z")
+INPUT_CHECKS = ("nbc", "ff", "pub", "cf", "div", "Z")
 # (label, width, selftest rows) of every column after the fault and the input
 COLUMNS = (
     *((name, len(name), 0) for name in INPUT_CHECKS),
@@ -295,13 +295,13 @@ def _verdict(fn, *args) -> str:
 
 def _input_verdicts(inp: Input, fault: Fault) -> list[str]:
     """The per-input checks, on the faulted route's report of `inp`; pi and
-    the region counts are read off the lattice as the raises would."""
+    the region counts are read off the lattice as `analyze_arrangement` reads
+    them."""
     lattice = counting.intersection_lattice(inp.arrangement)
     ell, rank = inp.arrangement.ambient_dim, lattice.rank()
     chi = characteristic_polynomial(lattice)
     pi = tuple(w * (-1) ** k for k, w in enumerate(lattice.whitney_numbers()))
     v = dict.fromkeys(INPUT_CHECKS, "-")
-    v["pi"] = _verdict(poincare_polynomial, lattice)
     regions = bounded = None
     if all(h.is_real() for h in inp.arrangement.hyperplanes):
         v["Z"] = _verdict(region_count, lattice)
@@ -382,7 +382,7 @@ def _line(fault: str, inp: str, cells) -> str:
 
 def render(rows) -> str:
     lines = [
-        f"{'':<22} {' per input ':-^23} {' selftest ':-^22} removed",
+        f"{'':<22} {' per input ':-^19} {' selftest ':-^22} removed",
         _line("fault", "input", [label for label, _, _ in COLUMNS]),
         *(_line(fault, inp, cells.values()) for fault, inp, cells in rows),
     ]

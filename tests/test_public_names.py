@@ -17,8 +17,9 @@ from pathlib import Path
 
 import pytest
 
+from golden import pin
+
 import oscount
-from oscount import cli
 
 PACKAGE = Path(oscount.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
@@ -134,30 +135,9 @@ def public_code() -> dict:
     return code
 
 
-def test_every_public_function_is_entered_by_a_command(capsys, tmp_path):
+def test_every_public_function_is_entered_by_a_command(tmp_path):
     # A public name that no command enters is dead code, or a second route
     # that only its tests keep alive.
-    data = PACKAGE / "data"
-    q8d8_arr = str(data / "q8d8.arr")
-    affine = str(tmp_path / "affine.arr")
-    commands = [
-        (["analyze", q8d8_arr, "--oracle", "nbc", "--json"], 0),
-        (["analyze", q8d8_arr, "--oracle", "ff"], 0),
-        (["catalan", "--type", "A2", "--n", "2"], 0),
-        (["catalan", "--type", "A2", "--n", "2", "--affine", "--out", affine], 0),
-        (["cone", affine, "--json"], 0),
-        (["count", "--catalog", "q8d8", "--json"], 0),
-        (["count", "--catalog", "g4"], 0),
-        (["count", "--catalog", "wreath:A2:2", "--oracle", "nbc"], 0),
-        (["count", "--catalog", "wreath:A3:2", "--flat-cap", "100", "--json"], 2),
-        (["count", "--catalog", "q8d8", "--oracle", "ff"], 0),
-        (["count", "--arrangement", q8d8_arr, "--weyl-order", "32"], 0),
-        (["wreath-formula", "--type", "D4", "--n", "3", "--json"], 0),
-        (["group", "analyze", str(data / "q8d8.grp")], 0),
-        (["group", "analyze", str(data / "g4.grp"), "--json"], 0),
-        (["selftest"], 0),
-        (["selftest", "--json"], 0),
-    ]
     public = public_code()
     entered = set()
 
@@ -168,10 +148,9 @@ def test_every_public_function_is_entered_by_a_command(capsys, tmp_path):
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        codes = [cli.main(argv) for argv, _ in commands]
+        codes = [pin.run(argv, tmp_path)["exit"] for argv in pin.PUBLIC_NAMES_GUARD]
         exec(compile(readme_sketch(), "README.md", "exec"), {})
     finally:
         sys.setprofile(previous)
-    capsys.readouterr()
-    assert codes == [code for _, code in commands]
+    assert codes == [pin.load(pin.name(argv))["exit"] for argv in pin.PUBLIC_NAMES_GUARD]
     assert {public[c] for c in public.keys() - entered} == set(BENCH_ONLY)
