@@ -12,8 +12,8 @@ packaging fault such as a stale `data/` file shows as a difference.
 
 `$DATA` in an argv stands for the package's data directory and `$TMP` for a
 scratch directory that the commands share, run in file-name order (the
-`catalan --out` file is the `cone` input); in the output each path is
-written back as its placeholder.  Timing is masked: `timing_seconds` and
+`catalan --out` file is the `cone` input) after INPUTS are written into it;
+in the output each path is written back as its placeholder.  Timing is masked: `timing_seconds` and
 selftest's `in X.Xs`.
 """
 
@@ -52,6 +52,10 @@ PUBLIC_NAMES_GUARD = [
     ["selftest"],
     ["selftest", "--json"],
 ]
+# the inputs that neither the data directory nor an earlier command provides
+INPUTS = {
+    "braid3.arr": "field rational\ndim 3\nhyperplane 1 -1 0\nhyperplane 1 0 -1\nhyperplane 0 1 -1\n",
+}
 _CATALOG = [
     ["count", "--catalog", name, *oracle, *json_flag]
     for name in ("q8d8", "g4", "wreath:A2:2", "wreath:A3:2", "wreath:D4:2")
@@ -66,6 +70,7 @@ COMMANDS = [
     ["count", "--catalog", "wreath:D5:2", "--json"],
     ["analyze", "$DATA/g4.arr"],
     ["analyze", "$DATA/q8d8.arr", "--oracle", "ff", "--json"],
+    ["analyze", "$TMP/braid3.arr", "--oracle", "ff", "--json"],
     ["group", "analyze", "$DATA/q8d8.grp", "--json"],
     ["group", "analyze", "$DATA/g4.grp"],
     ["selftest", "--skip", "ff", "--json"],
@@ -128,6 +133,11 @@ def run(argv: list[str], tmp: Path) -> dict:
     return document(argv, code, out.getvalue(), err.getvalue(), places)
 
 
+def write_inputs(tmp: Path) -> None:
+    for file, text in INPUTS.items():
+        (tmp / file).write_text(text, encoding="utf-8")
+
+
 def files() -> list[Path]:
     return sorted(HERE.glob("*.json"))
 
@@ -152,6 +162,7 @@ def rewrite() -> int:
         if path.stem not in stems:
             path.unlink()
     with tempfile.TemporaryDirectory() as tmp:
+        write_inputs(Path(tmp))
         for argv in sorted(COMMANDS, key=name):
             text = json.dumps(run(argv, Path(tmp)), indent=1, ensure_ascii=False) + "\n"
             (HERE / f"{name(argv)}.json").write_text(text, encoding="utf-8")

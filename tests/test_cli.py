@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import fraction_coords, group_text, identity, quaternion_group, wreath2
+from golden import pin
 
 from oscount import cli, counting, groups, matroid
 from oscount.arrangement import MAX_BOUND_BITS
@@ -27,6 +28,18 @@ from oscount.groups import MatrixGroup
 
 def data_path(name: str) -> str:
     return str(resources.files("oscount.data") / name)
+
+
+def golden(argv: list[str], tmp: Path) -> dict:
+    """The command's document (`pin.run`), which must equal its golden file;
+    a test then asserts the fact it is named for."""
+    doc = pin.run(argv, tmp)
+    assert doc == pin.load(pin.name(argv))
+    return doc
+
+
+def stdout_json(doc: dict) -> dict:
+    return json.loads("\n".join(doc["stdout"]))
 
 
 # The 16 sign hyperplanes x1 +- x2 +- x3 +- x4 +- x5 = 0, then the 5
@@ -106,6 +119,12 @@ def test_group_file_errors():
         parse_group_text("field\n")
 
 
+def test_cli_count_catalog(tmp_path):
+    doc = golden(["count", "--catalog", "g4"], tmp_path)
+    assert doc["exit"] == 0
+    assert "resolution count: 2" in doc["stdout"]
+
+
 def test_cli_count_json_structure(capsys):
     assert cli.main(["count", "--catalog", "wreath:A1:2", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -177,6 +196,13 @@ def test_cli_ff_oracle_takes_coefficients_beyond_64_bits(capsys, tmp_path):
     assert results
     for r in results:
         assert r["count"] == r["chi"] == (r["q"] - 1) * (r["q"] - 2)
+
+
+def test_cli_json_is_deterministic_except_timing(tmp_path):
+    def run():
+        return golden(["count", "--catalog", "g4", "--json"], tmp_path)
+
+    assert run() == run()
 
 
 def test_cli_exit_code_invalid_input(capsys):
@@ -448,6 +474,42 @@ def test_unexpected_exception_is_one_line_and_exit_3(capsys, monkeypatch):
     assert err.endswith("error: internal error: RuntimeError('boom')\n")
 
 
+def test_cli_exit_code_cap(tmp_path):
+    assert golden(["analyze", "$DATA/q8d8.arr", "--flat-cap", "10"], tmp_path)["exit"] == 2
+
+
+def test_cli_exit_code_inconsistency(tmp_path):
+    # wrong Weyl order: 2592 is not divisible by 7
+    argv = ["count", "--arrangement", "$DATA/q8d8.arr", "--weyl-order", "7"]
+    assert golden(argv, tmp_path)["exit"] == 3
+
+
+def test_weyl_order_beside_a_catalog_entry_is_refused(tmp_path):
+    # a catalog entry carries its own Weyl order
+    doc = golden(["count", "--catalog", "g4", "--weyl-order", "5"], tmp_path)
+    assert doc["exit"] == 1 and doc["stdout"] == [""]
+    assert doc["stderr"] == ["error: give --weyl-order with --arrangement, not with --catalog", ""]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--catalog", "q8d8", "--arrangement", "$DATA/q8d8.arr"],
+         "give either --catalog or --arrangement, not both"),
+        ([], "count needs --catalog NAME or --arrangement FILE"),
+        (["--arrangement", "$DATA/q8d8.arr", "--weyl-order", "0"], "Weyl order must be >= 1"),
+        (["--catalog", "wreath:A2"],
+         "bad wreath catalog name 'wreath:a2'; expected wreath:<type>:<n>"),
+        (["--catalog", "wreath:A2:x"], "bad wreath parameter in 'wreath:a2:x'"),
+    ],
+    ids=["both-sources", "no-source", "weyl-order-0", "wreath-without-n", "wreath-bad-n"],
+)
+def test_count_flag_errors_exit_1(tmp_path, argv, message):
+    doc = golden(["count", *argv], tmp_path)
+    assert doc["exit"] == 1 and doc["stdout"] == [""]
+    assert doc["stderr"] == [f"error: {message}", ""]
+
+
 GROUP_PM1 = "field rational\ndim 2\nsymplectic_form\n0 1\n-1 0\ngenerator\n-1 0\n0 -1\n"
 
 
@@ -547,6 +609,26 @@ def test_cli_cap_environment_variable_is_not_read(capsys, monkeypatch):
     assert capsys.readouterr().out == plain
 
 
+def test_cli_group_analyze(tmp_path):
+    argv = ["group", "analyze", "$DATA/q8d8.grp", "--json"]
+    run = golden(argv, tmp_path)
+    assert run["exit"] == 0
+    doc = stdout_json(run)
+    assert doc["order"] == 32
+    assert doc["num_reflection_classes"] == 5
+    assert doc["zeta_bijection"]["bijective"] is True
+    assert doc["namikawa_weyl"]["total_order"] == 32
+
+
+def test_cli_group_analyze_g4(tmp_path):
+    argv = ["group", "analyze", "$DATA/g4.grp", "--json"]
+    run = golden(argv, tmp_path)
+    assert run["exit"] == 0
+    doc = stdout_json(run)
+    assert doc["order"] == 24
+    assert doc["namikawa_weyl"]["total_order"] == 3
+
+
 def test_cli_group_analyze_wreath_q8_is_undetermined(capsys, tmp_path):
     # S2 wr Q8: the Q8 parabolic is D4 with |Xi| = 8, a label with diagram
     # automorphisms, so the class data cannot fix its folding
@@ -575,6 +657,21 @@ def test_cli_group_analyze_exits_3_when_the_zeta_bijection_fails(capsys, monkeyp
     assert captured.err.splitlines() == [
         "error: reflection classes and parabolic orbits are not in bijection"
     ]
+
+
+def test_selftest_skip_ff(tmp_path):
+    argv = ["selftest", "--skip", "ff", "--json"]
+    run = golden(argv, tmp_path)
+    assert run["exit"] == 0
+    doc = stdout_json(run)
+    assert doc["failed"] == 0
+    assert doc["skipped"] == 4
+    skipped = [c["name"] for c in doc["checks"] if c["status"] == "SKIP"]
+    assert skipped == [
+        f"finite-field oracle ({name})"
+        for name in ("q8d8", "wreath:a1:2", "wreath:a1:3", "wreath:a2:2")
+    ]
+    assert len(doc["checks"]) == 14
 
 
 def test_selftest_exits_2_when_every_failure_is_a_cap(capsys, monkeypatch):

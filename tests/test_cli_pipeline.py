@@ -18,14 +18,11 @@ import oscount
 from oscount import arrangement, cli, counting, groups
 from oscount.fileio import parse_arrangement_file
 
-BRAID3 = "field rational\ndim 3\nhyperplane 1 -1 0\nhyperplane 1 0 -1\nhyperplane 0 1 -1\n"
-
 
 @pytest.fixture
 def braid3_file(tmp_path):
-    path = tmp_path / "braid3.arr"
-    path.write_text(BRAID3)
-    return str(path)
+    pin.write_inputs(tmp_path)
+    return str(tmp_path / "braid3.arr")
 
 
 def _json_doc(capsys, argv) -> dict:
@@ -33,6 +30,24 @@ def _json_doc(capsys, argv) -> dict:
     doc = json.loads(capsys.readouterr().out)
     assert isinstance(doc.pop("timing_seconds"), float)
     return doc
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--catalog", "g4", "--oracle", "nbc", "--json"],
+        ["analyze", "$TMP/braid3.arr", "--oracle", "ff", "--json"],
+        ["count", "--catalog", "wreath:D4:2", "--json"],
+        ["analyze", "$DATA/q8d8.arr", "--oracle", "ff", "--json"],
+        ["group", "analyze", "$DATA/g4.grp", "--json"],
+        ["group", "analyze", "$DATA/q8d8.grp", "--json"],
+    ],
+    ids=["count", "analyze", "count-d4-2", "analyze-q8d8-ff", "group", "group-q8d8"],
+)
+def test_json_document_is_pinned(tmp_path, argv):
+    # the document is its golden file's, line by line, so this also pins the key order
+    pin.write_inputs(tmp_path)
+    assert pin.run(argv, tmp_path) == pin.load(pin.name(argv))
 
 
 def test_count_and_analyze_build_the_lattice_once(capsys, braid3_file, monkeypatch):

@@ -13,6 +13,7 @@ def test_the_files_are_the_commands_of_the_corpus():
 
 def test_every_command_prints_its_golden_file(tmp_path):
     # in file-name order, so that `catalan --out` writes the `cone` input first
+    pin.write_inputs(tmp_path)
     differ = []
     for path in pin.files():
         expected = pin.load(path.stem)
